@@ -1,8 +1,9 @@
 /// \file micro_models.cpp
 /// Microbenchmarks for learned-model inference and training steps: the
 /// net-embedding stage, the levelized delay propagation, a full TimingGnn
-/// forward (the "Our GNN" runtime of Table 5), one training step, GCNII
-/// forward, and random-forest batch prediction.
+/// forward (the "Our GNN" runtime of Table 5), the tape-free serving
+/// forward from a cached embedding, one training step, GCNII forward, and
+/// random-forest batch prediction.
 ///
 ///   micro_models --selfcheck   # CI mode: runs warm-up train steps, then
 ///                              # hard-fails unless the steady-state
@@ -73,6 +74,21 @@ void BM_TimingGnnForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.g().num_nodes);
 }
 BENCHMARK(BM_TimingGnnForward);
+
+/// The serving path: the net embedding is computed once (it is cached per
+/// template when serving), then only the tape-free propagation + head
+/// forward is timed.
+void BM_TimingGnnInfer(benchmark::State& state) {
+  const Fixture& f = fixture();
+  const core::TimingGnn model(bench_cfg());
+  const nn::Tensor embedding = model.embed(f.g());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        model.forward_atslew(f.g(), f.plan, embedding).data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * f.g().num_nodes);
+}
+BENCHMARK(BM_TimingGnnInfer);
 
 void BM_TimingGnnTrainStep(benchmark::State& state) {
   const Fixture& f = fixture();

@@ -203,8 +203,10 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
 
     // ---- net propagation: one incoming wire per net-sink node ----------
     const PropPlan::NetFeed& nf = plan.net_feed[lu];
-    Tensor net_in = Tensor::zeros(n_l, config_.hidden);
-    if (!nf.src_t->empty()) {
+    Tensor net_in;
+    if (nf.src_t->empty()) {
+      net_in = Tensor::zeros(n_l, config_.hidden);
+    } else {
       Tensor state_u = nn::multi_gather(dep_states(level_states, nf.dep_levels),
                                         nf.src_t, nf.src_r);
       Tensor e_feat = nn::gather_rows(g.net_edge_feat, nf.feat_rows);
@@ -216,9 +218,11 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
 
     // ---- cell propagation: LUT-interpolated arc messages ---------------
     const PropPlan::CellFeed& cf = plan.cell_feed[lu];
-    Tensor cell_sum = Tensor::zeros(n_l, config_.hidden);
-    Tensor cell_max = Tensor::zeros(n_l, config_.hidden);
-    if (!cf.src_t->empty()) {
+    Tensor cell_sum, cell_max;
+    if (cf.src_t->empty()) {
+      cell_sum = Tensor::zeros(n_l, config_.hidden);
+      cell_max = Tensor::zeros(n_l, config_.hidden);
+    } else {
       Tensor state_u = nn::multi_gather(dep_states(level_states, cf.dep_levels),
                                         cf.src_t, cf.src_r);
       Tensor emb_u = nn::gather_rows(embedding, cf.emb_u_rows);
@@ -300,7 +304,12 @@ DelayProp::Output DelayProp::forward_async(const data::DatasetGraph& g,
   }
   const TaskDag dag = TaskDag::from_edges(4 * plan.num_levels, edges);
 
+  // Tasks run on pool workers, whose thread-local grad mode is not the
+  // caller's: each task body re-installs it, so an inference caller's
+  // levels stay tape-free on every worker.
+  const bool grad = nn::grad_enabled();
   const TaskDagStats stats = run_task_dag(dag, [&](int v) {
+    const nn::NoGradGuard no_grad(!grad);
     const int l = v / 4;
     const auto lu = static_cast<std::size_t>(l);
     const std::int64_t n_l =

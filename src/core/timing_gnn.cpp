@@ -39,6 +39,7 @@ TimingGnn::Prediction TimingGnn::forward(const data::DatasetGraph& g,
 }
 
 Tensor TimingGnn::embed(const data::DatasetGraph& g) const {
+  const nn::NoGradGuard no_grad;
   return net_embed_.forward(g);
 }
 
@@ -46,6 +47,7 @@ Tensor TimingGnn::forward_atslew(const data::DatasetGraph& g,
                                  const PropPlan& plan,
                                  const Tensor& embedding) const {
   TG_TRACE_SCOPE("core/gnn_forward_atslew", obs::kSpanCoarse);
+  const nn::NoGradGuard no_grad;
   const DelayProp::Output prop_out =
       prop_.forward(g, plan, embedding, /*want_aux=*/false);
   const Tensor head_in[] = {prop_out.state, embedding};

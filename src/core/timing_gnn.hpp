@@ -37,6 +37,13 @@ class TimingGnn : public nn::Module {
   [[nodiscard]] Prediction forward(const data::DatasetGraph& g,
                                    const PropPlan& plan) const;
 
+  // ---- inference entry points ------------------------------------------
+  // embed() and forward_atslew() are tape-free by contract: each installs
+  // an nn::NoGradGuard, so their results are plain leaves (no parents,
+  // requires_grad false) and the intermediates die with the call. Their
+  // callers are the serving plane and the benchmarks; training goes
+  // through forward() + loss(), which record the tape as usual.
+
   /// Net-embedding stage output [N, embed_dim]. Depends only on the graph
   /// (not on the query), so serving caches it per template / per pack and
   /// replays it through forward_atslew.

@@ -335,8 +335,27 @@ void TimingGnnTrainer::load_checkpoint(const std::string& path) {
   epoch_ = read_checkpoint(path, "timing-gnn", model_, adam_, nullptr);
 }
 
+namespace {
+
+/// Endpoint slack pairs for Fig. 4 from an already-computed prediction.
+TimingGnnTrainer::SlackScatter scatter_from(const data::DatasetGraph& g,
+                                            const Tensor& atslew) {
+  TimingGnnTrainer::SlackScatter s;
+  for (std::size_t i = 0; i < g.endpoints.size(); ++i) {
+    const EndpointSlack ps = predicted_endpoint_slack(g, atslew, g.endpoints[i]);
+    s.pred_setup.push_back(ps.setup);
+    s.pred_hold.push_back(ps.hold);
+    s.true_setup.push_back(g.endpoint_setup_slack[i]);
+    s.true_hold.push_back(g.endpoint_hold_slack[i]);
+  }
+  return s;
+}
+
+}  // namespace
+
 DesignEval TimingGnnTrainer::evaluate(const data::DatasetGraph& g) {
   TG_TRACE_SCOPE("core/evaluate", obs::kSpanCoarse);
+  const nn::NoGradGuard no_grad;  // evaluation never replays the tape
   const PropPlan& plan = plan_for(g);
   WallTimer timer;
   const TimingGnn::Prediction pred = model_.forward(g, plan);
@@ -370,7 +389,7 @@ DesignEval TimingGnnTrainer::evaluate(const data::DatasetGraph& g) {
                                    all_rows(cell_truth.rows()));
   }
 
-  const SlackScatter scatter = slack_scatter(g);
+  const SlackScatter scatter = scatter_from(g, pred.atslew);
   eval.r2_slack_setup = r2_score(std::span<const double>(scatter.true_setup),
                                  std::span<const double>(scatter.pred_setup));
   eval.r2_slack_hold = r2_score(std::span<const double>(scatter.true_hold),
@@ -384,18 +403,9 @@ DesignEval TimingGnnTrainer::evaluate(const data::DatasetGraph& g) {
 
 TimingGnnTrainer::SlackScatter TimingGnnTrainer::slack_scatter(
     const data::DatasetGraph& g) {
+  const nn::NoGradGuard no_grad;
   const PropPlan& plan = plan_for(g);
-  const TimingGnn::Prediction pred = model_.forward(g, plan);
-  SlackScatter s;
-  for (std::size_t i = 0; i < g.endpoints.size(); ++i) {
-    const int ep = g.endpoints[i];
-    const EndpointSlack ps = predicted_endpoint_slack(g, pred.atslew, ep);
-    s.pred_setup.push_back(ps.setup);
-    s.pred_hold.push_back(ps.hold);
-    s.true_setup.push_back(g.endpoint_setup_slack[i]);
-    s.true_hold.push_back(g.endpoint_hold_slack[i]);
-  }
-  return s;
+  return scatter_from(g, model_.forward(g, plan).atslew);
 }
 
 // ---- NetEmbedTrainer ------------------------------------------------------
@@ -488,6 +498,7 @@ void NetEmbedTrainer::load_checkpoint(const std::string& path) {
 }
 
 double NetEmbedTrainer::evaluate_r2(const data::DatasetGraph& g) const {
+  const nn::NoGradGuard no_grad;
   Tensor pred = model_.predict_net_delay(g, model_.forward(g));
   std::vector<double> t, p;
   for (int r : g.net_sinks) {
@@ -593,6 +604,7 @@ void GcniiTrainer::load_checkpoint(const std::string& path) {
 
 DesignEval GcniiTrainer::evaluate(const data::DatasetGraph& g) {
   TG_TRACE_SCOPE("core/evaluate", obs::kSpanCoarse);
+  const nn::NoGradGuard no_grad;
   const GcniiAdjacency& adj = adjacency_for(g);
   WallTimer timer;
   Tensor pred = model_.forward(g, adj);

@@ -36,11 +36,29 @@ TensorImplPtr make_result(std::int64_t rows, std::int64_t cols,
   impl->rows = rows;
   impl->cols = cols;
   impl->data.resize_discard(static_cast<std::size_t>(rows * cols));
+  if (!grad_enabled()) return impl;  // inference mode: plain result
   for (const Tensor* t : inputs) {
     if (t->requires_grad()) impl->requires_grad = true;
   }
   if (impl->requires_grad) {
     for (const Tensor* t : inputs) impl->parents.push_back(t->ptr());
+  }
+  return impl;
+}
+
+/// make_result for the span-input ops (concat_*, multi_gather). A taped
+/// result keeps every part as a parent, in order, so their backward
+/// closures index `self.parents` positionally.
+TensorImplPtr make_result_parts(std::int64_t rows, std::int64_t cols,
+                                std::span<const Tensor> parts) {
+  auto impl = make_result(rows, cols, {});
+  if (!grad_enabled()) return impl;
+  for (const Tensor& t : parts) {
+    if (t.requires_grad()) impl->requires_grad = true;
+  }
+  if (impl->requires_grad) {
+    impl->parents.reserve(parts.size());
+    for (const Tensor& t : parts) impl->parents.push_back(t.ptr());
   }
   return impl;
 }
@@ -342,16 +360,20 @@ Tensor mul_sigmoid(const Tensor& a, const Tensor& b) {
   const float* ad = a.data().data();
   const float* bd = b.data().data();
   float* out = impl->data.data();
-  // σ(b) is needed again in backward for both inputs; cache it rather
-  // than re-running exp (or dividing y by a, which loses precision near
-  // a = 0).
-  auto sig = std::make_shared<std::vector<float>>(impl->data.size());
+  // σ(b) is needed again in backward for both inputs; a taped result
+  // caches it rather than re-running exp (or dividing y by a, which loses
+  // precision near a = 0).
+  std::shared_ptr<std::vector<float>> sig;
+  if (impl->requires_grad) {
+    sig = std::make_shared<std::vector<float>>(impl->data.size());
+  }
+  float* sp = sig ? sig->data() : nullptr;
   parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
                kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
                  for (auto i = static_cast<std::size_t>(lo);
                       i < static_cast<std::size_t>(hi); ++i) {
                    const float s = 1.0f / (1.0f + std::exp(-bd[i]));
-                   (*sig)[i] = s;
+                   if (sp != nullptr) sp[i] = s;
                    out[i] = ad[i] * s;
                  }
                });
@@ -486,17 +508,7 @@ Tensor concat_cols(std::span<const Tensor> parts) {
     TG_CHECK_MSG(t.rows() == rows, "concat_cols: row mismatch");
     cols += t.cols();
   }
-  auto impl = std::make_shared<TensorImpl>();
-  impl->rows = rows;
-  impl->cols = cols;
-  impl->data.resize_discard(static_cast<std::size_t>(rows * cols));
-  for (const Tensor& t : parts) {
-    if (t.requires_grad()) impl->requires_grad = true;
-  }
-  std::vector<TensorImplPtr> srcs;
-  for (const Tensor& t : parts) srcs.push_back(t.ptr());
-  if (impl->requires_grad) impl->parents = srcs;
-
+  auto impl = make_result_parts(rows, cols, parts);
   std::int64_t off = 0;
   for (const Tensor& t : parts) {
     const std::int64_t tc = t.cols();
@@ -508,9 +520,9 @@ Tensor concat_cols(std::span<const Tensor> parts) {
   }
   if (impl->requires_grad) {
     impl->op = "concat_cols";
-    impl->backward_fn = [srcs, rows, cols](TensorImpl& self) {
+    impl->backward_fn = [rows, cols](TensorImpl& self) {
       std::int64_t o = 0;
-      for (const auto& s : srcs) {
+      for (const auto& s : self.parents) {
         const std::int64_t tc = s->cols;
         if (s->requires_grad) {
           s->ensure_grad();
@@ -558,17 +570,7 @@ Tensor concat_rows(std::span<const Tensor> parts) {
     TG_CHECK_MSG(t.cols() == cols, "concat_rows: column mismatch");
     rows += t.rows();
   }
-  auto impl = std::make_shared<TensorImpl>();
-  impl->rows = rows;
-  impl->cols = cols;
-  impl->data.resize_discard(static_cast<std::size_t>(rows * cols));
-  for (const Tensor& t : parts) {
-    if (t.requires_grad()) impl->requires_grad = true;
-  }
-  std::vector<TensorImplPtr> srcs;
-  for (const Tensor& t : parts) srcs.push_back(t.ptr());
-  if (impl->requires_grad) impl->parents = srcs;
-
+  auto impl = make_result_parts(rows, cols, parts);
   std::size_t off = 0;
   for (const Tensor& t : parts) {
     std::copy_n(t.data().data(), t.numel(), impl->data.data() + off);
@@ -576,9 +578,9 @@ Tensor concat_rows(std::span<const Tensor> parts) {
   }
   if (impl->requires_grad) {
     impl->op = "concat_rows";
-    impl->backward_fn = [srcs](TensorImpl& self) {
+    impl->backward_fn = [](TensorImpl& self) {
       std::size_t o = 0;
-      for (const auto& s : srcs) {
+      for (const auto& s : self.parents) {
         if (s->requires_grad) {
           accumulate(*s, std::span<const float>(
                              self.grad.data() + o,
@@ -644,34 +646,26 @@ Tensor multi_gather(std::span<const Tensor> sources, SharedIndex src_tensor_hand
   TG_CHECK(src_tensor != nullptr && src_row != nullptr);
   TG_CHECK(src_tensor->size() == src_row->size());
   const std::int64_t cols = sources[0].cols();
-  auto impl = std::make_shared<TensorImpl>();
-  impl->rows = static_cast<std::int64_t>(src_tensor->size());
-  impl->cols = cols;
-  impl->data.resize_discard(static_cast<std::size_t>(impl->rows * cols));
-  std::vector<TensorImplPtr> srcs;
-  for (const Tensor& t : sources) {
-    TG_CHECK(t.cols() == cols);
-    if (t.requires_grad()) impl->requires_grad = true;
-    srcs.push_back(t.ptr());
-  }
-  if (impl->requires_grad) impl->parents = srcs;
+  for (const Tensor& t : sources) TG_CHECK(t.cols() == cols);
+  auto impl = make_result_parts(static_cast<std::int64_t>(src_tensor->size()),
+                                cols, sources);
 
   const int* st = src_tensor->data();
   const int* sr = src_row->data();
   for (std::size_t i = 0; i < src_tensor->size(); ++i) {
-    const auto& s = srcs[static_cast<std::size_t>(st[i])];
-    TG_DCHECK(sr[i] >= 0 && sr[i] < s->rows);
+    const Tensor& s = sources[static_cast<std::size_t>(st[i])];
+    TG_DCHECK(sr[i] >= 0 && sr[i] < s.rows());
     std::memcpy(impl->data.data() + static_cast<std::int64_t>(i) * cols,
-                s->data.data() + static_cast<std::int64_t>(sr[i]) * cols,
+                s.data().data() + static_cast<std::int64_t>(sr[i]) * cols,
                 static_cast<std::size_t>(cols) * sizeof(float));
   }
   if (impl->requires_grad) {
     impl->op = "multi_gather";
-    impl->backward_fn = [srcs, src_tensor, src_row, cols](TensorImpl& self) {
+    impl->backward_fn = [src_tensor, src_row, cols](TensorImpl& self) {
       const int* bst = src_tensor->data();
       const int* bsr = src_row->data();
       for (std::size_t i = 0; i < src_tensor->size(); ++i) {
-        const auto& s = srcs[static_cast<std::size_t>(bst[i])];
+        const auto& s = self.parents[static_cast<std::size_t>(bst[i])];
         if (!s->requires_grad) continue;
         s->ensure_grad();
         kern::add_acc(s->grad.data() + static_cast<std::int64_t>(bsr[i]) * cols,
@@ -742,26 +736,38 @@ Tensor segment_max(const Tensor& a, SharedIndex seg_handle, std::int64_t num_seg
   TG_CHECK(static_cast<std::int64_t>(seg->size()) == a.rows());
   const std::int64_t cols = a.cols();
   auto impl = make_result_zero(num_segments, cols, {&a});
-  // argmax[s*cols + c] = input row that won; -1 = empty (output stays 0).
-  auto argmax = std::make_shared<std::vector<int>>(
-      static_cast<std::size_t>(num_segments * cols), -1);
+  // Tape-only: argmax[s*cols + c] = input row that won; -1 = empty.
+  std::shared_ptr<std::vector<int>> argmax;
+  if (impl->requires_grad) {
+    argmax = std::make_shared<std::vector<int>>(
+        static_cast<std::size_t>(num_segments * cols), -1);
+  }
   {
     const auto n = static_cast<std::int64_t>(seg->size());
     const int* sg = seg->data();
     const float* ad = a.data().data();
+    float* out = impl->data.data();
+    int* am = argmax ? argmax->data() : nullptr;
     // Column-sliced like segment_sum: every (segment, column) max/argmax
-    // slot is owned by one chunk and scanned in ascending-i order.
+    // slot is owned by one chunk and scanned in ascending-i order. A
+    // segment's first row always wins (empty segments keep the zero
+    // fill); later rows win only when strictly greater, so ties keep the
+    // first row.
     parallel_for(0, cols, row_grain(2 * n), [&](std::int64_t cb,
                                                 std::int64_t ce) {
+      std::vector<unsigned char> seen(static_cast<std::size_t>(num_segments),
+                                      0);
       for (std::int64_t i = 0; i < n; ++i) {
         TG_DCHECK(sg[i] >= 0 && sg[i] < num_segments);
         const float* src = ad + i * cols;
         const std::int64_t base = static_cast<std::int64_t>(sg[i]) * cols;
+        unsigned char& seen_seg = seen[static_cast<std::size_t>(sg[i])];
+        const bool first = seen_seg == 0;
+        seen_seg = 1;
         for (std::int64_t c = cb; c < ce; ++c) {
-          int& am = (*argmax)[static_cast<std::size_t>(base + c)];
-          if (am < 0 || src[c] > impl->data[static_cast<std::size_t>(base + c)]) {
-            impl->data[static_cast<std::size_t>(base + c)] = src[c];
-            am = static_cast<int>(i);
+          if (first || src[c] > out[base + c]) {
+            out[base + c] = src[c];
+            if (am != nullptr) am[base + c] = static_cast<int>(i);
           }
         }
       }
@@ -1015,11 +1021,15 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   TG_CHECK(beta.rows() == 1 && beta.cols() == cols);
   auto impl = make_result(rows, cols, {&x, &gamma, &beta});
 
-  // Cache per-row statistics and the normalized values for backward.
-  auto xhat = std::make_shared<std::vector<float>>(
-      static_cast<std::size_t>(rows * cols));
-  auto inv_std = std::make_shared<std::vector<float>>(
-      static_cast<std::size_t>(rows));
+  // A taped result caches per-row statistics and the normalized values
+  // for backward.
+  std::shared_ptr<std::vector<float>> xhat, inv_std;
+  if (impl->requires_grad) {
+    xhat = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(rows * cols));
+    inv_std = std::make_shared<std::vector<float>>(
+        static_cast<std::size_t>(rows));
+  }
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* xr = x.data().data() + r * cols;
     float mean = 0.0f;
@@ -1032,11 +1042,11 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     }
     var /= static_cast<float>(cols);
     const float istd = 1.0f / std::sqrt(var + eps);
-    (*inv_std)[static_cast<std::size_t>(r)] = istd;
+    if (inv_std) (*inv_std)[static_cast<std::size_t>(r)] = istd;
     float* out = impl->data.data() + r * cols;
     for (std::int64_t c = 0; c < cols; ++c) {
       const float h = (xr[c] - mean) * istd;
-      (*xhat)[static_cast<std::size_t>(r * cols + c)] = h;
+      if (xhat) (*xhat)[static_cast<std::size_t>(r * cols + c)] = h;
       out[c] = h * gamma.data()[static_cast<std::size_t>(c)] +
                beta.data()[static_cast<std::size_t>(c)];
     }

@@ -1,9 +1,11 @@
 #pragma once
 /// \file ops.hpp
 /// Differentiable operations over Tensor. Every op records a backward
-/// closure when any input requires grad. Index arguments (gather/scatter
-/// targets, segment ids) are plain integer vectors — they are not
-/// differentiated through.
+/// closure when any input requires grad — unless a NoGradGuard
+/// (tensor.hpp) is active on the calling thread, in which case it returns
+/// a plain, bit-identical result and skips its tape-only side buffers.
+/// Index arguments (gather/scatter targets, segment ids) are plain
+/// integer vectors — they are not differentiated through.
 ///
 /// Conventions: rank-2 tensors are row-major [rows, cols]; "segment" ops
 /// reduce edge-parallel tensors ([E, D]) into node-parallel tensors

@@ -83,6 +83,9 @@ void Tensor::zero_grad() {
 void Tensor::backward() {
   TG_TRACE_SCOPE("nn/backward", obs::kSpanDetail);
   TG_CHECK_MSG(numel() == 1, "backward() requires a scalar loss");
+  TG_CHECK_MSG(grad_enabled(),
+               "backward() called under an active NoGradGuard: the forward "
+               "recorded no tape, so every parameter gradient would stay 0");
   // Topological order by iterative DFS.
   std::vector<TensorImpl*> order;
   std::unordered_set<TensorImpl*> visited;

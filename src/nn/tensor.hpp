@@ -101,4 +101,36 @@ class Tensor {
 /// Creates a detached leaf tensor sharing nothing with `t` (copies data).
 [[nodiscard]] Tensor detach(const Tensor& t);
 
+// ---- inference mode ---------------------------------------------------
+
+namespace detail {
+inline thread_local bool t_grad_enabled = true;
+}  // namespace detail
+
+/// Whether ops on this thread record the autograd tape (default true).
+[[nodiscard]] inline bool grad_enabled() { return detail::t_grad_enabled; }
+
+/// Scoped inference mode for the current thread. While one is alive,
+/// every op in ops.hpp builds a plain result — requires_grad false, no
+/// parents, no backward closure, no op label, and none of the tape-only
+/// side buffers (segment_max's argmax, mul_sigmoid's σ cache, layer_norm's
+/// normalized rows) — with data bit-identical to the taped op. Leaf
+/// constructors (Tensor::zeros(..., true), parameters) are unaffected.
+/// Guards nest: each restores the mode it found. The flag is
+/// thread-local, so code that fans ops out to pool workers must re-install
+/// it there (DelayProp's async engine does; `engaged = false` makes the
+/// guard a no-op, which lets a task body mirror the caller's mode).
+class NoGradGuard {
+ public:
+  explicit NoGradGuard(bool engaged = true) : prev_(detail::t_grad_enabled) {
+    if (engaged) detail::t_grad_enabled = false;
+  }
+  ~NoGradGuard() { detail::t_grad_enabled = prev_; }
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool prev_;
+};
+
 }  // namespace tg::nn

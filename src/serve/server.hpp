@@ -83,6 +83,12 @@ class SlackServer {
   [[nodiscard]] const ServeOptions& options() const { return options_; }
   [[nodiscard]] int queue_depth() const { return queue_.size(); }
 
+  /// Cached net embedding for a pristine template (query-invariant —
+  /// computed once per template key per server, then replayed through the
+  /// forward_atslew inference path by every full-tier GNN answer). A
+  /// tape-free leaf: TimingGnn::embed records no autograd graph.
+  [[nodiscard]] nn::Tensor template_embedding(const SessionTemplate& tpl);
+
  private:
   struct StatsCells {
     std::atomic<std::uint64_t> submitted{0}, completed{0}, ok{0},
@@ -134,11 +140,6 @@ class SlackServer {
   /// `cross` marks cross-template members for the stats split.
   void fulfill_batch_member(Ticket&& t, const Response& proto, int batch_size,
                             bool cross, std::vector<Ticket>& deferred);
-  /// Cached net embedding for a pristine template (query-invariant —
-  /// computed once per template per server, then replayed through the
-  /// forward_atslew inference path by every full-tier GNN answer).
-  [[nodiscard]] nn::Tensor template_embedding(const SessionTemplate& tpl);
-
   ServeOptions options_;
   TemplateCache templates_;
   PackCache packs_;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/test_fixture.hpp"
+#include "nn/alloc.hpp"
+#include "util/parallel.hpp"
+#include "util/task_graph.hpp"
 
 namespace tg::core {
 namespace {
@@ -51,6 +56,62 @@ TEST(TimingGnn, InferenceFastPathMatchesTrainingForward) {
       EXPECT_EQ(fast.at(r, c), pred.atslew.at(r, c)) << "r=" << r << " c=" << c;
     }
   }
+}
+
+/// The inference entry points are tape-free: once forward_atslew returns,
+/// every intermediate is released and only the output stays live (a taped
+/// output would keep the whole propagation tape reachable through its
+/// parents). Checked under the levelized walk and under the async engine,
+/// whose level tasks run on pool workers and must inherit the caller's
+/// inference mode: a worker that records the tape keeps every level's
+/// intermediates alive until the forward returns, which shows up as a
+/// transient peak far above the levelized walk's.
+TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
+  const int saved_threads = num_threads();
+  const StaEngine saved_engine = sta_engine();
+  const int saved_workers = task_dag_workers();
+  set_task_dag_workers(8);  // real concurrency even on small machines
+  const TimingGnn model(tiny_config());
+  const auto& g = testing::train_graph();
+  const PropPlan plan = build_prop_plan(g);
+  const nn::Tensor emb = model.embed(g);
+  EXPECT_FALSE(emb.requires_grad());
+  EXPECT_TRUE(emb.impl()->parents.empty());
+
+  // Runs `reps` inference forwards; checks what each leaves live and
+  // returns the largest transient peak above the pre-call live set.
+  auto run = [&](StaEngine engine, int threads, int reps) {
+    SCOPED_TRACE(engine == StaEngine::kLevel ? "level" : "async");
+    set_sta_engine(engine);
+    set_num_threads(threads);
+    (void)model.forward_atslew(g, plan, emb);  // warm any lazy caches
+    std::int64_t peak = 0;
+    for (int i = 0; i < reps; ++i) {
+      nn::alloc::reset_alloc_stats();
+      const auto before =
+          static_cast<std::int64_t>(nn::alloc::alloc_stats().bytes_live);
+      const nn::Tensor out = model.forward_atslew(g, plan, emb);
+      const nn::alloc::AllocStats s = nn::alloc::alloc_stats();
+      EXPECT_FALSE(out.requires_grad());
+      EXPECT_TRUE(out.impl()->parents.empty());
+      EXPECT_LE(static_cast<std::int64_t>(s.bytes_live) - before,
+                static_cast<std::int64_t>(nn::alloc::bucket_bytes(
+                    static_cast<std::size_t>(out.numel()) * sizeof(float))));
+      peak = std::max(
+          peak, static_cast<std::int64_t>(s.bytes_high_water) - before);
+    }
+    EXPECT_TRUE(nn::grad_enabled());  // the guard is scoped to the call
+    return peak;
+  };
+  const std::int64_t level_peak = run(StaEngine::kLevel, 1, 1);
+  for (const int threads : {4, 8}) {
+    EXPECT_LE(run(StaEngine::kAsync, threads, 4), 2 * level_peak)
+        << "async workers at " << threads
+        << " threads recorded the tape (level peak " << level_peak << " B)";
+  }
+  set_num_threads(saved_threads);
+  set_sta_engine(saved_engine);
+  set_task_dag_workers(saved_workers);
 }
 
 TEST(TimingGnn, LossFiniteAndPositive) {

@@ -148,6 +148,17 @@ TEST(Ops, SegmentMaxNegativeValues) {
   EXPECT_FLOAT_EQ(m.at(1), 0.0f);   // empty segment = 0
 }
 
+TEST(Ops, SegmentMaxTieKeepsFirstRow) {
+  // Rows 0 and 1 tie in segment 0; the first row wins the value and the
+  // gradient.
+  Tensor a = Tensor::from_vector({-3, 2, -3, 2}, 2, 2, true);
+  Tensor m = segment_max(a, {0, 0}, 1);
+  EXPECT_FLOAT_EQ(m.at(0, 0), -3.0f);
+  sum_all(m).backward();
+  EXPECT_FLOAT_EQ(a.grad()[0], 1.0f);
+  EXPECT_FLOAT_EQ(a.grad()[2], 0.0f);
+}
+
 TEST(Ops, Spmm) {
   // Y[dst] += w * X[src]: two edges into row 0.
   Tensor x = Tensor::from_vector({1, 2, 3, 4}, 2, 2);

@@ -358,6 +358,37 @@ TEST(ServeTest, PackCacheReusesSupersetForShrunkenMix) {
   EXPECT_EQ(smallest.get(), fresh.get());
 }
 
+/// Cached embeddings outlive every request, so they must be tape-free
+/// leaves: a recorded tape would pin the whole net-embedding graph for as
+/// long as the cache entry lives.
+TEST(ServeTest, CachedEmbeddingsAreTapeFreeLeaves) {
+  SlackServer server(small_options());
+  Request req;
+  req.session = server.open_session(kDesign, kScale);
+  ASSERT_EQ(server.call(std::move(req)).status, ResponseStatus::kOk);
+  TemplateCache templates;  // same key as the server's template
+  const nn::Tensor tpl_emb =
+      server.template_embedding(*templates.get_or_build(kDesign, kScale, 0.0));
+  EXPECT_FALSE(tpl_emb.requires_grad());
+  EXPECT_TRUE(tpl_emb.impl()->parents.empty());
+  EXPECT_FALSE(tpl_emb.impl()->backward_fn);
+
+  core::TimingGnnConfig cfg;
+  cfg.net.hidden = 8;
+  cfg.net.mlp_hidden = 8;
+  cfg.prop.hidden = 8;
+  cfg.prop.mlp_hidden = 8;
+  const core::TimingGnn model(cfg);
+  PackCache cache(2);
+  const auto entry = cache.get_or_pack(
+      {templates.get_or_build("spm", kScale, 0.0),
+       templates.get_or_build("zipdiv", kScale, 0.0)},
+      model, nullptr);
+  EXPECT_FALSE(entry->embedding.requires_grad());
+  EXPECT_TRUE(entry->embedding.impl()->parents.empty());
+  EXPECT_FALSE(entry->embedding.impl()->backward_fn);
+}
+
 TEST(ServeTest, CrossBatchDisabledKeepsTemplatesSeparate) {
   ServeOptions o = small_options();
   o.workers = 1;
