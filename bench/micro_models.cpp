@@ -5,13 +5,15 @@
 /// forward from a cached embedding, one training step, GCNII forward, and
 /// random-forest batch prediction.
 ///
-///   micro_models --selfcheck   # CI mode: runs warm-up train steps, then
-///                              # hard-fails unless the steady-state
+///   micro_models --selfcheck   # CI mode: runs warm-up train steps and
+///                              # inference forwards, then hard-fails
+///                              # unless each phase's steady-state
 ///                              # allocator miss rate is ~0 (alloc/miss)
 ///   micro_models --json        # BENCH_micro_models.json for perf diffs
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -145,10 +147,49 @@ BENCHMARK(BM_ForestPredict);
 /// malloc traffic pass.
 constexpr double kMissRateBudget = 0.005;
 
+/// Prints one steady-state phase's allocator counters and checks them
+/// against kMissRateBudget. `min_acquires` is the least arena traffic the
+/// phase must show (0 = any).
+bool check_phase(const char* phase, int reps, std::uint64_t min_acquires) {
+  const nn::alloc::AllocStats s = nn::alloc::alloc_stats();
+  const std::uint64_t total = s.hits + s.misses;
+  const double miss_rate =
+      total > 0 ? static_cast<double>(s.misses) / static_cast<double>(total)
+                : 0.0;
+  std::printf(
+      "# models selfcheck: %d steady-state %s, %llu acquires, "
+      "%llu hits, %llu misses (rate %.5f, budget %.3f), high water %.1f MiB\n",
+      reps, phase, static_cast<unsigned long long>(total),
+      static_cast<unsigned long long>(s.hits),
+      static_cast<unsigned long long>(s.misses), miss_rate, kMissRateBudget,
+      static_cast<double>(s.bytes_high_water) / (1024.0 * 1024.0));
+  if (total == 0 || total < min_acquires) {
+    std::fprintf(stderr,
+                 "# models selfcheck FAILED: %s made %llu arena acquires, "
+                 "expected at least %llu (scratch not taken from the "
+                 "arena?)\n",
+                 phase, static_cast<unsigned long long>(total),
+                 static_cast<unsigned long long>(
+                     std::max<std::uint64_t>(min_acquires, 1)));
+    return false;
+  }
+  if (miss_rate > kMissRateBudget) {
+    std::fprintf(stderr,
+                 "# models selfcheck FAILED: steady-state miss rate %.5f "
+                 "exceeds %.3f — %s hit the heap per call\n",
+                 miss_rate, kMissRateBudget, phase);
+    return false;
+  }
+  return true;
+}
+
 /// CI mode (bypasses google-benchmark): proves the steady-state claim of
 /// the caching arena (DESIGN.md §10) on the real training loop — after a
 /// few warm-up steps, further TimingGnn train steps run with alloc/miss
-/// ≈ 0 because every tensor buffer is reused from the free lists.
+/// ≈ 0 because every tensor buffer is reused from the free lists — and
+/// on the serving forward: repeated forward_atslew calls take the fused
+/// DelayProp step's per-chunk scratch from the arena (at least one
+/// acquire per level per call) and reuse it across levels and calls.
 int run_selfcheck() {
   nn::alloc::set_alloc_mode(nn::alloc::Mode::kCache);
   const Fixture& f = fixture();
@@ -166,29 +207,19 @@ int run_selfcheck() {
   nn::alloc::reset_alloc_stats();
   constexpr int kSteps = 8;
   for (int i = 0; i < kSteps; ++i) step();
-  const nn::alloc::AllocStats s = nn::alloc::alloc_stats();
-  const std::uint64_t total = s.hits + s.misses;
-  const double miss_rate =
-      total > 0 ? static_cast<double>(s.misses) / static_cast<double>(total)
-                : 0.0;
-  std::printf(
-      "# models selfcheck: %d steady-state train steps, %llu acquires, "
-      "%llu hits, %llu misses (rate %.5f, budget %.3f), high water %.1f MiB\n",
-      kSteps, static_cast<unsigned long long>(total),
-      static_cast<unsigned long long>(s.hits),
-      static_cast<unsigned long long>(s.misses), miss_rate, kMissRateBudget,
-      static_cast<double>(s.bytes_high_water) / (1024.0 * 1024.0));
-  if (total == 0) {
-    std::fprintf(stderr,
-                 "# models selfcheck FAILED: no allocator traffic recorded "
-                 "(arena not wired through Tensor?)\n");
-    return 1;
-  }
-  if (miss_rate > kMissRateBudget) {
-    std::fprintf(stderr,
-                 "# models selfcheck FAILED: steady-state miss rate %.5f "
-                 "exceeds %.3f — training is hitting the heap per step\n",
-                 miss_rate, kMissRateBudget);
+  if (!check_phase("train steps", kSteps, 0)) return 1;
+
+  const nn::Tensor embedding = model.embed(f.g());
+  auto infer = [&] {
+    return model.forward_atslew(f.g(), f.plan, embedding).data()[0];
+  };
+  for (int i = 0; i < 3; ++i) infer();  // warm-up
+  nn::alloc::reset_alloc_stats();
+  constexpr int kCalls = 16;
+  for (int i = 0; i < kCalls; ++i) infer();
+  if (!check_phase("inference forwards", kCalls,
+                   static_cast<std::uint64_t>(kCalls) *
+                       static_cast<std::uint64_t>(f.plan.num_levels))) {
     return 1;
   }
   std::printf("# models selfcheck OK\n");

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 
+#include "nn/kernels.hpp"
 #include "util/cancel.hpp"
 #include "util/check.hpp"
 #include "util/obs/trace.hpp"
+#include "util/parallel.hpp"
 #include "util/task_graph.hpp"
 
 namespace tg::core {
@@ -38,6 +40,32 @@ std::vector<Tensor> dep_states(const std::vector<Tensor>& level_states,
   return s;
 }
 
+/// CSR row pointers of a level's destination rows (PropPlan feed
+/// dst_off). The fused step takes a chunk's edge range and each row's
+/// first edge from them; a row range's edges are contiguous only because
+/// CSR order sorts edges by destination, which is checked here.
+std::vector<int> row_offsets(const std::vector<int>& dst_row,
+                             std::size_t rows) {
+  TG_CHECK(std::is_sorted(dst_row.begin(), dst_row.end()));
+  std::vector<int> off(rows + 1, 0);
+  for (const int r : dst_row) ++off[static_cast<std::size_t>(r) + 1];
+  for (std::size_t r = 0; r < rows; ++r) off[r + 1] += off[r];
+  return off;
+}
+
+/// Target flops per parallel_for chunk of the fused inference step (the
+/// nn ops' row grain).
+constexpr std::int64_t kChunkFlops = 1 << 14;
+
+/// Rows the fused step pushes through one MLP pass. Large enough that each
+/// weight matrix is reused from cache across the block, small enough that
+/// the block's activations stay in cache.
+constexpr std::int64_t kBlock = 32;
+
+/// Approximate flops of one row through a module: one multiply-add per
+/// parameter.
+std::int64_t row_flops(const nn::Module& m) { return 2 * m.num_parameters(); }
+
 }  // namespace
 
 PropPlan build_prop_plan(const data::DatasetGraph& g) {
@@ -65,6 +93,7 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
     plan.level_nodes[l].assign(csr.node_perm.begin() + static_cast<long>(nb),
                                csr.node_perm.begin() + static_cast<long>(ne));
     plan.level_rows[l] = share(plan.level_nodes[l]);
+    const std::size_t n_l = ne - nb;
 
     // Net edges of this level, in CSR (destination-sorted) order.
     {
@@ -86,10 +115,11 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
         emb_v_rows.push_back(v);
       }
       std::vector<int> dep = remap_to_dep_levels(src_t);
+      std::vector<int> dst_off = row_offsets(dst_row, n_l);
       plan.net_feed[l] = PropPlan::NetFeed{
           std::move(dep), share(std::move(src_t)), share(std::move(src_r)),
           share(std::move(dst_row)), share(std::move(feat_rows)),
-          share(std::move(emb_v_rows))};
+          share(std::move(emb_v_rows)), std::move(dst_off)};
     }
 
     // Cell edges, same treatment plus the source-embedding gather.
@@ -115,10 +145,12 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
         emb_v_rows.push_back(v);
       }
       std::vector<int> dep = remap_to_dep_levels(src_t);
+      std::vector<int> dst_off = row_offsets(dst_row, n_l);
       plan.cell_feed[l] = PropPlan::CellFeed{
           std::move(dep), share(std::move(src_t)), share(std::move(src_r)),
           share(std::move(dst_row)), share(std::move(feat_rows)),
-          share(std::move(emb_u_rows)), share(std::move(emb_v_rows))};
+          share(std::move(emb_u_rows)), share(std::move(emb_v_rows)),
+          std::move(dst_off)};
     }
   }
   TG_CHECK(plan.cell_edge_order.size() == g.cell_src.size());
@@ -171,6 +203,12 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
                                      bool want_aux) const {
   TG_CHECK(embedding.rows() == g.num_nodes);
   TG_CHECK(embedding.cols() == embed_dim_);
+  if (!nn::grad_enabled() && !want_aux) {
+    Output out;
+    out.state = forward_fused(g, plan, embedding);
+    out.cell_delay = Tensor::zeros(0, kNumCorners);
+    return out;
+  }
   // The shard engine's fault domains apply to the STA sweeps; for the GNN
   // stage it routes to the same barrier-free worklist as kAsync (the
   // dataset graph carries no shard partition).
@@ -259,6 +297,178 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
     out.cell_delay = nn::concat_rows(cell_delay_parts);
   }
   return out;
+}
+
+Tensor DelayProp::forward_fused(const data::DatasetGraph& g,
+                                const PropPlan& plan,
+                                const Tensor& embedding) const {
+  TG_TRACE_SCOPE("gnn/delay_prop/fused", obs::kSpanDetail);
+  const std::int64_t hid = config_.hidden;
+  const std::int64_t emb_w = embed_dim_;
+  constexpr std::int64_t kNetW = data::kNetEdgeFeatureDim;
+  constexpr std::int64_t kLuts = data::kNumLutsPerArc;
+  const std::int64_t net_w = net_prop_.in_features();   // [state_u|e|emb_v]
+  const std::int64_t query_w = hid + 2 * emb_w;         // [state_u|emb_u|emb_v]
+  const std::int64_t cell_w = cell_prop_.in_features(); // [state_u|interp|emb_v]
+  const std::int64_t comb_w = combine_.in_features();   // [Σnet|Σcell|max|emb_v]
+  const auto n = [](std::int64_t k) { return static_cast<std::size_t>(k); };
+
+  // Node-ordered output: each node's row is written once, by its level,
+  // and read (as state_u) only by later levels, after the parallel_for
+  // join that ends its level.
+  Tensor state = Tensor::zeros(g.num_nodes, hid);
+  float* st = state.data().data();
+  const float* emb = embedding.data().data();
+  const float* net_feat = g.net_edge_feat.data().data();
+  const float* cell_feat = g.cell_edge_feat.data().data();
+
+  // Per-block scratch: edge MLP input rows, LUT interpolations, MLP
+  // outputs and the MLPs' own scratch, sized for kBlock rows.
+  const std::int64_t in_w = std::max({net_w, query_w, cell_w});
+  const std::size_t mlp_w = std::max(
+      {entry_.infer_scratch(kBlock), net_prop_.infer_scratch(kBlock),
+       cell_prop_.infer_scratch(kBlock), combine_.infer_scratch(kBlock),
+       lut_.infer_scratch(kBlock)});
+  const std::size_t block_w = n(kBlock * (in_w + kLuts + hid)) + mlp_w;
+
+  const std::int64_t net_flops = row_flops(net_prop_);
+  const std::int64_t cell_flops = row_flops(lut_) + row_flops(cell_prop_);
+  const std::int64_t comb_flops = row_flops(combine_);
+
+  // Runs one level's node rows [rb, re). The chunk's edges are contiguous
+  // in CSR order; they run through each MLP in blocks of kBlock rows, and
+  // each message is reduced into its destination's accumulators in that
+  // order — the ascending-edge order of segment_sum / segment_max — so the
+  // result matches the op chain bit for bit.
+  const auto run_rows = [&](int l, std::int64_t rb, std::int64_t re) {
+    const auto lu = static_cast<std::size_t>(l);
+    const std::vector<int>& nodes = plan.level_nodes[lu];
+    const std::int64_t rows = re - rb;
+    nn::alloc::Buffer scratch;
+    scratch.resize_discard(n(rows * comb_w) + block_w);
+    // node_in row r - rb is node row r's MLP input: the embedding at the
+    // roots, else the combine input, whose first three blocks are the
+    // reduction accumulators.
+    float* node_in = scratch.data();
+    float* in = node_in + rows * comb_w;
+    float* lut = in + kBlock * in_w;
+    float* msg = lut + kBlock * kLuts;
+    float* mlp = msg + kBlock * hid;
+
+    // Runs `net` (relu) over the node input rows in blocks and writes each
+    // result to its node's state row.
+    const auto node_pass = [&](const nn::Mlp& net, std::int64_t x_w) {
+      for (std::int64_t b0 = 0; b0 < rows; b0 += kBlock) {
+        const std::int64_t nb = std::min(kBlock, rows - b0);
+        net.infer_rows(node_in + b0 * x_w, nb, msg, mlp, /*relu=*/true);
+        for (std::int64_t k = 0; k < nb; ++k) {
+          std::copy_n(msg + k * hid, hid, st + nodes[n(rb + b0 + k)] * hid);
+        }
+      }
+    };
+
+    if (l == 0) {  // roots: entry MLP on the embedding
+      for (std::int64_t r = rb; r < re; ++r) {
+        std::copy_n(emb + nodes[n(r)] * emb_w, emb_w,
+                    node_in + (r - rb) * emb_w);
+      }
+      node_pass(entry_, emb_w);
+      return;
+    }
+
+    float* comb = node_in;
+    for (std::int64_t r = rb; r < re; ++r) {
+      float* c = comb + (r - rb) * comb_w;
+      std::fill_n(c, 3 * hid, 0.0f);
+      std::copy_n(emb + nodes[n(r)] * emb_w, emb_w, c + 3 * hid);
+    }
+
+    const PropPlan::NetFeed& nf = plan.net_feed[lu];
+    const int* net_rows = nf.dst_row->data();
+    for (int i0 = nf.dst_off[n(rb)]; i0 < nf.dst_off[n(re)]; i0 += kBlock) {
+      const std::int64_t nb = std::min<std::int64_t>(
+          kBlock, nf.dst_off[n(re)] - i0);
+      for (std::int64_t k = 0; k < nb; ++k) {
+        const int e = (*nf.feat_rows)[n(i0 + k)];
+        float* x = in + k * net_w;
+        std::copy_n(st + g.net_src[n(e)] * hid, hid, x);
+        std::copy_n(net_feat + e * kNetW, kNetW, x + hid);
+        std::copy_n(emb + nodes[n(net_rows[i0 + k])] * emb_w, emb_w,
+                    x + hid + kNetW);
+      }
+      net_prop_.infer_rows(in, nb, msg, mlp);
+      for (std::int64_t k = 0; k < nb; ++k) {
+        nn::kern::add_acc(comb + (net_rows[i0 + k] - rb) * comb_w,
+                          msg + k * hid, n(hid));
+      }
+    }
+
+    const PropPlan::CellFeed& cf = plan.cell_feed[lu];
+    const int* cell_rows = cf.dst_row->data();
+    for (int i0 = cf.dst_off[n(rb)]; i0 < cf.dst_off[n(re)]; i0 += kBlock) {
+      const std::int64_t nb = std::min<std::int64_t>(
+          kBlock, cf.dst_off[n(re)] - i0);
+      const auto src = [&](std::int64_t k) {
+        return (*cf.emb_u_rows)[n(i0 + k)];
+      };
+      const auto emb_v = [&](std::int64_t k) {
+        return emb + nodes[n(cell_rows[i0 + k])] * emb_w;
+      };
+      for (std::int64_t k = 0; k < nb; ++k) {
+        float* x = in + k * query_w;
+        std::copy_n(st + src(k) * hid, hid, x);
+        std::copy_n(emb + src(k) * emb_w, emb_w, x + hid);
+        std::copy_n(emb_v(k), emb_w, x + hid + emb_w);
+      }
+      lut_.infer_rows(in, nb, cell_feat, cf.feat_rows->data() + i0, lut, mlp);
+      for (std::int64_t k = 0; k < nb; ++k) {
+        float* x = in + k * cell_w;
+        std::copy_n(st + src(k) * hid, hid, x);
+        std::copy_n(lut + k * kLuts, kLuts, x + hid);
+        std::copy_n(emb_v(k), emb_w, x + hid + kLuts);
+      }
+      cell_prop_.infer_rows(in, nb, msg, mlp);
+      for (std::int64_t k = 0; k < nb; ++k) {
+        const int r = cell_rows[i0 + k];
+        float* c = comb + (r - rb) * comb_w;
+        const float* m = msg + k * hid;
+        nn::kern::add_acc(c + hid, m, n(hid));
+        // segment_max: a row's first edge wins outright, later edges only
+        // when strictly greater; edge-free rows keep the zero fill.
+        const bool first = i0 + k == cf.dst_off[n(r)];
+        float* mx = c + 2 * hid;
+        for (std::int64_t j = 0; j < hid; ++j) {
+          if (first || m[j] > mx[j]) mx[j] = m[j];
+        }
+      }
+    }
+
+    node_pass(combine_, comb_w);
+  };
+
+  const CancelToken cancel = current_cancel_token();
+  for (int l = 0; l < plan.num_levels; ++l) {
+    // Level boundary = cancellation checkpoint, as in the taped walk.
+    if (l > 0) cancel.throw_if_cancelled();
+    const auto lu = static_cast<std::size_t>(l);
+    const auto n_l = static_cast<std::int64_t>(plan.level_nodes[lu].size());
+    // Rows per chunk so one chunk carries ~kChunkFlops, from the level's
+    // mean fan-in and the MLP sizes.
+    std::int64_t row_work = row_flops(entry_);
+    if (l > 0) {
+      const std::int64_t net_edges = plan.net_feed[lu].dst_off.back();
+      const std::int64_t cell_edges = plan.cell_feed[lu].dst_off.back();
+      row_work = comb_flops + (net_edges * net_flops +
+                               cell_edges * cell_flops) /
+                                  std::max<std::int64_t>(n_l, 1);
+    }
+    const std::int64_t grain =
+        std::max<std::int64_t>(1, kChunkFlops / row_work);
+    parallel_for(0, n_l, grain, [&](std::int64_t rb, std::int64_t re) {
+      run_rows(l, rb, re);
+    });
+  }
+  return state;
 }
 
 DelayProp::Output DelayProp::forward_async(const data::DatasetGraph& g,

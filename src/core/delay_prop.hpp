@@ -50,12 +50,16 @@ struct PropPlan {
     nn::IndexVec dst_row;    ///< destination row within this level
     nn::IndexVec feat_rows;  ///< edge id per edge (feature gather)
     nn::IndexVec emb_v_rows; ///< destination node id per edge
+    /// [level size + 1] CSR row pointers: the edges into row r are
+    /// [dst_off[r], dst_off[r+1]) (dst_row is non-decreasing).
+    std::vector<int> dst_off;
   };
   struct CellFeed {
     std::vector<int> dep_levels;  ///< distinct source levels, ascending
     nn::IndexVec src_t, src_r, dst_row, feat_rows;
     nn::IndexVec emb_u_rows;  ///< source node id per edge
     nn::IndexVec emb_v_rows;  ///< destination node id per edge
+    std::vector<int> dst_off;  ///< as NetFeed::dst_off
   };
   std::vector<nn::IndexVec> level_rows;  ///< node ids per level (shared)
   std::vector<NetFeed> net_feed;         ///< [num_levels]
@@ -84,13 +88,21 @@ class DelayProp : public nn::Module {
   };
 
   /// `embedding` is the net-embedding stage output [N, embed_dim].
-  /// Honors the global STA engine switch (util/task_graph.hpp): with
-  /// `async` the per-level net/cell/aux/combine steps run as a dependency
-  /// DAG on the worklist engine — branch steps of independent levels
-  /// overlap — producing bit-identical outputs and gradients.
   /// `want_aux = false` skips the cell-delay auxiliary head (its output
   /// feeds only the training loss); `state` is unchanged and `cell_delay`
-  /// comes back empty. The serving plane's inference path uses this.
+  /// comes back empty.
+  ///
+  /// Two walks produce bit-identical `state`:
+  ///  - Under an nn::NoGradGuard with `want_aux = false` (the serving
+  ///    path, TimingGnn::forward_atslew) every engine takes the fused
+  ///    inference step: per level, the incoming edges stream through
+  ///    gather → MLP → LUT interp → sum/max reduce on arena scratch, with
+  ///    no per-op tensors (DESIGN.md §10).
+  ///  - Otherwise the taped op-chain walk runs. Only this walk honors the
+  ///    global STA engine switch (util/task_graph.hpp): with `async` the
+  ///    per-level net/cell/aux/combine steps run as a dependency DAG on
+  ///    the worklist engine — branch steps of independent levels overlap
+  ///    — producing bit-identical outputs and gradients.
   [[nodiscard]] Output forward(const data::DatasetGraph& g,
                                const PropPlan& plan,
                                const nn::Tensor& embedding,
@@ -99,6 +111,10 @@ class DelayProp : public nn::Module {
   [[nodiscard]] const DelayPropConfig& config() const { return config_; }
 
  private:
+  /// The fused tape-free walk (see forward).
+  [[nodiscard]] nn::Tensor forward_fused(const data::DatasetGraph& g,
+                                         const PropPlan& plan,
+                                         const nn::Tensor& embedding) const;
   [[nodiscard]] Output forward_async(const data::DatasetGraph& g,
                                      const PropPlan& plan,
                                      const nn::Tensor& embedding,

@@ -30,6 +30,19 @@ class LutInterp : public nn::Module {
   [[nodiscard]] nn::Tensor forward(const nn::Tensor& query,
                                    const nn::Tensor& cell_edge_feat) const;
 
+  /// forward over `rows` query rows with no tensors and no tape:
+  /// out[rows, 8]. Query row r is `query + r * query_dim`; its Table-3
+  /// feature row is row feat_rows[r] of `cell_edge_feat` ([E, 512],
+  /// row-major), read in place. Each row is bit-identical to that row of
+  /// forward (same per-row kernels and per-row op arithmetic). `scratch`
+  /// holds infer_scratch(rows) floats; out must not alias the inputs or
+  /// scratch.
+  void infer_rows(const float* query, std::int64_t rows,
+                  const float* cell_edge_feat, const int* feat_rows,
+                  float* out, float* scratch) const;
+  /// Scratch floats infer_rows needs for `rows` rows.
+  [[nodiscard]] std::size_t infer_scratch(std::int64_t rows) const;
+
  private:
   nn::Mlp coeff_a_;  ///< query → 8×7 axis-1 coefficients
   nn::Mlp coeff_b_;  ///< query → 8×7 axis-2 coefficients

@@ -51,8 +51,10 @@ class TimingGnn : public nn::Module {
 
   /// Inference fast path: arrival/slew [N, 8] from a precomputed
   /// `embedding` (see embed()), skipping the net-delay and cell-delay
-  /// auxiliary heads whose outputs only feed the training loss. Matches
-  /// forward(g, plan).atslew exactly (same op sequence on the state path).
+  /// auxiliary heads whose outputs only feed the training loss.
+  /// Propagation takes DelayProp's fused inference step, which runs the
+  /// same per-row kernels as the op chain, so the result matches
+  /// forward(g, plan).atslew bit for bit.
   [[nodiscard]] nn::Tensor forward_atslew(const data::DatasetGraph& g,
                                           const PropPlan& plan,
                                           const nn::Tensor& embedding) const;

@@ -1,7 +1,9 @@
 #include "nn/module.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "nn/kernels.hpp"
 #include "util/check.hpp"
 
 namespace tg::nn {
@@ -47,6 +49,21 @@ Tensor Linear::forward_relu(const Tensor& x) const {
   return add_relu(matmul(x, w_), b_);
 }
 
+void Linear::infer_rows(const float* x, std::int64_t rows, float* out,
+                        float* tmp, bool relu) const {
+  const auto k = static_cast<std::size_t>(w_.rows());
+  const auto m = static_cast<std::size_t>(w_.cols());
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const auto ru = static_cast<std::size_t>(r);
+    kern::matmul_row(tmp, x + ru * k, w_.data().data(), k, m);
+    if (relu) {
+      kern::add_relu(out + ru * m, tmp, b_.data().data(), m);
+    } else {
+      kern::add(out + ru * m, tmp, b_.data().data(), m);
+    }
+  }
+}
+
 Mlp::Mlp(std::int64_t in, std::int64_t out, std::int64_t hidden,
          int hidden_layers, Rng* rng, const std::string& name) {
   TG_CHECK(rng != nullptr);
@@ -78,6 +95,29 @@ Tensor Mlp::forward_relu(const Tensor& x) const {
     h = layers_[l].forward_relu(h);
   }
   return layers_.back().forward_relu(h);
+}
+
+void Mlp::infer_rows(const float* x, std::int64_t rows, float* out,
+                     float* scratch, bool relu) const {
+  TG_CHECK(!layers_.empty());
+  // scratch = [tmp | h0 | h1]: tmp takes one row's matmul, h0/h1
+  // alternate as the hidden layers' outputs.
+  const std::size_t width = infer_scratch(0);
+  float* tmp = scratch;
+  float* h[2] = {scratch + width,
+                 scratch + width + static_cast<std::size_t>(rows) * width};
+  const float* cur = x;
+  for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
+    layers_[l].infer_rows(cur, rows, h[l % 2], tmp, /*relu=*/true);
+    cur = h[l % 2];
+  }
+  layers_.back().infer_rows(cur, rows, out, tmp, relu);
+}
+
+std::size_t Mlp::infer_scratch(std::int64_t rows) const {
+  std::int64_t width = 0;
+  for (const Linear& l : layers_) width = std::max(width, l.out_features());
+  return static_cast<std::size_t>((1 + 2 * rows) * width);
 }
 
 std::int64_t Mlp::in_features() const { return layers_.front().in_features(); }

@@ -47,6 +47,13 @@ class Linear : public Module {
   [[nodiscard]] Tensor forward(const Tensor& x) const;
   /// Fused relu(xW + b): bias add and activation in one tape node.
   [[nodiscard]] Tensor forward_relu(const Tensor& x) const;
+  /// forward / forward_relu over `rows` contiguous rows with no tensors
+  /// and no tape: out[rows, out] from x[rows, in], with `tmp` holding
+  /// out_features() floats of scratch. Runs the per-row kernels the matmul
+  /// and add / add_relu ops run, so each row is bit-identical to that row
+  /// of the op result. out must not alias x or tmp.
+  void infer_rows(const float* x, std::int64_t rows, float* out, float* tmp,
+                  bool relu) const;
   [[nodiscard]] std::int64_t in_features() const { return w_.rows(); }
   [[nodiscard]] std::int64_t out_features() const { return w_.cols(); }
 
@@ -67,6 +74,17 @@ class Mlp : public Module {
   /// relu(forward(x)) with the output activation fused into the final
   /// layer's bias add (hidden layers are always fused).
   [[nodiscard]] Tensor forward_relu(const Tensor& x) const;
+  /// forward (relu: forward_relu) over `rows` contiguous rows with no
+  /// tensors and no tape: out[rows, out_features) from x[rows,
+  /// in_features), each row bit-identical to that row of the op result.
+  /// Layer-major, so each weight matrix stays in cache across the rows.
+  /// `scratch` holds infer_scratch(rows) floats; out must not alias x or
+  /// scratch. The fused DelayProp inference step runs its MLPs through
+  /// this.
+  void infer_rows(const float* x, std::int64_t rows, float* out,
+                  float* scratch, bool relu = false) const;
+  /// Scratch floats infer_rows needs for `rows` rows.
+  [[nodiscard]] std::size_t infer_scratch(std::int64_t rows) const;
   [[nodiscard]] std::int64_t in_features() const;
   [[nodiscard]] std::int64_t out_features() const;
 

@@ -1094,23 +1094,29 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   return Tensor(impl);
 }
 
+void softmax_groups_row(float* out, const float* in, std::int64_t cols,
+                        std::int64_t group) {
+  for (std::int64_t g0 = 0; g0 < cols; g0 += group) {
+    const float* x = in + g0;
+    float* y = out + g0;
+    float mx = x[0];
+    for (std::int64_t i = 1; i < group; ++i) mx = std::max(mx, x[i]);
+    float denom = 0.0f;
+    for (std::int64_t i = 0; i < group; ++i) {
+      y[i] = std::exp(x[i] - mx);
+      denom += y[i];
+    }
+    for (std::int64_t i = 0; i < group; ++i) y[i] /= denom;
+  }
+}
+
 Tensor softmax_groups(const Tensor& a, std::int64_t group) {
   TG_CHECK(group >= 1 && a.cols() % group == 0);
   auto impl = make_result(a.rows(), a.cols(), {&a});
   const std::int64_t cols = a.cols();
   for (std::int64_t r = 0; r < a.rows(); ++r) {
-    for (std::int64_t g0 = 0; g0 < cols; g0 += group) {
-      const float* in = a.data().data() + r * cols + g0;
-      float* out = impl->data.data() + r * cols + g0;
-      float mx = in[0];
-      for (std::int64_t i = 1; i < group; ++i) mx = std::max(mx, in[i]);
-      float denom = 0.0f;
-      for (std::int64_t i = 0; i < group; ++i) {
-        out[i] = std::exp(in[i] - mx);
-        denom += out[i];
-      }
-      for (std::int64_t i = 0; i < group; ++i) out[i] /= denom;
-    }
+    softmax_groups_row(impl->data.data() + r * cols,
+                       a.data().data() + r * cols, cols, group);
   }
   if (impl->requires_grad) {
     auto pa = a.ptr();
@@ -1135,6 +1141,27 @@ Tensor softmax_groups(const Tensor& a, std::int64_t group) {
   return Tensor(impl);
 }
 
+void lut_kron_dot_row(float* out, const float* a, const float* b,
+                      const float* lut, std::int64_t groups,
+                      std::int64_t lut_dim) {
+  const std::int64_t d = lut_dim;
+  for (std::int64_t g = 0; g < groups; ++g) {
+    const float* av = a + g * d;
+    const float* bv = b + g * d;
+    const float* lv = lut + g * d * d;
+    float acc = 0.0f;
+    for (std::int64_t i = 0; i < d; ++i) {
+      const float ai = av[i];
+      if (ai == 0.0f) continue;
+      const float* lrow = lv + i * d;
+      float inner = 0.0f;
+      for (std::int64_t j = 0; j < d; ++j) inner += bv[j] * lrow[j];
+      acc += ai * inner;
+    }
+    out[g] = acc;
+  }
+}
+
 Tensor lut_kron_dot(const Tensor& a, const Tensor& b, const Tensor& lut,
                     std::int64_t lut_dim) {
   TG_TRACE_SCOPE("nn/lut_kron_dot", obs::kSpanDetail);
@@ -1147,21 +1174,10 @@ Tensor lut_kron_dot(const Tensor& a, const Tensor& b, const Tensor& lut,
   auto impl = make_result(rows, groups, {&a, &b, &lut});
   const std::int64_t d = lut_dim;
   for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t g = 0; g < groups; ++g) {
-      const float* av = a.data().data() + r * a.cols() + g * d;
-      const float* bv = b.data().data() + r * b.cols() + g * d;
-      const float* lv = lut.data().data() + r * lut.cols() + g * d * d;
-      float acc = 0.0f;
-      for (std::int64_t i = 0; i < d; ++i) {
-        const float ai = av[i];
-        if (ai == 0.0f) continue;
-        const float* lrow = lv + i * d;
-        float inner = 0.0f;
-        for (std::int64_t j = 0; j < d; ++j) inner += bv[j] * lrow[j];
-        acc += ai * inner;
-      }
-      impl->data[static_cast<std::size_t>(r * groups + g)] = acc;
-    }
+    lut_kron_dot_row(impl->data.data() + r * groups,
+                     a.data().data() + r * a.cols(),
+                     b.data().data() + r * b.cols(),
+                     lut.data().data() + r * lut.cols(), groups, d);
   }
   if (impl->requires_grad) {
     auto pa = a.ptr();

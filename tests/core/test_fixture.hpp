@@ -8,15 +8,20 @@
 
 namespace tg::core::testing {
 
+/// The cell library the tiny dataset is built from.
+inline const Library& tiny_library() {
+  static const Library* lib = new Library(build_library());
+  return *lib;
+}
+
 /// Lazily-built singleton dataset (spm test design + zipdiv train design at
 /// 1/32 scale) shared across all core test suites in the binary.
 inline const data::SuiteDataset& tiny_dataset() {
-  static const Library* lib = new Library(build_library());
   static const data::SuiteDataset* ds = [] {
     data::DatasetOptions options;
     options.scale = 1.0 / 32;
     return new data::SuiteDataset(
-        data::build_suite_dataset(*lib, options, {"zipdiv", "spm"}));
+        data::build_suite_dataset(tiny_library(), options, {"zipdiv", "spm"}));
   }();
   return *ds;
 }

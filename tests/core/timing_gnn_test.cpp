@@ -3,9 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstring>
+#include <iomanip>
+#include <sstream>
+#include <string>
 
 #include "core/test_fixture.hpp"
+#include "data/graph_pack.hpp"
 #include "nn/alloc.hpp"
+#include "nn/kernels.hpp"
+#include "util/cancel.hpp"
 #include "util/parallel.hpp"
 #include "util/task_graph.hpp"
 
@@ -26,6 +34,33 @@ TimingGnnConfig tiny_config(bool net_aux = true, bool cell_aux = true) {
   cfg.use_net_aux = net_aux;
   cfg.use_cell_aux = cell_aux;
   return cfg;
+}
+
+/// The serving shape: the width-8 model the serving plane runs, with the
+/// default two-layer MLPs and 32-wide LUT-coefficient MLPs.
+TimingGnnConfig serving_config() {
+  TimingGnnConfig cfg;
+  cfg.net.hidden = 8;
+  cfg.net.mlp_hidden = 8;
+  cfg.prop.hidden = 8;
+  cfg.prop.mlp_hidden = 8;
+  return cfg;
+}
+
+/// Empty when `a` and `b` hold the same bits, else the first mismatch.
+std::string first_bit_mismatch(const nn::Tensor& a, const nn::Tensor& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return "shape mismatch";
+  const auto av = a.data();
+  const auto bv = b.data();
+  for (std::size_t i = 0; i < av.size(); ++i) {
+    if (std::memcmp(&av[i], &bv[i], sizeof(float)) != 0) {
+      std::ostringstream os;
+      os << "element " << i << ": " << std::setprecision(9) << av[i]
+         << " vs " << bv[i];
+      return os.str();
+    }
+  }
+  return "";
 }
 
 TEST(TimingGnn, ForwardShapes) {
@@ -61,11 +96,12 @@ TEST(TimingGnn, InferenceFastPathMatchesTrainingForward) {
 /// The inference entry points are tape-free: once forward_atslew returns,
 /// every intermediate is released and only the output stays live (a taped
 /// output would keep the whole propagation tape reachable through its
-/// parents). Checked under the levelized walk and under the async engine,
-/// whose level tasks run on pool workers and must inherit the caller's
-/// inference mode: a worker that records the tape keeps every level's
-/// intermediates alive until the forward returns, which shows up as a
-/// transient peak far above the levelized walk's.
+/// parents). forward_atslew takes the fused step under every engine; the
+/// evaluate paths run the full op-chain forward under a NoGradGuard, and
+/// under the async engine its level tasks run on pool workers, which must
+/// inherit the caller's inference mode: a worker that records the tape
+/// keeps every level's intermediates alive until the forward returns,
+/// which shows up as a transient peak far above the levelized walk's.
 TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
   const int saved_threads = num_threads();
   const StaEngine saved_engine = sta_engine();
@@ -78,19 +114,25 @@ TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
   EXPECT_FALSE(emb.requires_grad());
   EXPECT_TRUE(emb.impl()->parents.empty());
 
+  const auto fused = [&] { return model.forward_atslew(g, plan, emb); };
+  const auto evaluate = [&] {
+    const nn::NoGradGuard no_grad;
+    return model.forward(g, plan).atslew;
+  };
   // Runs `reps` inference forwards; checks what each leaves live and
   // returns the largest transient peak above the pre-call live set.
-  auto run = [&](StaEngine engine, int threads, int reps) {
+  auto run = [&](const auto& forward, StaEngine engine, int threads,
+                 int reps) {
     SCOPED_TRACE(engine == StaEngine::kLevel ? "level" : "async");
     set_sta_engine(engine);
     set_num_threads(threads);
-    (void)model.forward_atslew(g, plan, emb);  // warm any lazy caches
+    (void)forward();  // warm any lazy caches
     std::int64_t peak = 0;
     for (int i = 0; i < reps; ++i) {
       nn::alloc::reset_alloc_stats();
       const auto before =
           static_cast<std::int64_t>(nn::alloc::alloc_stats().bytes_live);
-      const nn::Tensor out = model.forward_atslew(g, plan, emb);
+      const nn::Tensor out = forward();
       const nn::alloc::AllocStats s = nn::alloc::alloc_stats();
       EXPECT_FALSE(out.requires_grad());
       EXPECT_TRUE(out.impl()->parents.empty());
@@ -103,15 +145,126 @@ TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
     EXPECT_TRUE(nn::grad_enabled());  // the guard is scoped to the call
     return peak;
   };
-  const std::int64_t level_peak = run(StaEngine::kLevel, 1, 1);
+  for (const int threads : {1, 4, 8}) {
+    (void)run(fused, StaEngine::kLevel, threads, 2);
+    (void)run(fused, StaEngine::kAsync, threads, 2);
+  }
+  const std::int64_t level_peak = run(evaluate, StaEngine::kLevel, 1, 1);
   for (const int threads : {4, 8}) {
-    EXPECT_LE(run(StaEngine::kAsync, threads, 4), 2 * level_peak)
+    EXPECT_LE(run(evaluate, StaEngine::kAsync, threads, 4), 2 * level_peak)
         << "async workers at " << threads
         << " threads recorded the tape (level peak " << level_peak << " B)";
   }
   set_num_threads(saved_threads);
   set_sta_engine(saved_engine);
   set_task_dag_workers(saved_workers);
+}
+
+/// The fused inference step (forward_atslew) against the taped op-chain
+/// walk (forward().atslew), bit for bit, across every axis that could
+/// perturb either: plain and packed graphs, 1 and 4 threads, dispatched
+/// and portable kernels, the 1-hidden-layer test model and the serving
+/// shape, and both engines of the taped walk. The graphs include levels
+/// whose net feed or cell feed is empty, and levels wide enough to span
+/// several of the fused step's MLP blocks.
+TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
+  const int saved_threads = num_threads();
+  const StaEngine saved_engine = sta_engine();
+  const int saved_workers = task_dag_workers();
+  set_task_dag_workers(4);
+
+  data::DatasetOptions options;
+  options.scale = 1.0 / 32;
+  const data::DatasetGraph xtea = data::build_design_graph(
+      suite_entry("xtea", options.scale), testing::tiny_library(), options);
+  const data::GraphPack pack = data::pack_graphs(
+      {&testing::train_graph(), &testing::test_graph(), &xtea});
+  ASSERT_EQ(pack.num_graphs, 3);
+
+  const std::pair<const char*, const data::DatasetGraph*> graphs[] = {
+      {"train_graph", &testing::train_graph()}, {"pack3", &pack.g}};
+  for (const auto& [graph_name, gp] : graphs) {
+    const data::DatasetGraph& g = *gp;
+    const PropPlan plan = build_prop_plan(g);
+    int no_net = 0, no_cell = 0;
+    std::size_t widest = 0;
+    for (int l = 1; l < plan.num_levels; ++l) {
+      const auto lu = static_cast<std::size_t>(l);
+      no_net += plan.net_feed[lu].src_t->empty();
+      no_cell += plan.cell_feed[lu].src_t->empty();
+      widest = std::max({widest, plan.net_feed[lu].src_t->size(),
+                         plan.cell_feed[lu].src_t->size()});
+    }
+    EXPECT_GT(no_net, 0) << graph_name << " has no net-free level";
+    EXPECT_GT(no_cell, 0) << graph_name << " has no cell-free level";
+    // The fused step runs edges through each MLP in blocks of 32 rows; a
+    // feed this wide makes a level span several blocks.
+    EXPECT_GT(widest, 64u) << graph_name << " has no multi-block level";
+
+    for (const bool serving : {false, true}) {
+      const TimingGnn model(serving ? serving_config() : tiny_config());
+      for (const bool portable : {false, true}) {
+        nn::kern::set_force_portable(portable);
+        for (const int threads : {1, 4}) {
+          set_num_threads(threads);
+          const nn::Tensor emb = model.embed(g);
+          const nn::Tensor fused = model.forward_atslew(g, plan, emb);
+          for (const StaEngine engine : {StaEngine::kLevel,
+                                         StaEngine::kAsync}) {
+            set_sta_engine(engine);
+            const nn::Tensor chain = model.forward(g, plan).atslew;
+            EXPECT_EQ(first_bit_mismatch(fused, chain), "")
+                << graph_name << (serving ? " serving" : " tiny")
+                << (portable ? " portable" : " dispatched") << " threads="
+                << threads
+                << (engine == StaEngine::kLevel ? " level" : " async");
+          }
+        }
+      }
+    }
+  }
+  nn::kern::set_force_portable(false);
+  set_num_threads(saved_threads);
+  set_sta_engine(saved_engine);
+  set_task_dag_workers(saved_workers);
+}
+
+/// Serve deadlines reach propagation through the level-boundary
+/// checkpoint: under an already-expired budget both walks stop with a
+/// deadline CancelError, and the unwind releases everything they
+/// acquired from the arena.
+TEST(TimingGnn, PropagationStopsOnExpiredDeadline) {
+  const StaEngine saved_engine = sta_engine();
+  const TimingGnn model(tiny_config());
+  const auto& g = testing::train_graph();
+  const PropPlan plan = build_prop_plan(g);
+  ASSERT_GT(plan.num_levels, 1);
+  const nn::Tensor emb = model.embed(g);
+  (void)model.forward_atslew(g, plan, emb);  // warm any lazy caches
+
+  auto expect_deadline = [&](const char* what, const auto& run) {
+    SCOPED_TRACE(what);
+    const std::uint64_t live_before = nn::alloc::alloc_stats().bytes_live;
+    {
+      const CancelSource source =
+          CancelSource::with_budget(std::chrono::nanoseconds(1));
+      const ScopedCancel ambient(source.token());
+      try {
+        run();
+        ADD_FAILURE() << "expected CancelError";
+      } catch (const CancelError& e) {
+        EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+      }
+    }
+    EXPECT_EQ(nn::alloc::alloc_stats().bytes_live, live_before);
+  };
+  for (const StaEngine engine : {StaEngine::kLevel, StaEngine::kAsync}) {
+    set_sta_engine(engine);
+    expect_deadline("fused forward_atslew",
+                    [&] { (void)model.forward_atslew(g, plan, emb); });
+    expect_deadline("taped forward", [&] { (void)model.forward(g, plan); });
+  }
+  set_sta_engine(saved_engine);
 }
 
 TEST(TimingGnn, LossFiniteAndPositive) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "nn/gradcheck.hpp"
 
 namespace tg::nn {
@@ -86,6 +89,36 @@ TEST(Mlp, GradCheckThroughWeights) {
       },
       params);
   EXPECT_TRUE(res.ok) << res.max_rel_error;
+}
+
+/// infer_rows is the tape-free form of forward / forward_relu: every row
+/// it produces matches the op result bit for bit, for ragged widths (SIMD
+/// tails), zero and several hidden layers, one row or many, and both
+/// output activations.
+TEST(Mlp, InferRowsMatchesForwardBitwise) {
+  Rng rng(9);
+  for (const int hidden_layers : {0, 1, 2}) {
+    for (const std::int64_t out : {3, 8, 56}) {
+      const Mlp mlp(13, out, /*hidden=*/21, hidden_layers, &rng);
+      const Tensor x = Tensor::rand_uniform(6, 13, 1.0f, rng);
+      for (const bool relu : {false, true}) {
+        const Tensor y = relu ? mlp.forward_relu(x) : mlp.forward(x);
+        for (const std::int64_t rows : {std::int64_t{1}, x.rows()}) {
+          std::vector<float> scratch(mlp.infer_scratch(rows));
+          std::vector<float> got(static_cast<std::size_t>(rows * out));
+          for (std::int64_t r0 = 0; r0 < x.rows(); r0 += rows) {
+            mlp.infer_rows(x.data().data() + r0 * 13, rows, got.data(),
+                           scratch.data(), relu);
+            EXPECT_EQ(std::memcmp(got.data(), y.data().data() + r0 * out,
+                                  got.size() * sizeof(float)),
+                      0)
+                << "layers=" << hidden_layers << " out=" << out
+                << " relu=" << relu << " rows=" << rows << " r0=" << r0;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Module, ZeroGradClearsAll) {

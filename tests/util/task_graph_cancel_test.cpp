@@ -105,6 +105,10 @@ TEST_F(TaskGraphCancelTest, PreCancelledTokenStopsConeBeforeAnyWork) {
 /// Cancel while workers are actively stealing: a wide fan-out keeps every
 /// worker's deque busy, a task body trips the token mid-run, and the
 /// abort-and-drain path must stop the cone without firing the bulk of it.
+/// The token trips in whichever fan-out task fires first: an owner pops
+/// its deque LIFO, so a fixed id (say node 1) can fire last unless a thief
+/// steals it early, and the cone would then be nearly done before the
+/// trip.
 TEST_F(TaskGraphCancelTest, ConeCancelDuringStealStopsWithinOneBatch) {
   const int width = 4096;
   std::vector<std::pair<int, int>> edges;
@@ -120,7 +124,7 @@ TEST_F(TaskGraphCancelTest, ConeCancelDuringStealStopsWithinOneBatch) {
   std::atomic<int> fired{0};
   try {
     run_task_dag_cone(dag, seeds, [&](int node) {
-      if (node == 1) source.cancel();  // trip while the fan-out is draining
+      if (node != 0) source.cancel();  // first fan-out task trips it
       fired.fetch_add(1);
       return true;
     });
