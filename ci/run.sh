@@ -14,7 +14,9 @@
 #   bench  perf gate: micro_models --selfcheck (steady-state allocator
 #          hit rate on real train steps) plus micro_nn_ops/micro_models/
 #          micro_sta --json medians vs the checked-in bench/BENCH_*.json
-#          baselines, failing on >25% regression (ci/check_bench.py)
+#          baselines, failing on >25% regression (ci/check_bench.py),
+#          and a thread-scaling guard: BM_TimingGnnTrainStep at
+#          TG_THREADS=$(nproc) must stay within 2x of the serial run
 #   serve  serving-plane gate: `serve` label suites, the tg_serve_load
 #          acceptance drill (deadlines + overload spike + injected worker
 #          faults; non-zero exit on any hang or untagged response), and
@@ -106,6 +108,23 @@ run_bench() {
     "$dir/BENCH_micro_models.json"
   python3 ci/check_bench.py bench/BENCH_micro_sta.json \
     "$dir/BENCH_micro_sta.json"
+  # Thread-scaling guard: the train step at the machine's thread count must
+  # not run more than 2x slower than serially. Both sides run back to back,
+  # on one machine in one job, so no recorded baseline is involved.
+  local threads
+  threads="$(nproc 2>/dev/null || echo 1)"
+  if [ "$threads" -lt 2 ]; then
+    echo "bench: nproc=$threads < 2, skipping the threaded train-step guard"
+  else
+    for t in 1 "$threads"; do
+      TG_THREADS="$t" ./build-ci/bench/micro_models \
+        --benchmark_filter='^BM_TimingGnnTrainStep$' \
+        --json="$dir/BENCH_train_step_t$t.json" --benchmark_min_time=0.2 \
+        --benchmark_repetitions=3 > /dev/null
+    done
+    python3 ci/check_bench.py --threshold=2.0 "$dir/BENCH_train_step_t1.json" \
+      "$dir/BENCH_train_step_t$threads.json"
+  fi
 }
 
 run_serve() {

@@ -143,7 +143,13 @@ int main(int argc, char** argv) {
                   train.epochs);
     }
     WallTimer timer;
-    const double final_loss = trainer.fit(dataset);
+    double final_loss = 0.0;
+    try {
+      final_loss = trainer.fit(dataset);
+    } catch (const CheckError& e) {
+      std::fprintf(stderr, "train_timing_gnn: %s\n", e.what());
+      return 1;
+    }
     if (trainer.completed_epochs() < train.epochs) {
       std::printf("graceful stop at epoch %d/%d after %.1f s%s\n",
                   trainer.completed_epochs(), train.epochs, timer.seconds(),

@@ -116,6 +116,25 @@ bool stop_requested(const TrainOptions& options, int completed) {
          options.stop_requested->load(std::memory_order_relaxed);
 }
 
+/// Every fit() loop averages its epoch loss over the train split, so an
+/// empty split would train nothing and report 0/0 = NaN every epoch. Fail
+/// loudly instead, naming each design and the split it landed in.
+void require_train_split(const data::SuiteDataset& dataset,
+                         const char* trainer) {
+  TG_CHECK_MSG(!dataset.train_ids.empty(), [&] {
+    std::ostringstream os;
+    os << trainer << ": empty train split; designs:";
+    for (const data::DatasetGraph& g : dataset.graphs) {
+      os << ' ' << g.name << (g.is_test ? "=test" : "=train");
+    }
+    for (const data::QuarantinedBenchmark& q : dataset.quarantined) {
+      os << ' ' << q.name << "=quarantined";
+    }
+    os << "; add at least one training design";
+    return os.str();
+  }());
+}
+
 /// In-memory rollback target for the non-finite-loss guard: the state after
 /// the most recent successful step. Capturing is plain copies, so the guard
 /// never perturbs the numerics of a healthy run.
@@ -261,6 +280,7 @@ float scheduled_lr(const TrainOptions& options, int epoch) {
 
 double TimingGnnTrainer::fit(const data::SuiteDataset& dataset) {
   TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
+  require_train_split(dataset, "TimingGnnTrainer::fit");
   TelemetryStream telemetry(options_.telemetry_path, "timing-gnn");
   double mean_loss = 0.0;
   GoodState good;
@@ -421,6 +441,7 @@ NetEmbedTrainer::NetEmbedTrainer(const NetEmbedConfig& config,
 
 double NetEmbedTrainer::fit(const data::SuiteDataset& dataset) {
   TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
+  require_train_split(dataset, "NetEmbedTrainer::fit");
   TelemetryStream telemetry(options_.telemetry_path, "net-embed");
   double mean_loss = 0.0;
   GoodState good;
@@ -529,6 +550,7 @@ const GcniiAdjacency& GcniiTrainer::adjacency_for(const data::DatasetGraph& g) {
 
 double GcniiTrainer::fit(const data::SuiteDataset& dataset) {
   TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
+  require_train_split(dataset, "GcniiTrainer::fit");
   TelemetryStream telemetry(options_.telemetry_path, "gcnii");
   double mean_loss = 0.0;
   GoodState good;

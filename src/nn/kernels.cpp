@@ -93,16 +93,17 @@ void matmul_nt_row(float* out, const float* g, const float* b, std::size_t k,
 }
 
 void atb_acc(float* db, const float* a, const float* g, std::size_t n,
-             std::size_t k, std::size_t stride, std::size_t width) {
+             std::size_t k, std::size_t lda, std::size_t stride,
+             std::size_t width) {
   // i blocked by 4: each db element is loaded once and receives its four
   // contributions in ascending-i order before the store, exactly as the
   // unblocked loop would.
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
+    const float* a0 = a + i * lda;
+    const float* a1 = a0 + lda;
+    const float* a2 = a1 + lda;
+    const float* a3 = a2 + lda;
     const float* g0 = g + i * stride;
     const float* g1 = g0 + stride;
     const float* g2 = g1 + stride;
@@ -122,7 +123,7 @@ void atb_acc(float* db, const float* a, const float* g, std::size_t n,
     }
   }
   for (; i < n; ++i) {
-    const float* arow = a + i * k;
+    const float* arow = a + i * lda;
     const float* grow = g + i * stride;
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float av = arow[kk];
@@ -336,15 +337,16 @@ void matmul_nt_row(float* out, const float* g, const float* b, std::size_t k,
 }
 
 void atb_acc(float* db, const float* a, const float* g, std::size_t n,
-             std::size_t k, std::size_t stride, std::size_t width) {
+             std::size_t k, std::size_t lda, std::size_t stride,
+             std::size_t width) {
   // i blocked by 4 to share the db tile; per-element adds stay in
   // ascending-i order and exact zeros are skipped, matching portable.
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
+    const float* a0 = a + i * lda;
+    const float* a1 = a0 + lda;
+    const float* a2 = a1 + lda;
+    const float* a3 = a2 + lda;
     const float* g0 = g + i * stride;
     const float* g1 = g0 + stride;
     const float* g2 = g1 + stride;
@@ -373,7 +375,7 @@ void atb_acc(float* db, const float* a, const float* g, std::size_t n,
     }
   }
   for (; i < n; ++i) {
-    const float* arow = a + i * k;
+    const float* arow = a + i * lda;
     const float* grow = g + i * stride;
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float av = arow[kk];

@@ -73,15 +73,20 @@ struct KernelTable {
   /// may block kk to share g loads, which never reorders a single dot.
   void (*matmul_nt_row)(float* out, const float* g, const float* b,
                         std::size_t k, std::size_t m);
-  /// Aᵀ·dY panel accumulate: db[kk·stride + j] += Σ_i a[i·k + kk] ·
+  /// Aᵀ·dY panel accumulate: db[kk·stride + j] += Σ_i a[i·lda + kk] ·
   /// g[i·stride + j] for kk in [0, k), j in [0, width), i terms added in
-  /// ascending order per element. Source rows are processed in blocks of
-  /// four; a block whose four a values are all exactly zero is skipped
-  /// (identically in every backend), while zeros inside a live block are
-  /// multiplied branch-free. Trailing rows (n mod 4) are per-row with the
-  /// same exact-zero skip.
+  /// ascending order per element. `lda >= k` is A's row stride, so `a`
+  /// may point at a column sub-panel (columns [kb, kb+k) of a wider A,
+  /// passed as a + kb) and the call fills only the matching dB rows.
+  /// Source rows are processed in blocks of four; for each kk, a block
+  /// whose four a values are all exactly zero is skipped (identically in
+  /// every backend), while zeros inside a live block are multiplied
+  /// branch-free. Trailing rows (n mod 4) are per-row with the same
+  /// exact-zero skip. Every decision is per kk, so splitting [0, k) into
+  /// sub-panels never changes a dB element.
   void (*atb_acc)(float* db, const float* a, const float* g, std::size_t n,
-                  std::size_t k, std::size_t stride, std::size_t width);
+                  std::size_t k, std::size_t lda, std::size_t stride,
+                  std::size_t width);
   /// Fused Adam: for each i, g = grad·clip + wd·data;
   /// m = β1·m + (1−β1)·g; v = β2·v + ((1−β2)·g)·g;
   /// data −= (lr·(m/bc1)) / (sqrt(v/bc2) + eps).
@@ -146,8 +151,9 @@ inline void matmul_nt_row(float* out, const float* g, const float* b,
   active().matmul_nt_row(out, g, b, k, m);
 }
 inline void atb_acc(float* db, const float* a, const float* g, std::size_t n,
-                    std::size_t k, std::size_t stride, std::size_t width) {
-  active().atb_acc(db, a, g, n, k, stride, width);
+                    std::size_t k, std::size_t lda, std::size_t stride,
+                    std::size_t width) {
+  active().atb_acc(db, a, g, n, k, lda, stride, width);
 }
 inline void adam_step(float* data, const float* grad, float* m, float* v,
                       std::size_t n, const AdamConsts& c) {

@@ -483,16 +483,19 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
       if (pb->requires_grad) {
         TG_TRACE_SCOPE("nn/matmul_bwd_db", obs::kSpanDetail);
         pb->ensure_grad();
-        // dB = Aᵀ · dY — column blocks of dB are independent, and every
-        // dB element still accumulates its n contributions in ascending-i
-        // (serial) order inside its one owning chunk.
-        parallel_for(0, m, row_grain(2 * n * k), [&](std::int64_t jb,
-                                                     std::int64_t je) {
-          kern::atb_acc(pb->grad.data() + jb, pa->data.data(), g + jb,
+        // dB = Aᵀ · dY — row slices of dB (its kk rows) are independent.
+        // Each chunk reads A's column sub-panel [kb, ke) and accumulates
+        // full-width dB rows, every element in ascending-i (serial) order
+        // inside its one owning chunk. Slicing rows rather than columns
+        // keeps the kernel's SIMD width at m however small the chunks get.
+        parallel_for(0, k, row_grain(2 * n * m), [&](std::int64_t kb,
+                                                     std::int64_t ke) {
+          kern::atb_acc(pb->grad.data() + kb * m, pa->data.data() + kb, g,
                         static_cast<std::size_t>(n),
+                        static_cast<std::size_t>(ke - kb),
                         static_cast<std::size_t>(k),
                         static_cast<std::size_t>(m),
-                        static_cast<std::size_t>(je - jb));
+                        static_cast<std::size_t>(m));
         });
       }
     };

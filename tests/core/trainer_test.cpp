@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/test_fixture.hpp"
+#include "util/check.hpp"
 
 namespace tg::core {
 namespace {
@@ -86,6 +89,38 @@ TEST(GcniiTrainer, RunsAndEvaluates) {
   EXPECT_TRUE(std::isfinite(loss));
   const DesignEval eval = trainer.evaluate(testing::test_graph());
   EXPECT_LE(eval.r2_arrival_endpoints, 1.0);
+}
+
+/// A dataset whose designs all landed in the test split (e.g. a run on
+/// spm alone) must stop every trainer with an error naming the designs,
+/// not train on nothing and report a NaN loss.
+TEST(Trainers, EmptyTrainSplitFailsLoudly) {
+  data::SuiteDataset test_only;
+  test_only.graphs.push_back(testing::test_graph());
+  test_only.test_ids.push_back(0);
+  const std::string design = testing::test_graph().name + "=test";
+  auto expect_named_failure = [&](const char* trainer, auto&& fit) {
+    SCOPED_TRACE(trainer);
+    try {
+      fit();
+      ADD_FAILURE() << "fit() ran on an empty train split";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(trainer), std::string::npos) << what;
+      EXPECT_NE(what.find("empty train split"), std::string::npos) << what;
+      EXPECT_NE(what.find(design), std::string::npos) << what;
+    }
+  };
+  TimingGnnTrainer gnn(tiny_config(), quick_options(2));
+  expect_named_failure("TimingGnnTrainer::fit", [&] { gnn.fit(test_only); });
+  NetEmbedConfig net_cfg;
+  net_cfg.hidden = net_cfg.mlp_hidden = 8;
+  NetEmbedTrainer net(net_cfg, quick_options(2));
+  expect_named_failure("NetEmbedTrainer::fit", [&] { net.fit(test_only); });
+  GcniiConfig gcnii_cfg;
+  gcnii_cfg.hidden = 8;
+  GcniiTrainer gcnii(gcnii_cfg, quick_options(2));
+  expect_named_failure("GcniiTrainer::fit", [&] { gcnii.fit(test_only); });
 }
 
 TEST(MeanOf, AveragesField) {

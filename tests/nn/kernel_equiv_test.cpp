@@ -205,8 +205,67 @@ TEST(KernelEquiv, AtbAcc) {
     check_out_kernel(
         "atb_acc n=" + std::to_string(s.n) + " k=" + std::to_string(s.k),
         s.k * stride, [&](std::vector<float>& out) {
-          atb_acc(out.data(), a.data(), g.data(), s.n, s.k, stride, s.width);
+          atb_acc(out.data(), a.data(), g.data(), s.n, s.k, s.k, stride,
+                  s.width);
         });
+  }
+}
+
+/// The row-sliced dB split: a chunk passes a column sub-panel of A (a + kb
+/// with lda = full k) and fills only dB rows [kb, kb + k). Those rows must
+/// match the portable backend bit for bit and equal the same rows of one
+/// full-panel call.
+TEST(KernelEquiv, AtbAccColumnSubPanel) {
+  struct Shape {
+    std::size_t n, lda, kb, k, width, pad;
+  };
+  // Ragged n (n mod 4 != 0), the hidden-16 MLP widths and a sub-vector
+  // width, sub-panels at non-zero offsets of every size class.
+  const Shape shapes[] = {{37, 11, 3, 5, 16, 0},  {101, 16, 7, 1, 16, 0},
+                          {6, 9, 1, 4, 8, 0},     {203, 56, 40, 16, 8, 2},
+                          {13, 3, 2, 1, 3, 0},    {99, 20, 19, 1, 3, 1}};
+  for (const auto& s : shapes) {
+    ASSERT_LE(s.kb + s.k, s.lda);
+    const std::size_t stride = s.width + s.pad;
+    const std::string what = "atb_acc sub-panel n=" + std::to_string(s.n) +
+                             " lda=" + std::to_string(s.lda) +
+                             " kb=" + std::to_string(s.kb) +
+                             " width=" + std::to_string(s.width);
+    Rng rng(s.n * 131 + s.lda * 17 + s.kb * 5 + s.width);
+    std::vector<float> a = rand_vec(s.n * s.lda, rng, 0.5);
+    // Fully-zero 4-row blocks inside the sub-panel only: the skip must be
+    // decided per kk, not per whole A row.
+    for (std::size_t i = 0; i + 4 <= s.n; i += 8) {
+      for (std::size_t r = i; r < i + 4; ++r) {
+        for (std::size_t kk = s.kb; kk < s.kb + s.k; ++kk) {
+          a[r * s.lda + kk] = 0.0f;
+        }
+      }
+    }
+    const std::vector<float> g = rand_vec(s.n * stride, rng);
+    const float* sub_a = a.data() + s.kb;
+    check_out_kernel(what, s.k * stride, [&](std::vector<float>& out) {
+      atb_acc(out.data(), sub_a, g.data(), s.n, s.k, s.lda, stride,
+              s.width);
+    });
+
+    ForcePortableGuard guard;
+    for (bool portable : {true, false}) {
+      set_force_portable(portable);
+      const std::vector<float> init = rand_vec(s.lda * stride, rng);
+      std::vector<float> full = init;
+      atb_acc(full.data(), a.data(), g.data(), s.n, s.lda, s.lda, stride,
+              s.width);
+      std::vector<float> rows(init.begin() + s.kb * stride,
+                              init.begin() + (s.kb + s.k) * stride);
+      atb_acc(rows.data(), sub_a, g.data(), s.n, s.k, s.lda, stride,
+              s.width);
+      expect_bits_equal(
+          std::vector<float>(full.begin() + s.kb * stride,
+                             full.begin() + (s.kb + s.k) * stride),
+          rows, what + (portable ? " portable" : " dispatched") +
+                    " vs full panel");
+    }
   }
 }
 

@@ -1,13 +1,15 @@
 /// \file parallel_ops_test.cpp
 /// Determinism contract of the parallel tensor kernels: forward values AND
 /// gradients of the training-dominant ops (matmul, segment_sum) must be
-/// bit-identical between 1-thread and 8-thread runs. Also pins down the
+/// bit-identical between 1-thread and multi-thread runs. Also pins down the
 /// ensure_grad() accumulation semantics the hoist in Tensor::backward()
 /// relies on. Labeled `tsan` for TG_SANITIZE=thread builds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "nn/ops.hpp"
@@ -43,7 +45,7 @@ class ParallelOpsTest : public ::testing::Test {
 
 /// Runs matmul forward + both backward products and returns
 /// {out, dA, dB} flattened. Sizes chosen above row_grain so the 8-thread
-/// run actually splits rows (fwd/dA) and columns (dB).
+/// run actually splits rows of the output/dA and rows of dB.
 struct MatmulRun {
   std::vector<float> out, da, db;
 };
@@ -63,6 +65,44 @@ TEST_F(ParallelOpsTest, MatmulForwardAndGradBitIdentical) {
   expect_bits_equal(serial.out, parallel.out, "matmul forward");
   expect_bits_equal(serial.da, parallel.da, "matmul dA");
   expect_bits_equal(serial.db, parallel.db, "matmul dB");
+}
+
+/// Training-shaped narrow products (the hidden-16 MLP layers): thousands
+/// of rows, k and m far below the row grain, so the dB split runs one
+/// chunk per dB row. A random upstream gradient and runs of six all-zero
+/// A rows (dead ReLU units) exercise both the kernel's all-zero 4-row
+/// block skip and zero rows inside live blocks.
+MatmulRun run_narrow_matmul(int threads, std::int64_t k, std::int64_t m) {
+  set_num_threads(threads);
+  Rng rng(static_cast<std::uint64_t>(k * 100 + m));
+  const std::int64_t n = 4099;
+  std::vector<float> av(static_cast<std::size_t>(n * k));
+  for (float& x : av) x = static_cast<float>(rng.normal());
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (i % 16 < 6) std::fill_n(av.begin() + i * k, k, 0.0f);
+  }
+  Tensor a = Tensor::from_vector(std::move(av), n, k, /*grad=*/true);
+  Tensor b = randn(k, m, rng, /*grad=*/true);
+  Tensor upstream = randn(n, m, rng);
+  Tensor c = matmul(a, b);
+  sum_all(mul(c, upstream)).backward();
+  return {copy_span(c.data()), copy_span(a.grad()), copy_span(b.grad())};
+}
+
+TEST_F(ParallelOpsTest, NarrowMatmulGradBitIdenticalAcrossThreadCounts) {
+  for (std::int64_t k : {3, 16, 56}) {
+    for (std::int64_t m : {8, 16}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " m=" + std::to_string(m));
+      const MatmulRun serial = run_narrow_matmul(1, k, m);
+      for (int threads : {2, 4, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const MatmulRun parallel = run_narrow_matmul(threads, k, m);
+        expect_bits_equal(serial.out, parallel.out, "narrow matmul forward");
+        expect_bits_equal(serial.da, parallel.da, "narrow matmul dA");
+        expect_bits_equal(serial.db, parallel.db, "narrow matmul dB");
+      }
+    }
+  }
 }
 
 /// segment_sum with many collisions per segment: the forward scatter is
