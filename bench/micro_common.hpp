@@ -92,27 +92,24 @@ class ScalingReporter : public benchmark::ConsoleReporter {
       }
       std::printf("\n");
     }
-    // Kernels that differ only in an engine segment (…/level vs …/async
-    // or …/shard) get a cross-engine line: level-time / engine-time per
-    // thread count — the numbers the async-STA acceptance criterion and
-    // the shard-overhead check watch.
+    // Kernels that differ only in an engine segment (…/level vs …/async)
+    // get a cross-engine line: level-time / async-time per thread count —
+    // the number the async-STA acceptance criterion watches.
     for (const auto& [kernel, by_threads] : sweep_secs_) {
       const std::size_t tag = kernel.find("/level");
       if (tag == std::string::npos) continue;
-      for (const char* engine : {"async", "shard"}) {
-        std::string twin = kernel;
-        twin.replace(tag, 6, std::string("/") + engine);
-        const auto other = sweep_secs_.find(twin);
-        if (other == sweep_secs_.end()) continue;
-        std::printf("# engine speedup: %.*s %s-vs-level",
-                    static_cast<int>(tag), kernel.c_str(), engine);
-        for (const auto& [t, level_secs] : by_threads) {
-          const auto a = other->second.find(t);
-          if (a == other->second.end() || a->second <= 0.0) continue;
-          std::printf(" t%d=%.2fx", t, level_secs / a->second);
-        }
-        std::printf("\n");
+      std::string twin = kernel;
+      twin.replace(tag, 6, "/async");
+      const auto other = sweep_secs_.find(twin);
+      if (other == sweep_secs_.end()) continue;
+      std::printf("# engine speedup: %.*s async-vs-level",
+                  static_cast<int>(tag), kernel.c_str());
+      for (const auto& [t, level_secs] : by_threads) {
+        const auto a = other->second.find(t);
+        if (a == other->second.end() || a->second <= 0.0) continue;
+        std::printf(" t%d=%.2fx", t, level_secs / a->second);
       }
+      std::printf("\n");
     }
     std::fflush(stdout);
   }

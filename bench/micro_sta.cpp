@@ -2,11 +2,10 @@
 /// Microbenchmarks for the golden STA substrate: timing-graph build,
 /// levelization, and full 4-corner propagation — the denominators of the
 /// paper's Table-5 runtime comparison. Every propagation bench exists in a
-/// levelized, an async-worklist, and a fault-isolated sharded flavor (see
-/// util/task_graph.hpp and sta/shard.hpp); the `--sweep` matrix crosses
-/// design × engine × threads (plus a shard-count K sweep at the largest
-/// thread count) so the async/shard-vs-level speedups on deep-level
-/// designs are recorded in BENCH_micro_sta.json.
+/// levelized and an async-worklist flavor (see util/task_graph.hpp); the
+/// `--sweep` matrix crosses design × engine × threads so the
+/// async-vs-level speedups on deep-level designs are recorded in
+/// BENCH_micro_sta.json.
 ///
 ///   micro_sta --scale=0.125      # design scale (default 1/16 of Table 1)
 ///
@@ -14,9 +13,7 @@
 /// level count and a log2 histogram of nodes-per-level — the structural
 /// quantity that decides how much a barrier-free engine can win (many
 /// narrow levels → the level engine serializes, the worklist engine
-/// doesn't) — and a "shard_ghosts" section: per design × K, the ghost
-/// population and the exchange traffic (exports, bytes, verifies) of one
-/// full sharded sweep, the cost model of the partition boundary.
+/// doesn't).
 
 #include <benchmark/benchmark.h>
 
@@ -34,7 +31,6 @@
 #include "place/placer.hpp"
 #include "sta/incremental.hpp"
 #include "sta/paths.hpp"
-#include "sta/shard.hpp"
 #include "util/parallel.hpp"
 #include "util/task_graph.hpp"
 
@@ -50,13 +46,6 @@ struct EngineScope {
   explicit EngineScope(StaEngine engine) { set_sta_engine(engine); }
   ~EngineScope() { set_sta_engine(saved_); }
   StaEngine saved_ = sta_engine();
-};
-
-/// Same idea for the sharded engine's K knob.
-struct ShardScope {
-  explicit ShardScope(int k) { set_sta_shards(k); }
-  ~ShardScope() { set_sta_shards(saved_); }
-  int saved_ = sta_shards();
 };
 
 /// A deep-narrow stress design that is NOT in the Table-1 suite: long
@@ -142,11 +131,6 @@ void BM_StaPropagationAsync(benchmark::State& state) {
 }
 BENCHMARK(BM_StaPropagationAsync);
 
-void BM_StaPropagationShard(benchmark::State& state) {
-  run_propagation(state, "picorv32a", StaEngine::kShard);
-}
-BENCHMARK(BM_StaPropagationShard);
-
 void BM_StaPropagationLarge(benchmark::State& state) {
   run_propagation(state, "aes256", StaEngine::kLevel);
 }
@@ -161,11 +145,6 @@ void BM_StaPropagationDeepAsync(benchmark::State& state) {
   run_propagation(state, "deepchain", StaEngine::kAsync);
 }
 BENCHMARK(BM_StaPropagationDeepAsync);
-
-void BM_StaPropagationDeepShard(benchmark::State& state) {
-  run_propagation(state, "deepchain", StaEngine::kShard);
-}
-BENCHMARK(BM_StaPropagationDeepShard);
 
 void BM_WorstPaths(benchmark::State& state) {
   const Prepared& p = prepared("picorv32a", g_scale);
@@ -218,11 +197,6 @@ void BM_IncrementalOneNetAsync(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalOneNetAsync);
 
-void BM_IncrementalOneNetShard(benchmark::State& state) {
-  run_incremental(state, StaEngine::kShard);
-}
-BENCHMARK(BM_IncrementalOneNetShard);
-
 void BM_NldmLookup(benchmark::State& state) {
   const Library lib = build_library();
   const CellType& cell = lib.cell(lib.find_cell("NAND2_X1"));
@@ -250,13 +224,9 @@ constexpr const char* kSweepDesigns[] = {"picorv32a", "aes256", "deepchain"};
 /// the parallel-scaling regression matrix (see micro_common.hpp). Names
 /// are `SWEEP_StaPropagation/<design>/<engine>/threads:<t>`, so the sweep
 /// summary prints one speedup line per design/engine pair and the JSON
-/// records level-vs-async-vs-shard at every thread count. The sharded
-/// engine additionally gets a K column at the largest thread count
-/// (`SWEEP_StaPropagationShardK/<design>/K:<k>/threads:<t>`) — the
-/// boundary-exchange overhead as a function of shard count.
+/// records level-vs-async at every thread count.
 void register_sweep(const std::vector<int>& thread_counts) {
-  constexpr StaEngine kEngines[] = {StaEngine::kLevel, StaEngine::kAsync,
-                                    StaEngine::kShard};
+  constexpr StaEngine kEngines[] = {StaEngine::kLevel, StaEngine::kAsync};
   for (const char* design : kSweepDesigns) {
     for (const StaEngine engine : kEngines) {
       for (const int t : thread_counts) {
@@ -277,27 +247,6 @@ void register_sweep(const std::vector<int>& thread_counts) {
                                       p.design->num_pins());
             });
       }
-    }
-    const int tmax = *std::max_element(thread_counts.begin(),
-                                       thread_counts.end());
-    for (const int k : {1, 2, 4, 8}) {
-      const std::string name = std::string("SWEEP_StaPropagationShardK/") +
-                               design + "/K:" + std::to_string(k) +
-                               "/threads:" + std::to_string(tmax);
-      benchmark::RegisterBenchmark(
-          name.c_str(), [design, k, tmax](benchmark::State& state) {
-            set_num_threads(tmax);
-            const EngineScope scope(StaEngine::kShard);
-            const ShardScope shards(k);
-            const Prepared& p = prepared(design, g_scale);
-            const TimingGraph graph(*p.design);
-            for (auto _ : state) {
-              const StaResult sta = run_sta(graph, p.routing);
-              benchmark::DoNotOptimize(sta.wns_setup);
-            }
-            state.SetItemsProcessed(state.iterations() *
-                                    p.design->num_pins());
-          });
     }
   }
 }
@@ -346,53 +295,6 @@ std::string occupancy_json() {
   return out;
 }
 
-/// Ghost-traffic extras for --json: one full sharded sweep per design × K,
-/// reporting the partition's ghost population and the exchange counters
-/// from sta/shard.hpp — how much boundary state a K-way split moves.
-std::string shard_ghosts_json() {
-  std::string out = "\"shard_ghosts\": {";
-  bool first_design = true;
-  for (const char* design : kSweepDesigns) {
-    const Prepared& p = prepared(design, g_scale);
-    const TimingGraph graph(*p.design);
-    out += std::string(first_design ? "" : ", ") + "\"" + design + "\": {";
-    bool first_k = true;
-    for (const int k : {1, 2, 4, 8}) {
-      const EngineScope scope(StaEngine::kShard);
-      const ShardScope shards(k);
-      reset_shard_stats();
-      const StaResult sta = run_sta(graph, p.routing);
-      benchmark::DoNotOptimize(sta.wns_setup);
-      const ShardPlan& plan = graph.shard_plan(k);
-      std::size_t ghost_pins = 0;
-      for (const auto& g : plan.part.ghosts) ghost_pins += g.size();
-      const ShardStats s = shard_stats();
-      char buf[224];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\"%d\": {\"ghost_pins\": %zu, "
-                    "\"ghost_exports\": %llu, \"ghost_bytes\": %llu, "
-                    "\"ghost_verifies\": %llu, \"ghost_mismatches\": %llu}",
-                    first_k ? "" : ", ", k, ghost_pins,
-                    static_cast<unsigned long long>(s.ghost_exports),
-                    static_cast<unsigned long long>(s.ghost_bytes),
-                    static_cast<unsigned long long>(s.ghost_verifies),
-                    static_cast<unsigned long long>(s.ghost_mismatches));
-      out += buf;
-      first_k = false;
-    }
-    out += "}";
-    first_design = false;
-  }
-  out += "}";
-  return out;
-}
-
-/// The --json extras section: occupancy + ghost traffic, two top-level
-/// members.
-std::string extras_json() {
-  return occupancy_json() + ", " + shard_ghosts_json();
-}
-
 }  // namespace
 }  // namespace tg
 
@@ -411,5 +313,5 @@ int main(int argc, char** argv) {
   }
   return tg::bench_micro::run_micro_main(static_cast<int>(args.size()),
                                          args.data(), tg::register_sweep,
-                                         tg::extras_json);
+                                         tg::occupancy_json);
 }

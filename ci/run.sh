@@ -22,11 +22,7 @@
 #          faults; non-zero exit on any hang or untagged response), and
 #          serve_slack request-latency medians vs the checked-in
 #          bench/BENCH_serve_slack.json baseline
-#   shard  sharded-STA gate: `shard` label suites — bit-identity vs the
-#          levelized engine across K, the TG_FAULT_SHARD recovery drills,
-#          and the concurrent-sweep soak (the tsan build re-runs the soak
-#          under the race detector via the `tsan` label)
-# Usage: ci/run.sh [tier1|asan|ubsan|tsan|obs|bench|serve|shard|all]   (default: all)
+# Usage: ci/run.sh [tier1|asan|ubsan|tsan|obs|bench|serve|all]   (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -150,14 +146,6 @@ run_serve() {
     "$dir/BENCH_serve_slack.json"
 }
 
-run_shard() {
-  echo "==> shard: sharded-STA gate (bit-identity + fault drills + soak)"
-  cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-ci -j "$jobs" \
-    --target sta_shard_test sta_shard_fault_test sta_shard_tsan_test
-  ctest --test-dir build-ci --output-on-failure -L shard
-}
-
 case "$job" in
   tier1) run_tier1 ;;
   asan)  run_asan ;;
@@ -166,8 +154,7 @@ case "$job" in
   obs)   run_obs ;;
   bench) run_bench ;;
   serve) run_serve ;;
-  shard) run_shard ;;
-  all)   run_tier1; run_asan; run_ubsan; run_tsan; run_obs; run_bench; run_serve; run_shard ;;
-  *) echo "usage: $0 [tier1|asan|ubsan|tsan|obs|bench|serve|shard|all]" >&2; exit 2 ;;
+  all)   run_tier1; run_asan; run_ubsan; run_tsan; run_obs; run_bench; run_serve ;;
+  *) echo "usage: $0 [tier1|asan|ubsan|tsan|obs|bench|serve|all]" >&2; exit 2 ;;
 esac
 echo "==> $job: OK"

@@ -209,12 +209,7 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
     out.cell_delay = Tensor::zeros(0, kNumCorners);
     return out;
   }
-  // The shard engine's fault domains apply to the STA sweeps; for the GNN
-  // stage it routes to the same barrier-free worklist as kAsync (the
-  // dataset graph carries no shard partition).
-  if ((sta_engine() == StaEngine::kAsync ||
-       sta_engine() == StaEngine::kShard) &&
-      plan.num_levels > 1) {
+  if (sta_engine() == StaEngine::kAsync && plan.num_levels > 1) {
     return forward_async(g, plan, embedding, want_aux);
   }
 

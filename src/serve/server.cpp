@@ -5,7 +5,6 @@
 #include <limits>
 #include <thread>
 
-#include "sta/shard.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
 #include "util/obs/metrics.hpp"
@@ -329,7 +328,6 @@ ServerStats SlackServer::stats() const {
   s.deadline_expired =
       stats_.deadline_expired.load(std::memory_order_relaxed);
   s.evicted = stats_.evicted.load(std::memory_order_relaxed);
-  s.shard_degraded = stats_.shard_degraded.load(std::memory_order_relaxed);
   s.cross_batched = stats_.cross_batched.load(std::memory_order_relaxed);
   s.pack_hits = stats_.pack_hits.load(std::memory_order_relaxed);
   s.pack_misses = stats_.pack_misses.load(std::memory_order_relaxed);
@@ -605,16 +603,6 @@ void SlackServer::handle(Ticket ticket) {
       stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
       TG_METRIC_COUNT("serve/deadline_expired", 1);
       tier = ServeTier::kStale;  // past the deadline only stale is free
-    } catch (const ShardSweepError& e) {
-      // A sharded-STA shard already exhausted its own retry/recovery
-      // budget to raise this: re-running the same tier would fail the
-      // same way, and the fault lives in the compute plane, not this
-      // tenant. Step one rung down the ladder and leave the session's
-      // quarantine counter untouched.
-      stats_.shard_degraded.fetch_add(1, std::memory_order_relaxed);
-      TG_METRIC_COUNT("serve/shard_degraded", 1);
-      fail_msg = e.what();
-      tier = tier == ServeTier::kFull ? ServeTier::kCone : ServeTier::kStale;
     } catch (const std::exception& e) {
       stats_.faults.fetch_add(1, std::memory_order_relaxed);
       TG_METRIC_COUNT("serve/faults", 1);

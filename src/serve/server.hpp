@@ -19,10 +19,7 @@
 ///    stale is impossible.
 ///  * **Fault recovery**: worker faults (TG_FAULT_SERVE) retry under
 ///    capped exponential backoff; sessions that keep failing are
-///    quarantined for a period instead of poisoning the server. A
-///    sharded-STA failure (ShardSweepError) is a compute-plane fault,
-///    not a tenant-health signal: it degrades that request down the
-///    ladder without charging the session's quarantine counter.
+///    quarantined for a period instead of poisoning the server.
 ///  * **Bounded session table**: `max_sessions` (TG_SERVE_MAX_SESSIONS)
 ///    LRU-evicts idle sessions on open, so a long-lived server does not
 ///    grow without bound; evicted designs reopen cheaply from the
@@ -94,7 +91,7 @@ class SlackServer {
     std::atomic<std::uint64_t> submitted{0}, completed{0}, ok{0},
         degraded{0}, shed{0}, batched{0}, retries{0}, faults{0},
         quarantines{0}, cancelled{0}, deadline_expired{0}, evicted{0},
-        shard_degraded{0}, cross_batched{0}, pack_hits{0}, pack_misses{0};
+        cross_batched{0}, pack_hits{0}, pack_misses{0};
   };
 
   void worker_loop();

@@ -156,9 +156,6 @@ struct ServerStats {
   std::uint64_t cancelled = 0;         ///< client-cancelled requests
   std::uint64_t deadline_expired = 0;  ///< requests that tripped a deadline
   std::uint64_t evicted = 0;           ///< sessions LRU-evicted at the cap
-  /// Requests degraded down the ladder by a sharded-STA failure
-  /// (ShardSweepError) — a compute-plane fault, charged to no session.
-  std::uint64_t shard_degraded = 0;
   /// Requests answered via a cross-template packed batch (subset of
   /// `batched`).
   std::uint64_t cross_batched = 0;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <queue>
 
-#include "sta/shard.hpp"
 #include "util/cancel.hpp"
 #include "util/check.hpp"
 #include "util/obs/metrics.hpp"
@@ -77,19 +76,7 @@ int IncrementalTimer::update() {
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
 
   int changed_pins = 0;
-  if (sta_engine() == StaEngine::kShard) {
-    // Sharded dirty cone: shards ascending, each re-propagating only its
-    // local cone — the update is clipped to the shards the seeds (or a
-    // changed ghost export) actually touch. Shard fault/recovery semantics
-    // apply per shard, exactly as in the full sweep.
-    TG_TRACE_SCOPE("sta/incremental/shard-dispatch", obs::kSpanDetail);
-    const ShardConeStats cone =
-        update_cone_sharded(*graph_, *routing_, options_, result_, seeds);
-    changed_pins = cone.changed_pins;
-    visited_ = cone.evaluated;
-    cone_nodes_ = cone.cone_nodes;
-    TG_METRIC_COUNT("sta/incremental_shards_touched", cone.shards_touched);
-  } else if (sta_engine() == StaEngine::kAsync) {
+  if (sta_engine() == StaEngine::kAsync) {
     // Dirty-cone worklist: the engine BFS-discovers the fanout cone of
     // the seed frontier, then drains it dependency-counted — no levels, no
     // priority queue. Pruning matches the serial walk: a non-seed pin is

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "sta/shard.hpp"
-
 #include "util/cancel.hpp"
 #include "util/check.hpp"
 #include "util/obs/metrics.hpp"
@@ -152,6 +150,8 @@ double propagate_pin(const TimingGraph& graph, const DesignRouting& routing,
   return max_change;
 }
 
+/// Pulls the required time of one pin from its (already final) successors.
+/// Writes only `r.rat[p]`, so independent pins relax concurrently.
 void relax_required_pin(const TimingGraph& graph, StaResult& r, PinId p) {
   for (int a : graph.out_net_arcs(p)) {
     const NetArc& arc = graph.net_arcs()[static_cast<std::size_t>(a)];
@@ -218,14 +218,9 @@ void compute_required(const TimingGraph& graph, const StaOptions& options,
   // Backward sweep over the reversed graph. Level engine: levels
   // descending, all pins of a level in parallel (every successor lives on
   // a higher level, so its RAT is final). Async engine: a pin relaxes the
-  // moment its last fan-out retires. Shard engine: per-shard sweeps in
-  // reverse shard order with checksummed RAT boundary exchange.
-  // relax_required_pin writes only rat[p], so all orders produce
-  // identical bits.
-  if (sta_engine() == StaEngine::kShard) {
-    TG_METRIC_COUNT("sta/pins_relaxed", n);
-    run_sta_backward_sharded(graph, r);
-  } else if (sta_engine() == StaEngine::kAsync) {
+  // moment its last fan-out retires. relax_required_pin writes only
+  // rat[p], so both orders produce identical bits.
+  if (sta_engine() == StaEngine::kAsync) {
     TG_TRACE_SCOPE("sta/backward/async", obs::kSpanDetail);
     TG_METRIC_COUNT("sta/pins_relaxed", n);
     const TaskDagStats stats = run_task_dag(
@@ -300,26 +295,20 @@ StaResult run_sta(const TimingGraph& graph, const DesignRouting& routing,
   r.pred_pin.assign(static_cast<std::size_t>(n), {-1, -1, -1, -1});
   r.pred_corner.assign(static_cast<std::size_t>(n), {-1, -1, -1, -1});
 
-  // Forward sweep. Three engines compute the same (bit-identical) result:
+  // Forward sweep. Two engines compute the same (bit-identical) result:
   //
   //  * kLevel — level-synchronized: each parallel_for is a barrier, and
   //    every predecessor of a level-L pin lives below L.
   //  * kAsync — worklist-driven: a pin fires the moment its last fan-in
   //    retires; no barriers, so narrow levels no longer serialize the
   //    sweep (util/task_graph.hpp).
-  //  * kShard — fault-isolated: K partition shards run their local sweeps
-  //    as a shard DAG with checksummed ghost exchange and per-shard
-  //    recovery (sta/shard.hpp).
   //
-  // All are safe because propagate_pin writes only pin-owned rows (a
+  // Both are safe because propagate_pin writes only pin-owned rows (a
   // cell arc's delay slot is owned by its unique `to` pin) and reads only
   // finalized predecessors, so the result is independent of interleaving.
   {
     TG_TRACE_SCOPE("sta/forward", obs::kSpanCoarse);
-    if (sta_engine() == StaEngine::kShard) {
-      TG_METRIC_COUNT("sta/pins_propagated", n);
-      run_sta_forward_sharded(graph, routing, options, r);
-    } else if (sta_engine() == StaEngine::kAsync) {
+    if (sta_engine() == StaEngine::kAsync) {
       TG_TRACE_SCOPE("sta/forward/async", obs::kSpanDetail);
       TG_METRIC_COUNT("sta/pins_propagated", n);
       const TaskDagStats stats =

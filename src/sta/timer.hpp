@@ -63,9 +63,6 @@ namespace sta_detail {
 /// and incremental timers.
 double propagate_pin(const TimingGraph& graph, const DesignRouting& routing,
                      const StaOptions& options, StaResult& r, PinId pin);
-/// Pulls the required time of one pin from its (already final) successors.
-/// Writes only `r.rat[pin]`, so independent pins relax concurrently.
-void relax_required_pin(const TimingGraph& graph, StaResult& r, PinId pin);
 /// Backward RAT sweep + slack + WNS/TNS summary.
 void compute_required(const TimingGraph& graph, const StaOptions& options,
                       StaResult& r);

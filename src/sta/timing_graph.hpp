@@ -7,8 +7,6 @@
 /// with Kahn's algorithm — the levels drive both the golden timer and the
 /// GNN's level-by-level delay-propagation stage.
 
-#include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -17,8 +15,6 @@
 #include "util/task_graph.hpp"
 
 namespace tg {
-
-struct ShardPlan;
 
 struct NetArc {
   PinId from = kInvalidId;  ///< net driver
@@ -81,11 +77,6 @@ class TimingGraph {
   /// Same DAG with every arc reversed — the required-time sweep's order.
   [[nodiscard]] const TaskDag& backward_dag() const;
 
-  /// Cached execution plan of the sharded engine for a given shard count
-  /// (sta/shard.hpp). Built on first use per distinct K and kept for the
-  /// graph's lifetime; thread-safe. Defined in sta/shard.cpp.
-  [[nodiscard]] const ShardPlan& shard_plan(int num_shards) const;
-
  private:
   void build_arcs();
   void levelize();
@@ -112,10 +103,6 @@ class TimingGraph {
   // Lazily-built async-engine DAGs (see forward_dag / backward_dag).
   mutable std::once_flag fwd_dag_once_, bwd_dag_once_;
   mutable TaskDag fwd_dag_, bwd_dag_;
-
-  // Lazily-built sharded-engine plans, one per requested shard count.
-  mutable std::mutex shard_plan_mu_;
-  mutable std::map<int, std::shared_ptr<const ShardPlan>> shard_plans_;
 };
 
 }  // namespace tg

@@ -175,142 +175,6 @@ void validate_timing_graph(const TimingGraph& g, DiagSink& sink,
   if (level == ValidateLevel::kFull) check_adjacency(g, sink);
 }
 
-void validate_partition(const TimingGraph& g, const Partition& part,
-                        DiagSink& sink, ValidateLevel level) {
-  if (level == ValidateLevel::kOff) return;
-  const int n = g.num_nodes();
-  const int k = part.num_shards;
-  if (k < 1) {
-    TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
-            "partition has " << k << " shards (need >= 1)");
-    return;
-  }
-  if (static_cast<int>(part.shard_of.size()) != n ||
-      static_cast<int>(part.owned.size()) != k ||
-      static_cast<int>(part.ghosts.size()) != k) {
-    TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
-            "partition arrays mis-sized: shard_of " << part.shard_of.size()
-                << " (pins " << n << "), owned " << part.owned.size()
-                << ", ghosts " << part.ghosts.size() << " (shards " << k
-                << ")");
-    return;
-  }
-
-  // Ownership: every pin in exactly one shard's owned list, agreeing with
-  // shard_of.
-  std::vector<int> owner(static_cast<std::size_t>(n), -1);
-  for (int s = 0; s < k; ++s) {
-    for (PinId p : part.owned[static_cast<std::size_t>(s)]) {
-      if (p < 0 || p >= n) {
-        TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
-                "shard " << s << " owns invalid pin id " << p);
-        return;
-      }
-      if (owner[static_cast<std::size_t>(p)] >= 0) {
-        TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{},
-                g.design().pin_name(p),
-                "pin owned by shards " << owner[static_cast<std::size_t>(p)]
-                    << " and " << s);
-        return;
-      }
-      owner[static_cast<std::size_t>(p)] = s;
-      if (part.shard_of[static_cast<std::size_t>(p)] != s) {
-        TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{},
-                g.design().pin_name(p),
-                "shard_of says " << part.shard_of[static_cast<std::size_t>(p)]
-                    << " but pin is in shard " << s << "'s owned list");
-        return;
-      }
-    }
-  }
-  for (PinId p = 0; p < n; ++p) {
-    if (owner[static_cast<std::size_t>(p)] < 0) {
-      TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{},
-              g.design().pin_name(p), "pin owned by no shard");
-      return;
-    }
-  }
-
-  // Monotone shard order along every arc — no cross-shard level inversion.
-  auto check_arc_order = [&](PinId from, PinId to, const char* kind) {
-    if (part.shard_of[static_cast<std::size_t>(from)] >
-        part.shard_of[static_cast<std::size_t>(to)]) {
-      TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{},
-              g.design().pin_name(to),
-              "cross-shard level inversion: " << kind << " arc "
-                  << g.design().pin_name(from) << " (shard "
-                  << part.shard_of[static_cast<std::size_t>(from)]
-                  << ", level " << g.level(from) << ") -> shard "
-                  << part.shard_of[static_cast<std::size_t>(to)] << ", level "
-                  << g.level(to));
-      return false;
-    }
-    return true;
-  };
-  for (const NetArc& a : g.net_arcs()) {
-    if (!check_arc_order(a.from, a.to, "net")) return;
-  }
-  for (const CellArc& a : g.cell_arcs()) {
-    if (!check_arc_order(a.from, a.to, "cell")) return;
-  }
-
-  // Ghost lists: every entry backed by a different-shard owner and really
-  // read by this shard; every cross-shard fanin present. Build the
-  // expected set per shard and compare.
-  std::vector<unsigned char> expected(static_cast<std::size_t>(n), 0);
-  for (int s = 0; s < k; ++s) {
-    std::vector<PinId> touched;
-    for (PinId p : part.owned[static_cast<std::size_t>(s)]) {
-      auto note = [&](PinId f) {
-        if (part.shard_of[static_cast<std::size_t>(f)] != s &&
-            !expected[static_cast<std::size_t>(f)]) {
-          expected[static_cast<std::size_t>(f)] = 1;
-          touched.push_back(f);
-        }
-      };
-      if (const int a = g.in_net_arc(p); a >= 0) {
-        note(g.net_arcs()[static_cast<std::size_t>(a)].from);
-      }
-      for (int a : g.in_cell_arcs(p)) {
-        note(g.cell_arcs()[static_cast<std::size_t>(a)].from);
-      }
-    }
-    std::size_t matched = 0;
-    for (PinId ghost : part.ghosts[static_cast<std::size_t>(s)]) {
-      if (ghost < 0 || ghost >= n) {
-        TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
-                "shard " << s << " lists dangling ghost pin id " << ghost);
-        for (PinId f : touched) expected[static_cast<std::size_t>(f)] = 0;
-        return;
-      }
-      if (part.shard_of[static_cast<std::size_t>(ghost)] == s) {
-        TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{},
-                g.design().pin_name(ghost),
-                "shard " << s << " lists its own pin as a ghost");
-        for (PinId f : touched) expected[static_cast<std::size_t>(f)] = 0;
-        return;
-      }
-      if (!expected[static_cast<std::size_t>(ghost)]) {
-        TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{},
-                g.design().pin_name(ghost),
-                "shard " << s << " lists a ghost it never reads (owner shard "
-                    << part.shard_of[static_cast<std::size_t>(ghost)] << ")");
-        for (PinId f : touched) expected[static_cast<std::size_t>(f)] = 0;
-        return;
-      }
-      ++matched;
-    }
-    if (matched != touched.size()) {
-      TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
-              "shard " << s << " ghost list covers " << matched << " of "
-                  << touched.size() << " cross-shard fanin pins");
-      for (PinId f : touched) expected[static_cast<std::size_t>(f)] = 0;
-      return;
-    }
-    for (PinId f : touched) expected[static_cast<std::size_t>(f)] = 0;
-  }
-}
-
 void check_sta_finite(const TimingGraph& g, const StaResult& r,
                       DiagSink& sink, ValidateLevel level) {
   if (level == ValidateLevel::kOff) return;

@@ -7,7 +7,6 @@
 /// cross-checks. check_sta_finite sweeps an StaResult for NaN/Inf and
 /// reports the first-offender pin by name, level and corner.
 
-#include "sta/partition.hpp"
 #include "sta/timer.hpp"
 #include "sta/timing_graph.hpp"
 #include "util/diag.hpp"
@@ -17,17 +16,6 @@ namespace tg {
 /// Checks the levelized timing graph. No-op at ValidateLevel::kOff.
 void validate_timing_graph(const TimingGraph& graph, DiagSink& sink,
                            ValidateLevel level = validate_level());
-
-/// Shard-partition invariants (DESIGN.md §13): every pin owned by exactly
-/// one shard (and `shard_of` agrees with the owned lists), every ghost
-/// entry backed by an owner on a *different* shard and actually read by
-/// the listing shard (no dangling refs), no cross-shard level inversion
-/// (`shard_of` monotone along every timing arc — the property that keeps
-/// the shard dependency DAG acyclic), and no shard missing a cross-shard
-/// fanin from its ghost list. No-op at ValidateLevel::kOff.
-void validate_partition(const TimingGraph& graph, const Partition& part,
-                        DiagSink& sink,
-                        ValidateLevel level = validate_level());
 
 /// Numerical tripwire: reports every pin whose arrival/slew holds a NaN or
 /// Inf after propagation (and, at full level, NaN net delays, slacks and

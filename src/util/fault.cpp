@@ -96,11 +96,6 @@ FaultState& serve_state() {
   return s;
 }
 
-FaultState& shard_state() {
-  static FaultState s("TG_FAULT_SHARD");
-  return s;
-}
-
 }  // namespace
 
 void arm_io_fault(const std::string& op, long long nth) {
@@ -128,19 +123,5 @@ bool should_fail_serve(const char* op) {
 }
 
 long long matched_serve_ops() { return serve_state().matched_ops(); }
-
-void arm_shard_fault(const std::string& op, long long nth, long long count) {
-  shard_state().arm(op, nth, count);
-}
-
-void clear_shard_fault() { shard_state().clear(); }
-
-void reparse_shard_fault_env() { shard_state().reparse(); }
-
-bool should_fail_shard(const char* op) {
-  return shard_state().should_fail(op);
-}
-
-long long matched_shard_ops() { return shard_state().matched_ops(); }
 
 }  // namespace tg::fault

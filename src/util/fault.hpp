@@ -38,24 +38,6 @@
 /// and on the `count - 1` matching calls after it (default 1 — a single
 /// blip a retry recovers from; a large count models a persistently broken
 /// dependency, which is what drives backoff into quarantine).
-///
-/// ## shard domain — sharded STA engine
-/// The shard orchestrator (sta/shard.cpp) asks `should_fail_shard(op)` at
-/// each shard attempt / boundary exchange. Armed via
-/// `TG_FAULT_SHARD=<op>:<nth>[:<count>]` or arm_shard_fault(). Recognised
-/// ops:
-///   worker  — throw from inside a shard's sweep (exercises shard-scoped
-///             re-execution with capped backoff)
-///   slow    — stall one shard attempt (exercises the EMA straggler
-///             deadline and speculative re-issue)
-///   corrupt — flip bits in a shard's exported boundary buffer after its
-///             checksum was taken (exercises checksum detection + owner
-///             re-export on the import side)
-///   stale   — publish a boundary buffer with an outdated sweep version
-///             (exercises the version check on the import side)
-/// Shard faults use the same [nth, nth + count) trigger window as serve
-/// faults; a count larger than the retry budget drives the loud-failure
-/// path (ShardSweepError naming shard, level range and offender pin).
 
 #include <string>
 
@@ -102,26 +84,5 @@ void reparse_serve_fault_env();
 
 /// Serve operations that matched the armed op so far (test diagnostics).
 [[nodiscard]] long long matched_serve_ops();
-
-// ---- shard domain --------------------------------------------------------
-
-/// Arms a shard fault: matching shard operations number `nth` through
-/// `nth + count - 1` (1-based) trip. Resets the match counter; overrides
-/// TG_FAULT_SHARD.
-void arm_shard_fault(const std::string& op, long long nth,
-                     long long count = 1);
-
-/// Disarms any shard fault (env- or API-armed), resets the match counter.
-void clear_shard_fault();
-
-/// Re-reads TG_FAULT_SHARD now (normally parsed once, lazily).
-void reparse_shard_fault_env();
-
-/// Called by the shard engine at each fault point. True when this call's
-/// match ordinal falls inside the armed [nth, nth + count) window.
-[[nodiscard]] bool should_fail_shard(const char* op);
-
-/// Shard operations that matched the armed op so far (test diagnostics).
-[[nodiscard]] long long matched_shard_ops();
 
 }  // namespace tg::fault

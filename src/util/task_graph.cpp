@@ -11,6 +11,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "util/cancel.hpp"
 #include "util/check.hpp"
@@ -130,6 +131,10 @@ struct EngineState {
     /// threshold without touching the mutex — an idle worker sweeping
     /// seven victims must not hammer seven locks per sweep.
     std::atomic<int> approx_size{0};
+    /// Set when the owner enters worker_loop. A helper's pool task can sit
+    /// queued behind other runs' helpers, so until it starts, the tasks
+    /// dealt to its deque are fair game down to the last one.
+    std::atomic<bool> started{false};
     std::uint64_t fired = 0;
     std::uint64_t evaluated = 0;
     std::uint64_t steal_batches = 0;
@@ -175,10 +180,14 @@ struct EngineState {
   /// One sweep over the other workers; brings a batch home and returns one
   /// task to run now (or -1). The batch is staged in a local buffer so the
   /// victim's and the thief's mutexes are never held together — two workers
-  /// stealing from each other must not form a lock cycle. Victims whose
-  /// occupancy hint is below 2 are skipped without locking: taking a
+  /// stealing from each other must not form a lock cycle. Running victims
+  /// whose occupancy hint is below 2 are skipped without locking: taking a
   /// worker's *only* task just bounces a serial chain between cores (one
   /// cache migration per node), so thieves only go where a surplus exists.
+  /// A victim that has not started yet gives up everything it holds:
+  /// otherwise, when concurrent runs share the pool, each run's last task
+  /// can sit with a helper queued behind another run's spinning helpers,
+  /// and the runs wait on each other forever.
   int steal(int wid) {
     Worker& self = workers[static_cast<std::size_t>(wid)];
     const int n = static_cast<int>(workers.size());
@@ -186,13 +195,18 @@ struct EngineState {
     for (int k = 1; k < n; ++k) {
       const int vid = (wid + k) % n;
       Worker& victim = workers[static_cast<std::size_t>(vid)];
-      if (victim.approx_size.load(std::memory_order_relaxed) < 2) continue;
+      const bool parked = !victim.started.load(std::memory_order_acquire);
+      const int min_avail = parked ? 1 : 2;
+      if (victim.approx_size.load(std::memory_order_relaxed) < min_avail) {
+        continue;
+      }
       std::size_t got = 0;
       {
         std::lock_guard<std::mutex> lock(victim.mu);
         const std::size_t avail = victim.ready.size();
-        if (avail < 2) continue;
-        const std::size_t take = std::min(kMaxStealBatch, avail / 2);
+        if (avail < static_cast<std::size_t>(min_avail)) continue;
+        const std::size_t take =
+            std::min(kMaxStealBatch, parked ? avail : avail / 2);
         for (; got < take; ++got) {
           batch[got] = victim.ready.front();
           victim.ready.pop_front();
@@ -333,6 +347,8 @@ struct EngineState {
   }
 
   void worker_loop(int wid) {
+    workers[static_cast<std::size_t>(wid)].started.store(
+        true, std::memory_order_release);
     long long retired = 0;  // completions not yet subtracted from remaining
     int idle_sweeps = 0;
     for (;;) {
@@ -429,7 +445,12 @@ TaskDagStats run_engine(std::shared_ptr<EngineState> state,
     stats.max_ready_depth = std::max(stats.max_ready_depth, w.max_depth);
     state->evaluated_total += static_cast<long long>(w.evaluated);
   }
-  if (state->error) std::rethrow_exception(state->error);
+  // Take the error out of the shared state: a helper's pool task may drop
+  // the last state reference later, and the exception must not be freed
+  // from that thread while the caller is still handling it.
+  if (state->error) {
+    std::rethrow_exception(std::exchange(state->error, nullptr));
+  }
   return stats;
 }
 
@@ -567,15 +588,11 @@ StaEngine resolve_engine_env() {
   if (const char* env = std::getenv("TG_STA_ENGINE")) {
     const std::string v(env);
     if (v == "async") return StaEngine::kAsync;
-    if (v == "shard") return StaEngine::kShard;
     TG_CHECK_MSG(v == "level" || v.empty(),
-                 "TG_STA_ENGINE must be level, async or shard, got " << v);
+                 "TG_STA_ENGINE must be level or async, got " << v);
   }
   return StaEngine::kLevel;
 }
-
-// -1 unresolved, else the shard count K (>= 1).
-std::atomic<int> g_sta_shards{-1};
 
 }  // namespace
 
@@ -620,47 +637,15 @@ void set_sta_engine(StaEngine engine) {
 StaEngine configure_sta_engine(const CliOptions& options) {
   if (options.has("sta-engine")) {
     const std::string v = options.get("sta-engine", "level");
-    TG_CHECK_MSG(v == "level" || v == "async" || v == "shard",
-                 "--sta-engine must be level, async or shard, got " << v);
-    set_sta_engine(v == "shard"   ? StaEngine::kShard
-                   : v == "async" ? StaEngine::kAsync
-                                  : StaEngine::kLevel);
-  }
-  if (options.has("sta-shards")) {
-    set_sta_shards(static_cast<int>(options.get_int("sta-shards", 4)));
+    TG_CHECK_MSG(v == "level" || v == "async",
+                 "--sta-engine must be level or async, got " << v);
+    set_sta_engine(v == "async" ? StaEngine::kAsync : StaEngine::kLevel);
   }
   return sta_engine();
 }
 
 const char* sta_engine_name(StaEngine engine) {
-  switch (engine) {
-    case StaEngine::kAsync: return "async";
-    case StaEngine::kShard: return "shard";
-    case StaEngine::kLevel: break;
-  }
-  return "level";
-}
-
-int sta_shards() {
-  int k = g_sta_shards.load(std::memory_order_acquire);
-  if (k < 0) {
-    k = 4;
-    if (const char* env = std::getenv("TG_STA_SHARDS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 1) k = static_cast<int>(v);
-    }
-    int expected = -1;
-    if (!g_sta_shards.compare_exchange_strong(expected, k,
-                                              std::memory_order_acq_rel)) {
-      k = expected;
-    }
-  }
-  return k;
-}
-
-void set_sta_shards(int k) {
-  // 0 (or negative) re-arms the env/default resolution in sta_shards().
-  g_sta_shards.store(k <= 0 ? -1 : k, std::memory_order_release);
+  return engine == StaEngine::kAsync ? "async" : "level";
 }
 
 }  // namespace tg

@@ -124,26 +124,17 @@ void set_task_dag_workers(int n);
 // ---- engine selection ----------------------------------------------------
 
 /// Which propagation engine the STA sweeps (and the GNN delay-propagation
-/// stage) use: barrier-synchronized per-level parallel_for, the
-/// asynchronous worklist above, or the fault-isolated sharded engine
-/// (sta/shard.hpp) that runs the worklist per partition shard with
-/// checksummed ghost exchange. Resolved once from `TG_STA_ENGINE`
-/// (level|async|shard, default level); `--sta-engine` overrides per
-/// invocation.
-enum class StaEngine { kLevel, kAsync, kShard };
+/// stage) use: barrier-synchronized per-level parallel_for, or the
+/// asynchronous worklist above. Resolved once from `TG_STA_ENGINE`
+/// (level|async, default level); `--sta-engine` overrides per invocation.
+/// Any other value throws a CheckError naming the valid ones.
+enum class StaEngine { kLevel, kAsync };
 
 [[nodiscard]] StaEngine sta_engine();
 void set_sta_engine(StaEngine engine);
-/// Applies `--sta-engine=level|async|shard` (and `--sta-shards=K`) when
-/// present; returns the active engine. Shared by benches, tools and
-/// examples.
+/// Applies `--sta-engine=level|async` when present; returns the active
+/// engine.
 StaEngine configure_sta_engine(const CliOptions& options);
 [[nodiscard]] const char* sta_engine_name(StaEngine engine);
-
-/// Shard count K for the sharded engine. Resolved once from
-/// `TG_STA_SHARDS` (default 4, clamped to >= 1); `set_sta_shards`
-/// overrides (0 restores the env/default resolution).
-[[nodiscard]] int sta_shards();
-void set_sta_shards(int k);
 
 }  // namespace tg

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "sta/shard.hpp"
 #include "sta/timer.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
@@ -517,65 +516,6 @@ TEST(ServeTest, SessionTableLruEvictsIdleAndReopensCleanly) {
   for (std::size_t i = 0; i < rf.endpoint_setup.size(); ++i) {
     EXPECT_NEAR(rf.endpoint_setup[i], rc.endpoint_setup[i], 1e-9);
   }
-}
-
-/// Sharded-engine failures are compute-plane faults, not tenant health:
-/// the ladder must degrade the request (stale answer) without charging
-/// the session's quarantine counter — see StatsCells::shard_degraded.
-class ServeShardTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    fault::clear_shard_fault();
-    set_sta_engine(saved_engine_);
-    set_sta_shards(saved_shards_);
-    set_shard_retries(-1);
-  }
-  StaEngine saved_engine_ = sta_engine();
-  int saved_shards_ = sta_shards();
-};
-
-TEST_F(ServeShardTest, ShardFailureDegradesRequestWithoutQuarantine) {
-  set_sta_engine(StaEngine::kShard);
-  set_sta_shards(4);
-  set_shard_retries(0);  // fail fast: one attempt per shard
-
-  SlackServer server(small_options());
-  const SessionId id = server.open_session(kDesign, kScale);
-  ResizeMove move{-1, -1};
-  server.inspect(id, [&](const SessionView& v) {
-    move = {0, alternative_cell(v, 0)};
-  });
-  ASSERT_GE(move.new_cell, 0);
-
-  // Clean move materializes the session and fills the stale cache.
-  Request warm;
-  warm.session = id;
-  warm.mode = RequestMode::kSta;
-  warm.moves.push_back(move);
-  ASSERT_EQ(server.call(std::move(warm)).status, ResponseStatus::kOk);
-
-  // Every shard attempt now throws: the cone re-time raises
-  // ShardSweepError and the ladder answers stale.
-  fault::arm_shard_fault("worker", 1, 1000000);
-  Request mv;
-  mv.session = id;
-  mv.mode = RequestMode::kSta;
-  mv.moves.push_back(move);  // same swap: idempotent
-  const Response r = server.call(std::move(mv));
-  EXPECT_EQ(r.status, ResponseStatus::kDegraded);
-  EXPECT_EQ(r.tier, ServeTier::kStale);
-  EXPECT_GE(server.stats().shard_degraded, 1u);
-  EXPECT_EQ(server.stats().quarantines, 0u);
-
-  // The session was never benched: with the fault gone the next request
-  // heals (timing_dirty forces a full re-time) and answers ok.
-  fault::clear_shard_fault();
-  Request heal;
-  heal.session = id;
-  heal.mode = RequestMode::kSta;
-  const Response h = server.call(std::move(heal));
-  EXPECT_EQ(h.status, ResponseStatus::kOk);
-  EXPECT_EQ(server.stats().quarantines, 0u);
 }
 
 TEST(ServeTest, NamesAreStable) {

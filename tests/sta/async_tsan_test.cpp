@@ -1,12 +1,18 @@
 /// \file async_tsan_test.cpp
 /// Race-detector workload for the async worklist engine: the full STA
 /// (forward + backward) and an incremental dirty-cone update at 8 threads
-/// on a mid-size design. Built as its own target (sta_async_tsan_test)
-/// with the `tsan` label so a TG_SANITIZE=thread build runs exactly this
-/// (`ctest -L tsan`) — the publication chain (pending RMW → task fire) is
-/// precisely what TSan has to vet.
+/// on a mid-size design, plus concurrent `run_sta` calls on one shared
+/// TimingGraph (as serving sessions share a template graph) racing the
+/// lazily built forward/backward DAGs. Built as its own target
+/// (sta_async_tsan_test) with the `tsan` label so a TG_SANITIZE=thread
+/// build runs exactly this (`ctest -L tsan`) — the publication chain
+/// (pending RMW → task fire) is precisely what TSan has to vet.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "gen/suite.hpp"
 #include "liberty/library_builder.hpp"
@@ -70,6 +76,49 @@ TEST_F(AsyncTsanTest, FullStaAndIncrementalConeUnderContention) {
   }
   inc.invalidate_net(net);
   EXPECT_GT(inc.update(), 0);
+}
+
+TEST_F(AsyncTsanTest, ConcurrentSweepsShareOneGraphSafely) {
+  const Library lib = build_library();
+  const SuiteEntry entry = suite_entry("picorv32a", 1.0 / 32);
+  Design design = generate_design(entry.spec, lib);
+  place_design(design);
+  RoutingOptions ropts;
+  ropts.mode = RouteMode::kSteiner;
+  const DesignRouting routing = route_design(design, ropts);
+  const TimingGraph graph(design);
+
+  // Serial reference from the level engine, which never builds the task
+  // DAGs, so the graph's forward_dag()/backward_dag() are still unbuilt
+  // when the threads below start.
+  set_sta_engine(StaEngine::kLevel);
+  set_num_threads(1);
+  const StaResult ref = run_sta(graph, routing);
+  set_num_threads(8);
+  set_sta_engine(StaEngine::kAsync);
+
+  // Three async sweeps race the first-use call_once of both DAGs, then
+  // run concurrently over the shared graph, each into its own StaResult.
+  std::vector<StaResult> results(3);
+  std::vector<std::thread> threads;
+  threads.reserve(results.size());
+  for (StaResult& out : results) {
+    threads.emplace_back([&graph, &routing, &out] {
+      out = run_sta(graph, routing);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (const StaResult& r : results) {
+    ASSERT_EQ(r.arrival.size(), ref.arrival.size());
+    EXPECT_EQ(std::memcmp(r.arrival.data(), ref.arrival.data(),
+                          ref.arrival.size() * sizeof(PerCorner)),
+              0);
+    EXPECT_EQ(std::memcmp(&r.wns_setup, &ref.wns_setup, sizeof(double)), 0)
+        << r.wns_setup << " vs " << ref.wns_setup;
+    EXPECT_EQ(std::memcmp(&r.tns_setup, &ref.tns_setup, sizeof(double)), 0)
+        << r.tns_setup << " vs " << ref.tns_setup;
+  }
 }
 
 }  // namespace

@@ -10,11 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "util/check.hpp"
+#include "util/cli.hpp"
 #include "util/parallel.hpp"
 
 namespace tg {
@@ -187,6 +192,33 @@ TEST_F(TaskGraphTest, ConeSeedsAlwaysEvaluate) {
   EXPECT_EQ(ran, (std::set<int>{0, 1}));
 }
 
+/// Runs started concurrently from several non-pool threads share one
+/// pool, so a run's helpers can wait behind other runs' spinning helpers.
+/// Eight independent roots deal exactly one task to each helper's deque;
+/// every run must still finish (a regression here hangs until the ctest
+/// timeout).
+TEST_F(TaskGraphTest, ConcurrentRunsFromExternalThreadsAllFinish) {
+  set_num_threads(8);
+  const TaskDag dag = TaskDag::from_edges(8, {});
+  constexpr int kThreads = 8;
+  constexpr int kRuns = 100;
+  std::atomic<int> fired{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRuns; ++i) {
+        run_task_dag(dag, [&](int) {
+          fired.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+        });
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(fired.load(), kThreads * kRuns * dag.num_nodes);
+}
+
 TEST_F(TaskGraphTest, EngineSwitchRoundTrips) {
   set_sta_engine(StaEngine::kAsync);
   EXPECT_EQ(sta_engine(), StaEngine::kAsync);
@@ -194,6 +226,28 @@ TEST_F(TaskGraphTest, EngineSwitchRoundTrips) {
   set_sta_engine(StaEngine::kLevel);
   EXPECT_EQ(sta_engine(), StaEngine::kLevel);
   EXPECT_STREQ(sta_engine_name(StaEngine::kLevel), "level");
+}
+
+/// An engine name other than level or async (e.g. `shard`) is a loud
+/// CheckError naming the valid values, never a silent fallback.
+TEST_F(TaskGraphTest, UnknownEngineNameFailsLoudly) {
+  set_sta_engine(StaEngine::kAsync);
+  for (const std::string value : {"shard", "levle"}) {
+    const std::string arg = "--sta-engine=" + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    try {
+      (void)configure_sta_engine(CliOptions(2, argv));
+      FAIL() << "expected CheckError for " << arg;
+    } catch (const CheckError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("must be level or async, got " + value),
+                std::string::npos)
+          << msg;
+    }
+    EXPECT_EQ(sta_engine(), StaEngine::kAsync) << arg;  // left untouched
+  }
+  const char* argv[] = {"prog", "--sta-engine=level"};
+  EXPECT_EQ(configure_sta_engine(CliOptions(2, argv)), StaEngine::kLevel);
 }
 
 }  // namespace
