@@ -1,11 +1,13 @@
 /// \file micro_nn_ops.cpp
 /// google-benchmark microbenchmarks for the autodiff tensor ops that
 /// dominate model training time (matmul, message-passing scatter/gather,
-/// the fused LUT interpolation op).
+/// the fused LUT interpolation op) and the inference MLP block.
 
 #include <benchmark/benchmark.h>
 
 #include "micro_common.hpp"
+#include "nn/kernels.hpp"
+#include "nn/module.hpp"
 #include "nn/ops.hpp"
 #include "util/parallel.hpp"
 
@@ -119,6 +121,74 @@ void BM_SoftmaxGroups(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SoftmaxGroups)->Arg(32768);
+
+/// The fused inference step's MLPs at the serving config (perfbench's
+/// serve_model_config): arg 0 is a hidden-8 propagation MLP (32→8→8→8),
+/// arg 1 a LUT coefficient MLP (24→32→32→56).
+Mlp serving_mlp(std::int64_t shape, Rng& rng) {
+  return shape == 0 ? Mlp(32, 8, 8, 2, &rng) : Mlp(24, 56, 32, 2, &rng);
+}
+
+constexpr std::int64_t kInferBlock = 32;  // the fused step's block rows
+
+/// One 32-row block through Mlp::infer_rows, as the fused level step runs
+/// it: each layer is one multi-row matmul_rows call.
+void BM_MlpInferRows(benchmark::State& state) {
+  Rng rng(8);
+  const Mlp mlp = serving_mlp(state.range(0), rng);
+  const Tensor x = randn(kInferBlock, mlp.in_features(), rng);
+  std::vector<float> out(static_cast<std::size_t>(kInferBlock *
+                                                  mlp.out_features()));
+  std::vector<float> scratch(mlp.infer_scratch(kInferBlock));
+  for (auto _ : state) {
+    mlp.infer_rows(x.data().data(), kInferBlock, out.data(), scratch.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kInferBlock);
+}
+BENCHMARK(BM_MlpInferRows)->Arg(0)->Arg(1);
+
+/// The same block and weights through the same steps as Mlp::infer_rows,
+/// except that the matmul runs one row per kernel call (matmul_rows with
+/// rows = 1), as inference ran before the multi-row tile. The two differ
+/// only in the tile, so `ci/run.sh bench` gates BM_MlpInferRows against
+/// it within one run.
+void BM_MlpInferRowByRow(benchmark::State& state) {
+  Rng rng(8);
+  const Mlp mlp = serving_mlp(state.range(0), rng);
+  const Tensor x = randn(kInferBlock, mlp.in_features(), rng);
+  const std::vector<Tensor>& params = mlp.parameters();  // w, b per layer
+  std::vector<float> h[2];
+  for (auto _ : state) {
+    const float* cur = x.data().data();
+    for (std::size_t l = 0; l < params.size(); l += 2) {
+      const auto k = static_cast<std::size_t>(params[l].rows());
+      const auto m = static_cast<std::size_t>(params[l].cols());
+      const float* bias = params[l + 1].data().data();
+      const bool hidden = l + 2 < params.size();
+      std::vector<float>& y = h[(l / 2) % 2];
+      y.resize(kInferBlock * m);
+      for (std::size_t r = 0; r < kInferBlock; ++r) {
+        kern::matmul_rows(y.data() + r * m, cur + r * k,
+                          params[l].data().data(), 1, k, m);
+      }
+      for (std::size_t r = 0; r < kInferBlock; ++r) {
+        float* yr = y.data() + r * m;
+        if (hidden) {
+          kern::add_relu(yr, yr, bias, m);
+        } else {
+          kern::add(yr, yr, bias, m);
+        }
+      }
+      cur = y.data();
+    }
+    benchmark::DoNotOptimize(cur);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kInferBlock);
+}
+BENCHMARK(BM_MlpInferRowByRow)->Arg(0)->Arg(1);
 
 /// --sweep: the two training-dominant kernels (matmul, segment_sum)
 /// across thread counts × sizes (see micro_common.hpp).

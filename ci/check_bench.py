@@ -6,10 +6,16 @@ Compares a freshly produced BENCH_*.json against the checked-in baseline
 regresses beyond the threshold (default 1.25x). Used by `ci/run.sh bench`.
 
     ci/check_bench.py <baseline.json> <current.json> [--threshold=1.25]
+    ci/check_bench.py --ratio=FAST:SLOW [--ratio=...] --threshold=T <current.json>
 
 Baseline entries missing from the current run fail the check (a renamed or
 dropped benchmark must update the baseline on purpose); entries new in the
 current run are reported but pass.
+
+With --ratio the gate compares benchmarks of one run with each other, so no
+recorded baseline (and no machine difference) is involved: each FAST
+entry's median must be at most T times its SLOW entry's, and a missing
+entry fails.
 """
 
 import json
@@ -26,14 +32,52 @@ def load(path):
     }
 
 
+def check_ratios(path, pairs, threshold):
+    current = load(path)
+    failures = []
+    print(f"# ratio gate: {path} (each fast/slow at most {threshold:.2f})")
+    print(f"{'ratio':>8} {'fast ms':>12} {'slow ms':>12}  fast / slow")
+    for fast, slow in pairs:
+        missing = [n for n in (fast, slow) if n not in current]
+        if missing:
+            failures.append(f"{', '.join(missing)}: missing from current run")
+            continue
+        f_s, s_s = current[fast]["median_s"], current[slow]["median_s"]
+        ratio = f_s / s_s
+        flag = " <-- TOO SLOW" if ratio > threshold else ""
+        print(f"{ratio:8.3f} {f_s * 1e3:12.4f} {s_s * 1e3:12.4f}  "
+              f"{fast} / {slow}{flag}")
+        if ratio > threshold:
+            failures.append(f"{fast}: {ratio:.3f}x of {slow}")
+    if failures:
+        print(f"# ratio gate FAILED ({len(failures)}):", file=sys.stderr)
+        for f in failures:
+            print(f"#   {f}", file=sys.stderr)
+        return 1
+    print("# ratio gate OK")
+    return 0
+
+
 def main(argv):
     threshold = 1.25
     paths = []
+    pairs = []
     for arg in argv[1:]:
         if arg.startswith("--threshold="):
             threshold = float(arg.split("=", 1)[1])
+        elif arg.startswith("--ratio="):
+            fast, sep, slow = arg.split("=", 1)[1].partition(":")
+            if not sep or not fast or not slow:
+                print(f"bad --ratio {arg!r}: want FAST:SLOW", file=sys.stderr)
+                return 2
+            pairs.append((fast, slow))
         else:
             paths.append(arg)
+    if pairs:
+        if len(paths) != 1:
+            print(__doc__.strip(), file=sys.stderr)
+            return 2
+        return check_ratios(paths[0], pairs, threshold)
     if len(paths) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2

@@ -15,8 +15,10 @@
 #          hit rate on real train steps) plus micro_nn_ops/micro_models/
 #          micro_sta --json medians vs the checked-in bench/BENCH_*.json
 #          baselines, failing on >25% regression (ci/check_bench.py),
-#          and a thread-scaling guard: BM_TimingGnnTrainStep at
-#          TG_THREADS=$(nproc) must stay within 2x of the serial run
+#          a thread-scaling guard: BM_TimingGnnTrainStep at
+#          TG_THREADS=$(nproc) must stay within 2x of the serial run, and
+#          a multi-row kernel guard: a hidden-8 MLP block must run in at
+#          most 0.6x the time of the same block one row per kernel call
 #   serve  serving-plane gate: `serve` label suites, the tg_serve_load
 #          acceptance drill (deadlines + overload spike + injected worker
 #          faults; non-zero exit on any hang or untagged response), and
@@ -104,6 +106,22 @@ run_bench() {
     "$dir/BENCH_micro_models.json"
   python3 ci/check_bench.py bench/BENCH_micro_sta.json \
     "$dir/BENCH_micro_sta.json"
+  # Multi-row kernel guard: a 32-row hidden-8 MLP block through
+  # Mlp::infer_rows (register-tiled matmul_rows) against the same block and
+  # weights run one row per kernel call, in one run with interleaved
+  # repetitions, so no recorded baseline is involved. Twenty runs on a
+  # shared 4-core AVX2 box read 0.31-0.48; with the tile reverted to
+  # per-row calls they read 0.76-0.95, so 0.6 sits about 25% from both.
+  # The LUT-coefficient shape (arg 1) is not gated: at widths >= 32 both
+  # forms do the same mul+add count, and its 0.70-0.89 spread overlaps the
+  # revert's 0.71-1.11.
+  TG_THREADS=1 ./build-ci/bench/micro_nn_ops \
+    --benchmark_filter='^BM_MlpInferRow' --json="$dir/BENCH_mlp_rows.json" \
+    --benchmark_min_time=0.05 --benchmark_repetitions=9 \
+    --benchmark_enable_random_interleaving=true > /dev/null
+  python3 ci/check_bench.py --threshold=0.6 \
+    --ratio=BM_MlpInferRows/0:BM_MlpInferRowByRow/0 \
+    "$dir/BENCH_mlp_rows.json"
   # Thread-scaling guard: the train step at the machine's thread count must
   # not run more than 2x slower than serially. Both sides run back to back,
   # on one machine in one job, so no recorded baseline is involved.

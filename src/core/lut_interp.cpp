@@ -50,36 +50,30 @@ void LutInterp::infer_rows(const float* query, std::int64_t rows,
                            const float* cell_edge_feat, const int* feat_rows,
                            float* out, float* scratch) const {
   const auto block = static_cast<std::size_t>(rows) * kCoeffDim;
-  float* logits = scratch;
-  float* a = logits + block;
+  float* a = scratch;
   float* b = a + block;
-  float* interp = b + block;
-  float* mlp = interp + data::kNumLutsPerArc;
-  coeff_a_.infer_rows(query, rows, logits, mlp);
+  float* mlp = b + block;
+  // Logits land in a / b and are normalized in place.
+  coeff_a_.infer_rows(query, rows, a, mlp);
+  coeff_b_.infer_rows(query, rows, b, mlp);
   for (std::int64_t r = 0; r < rows; ++r) {
-    nn::softmax_groups_row(a + r * kCoeffDim, logits + r * kCoeffDim,
-                           kCoeffDim, kLutDim);
-  }
-  coeff_b_.infer_rows(query, rows, logits, mlp);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    nn::softmax_groups_row(b + r * kCoeffDim, logits + r * kCoeffDim,
-                           kCoeffDim, kLutDim);
-  }
-  for (std::int64_t r = 0; r < rows; ++r) {
+    float* ar = a + r * kCoeffDim;
+    float* br = b + r * kCoeffDim;
+    nn::kern::softmax_groups_row(ar, ar, kCoeffDim, kLutDim);
+    nn::kern::softmax_groups_row(br, br, kCoeffDim, kLutDim);
     const float* feat =
         cell_edge_feat +
         static_cast<std::int64_t>(feat_rows[r]) * data::kCellEdgeFeatureDim;
-    nn::lut_kron_dot_row(interp, a + r * kCoeffDim, b + r * kCoeffDim,
-                         feat + kValueBegin, data::kNumLutsPerArc, kLutDim);
+    float* y = out + r * data::kNumLutsPerArc;
+    nn::kern::kron_dot_row(y, ar, br, feat + kValueBegin,
+                           data::kNumLutsPerArc, kLutDim);
     // The valid flags are the row's first kCellEdgeValidDim floats.
-    nn::kern::mul(out + r * data::kNumLutsPerArc, interp, feat,
-                  data::kNumLutsPerArc);
+    nn::kern::mul(y, y, feat, data::kNumLutsPerArc);
   }
 }
 
 std::size_t LutInterp::infer_scratch(std::int64_t rows) const {
-  return static_cast<std::size_t>(3 * rows * kCoeffDim +
-                                  data::kNumLutsPerArc) +
+  return static_cast<std::size_t>(2 * rows * kCoeffDim) +
          std::max(coeff_a_.infer_scratch(rows),
                   coeff_b_.infer_scratch(rows));
 }

@@ -1,5 +1,6 @@
 #include "nn/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -87,6 +88,48 @@ void matmul_row(float* out, const float* a, const float* b, std::size_t k,
   }
 }
 
+void matmul_rows(float* out, const float* a, const float* b,
+                 std::size_t rows, std::size_t k, std::size_t m) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    matmul_row(out + r * m, a + r * k, b, k, m);
+  }
+}
+
+void kron_dot_row(float* out, const float* a, const float* b,
+                  const float* lut, std::size_t groups, std::size_t d) {
+  for (std::size_t g = 0; g < groups; ++g) {
+    const float* av = a + g * d;
+    const float* bv = b + g * d;
+    const float* lv = lut + g * d * d;
+    float acc = 0.0f;
+    for (std::size_t i = 0; i < d; ++i) {
+      const float ai = av[i];
+      if (ai == 0.0f) continue;
+      const float* lrow = lv + i * d;
+      float inner = 0.0f;
+      for (std::size_t j = 0; j < d; ++j) inner += bv[j] * lrow[j];
+      acc += ai * inner;
+    }
+    out[g] = acc;
+  }
+}
+
+void softmax_groups_row(float* out, const float* in, std::size_t cols,
+                        std::size_t group) {
+  for (std::size_t g0 = 0; g0 < cols; g0 += group) {
+    const float* x = in + g0;
+    float* y = out + g0;
+    float mx = x[0];
+    for (std::size_t i = 1; i < group; ++i) mx = std::max(mx, x[i]);
+    float denom = 0.0f;
+    for (std::size_t i = 0; i < group; ++i) {
+      y[i] = std::exp(x[i] - mx);
+      denom += y[i];
+    }
+    for (std::size_t i = 0; i < group; ++i) y[i] /= denom;
+  }
+}
+
 void matmul_nt_row(float* out, const float* g, const float* b, std::size_t k,
                    std::size_t m) {
   for (std::size_t kk = 0; kk < k; ++kk) out[kk] += dot(g, b + kk * m, m);
@@ -148,8 +191,9 @@ void adam_step(float* data, const float* grad, float* m, float* v,
 
 constexpr KernelTable kTable = {
     "portable", add, add_acc, mul,        mul_acc,    scale, axpy,
-    relu,       add_relu,     relu_mask_acc, dot, matmul_row,
-    matmul_nt_row, atb_acc, adam_step,
+    relu,       add_relu,     relu_mask_acc, dot,
+    matmul_rows, kron_dot_row, softmax_groups_row, matmul_nt_row, atb_acc,
+    adam_step,
 };
 
 }  // namespace portable
@@ -299,6 +343,13 @@ void matmul_row(float* out, const float* a, const float* b, std::size_t k,
   }
 }
 
+void matmul_rows(float* out, const float* a, const float* b,
+                 std::size_t rows, std::size_t k, std::size_t m) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    matmul_row(out + r * m, a + r * k, b, k, m);
+  }
+}
+
 void matmul_nt_row(float* out, const float* g, const float* b, std::size_t k,
                    std::size_t m) {
   // kk pairs share the g loads; each output still gets the exact dot tree.
@@ -394,7 +445,8 @@ void adam_step(float* data, const float* grad, float* m, float* v,
 
 constexpr KernelTable kTable = {
     "neon", add, add_acc, mul,        mul_acc,    scale, axpy,
-    relu,   add_relu,     relu_mask_acc, dot, matmul_row,
+    relu,   add_relu,     relu_mask_acc, dot,
+    matmul_rows, portable::kron_dot_row, portable::softmax_groups_row,
     matmul_nt_row, atb_acc, adam_step,
 };
 
@@ -428,6 +480,8 @@ const KernelTable& active() {
 }
 
 const char* simd_name() { return active().name; }
+
+const KernelTable* detail::portable_table() { return &portable::kTable; }
 
 void set_force_portable(bool on) {
   g_active.store(on ? &portable::kTable : pick(), std::memory_order_release);

@@ -13,10 +13,19 @@
 ///    ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), then the ragged tail is
 ///    added serially in index order. Every backend implements exactly
 ///    this tree, so SIMD vs portable results match bit for bit.
-///  - `matmul_row` computes out[j] = Σ_kk a[kk]·b[kk·m+j] with kk
-///    ascending per output element (init with kk = 0 as an assignment —
-///    callers never pre-zero). Backends may tile j freely: j-tiling
-///    never reorders the per-element kk accumulation.
+///  - `matmul_rows` computes, for each row r, out[r·m+j] =
+///    Σ_kk a[r·k+kk]·b[kk·m+j] with kk ascending per output element (init
+///    with kk = 0 as an assignment — callers never pre-zero; k == 0
+///    writes zeros). Backends may tile rows × columns in registers:
+///    tiling shares each weight load across the tile's rows and never
+///    reorders any element's kk sum.
+///  - `kron_dot_row` is the Kronecker LUT read per group g:
+///    acc = 0; for each i ascending, skip when a_i == 0 (so ±0 skip and
+///    NaN does not), else acc += a_i · (0 + Σ_j b_j·lut_ij, j ascending).
+///    Backends may run the groups in SIMD lanes (the 8×7 serving shape)
+///    with the skip as a compare-and-blend that leaves acc untouched.
+///  - `softmax_groups_row` may likewise run groups in lanes; `exp` is
+///    scalar `std::exp` in every backend.
 ///
 /// Dispatch picks the widest backend the CPU supports at first use;
 /// `set_force_portable(true)` pins the portable table (the equivalence
@@ -65,9 +74,25 @@ struct KernelTable {
                         std::size_t n);
   /// Blocked-reduction dot product (contract in the file comment).
   float (*dot)(const float* a, const float* b, std::size_t n);
-  /// out[0..m) = Σ_kk a[kk] · b[kk·m .. kk·m+m); overwrites out.
-  void (*matmul_row)(float* out, const float* a, const float* b,
-                     std::size_t k, std::size_t m);
+  /// out[r·m .. r·m+m) = Σ_kk a[r·k+kk] · b[kk·m .. kk·m+m) for r in
+  /// [0, rows) (contract in the file comment); overwrites out, which must
+  /// not alias a or b.
+  void (*matmul_rows)(float* out, const float* a, const float* b,
+                      std::size_t rows, std::size_t k, std::size_t m);
+  /// One row of the Kronecker LUT read (contract in the file comment):
+  /// out[g] for g in [0, groups), from coefficient rows a, b of groups·d
+  /// floats each and a LUT row of groups·d² floats (lut_ij of group g at
+  /// lut[g·d² + i·d + j]). Reads no float outside those ranges.
+  void (*kron_dot_row)(float* out, const float* a, const float* b,
+                       const float* lut, std::size_t groups, std::size_t d);
+  /// One row of softmax over consecutive groups of `group` floats:
+  /// mx = max (std::max, i ascending); y_i = exp(x_i − mx); denom = 0 +
+  /// Σ y_i (i ascending); y_i /= denom. `cols` is a multiple of `group`;
+  /// out may be in itself but must not otherwise overlap it. Backends may
+  /// run the groups in SIMD lanes (the 8×7 LUT shape); exp stays scalar
+  /// std::exp in every backend.
+  void (*softmax_groups_row)(float* out, const float* in, std::size_t cols,
+                             std::size_t group);
   /// One row of dY·Bᵀ: out[kk] += dot(g, b + kk·m, m) for kk in [0, k).
   /// Each output element uses exactly the `dot` reduction tree; backends
   /// may block kk to share g loads, which never reorders a single dot.
@@ -105,6 +130,9 @@ void set_force_portable(bool on);
 namespace detail {
 /// Defined in kernels_avx2.cpp; nullptr when the build has no AVX2 TU.
 [[nodiscard]] const KernelTable* avx2_table();
+/// The portable table, for SIMD backends that fall back to it on shapes
+/// they do not specialize.
+[[nodiscard]] const KernelTable* portable_table();
 }  // namespace detail
 
 // ---- convenience wrappers ------------------------------------------------
@@ -142,9 +170,18 @@ inline void relu_mask_acc(float* dst, const float* y, const float* g,
                                std::size_t n) {
   return active().dot(a, b, n);
 }
-inline void matmul_row(float* out, const float* a, const float* b,
-                       std::size_t k, std::size_t m) {
-  active().matmul_row(out, a, b, k, m);
+inline void matmul_rows(float* out, const float* a, const float* b,
+                        std::size_t rows, std::size_t k, std::size_t m) {
+  active().matmul_rows(out, a, b, rows, k, m);
+}
+inline void kron_dot_row(float* out, const float* a, const float* b,
+                         const float* lut, std::size_t groups,
+                         std::size_t d) {
+  active().kron_dot_row(out, a, b, lut, groups, d);
+}
+inline void softmax_groups_row(float* out, const float* in, std::size_t cols,
+                               std::size_t group) {
+  active().softmax_groups_row(out, in, cols, group);
 }
 inline void matmul_nt_row(float* out, const float* g, const float* b,
                           std::size_t k, std::size_t m) {

@@ -50,16 +50,18 @@ Tensor Linear::forward_relu(const Tensor& x) const {
 }
 
 void Linear::infer_rows(const float* x, std::int64_t rows, float* out,
-                        float* tmp, bool relu) const {
+                        bool relu) const {
   const auto k = static_cast<std::size_t>(w_.rows());
   const auto m = static_cast<std::size_t>(w_.cols());
+  kern::matmul_rows(out, x, w_.data().data(), static_cast<std::size_t>(rows),
+                    k, m);
+  const float* bias = b_.data().data();
   for (std::int64_t r = 0; r < rows; ++r) {
-    const auto ru = static_cast<std::size_t>(r);
-    kern::matmul_row(tmp, x + ru * k, w_.data().data(), k, m);
+    float* y = out + static_cast<std::size_t>(r) * m;
     if (relu) {
-      kern::add_relu(out + ru * m, tmp, b_.data().data(), m);
+      kern::add_relu(y, y, bias, m);
     } else {
-      kern::add(out + ru * m, tmp, b_.data().data(), m);
+      kern::add(y, y, bias, m);
     }
   }
 }
@@ -100,24 +102,20 @@ Tensor Mlp::forward_relu(const Tensor& x) const {
 void Mlp::infer_rows(const float* x, std::int64_t rows, float* out,
                      float* scratch, bool relu) const {
   TG_CHECK(!layers_.empty());
-  // scratch = [tmp | h0 | h1]: tmp takes one row's matmul, h0/h1
-  // alternate as the hidden layers' outputs.
-  const std::size_t width = infer_scratch(0);
-  float* tmp = scratch;
-  float* h[2] = {scratch + width,
-                 scratch + width + static_cast<std::size_t>(rows) * width};
+  // scratch = [h0 | h1]: the hidden layers' outputs alternate between them.
+  float* h[2] = {scratch, scratch + infer_scratch(rows) / 2};
   const float* cur = x;
   for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
-    layers_[l].infer_rows(cur, rows, h[l % 2], tmp, /*relu=*/true);
+    layers_[l].infer_rows(cur, rows, h[l % 2], /*relu=*/true);
     cur = h[l % 2];
   }
-  layers_.back().infer_rows(cur, rows, out, tmp, relu);
+  layers_.back().infer_rows(cur, rows, out, relu);
 }
 
 std::size_t Mlp::infer_scratch(std::int64_t rows) const {
   std::int64_t width = 0;
   for (const Linear& l : layers_) width = std::max(width, l.out_features());
-  return static_cast<std::size_t>((1 + 2 * rows) * width);
+  return static_cast<std::size_t>(2 * rows * width);
 }
 
 std::int64_t Mlp::in_features() const { return layers_.front().in_features(); }

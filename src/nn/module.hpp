@@ -48,11 +48,11 @@ class Linear : public Module {
   /// Fused relu(xW + b): bias add and activation in one tape node.
   [[nodiscard]] Tensor forward_relu(const Tensor& x) const;
   /// forward / forward_relu over `rows` contiguous rows with no tensors
-  /// and no tape: out[rows, out] from x[rows, in], with `tmp` holding
-  /// out_features() floats of scratch. Runs the per-row kernels the matmul
-  /// and add / add_relu ops run, so each row is bit-identical to that row
-  /// of the op result. out must not alias x or tmp.
-  void infer_rows(const float* x, std::int64_t rows, float* out, float* tmp,
+  /// and no tape: out[rows, out] from x[rows, in]. Runs the kernels the
+  /// matmul and add / add_relu ops run (the bias is added in place on
+  /// out), so each row is bit-identical to that row of the op result. out
+  /// must not alias x.
+  void infer_rows(const float* x, std::int64_t rows, float* out,
                   bool relu) const;
   [[nodiscard]] std::int64_t in_features() const { return w_.rows(); }
   [[nodiscard]] std::int64_t out_features() const { return w_.cols(); }

@@ -445,16 +445,16 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const float* ad = a.data().data();
   const float* bd = b.data().data();
   float* out = impl->data.data();
-  // Register-tiled ikj kernel per output row. Row blocks run in parallel;
-  // each output element accumulates its k terms in ascending-kk order in
-  // every backend, so results match the serial portable run bit for bit.
+  // Row blocks run in parallel, each through the register-tiled
+  // multi-row kernel; every output element accumulates its k terms in
+  // ascending-kk order in every backend, so results match the serial
+  // portable run bit for bit.
   parallel_for(0, n, row_grain(2 * k * m),
                [&](std::int64_t ib, std::int64_t ie) {
-                 for (std::int64_t i = ib; i < ie; ++i) {
-                   kern::matmul_row(out + i * m, ad + i * k, bd,
-                                    static_cast<std::size_t>(k),
-                                    static_cast<std::size_t>(m));
-                 }
+                 kern::matmul_rows(out + ib * m, ad + ib * k, bd,
+                                   static_cast<std::size_t>(ie - ib),
+                                   static_cast<std::size_t>(k),
+                                   static_cast<std::size_t>(m));
                });
   if (impl->requires_grad) {
     auto pa = a.ptr();
@@ -1097,29 +1097,16 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   return Tensor(impl);
 }
 
-void softmax_groups_row(float* out, const float* in, std::int64_t cols,
-                        std::int64_t group) {
-  for (std::int64_t g0 = 0; g0 < cols; g0 += group) {
-    const float* x = in + g0;
-    float* y = out + g0;
-    float mx = x[0];
-    for (std::int64_t i = 1; i < group; ++i) mx = std::max(mx, x[i]);
-    float denom = 0.0f;
-    for (std::int64_t i = 0; i < group; ++i) {
-      y[i] = std::exp(x[i] - mx);
-      denom += y[i];
-    }
-    for (std::int64_t i = 0; i < group; ++i) y[i] /= denom;
-  }
-}
-
 Tensor softmax_groups(const Tensor& a, std::int64_t group) {
   TG_CHECK(group >= 1 && a.cols() % group == 0);
   auto impl = make_result(a.rows(), a.cols(), {&a});
   const std::int64_t cols = a.cols();
+  // The fused inference step calls the same row kernel (one definition).
   for (std::int64_t r = 0; r < a.rows(); ++r) {
-    softmax_groups_row(impl->data.data() + r * cols,
-                       a.data().data() + r * cols, cols, group);
+    kern::softmax_groups_row(impl->data.data() + r * cols,
+                             a.data().data() + r * cols,
+                             static_cast<std::size_t>(cols),
+                             static_cast<std::size_t>(group));
   }
   if (impl->requires_grad) {
     auto pa = a.ptr();
@@ -1144,27 +1131,6 @@ Tensor softmax_groups(const Tensor& a, std::int64_t group) {
   return Tensor(impl);
 }
 
-void lut_kron_dot_row(float* out, const float* a, const float* b,
-                      const float* lut, std::int64_t groups,
-                      std::int64_t lut_dim) {
-  const std::int64_t d = lut_dim;
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const float* av = a + g * d;
-    const float* bv = b + g * d;
-    const float* lv = lut + g * d * d;
-    float acc = 0.0f;
-    for (std::int64_t i = 0; i < d; ++i) {
-      const float ai = av[i];
-      if (ai == 0.0f) continue;
-      const float* lrow = lv + i * d;
-      float inner = 0.0f;
-      for (std::int64_t j = 0; j < d; ++j) inner += bv[j] * lrow[j];
-      acc += ai * inner;
-    }
-    out[g] = acc;
-  }
-}
-
 Tensor lut_kron_dot(const Tensor& a, const Tensor& b, const Tensor& lut,
                     std::int64_t lut_dim) {
   TG_TRACE_SCOPE("nn/lut_kron_dot", obs::kSpanDetail);
@@ -1176,11 +1142,14 @@ Tensor lut_kron_dot(const Tensor& a, const Tensor& b, const Tensor& lut,
 
   auto impl = make_result(rows, groups, {&a, &b, &lut});
   const std::int64_t d = lut_dim;
+  // The fused inference step calls the same row kernel (one definition).
   for (std::int64_t r = 0; r < rows; ++r) {
-    lut_kron_dot_row(impl->data.data() + r * groups,
-                     a.data().data() + r * a.cols(),
-                     b.data().data() + r * b.cols(),
-                     lut.data().data() + r * lut.cols(), groups, d);
+    kern::kron_dot_row(impl->data.data() + r * groups,
+                       a.data().data() + r * a.cols(),
+                       b.data().data() + r * b.cols(),
+                       lut.data().data() + r * lut.cols(),
+                       static_cast<std::size_t>(groups),
+                       static_cast<std::size_t>(d));
   }
   if (impl->requires_grad) {
     auto pa = a.ptr();

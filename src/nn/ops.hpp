@@ -163,19 +163,4 @@ struct SpmmCsr {
 [[nodiscard]] Tensor lut_kron_dot(const Tensor& a, const Tensor& b,
                                   const Tensor& lut, std::int64_t lut_dim);
 
-// ---- per-row forms of the fused ops ----------------------------------------
-// The ops above run these once per row; the fused DelayProp inference step
-// (core/delay_prop.cpp) calls them on its row scratch, so both paths share
-// one copy of the arithmetic and agree bit for bit.
-
-/// One row of softmax_groups: out[0, cols) from in[0, cols); `cols` is a
-/// multiple of `group`. out must not alias in.
-void softmax_groups_row(float* out, const float* in, std::int64_t cols,
-                        std::int64_t group);
-/// One row of lut_kron_dot: out[g] for g in [0, groups), from coefficient
-/// rows a, b (groups·lut_dim each) and a LUT row of groups·lut_dim² values.
-void lut_kron_dot_row(float* out, const float* a, const float* b,
-                      const float* lut, std::int64_t groups,
-                      std::int64_t lut_dim);
-
 }  // namespace tg::nn

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -148,18 +150,135 @@ TEST(KernelEquiv, DotMatchesPortableAndContractTree) {
   }
 }
 
-TEST(KernelEquiv, MatmulRow) {
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 1}, {3, 5}, {4, 8}, {7, 9}, {8, 16}, {16, 16},
+/// matmul_rows tiles rows × columns in registers; every element must
+/// still follow the contract: assigned a[0]·b[j], then kk ascending (k = 0
+/// writes zeros: callers never pre-zero). rows = 1 runs the one-row path
+/// alone over ragged widths; rows 1..9 run every row tail of the 8- and
+/// 4-row blocking; the widths hit 16-column panels, the 8-column tail,
+/// the scalar tail and all three.
+TEST(KernelEquiv, MatmulRows) {
+  ForcePortableGuard guard;
+  struct Shape {
+    std::size_t rows, k, m;
+  };
+  std::vector<Shape> shapes;
+  const std::pair<std::size_t, std::size_t> one_row[] = {
+      {0, 5}, {0, 16}, {1, 1}, {3, 5}, {4, 8}, {7, 9}, {8, 16}, {16, 16},
       {17, 33}, {64, 64}, {5, 257}};
-  for (const auto& [k, m] : shapes) {
-    Rng rng(k * 1000 + m);
-    const std::vector<float> a = rand_vec(k, rng);
+  for (const auto& [k, m] : one_row) shapes.push_back({1, k, m});
+  const std::size_t ks[] = {0, 1, 3, 8, 24, 32};
+  const std::size_t ms[] = {3, 8, 16, 24, 32, 56, 57};
+  for (std::size_t rows = 1; rows <= 9; ++rows) {
+    for (const std::size_t k : ks) {
+      for (const std::size_t m : ms) shapes.push_back({rows, k, m});
+    }
+  }
+  for (const auto& [rows, k, m] : shapes) {
+    const std::string what = "matmul_rows rows=" + std::to_string(rows) +
+                             " k=" + std::to_string(k) +
+                             " m=" + std::to_string(m);
+    Rng rng(rows * 100003 + k * 1009 + m);
+    const std::vector<float> a = rand_vec(rows * k, rng, 0.1);
     const std::vector<float> b = rand_vec(k * m, rng);
-    check_out_kernel("matmul_row k=" + std::to_string(k), m,
-                     [&](std::vector<float>& out) {
-                       matmul_row(out.data(), a.data(), b.data(), k, m);
-                     });
+    // Pre-filled with garbage: the kernel must overwrite every element.
+    const std::vector<float> init = rand_vec(rows * m, rng);
+    std::vector<float> portable = init, simd = init, per_row = init;
+    set_force_portable(true);
+    matmul_rows(portable.data(), a.data(), b.data(), rows, k, m);
+    set_force_portable(false);
+    matmul_rows(simd.data(), a.data(), b.data(), rows, k, m);
+    for (std::size_t r = 0; r < rows; ++r) {
+      matmul_rows(per_row.data() + r * m, a.data() + r * k, b.data(), 1, k,
+                  m);
+    }
+    std::vector<float> ref(rows * m, 0.0f);
+    for (std::size_t r = 0; r < rows && k > 0; ++r) {
+      for (std::size_t j = 0; j < m; ++j) {
+        float acc = a[r * k] * b[j];
+        for (std::size_t kk = 1; kk < k; ++kk) {
+          acc += a[r * k + kk] * b[kk * m + j];
+        }
+        ref[r * m + j] = acc;
+      }
+    }
+    expect_bits_equal(portable, simd, what + " dispatched vs portable");
+    expect_bits_equal(per_row, simd, what + " vs one row at a time");
+    expect_bits_equal(ref, portable, what + " vs contract");
+  }
+}
+
+/// The Kronecker LUT read: the 8×7 serving shape runs one SIMD lane per
+/// group, other shapes the scalar loop. Exact ±0 coefficients must skip
+/// their LUT row entirely, so inf / NaN entries behind them must not
+/// reach the output; a NaN coefficient must not skip.
+TEST(KernelEquiv, KronDotRow) {
+  ForcePortableGuard guard;
+  const std::pair<std::size_t, std::size_t> shapes[] = {{8, 7}, {3, 5}};
+  for (const auto& [groups, d] : shapes) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const std::string what = "kron_dot_row " + std::to_string(groups) +
+                               "x" + std::to_string(d) +
+                               " seed=" + std::to_string(seed);
+      Rng rng(seed * 7 + groups * 131 + d);
+      std::vector<float> a = rand_vec(groups * d, rng, 0.2);
+      const std::vector<float> b = rand_vec(groups * d, rng);
+      std::vector<float> lut = rand_vec(groups * d * d, rng);
+      for (std::size_t g = 0; g < groups; ++g) {
+        for (std::size_t i = 0; i < d; ++i) {
+          float& ai = a[g * d + i];
+          if (ai != 0.0f) continue;
+          ai = (g + i + seed) % 2 == 0 ? 0.0f : -0.0f;
+          float* row = lut.data() + g * d * d + i * d;
+          row[(i + seed) % d] = std::signbit(ai)
+                                    ? std::numeric_limits<float>::quiet_NaN()
+                                    : std::numeric_limits<float>::infinity();
+        }
+      }
+      if (seed % 5 == 0) {
+        a[(seed % groups) * d] = std::numeric_limits<float>::quiet_NaN();
+      }
+      std::vector<float> portable(groups), simd(groups);
+      set_force_portable(true);
+      kron_dot_row(portable.data(), a.data(), b.data(), lut.data(), groups,
+                   d);
+      set_force_portable(false);
+      kron_dot_row(simd.data(), a.data(), b.data(), lut.data(), groups, d);
+      expect_bits_equal(portable, simd, what);
+      for (std::size_t g = 0; g < groups; ++g) {
+        const bool nan_coeff = seed % 5 == 0 && g == seed % groups;
+        EXPECT_EQ(std::isnan(portable[g]), nan_coeff) << what << " g=" << g;
+      }
+    }
+  }
+}
+
+/// softmax_groups_row: the 8×7 LUT-coefficient shape runs one SIMD lane
+/// per group around a scalar std::exp, other shapes the scalar loop. Both
+/// must match portable bit for bit, out of place and in place, including
+/// signed-zero ties in the max and -inf logits.
+TEST(KernelEquiv, SoftmaxGroupsRow) {
+  ForcePortableGuard guard;
+  const std::pair<std::size_t, std::size_t> shapes[] = {{56, 7}, {15, 5}};
+  for (const auto& [cols, group] : shapes) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const std::string what = "softmax_groups_row cols=" +
+                               std::to_string(cols) +
+                               " seed=" + std::to_string(seed);
+      Rng rng(seed * 13 + cols);
+      std::vector<float> in = rand_vec(cols, rng, 0.2);
+      for (float& x : in) x *= 8.0f;
+      in[seed % cols] = -0.0f;
+      in[(seed * 3) % cols] = -std::numeric_limits<float>::infinity();
+      std::vector<float> portable(cols), simd(cols);
+      set_force_portable(true);
+      softmax_groups_row(portable.data(), in.data(), cols, group);
+      set_force_portable(false);
+      softmax_groups_row(simd.data(), in.data(), cols, group);
+      expect_bits_equal(portable, simd, what);
+      std::vector<float> in_place = in;
+      softmax_groups_row(in_place.data(), in_place.data(), cols, group);
+      expect_bits_equal(portable, in_place, what + " in place");
+    }
   }
 }
 
