@@ -92,25 +92,6 @@ class ScalingReporter : public benchmark::ConsoleReporter {
       }
       std::printf("\n");
     }
-    // Kernels that differ only in an engine segment (…/level vs …/async)
-    // get a cross-engine line: level-time / async-time per thread count —
-    // the number the async-STA acceptance criterion watches.
-    for (const auto& [kernel, by_threads] : sweep_secs_) {
-      const std::size_t tag = kernel.find("/level");
-      if (tag == std::string::npos) continue;
-      std::string twin = kernel;
-      twin.replace(tag, 6, "/async");
-      const auto other = sweep_secs_.find(twin);
-      if (other == sweep_secs_.end()) continue;
-      std::printf("# engine speedup: %.*s async-vs-level",
-                  static_cast<int>(tag), kernel.c_str());
-      for (const auto& [t, level_secs] : by_threads) {
-        const auto a = other->second.find(t);
-        if (a == other->second.end() || a->second <= 0.0) continue;
-        std::printf(" t%d=%.2fx", t, level_secs / a->second);
-      }
-      std::printf("\n");
-    }
     std::fflush(stdout);
   }
 

@@ -1,19 +1,16 @@
 /// \file micro_sta.cpp
 /// Microbenchmarks for the golden STA substrate: timing-graph build,
 /// levelization, and full 4-corner propagation — the denominators of the
-/// paper's Table-5 runtime comparison. Every propagation bench exists in a
-/// levelized and an async-worklist flavor (see util/task_graph.hpp); the
-/// `--sweep` matrix crosses design × engine × threads so the
-/// async-vs-level speedups on deep-level designs are recorded in
+/// paper's Table-5 runtime comparison. The `--sweep` matrix crosses
+/// design × threads, so the level walk's thread scaling is recorded in
 /// BENCH_micro_sta.json.
 ///
 ///   micro_sta --scale=0.125      # design scale (default 1/16 of Table 1)
 ///
 /// `--json` additionally embeds an "occupancy" section: per design, the
 /// level count and a log2 histogram of nodes-per-level — the structural
-/// quantity that decides how much a barrier-free engine can win (many
-/// narrow levels → the level engine serializes, the worklist engine
-/// doesn't).
+/// quantity that decides whether a level's parallel_for pays for its
+/// barrier (many narrow levels → the walk serializes).
 
 #include <benchmark/benchmark.h>
 
@@ -32,7 +29,6 @@
 #include "sta/incremental.hpp"
 #include "sta/paths.hpp"
 #include "util/parallel.hpp"
-#include "util/task_graph.hpp"
 
 namespace tg {
 namespace {
@@ -40,19 +36,10 @@ namespace {
 /// Design scale shared by every bench in this file (--scale=X).
 double g_scale = 1.0 / 16;
 
-/// Sets the propagation engine for one benchmark body and restores the
-/// previous choice afterwards, so bench ordering cannot leak state.
-struct EngineScope {
-  explicit EngineScope(StaEngine engine) { set_sta_engine(engine); }
-  ~EngineScope() { set_sta_engine(saved_); }
-  StaEngine saved_ = sta_engine();
-};
-
 /// A deep-narrow stress design that is NOT in the Table-1 suite: long
 /// adder/xor chains, tiny fanout, register-to-register depth ~8× the suite
 /// designs. Its level profile (hundreds of levels a handful of nodes wide)
-/// is the worst case for per-level barriers and the best case for the
-/// async worklist — the design the ≥1.3x acceptance number is measured on.
+/// is the worst case for per-level barriers.
 DesignSpec deepchain_spec(double scale) {
   DesignSpec spec;
   spec.name = "deepchain";
@@ -107,11 +94,9 @@ void BM_TimingGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TimingGraphBuild);
 
-/// Full 4-corner propagation under a given engine; shared body of the
-/// BM_StaPropagation* family.
-void run_propagation(benchmark::State& state, const char* design,
-                     StaEngine engine) {
-  const EngineScope scope(engine);
+/// Full 4-corner propagation; shared body of the BM_StaPropagation*
+/// family and the sweep.
+void run_propagation(benchmark::State& state, const char* design) {
   const Prepared& p = prepared(design, g_scale);
   const TimingGraph graph(*p.design);
   for (auto _ : state) {
@@ -122,29 +107,19 @@ void run_propagation(benchmark::State& state, const char* design,
 }
 
 void BM_StaPropagation(benchmark::State& state) {
-  run_propagation(state, "picorv32a", StaEngine::kLevel);
+  run_propagation(state, "picorv32a");
 }
 BENCHMARK(BM_StaPropagation);
 
-void BM_StaPropagationAsync(benchmark::State& state) {
-  run_propagation(state, "picorv32a", StaEngine::kAsync);
-}
-BENCHMARK(BM_StaPropagationAsync);
-
 void BM_StaPropagationLarge(benchmark::State& state) {
-  run_propagation(state, "aes256", StaEngine::kLevel);
+  run_propagation(state, "aes256");
 }
 BENCHMARK(BM_StaPropagationLarge);
 
 void BM_StaPropagationDeep(benchmark::State& state) {
-  run_propagation(state, "deepchain", StaEngine::kLevel);
+  run_propagation(state, "deepchain");
 }
 BENCHMARK(BM_StaPropagationDeep);
-
-void BM_StaPropagationDeepAsync(benchmark::State& state) {
-  run_propagation(state, "deepchain", StaEngine::kAsync);
-}
-BENCHMARK(BM_StaPropagationDeepAsync);
 
 void BM_WorstPaths(benchmark::State& state) {
   const Prepared& p = prepared("picorv32a", g_scale);
@@ -157,10 +132,8 @@ void BM_WorstPaths(benchmark::State& state) {
 BENCHMARK(BM_WorstPaths);
 
 /// Cost of re-timing after a single-net ECO, vs BM_StaPropagation's full
-/// run on the same design. The async flavor exercises the dirty-cone
-/// worklist seeding instead of the serial priority-queue walk.
-void run_incremental(benchmark::State& state, StaEngine engine) {
-  const EngineScope scope(engine);
+/// run on the same design.
+void BM_IncrementalOneNet(benchmark::State& state) {
   Prepared& p = const_cast<Prepared&>(prepared("picorv32a", g_scale));
   const TimingGraph graph(*p.design);
   IncrementalTimer inc(graph, &p.routing);
@@ -184,18 +157,9 @@ void run_incremental(benchmark::State& state, StaEngine engine) {
     inc.invalidate_net(net);
     benchmark::DoNotOptimize(inc.update());
   }
-  state.SetItemsProcessed(state.iterations() * inc.last_update_visited());
-}
-
-void BM_IncrementalOneNet(benchmark::State& state) {
-  run_incremental(state, StaEngine::kLevel);
+  state.SetItemsProcessed(state.iterations() * inc.last_update_cone());
 }
 BENCHMARK(BM_IncrementalOneNet);
-
-void BM_IncrementalOneNetAsync(benchmark::State& state) {
-  run_incremental(state, StaEngine::kAsync);
-}
-BENCHMARK(BM_IncrementalOneNetAsync);
 
 void BM_NldmLookup(benchmark::State& state) {
   const Library lib = build_library();
@@ -220,33 +184,20 @@ BENCHMARK(BM_NldmLookup);
 /// anchors plus the deep-narrow stress case.
 constexpr const char* kSweepDesigns[] = {"picorv32a", "aes256", "deepchain"};
 
-/// --sweep: full-timer update across thread counts × designs × engines —
-/// the parallel-scaling regression matrix (see micro_common.hpp). Names
-/// are `SWEEP_StaPropagation/<design>/<engine>/threads:<t>`, so the sweep
-/// summary prints one speedup line per design/engine pair and the JSON
-/// records level-vs-async at every thread count.
+/// --sweep: full-timer update across thread counts × designs — the
+/// parallel-scaling regression matrix (see micro_common.hpp). Names are
+/// `SWEEP_StaPropagation/<design>/threads:<t>`, so the sweep summary
+/// prints one speedup line per design.
 void register_sweep(const std::vector<int>& thread_counts) {
-  constexpr StaEngine kEngines[] = {StaEngine::kLevel, StaEngine::kAsync};
   for (const char* design : kSweepDesigns) {
-    for (const StaEngine engine : kEngines) {
-      for (const int t : thread_counts) {
-        const std::string name = std::string("SWEEP_StaPropagation/") +
-                                 design + "/" + sta_engine_name(engine) +
-                                 "/threads:" + std::to_string(t);
-        benchmark::RegisterBenchmark(
-            name.c_str(), [design, engine, t](benchmark::State& state) {
-              set_num_threads(t);
-              const EngineScope scope(engine);
-              const Prepared& p = prepared(design, g_scale);
-              const TimingGraph graph(*p.design);
-              for (auto _ : state) {
-                const StaResult sta = run_sta(graph, p.routing);
-                benchmark::DoNotOptimize(sta.wns_setup);
-              }
-              state.SetItemsProcessed(state.iterations() *
-                                      p.design->num_pins());
-            });
-      }
+    for (const int t : thread_counts) {
+      const std::string name = std::string("SWEEP_StaPropagation/") + design +
+                               "/threads:" + std::to_string(t);
+      benchmark::RegisterBenchmark(
+          name.c_str(), [design, t](benchmark::State& state) {
+            set_num_threads(t);
+            run_propagation(state, design);
+          });
     }
   }
 }

@@ -9,8 +9,9 @@
 #          produce parseable artifacts covering every layer, tg_top must
 #          render both, and the disabled-mode span overhead selfcheck
 #          must stay within budget
-#   tsan   TSan build running the `tsan` label (thread pool, allocator
-#          and the async worklist STA engine under real interleavings)
+#   tsan   TSan build running the `tsan` label (thread pool, allocator,
+#          the level-walk STA's threaded and concurrent shared-graph
+#          sweeps and its cancellation checkpoints, serving plane)
 #   bench  perf gate: micro_models --selfcheck (steady-state allocator
 #          hit rate on real train steps) plus micro_nn_ops/micro_models/
 #          micro_sta --json medians vs the checked-in bench/BENCH_*.json
@@ -95,8 +96,9 @@ run_bench() {
   TG_THREADS=1 ./build-ci/bench/micro_models \
     --json="$dir/BENCH_micro_models.json" --benchmark_min_time=0.2 \
     --benchmark_repetitions=3 > /dev/null
-  # Both engines' plain propagation benches; the SWEEP_* scaling entries
-  # in the checked-in baseline are machine-shaped and skipped by the gate.
+  # The plain propagation and incremental benches; the SWEEP_* scaling
+  # entries in the checked-in baseline are machine-shaped and skipped by
+  # the gate.
   TG_THREADS=1 ./build-ci/bench/micro_sta \
     --json="$dir/BENCH_micro_sta.json" --benchmark_min_time=0.1 \
     --benchmark_repetitions=3 > /dev/null

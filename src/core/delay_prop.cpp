@@ -7,7 +7,6 @@
 #include "util/check.hpp"
 #include "util/obs/trace.hpp"
 #include "util/parallel.hpp"
-#include "util/task_graph.hpp"
 
 namespace tg::core {
 
@@ -208,9 +207,6 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
     out.state = forward_fused(g, plan, embedding);
     out.cell_delay = Tensor::zeros(0, kNumCorners);
     return out;
-  }
-  if (sta_engine() == StaEngine::kAsync && plan.num_levels > 1) {
-    return forward_async(g, plan, embedding, want_aux);
   }
 
   std::vector<Tensor> level_states;
@@ -464,139 +460,6 @@ Tensor DelayProp::forward_fused(const data::DatasetGraph& g,
     });
   }
   return state;
-}
-
-DelayProp::Output DelayProp::forward_async(const data::DatasetGraph& g,
-                                           const PropPlan& plan,
-                                           const Tensor& embedding,
-                                           bool want_aux) const {
-  TG_TRACE_SCOPE("gnn/delay_prop/async", obs::kSpanDetail);
-  const auto levels = static_cast<std::size_t>(plan.num_levels);
-
-  // Per-level slots. Each is written by exactly one task and read only by
-  // tasks downstream of it, so the engine's publication contract makes
-  // every read see a fully-written tensor.
-  std::vector<Tensor> level_states(levels);              // combine(l)
-  std::vector<Tensor> net_in(levels);                    // net(l)
-  std::vector<Tensor> cell_sum(levels), cell_max(levels);  // cell(l)
-  std::vector<Tensor> interp(levels), cell_state_u(levels);  // cell(l)
-  std::vector<Tensor> delay_parts(levels);               // aux(l)
-
-  // Four tasks per level: the net and cell message branches, the
-  // auxiliary cell-delay head, and the combine that publishes the level's
-  // state. Net/cell tasks of level l depend on the combines of exactly
-  // the levels feeding them (the feeds' dep_levels), so the two branches
-  // of one level, the aux head of the previous level, and shallow side
-  // inputs of deeper levels all overlap — there is no per-level barrier.
-  // Each task runs the same op sequence on the same inputs as the serial
-  // walk, so the autograd graph (and therefore forward values and
-  // gradients) is bit-identical.
-  enum { kNet = 0, kCell = 1, kAux = 2, kCombine = 3 };
-  const auto task_id = [](int l, int kind) { return 4 * l + kind; };
-  std::vector<std::pair<int, int>> edges;
-  for (int l = 0; l < plan.num_levels; ++l) {
-    edges.emplace_back(task_id(l, kNet), task_id(l, kCombine));
-    edges.emplace_back(task_id(l, kCell), task_id(l, kCombine));
-    edges.emplace_back(task_id(l, kCell), task_id(l, kAux));
-    if (l == 0) continue;
-    const auto lu = static_cast<std::size_t>(l);
-    for (int dl : plan.net_feed[lu].dep_levels) {
-      edges.emplace_back(task_id(dl, kCombine), task_id(l, kNet));
-    }
-    for (int dl : plan.cell_feed[lu].dep_levels) {
-      edges.emplace_back(task_id(dl, kCombine), task_id(l, kCell));
-    }
-  }
-  const TaskDag dag = TaskDag::from_edges(4 * plan.num_levels, edges);
-
-  // Tasks run on pool workers, whose thread-local grad mode is not the
-  // caller's: each task body re-installs it, so an inference caller's
-  // levels stay tape-free on every worker.
-  const bool grad = nn::grad_enabled();
-  const TaskDagStats stats = run_task_dag(dag, [&](int v) {
-    const nn::NoGradGuard no_grad(!grad);
-    const int l = v / 4;
-    const auto lu = static_cast<std::size_t>(l);
-    const std::int64_t n_l =
-        static_cast<std::int64_t>(plan.level_rows[lu]->size());
-    switch (v % 4) {
-      case kNet: {
-        if (l == 0) break;
-        const PropPlan::NetFeed& nf = plan.net_feed[lu];
-        if (nf.src_t->empty()) {
-          net_in[lu] = Tensor::zeros(n_l, config_.hidden);
-          break;
-        }
-        Tensor state_u = nn::multi_gather(
-            dep_states(level_states, nf.dep_levels), nf.src_t, nf.src_r);
-        Tensor e_feat = nn::gather_rows(g.net_edge_feat, nf.feat_rows);
-        Tensor emb_v = nn::gather_rows(embedding, nf.emb_v_rows);
-        const Tensor np_in[] = {state_u, e_feat, emb_v};
-        Tensor msg = net_prop_.forward(nn::concat_cols(np_in));
-        net_in[lu] = nn::segment_sum(msg, nf.dst_row, n_l);
-        break;
-      }
-      case kCell: {
-        if (l == 0) break;
-        const PropPlan::CellFeed& cf = plan.cell_feed[lu];
-        if (cf.src_t->empty()) {
-          cell_sum[lu] = Tensor::zeros(n_l, config_.hidden);
-          cell_max[lu] = Tensor::zeros(n_l, config_.hidden);
-          break;
-        }
-        Tensor state_u = nn::multi_gather(
-            dep_states(level_states, cf.dep_levels), cf.src_t, cf.src_r);
-        Tensor emb_u = nn::gather_rows(embedding, cf.emb_u_rows);
-        Tensor emb_v = nn::gather_rows(embedding, cf.emb_v_rows);
-        Tensor cell_feat = nn::gather_rows(g.cell_edge_feat, cf.feat_rows);
-
-        const Tensor q_in[] = {state_u, emb_u, emb_v};
-        interp[lu] = lut_.forward(nn::concat_cols(q_in), cell_feat);
-
-        const Tensor cp_in[] = {state_u, interp[lu], emb_v};
-        Tensor msg = cell_prop_.forward(nn::concat_cols(cp_in));
-        cell_sum[lu] = nn::segment_sum(msg, cf.dst_row, n_l);
-        cell_max[lu] = nn::segment_max(msg, cf.dst_row, n_l);
-        cell_state_u[lu] = state_u;
-        break;
-      }
-      case kAux: {
-        if (!want_aux || l == 0 || plan.cell_feed[lu].src_t->empty()) break;
-        const Tensor cd_in[] = {interp[lu], cell_state_u[lu]};
-        delay_parts[lu] = cell_delay_head_.forward(nn::concat_cols(cd_in));
-        break;
-      }
-      case kCombine: {
-        if (l == 0) {
-          Tensor emb0 = nn::gather_rows(embedding, plan.level_rows[0]);
-          level_states[0] = entry_.forward_relu(emb0);
-          break;
-        }
-        Tensor emb_level = nn::gather_rows(embedding, plan.level_rows[lu]);
-        const Tensor comb_in[] = {net_in[lu], cell_sum[lu], cell_max[lu],
-                                  emb_level};
-        level_states[lu] = combine_.forward_relu(nn::concat_cols(comb_in));
-        break;
-      }
-      default:
-        break;
-    }
-  });
-  record_task_dag_metrics(stats);
-
-  Output out;
-  out.state =
-      nn::multi_gather(level_states, plan.assemble_t, plan.assemble_r);
-  std::vector<Tensor> parts;  // serial order: levels ascending
-  for (std::size_t l = 1; l < levels; ++l) {
-    if (delay_parts[l].defined()) parts.push_back(delay_parts[l]);
-  }
-  if (parts.empty()) {
-    out.cell_delay = Tensor::zeros(0, kNumCorners);
-  } else {
-    out.cell_delay = nn::concat_rows(parts);
-  }
-  return out;
 }
 
 }  // namespace tg::core

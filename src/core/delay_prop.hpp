@@ -40,9 +40,7 @@ struct PropPlan {
   // levels of this level's edges, ascending), not into the full level
   // list. The forward pass hands multi_gather only the dep levels' state
   // tensors, so the gather's autograd parents are exactly the levels that
-  // feed it — which is what lets the async engine fire a level as soon as
-  // its actual dependencies (not all earlier levels) are done, with an
-  // autograd graph identical to the serial walk's.
+  // feed it, not every earlier level.
   struct NetFeed {
     std::vector<int> dep_levels;  ///< distinct source levels, ascending
     nn::IndexVec src_t;      ///< index into dep_levels per edge
@@ -92,17 +90,16 @@ class DelayProp : public nn::Module {
   /// feeds only the training loss); `state` is unchanged and `cell_delay`
   /// comes back empty.
   ///
-  /// Two walks produce bit-identical `state`:
+  /// Two walks produce bit-identical `state`, both level by level with a
+  /// cancellation checkpoint at every level boundary:
   ///  - Under an nn::NoGradGuard with `want_aux = false` (the serving
-  ///    path, TimingGnn::forward_atslew) every engine takes the fused
-  ///    inference step: per level, the incoming edges stream through
-  ///    gather → MLP → LUT interp → sum/max reduce on arena scratch, with
-  ///    no per-op tensors (DESIGN.md §10).
-  ///  - Otherwise the taped op-chain walk runs. Only this walk honors the
-  ///    global STA engine switch (util/task_graph.hpp): with `async` the
-  ///    per-level net/cell/aux/combine steps run as a dependency DAG on
-  ///    the worklist engine — branch steps of independent levels overlap
-  ///    — producing bit-identical outputs and gradients.
+  ///    path, TimingGnn::forward_atslew) the fused inference step runs:
+  ///    per level, the incoming edges stream through gather → MLP → LUT
+  ///    interp → sum/max reduce on arena scratch, with no per-op tensors
+  ///    (DESIGN.md §10).
+  ///  - Otherwise the taped op-chain walk runs, one op sequence per
+  ///    level; each op splits its rows across the pool, so values and
+  ///    gradients do not depend on the thread count.
   [[nodiscard]] Output forward(const data::DatasetGraph& g,
                                const PropPlan& plan,
                                const nn::Tensor& embedding,
@@ -115,10 +112,6 @@ class DelayProp : public nn::Module {
   [[nodiscard]] nn::Tensor forward_fused(const data::DatasetGraph& g,
                                          const PropPlan& plan,
                                          const nn::Tensor& embedding) const;
-  [[nodiscard]] Output forward_async(const data::DatasetGraph& g,
-                                     const PropPlan& plan,
-                                     const nn::Tensor& embedding,
-                                     bool want_aux) const;
   DelayPropConfig config_;
   int embed_dim_ = 0;
   nn::Mlp entry_;      ///< roots: embedding → initial state

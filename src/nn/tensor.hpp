@@ -118,12 +118,11 @@ inline thread_local bool t_grad_enabled = true;
 /// constructors (Tensor::zeros(..., true), parameters) are unaffected.
 /// Guards nest: each restores the mode it found. The flag is
 /// thread-local, so code that fans ops out to pool workers must re-install
-/// it there (DelayProp's async engine does; `engaged = false` makes the
-/// guard a no-op, which lets a task body mirror the caller's mode).
+/// it there.
 class NoGradGuard {
  public:
-  explicit NoGradGuard(bool engaged = true) : prev_(detail::t_grad_enabled) {
-    if (engaged) detail::t_grad_enabled = false;
+  NoGradGuard() : prev_(detail::t_grad_enabled) {
+    detail::t_grad_enabled = false;
   }
   ~NoGradGuard() { detail::t_grad_enabled = prev_; }
   NoGradGuard(const NoGradGuard&) = delete;

@@ -528,7 +528,7 @@ void SlackServer::handle(Ticket ticket) {
   }
 
   // Deadline + client cancel merged into one ambient token chain: every
-  // task-graph batch, STA level and GNN level step below polls it.
+  // STA level, incremental cone batch and GNN level step below polls it.
   const CancelSource source =
       ticket.deadline != kNoDeadline
           ? CancelSource::with_deadline(ticket.deadline, ticket.req.cancel)

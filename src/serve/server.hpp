@@ -8,8 +8,8 @@
 ///  * **Deadlines & cancellation**: each request's budget becomes a
 ///    `CancelSource` chained with the client's cancel token and installed
 ///    as the worker's ambient token, so the STA sweeps, the incremental
-///    cone walk and the GNN forward all stop within one task-graph batch
-///    of the trip (util/cancel.hpp).
+///    cone walk and the GNN forward all stop within one level of the trip
+///    (util/cancel.hpp).
 ///  * **Micro-batching**: compatible full-graph prediction requests
 ///    (pristine sessions of the same design template) are coalesced into
 ///    one GNN forward.

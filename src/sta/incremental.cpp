@@ -1,14 +1,12 @@
 #include "sta/incremental.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <queue>
 
 #include "util/cancel.hpp"
 #include "util/check.hpp"
 #include "util/obs/metrics.hpp"
 #include "util/obs/trace.hpp"
-#include "util/task_graph.hpp"
 
 namespace tg {
 
@@ -37,7 +35,6 @@ IncrementalTimer::IncrementalTimer(const TimingGraph& graph,
 void IncrementalTimer::run_full() {
   result_ = run_sta(*graph_, *routing_, options_);
   dirty_nets_.clear();
-  visited_ = graph_->num_nodes();
   cone_nodes_ = graph_->num_nodes();
 }
 
@@ -56,7 +53,6 @@ bool IncrementalTimer::recompute_pin(PinId pin) {
 
 int IncrementalTimer::update() {
   if (dirty_nets_.empty()) {
-    visited_ = 0;
     cone_nodes_ = 0;
     return 0;
   }
@@ -76,59 +72,39 @@ int IncrementalTimer::update() {
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
 
   int changed_pins = 0;
-  if (sta_engine() == StaEngine::kAsync) {
-    // Dirty-cone worklist: the engine BFS-discovers the fanout cone of
-    // the seed frontier, then drains it dependency-counted — no levels, no
-    // priority queue. Pruning matches the serial walk: a non-seed pin is
-    // only re-evaluated when an in-cone predecessor actually changed.
-    TG_TRACE_SCOPE("sta/incremental/async", obs::kSpanDetail);
-    std::atomic<int> changed{0};
-    const ConeStats cone =
-        run_task_dag_cone(graph_->forward_dag(), seeds, [&](int p) {
-          const bool moved = recompute_pin(p);
-          if (moved) changed.fetch_add(1, std::memory_order_relaxed);
-          return moved;
-        });
-    changed_pins = changed.load(std::memory_order_relaxed);
-    visited_ = cone.evaluated;
-    cone_nodes_ = cone.cone_nodes;
-    record_task_dag_metrics(cone.run);
-  } else {
-    std::priority_queue<LevelEntry, std::vector<LevelEntry>,
-                        std::greater<LevelEntry>>
-        queue;
-    std::vector<char> queued(static_cast<std::size_t>(graph_->num_nodes()), 0);
-    auto enqueue = [&](PinId p) {
-      if (!queued[static_cast<std::size_t>(p)]) {
-        queued[static_cast<std::size_t>(p)] = 1;
-        queue.push(LevelEntry{graph_->level(p), p});
-      }
-    };
-    for (PinId p : seeds) enqueue(p);
-
-    visited_ = 0;
-    const CancelToken cancel = current_cancel_token();
-    while (!queue.empty()) {
-      // Poll every 128 pops: the clock read stays off the per-pin path but
-      // a cancelled update still stops within ~one task batch.
-      if ((visited_ & 127) == 0) cancel.throw_if_cancelled();
-      const PinId p = queue.top().pin;
-      queue.pop();
-      ++visited_;
-      const bool changed = recompute_pin(p);
-      if (!changed) continue;
-      ++changed_pins;
-      for (int a : graph_->out_net_arcs(p)) {
-        enqueue(graph_->net_arcs()[static_cast<std::size_t>(a)].to);
-      }
-      for (int a : graph_->out_cell_arcs(p)) {
-        enqueue(graph_->cell_arcs()[static_cast<std::size_t>(a)].to);
-      }
+  std::priority_queue<LevelEntry, std::vector<LevelEntry>,
+                      std::greater<LevelEntry>>
+      queue;
+  std::vector<char> queued(static_cast<std::size_t>(graph_->num_nodes()), 0);
+  auto enqueue = [&](PinId p) {
+    if (!queued[static_cast<std::size_t>(p)]) {
+      queued[static_cast<std::size_t>(p)] = 1;
+      queue.push(LevelEntry{graph_->level(p), p});
     }
-    cone_nodes_ = visited_;
+  };
+  for (PinId p : seeds) enqueue(p);
+
+  cone_nodes_ = 0;
+  const CancelToken cancel = current_cancel_token();
+  while (!queue.empty()) {
+    // Poll every 128 pops: the clock read stays off the per-pin path but
+    // a cancelled update still stops within 128 pins.
+    if ((cone_nodes_ & 127) == 0) cancel.throw_if_cancelled();
+    const PinId p = queue.top().pin;
+    queue.pop();
+    ++cone_nodes_;
+    const bool changed = recompute_pin(p);
+    if (!changed) continue;
+    ++changed_pins;
+    for (int a : graph_->out_net_arcs(p)) {
+      enqueue(graph_->net_arcs()[static_cast<std::size_t>(a)].to);
+    }
+    for (int a : graph_->out_cell_arcs(p)) {
+      enqueue(graph_->cell_arcs()[static_cast<std::size_t>(a)].to);
+    }
   }
 
-  TG_METRIC_COUNT("sta/incremental_pins_visited", visited_);
+  TG_METRIC_COUNT("sta/incremental_pins_visited", cone_nodes_);
   TG_METRIC_COUNT("sta/incremental_pins_changed", changed_pins);
   if (changed_pins > 0) {
     sta_detail::compute_required(*graph_, options_, result_);

@@ -3,9 +3,11 @@
 /// Incremental timing update: after a small set of nets change their
 /// parasitics (an ECO, a placement move, a resized driver), re-propagate
 /// arrival/slew only through the affected fanout cones instead of the
-/// whole design. Required times are refreshed lazily on the affected
-/// backward cone. Produces results identical to a full run_sta (tested),
-/// typically touching a small fraction of the pins.
+/// whole design. The cone walk visits pins in level order and stops at
+/// pins whose values did not move. When any arrival or slew changed,
+/// required times and slacks are re-swept over every level
+/// (sta_detail::compute_required). Produces results identical to a full
+/// run_sta (tested), typically touching a small fraction of the pins.
 
 #include <unordered_set>
 
@@ -31,28 +33,21 @@ class IncrementalTimer {
   int update();
 
   [[nodiscard]] const StaResult& result() const { return result_; }
-  /// Pins re-evaluated by the last update() (diagnostics).
-  [[nodiscard]] long long last_update_visited() const { return visited_; }
-  /// Size of the dirty cone the last update() worked over: with the async
-  /// engine the BFS-discovered fanout cone of the seed frontier, with the
-  /// level engine the pins the pruned walk actually popped. Compare against
-  /// TimingGraph::num_nodes() to see the incremental win (eco_resize does).
+  /// Pins the last update()'s pruned cone walk re-evaluated. Compare
+  /// against TimingGraph::num_nodes() to see the incremental win
+  /// (eco_resize does).
   [[nodiscard]] long long last_update_cone() const { return cone_nodes_; }
 
  private:
   /// Recomputes arrival/slew/net_delay of one pin from its predecessors;
   /// returns true if any value moved by more than kEps.
   bool recompute_pin(PinId pin);
-  /// Backward required-time refresh over the whole graph (cheap sweep,
-  /// run once per update when anything changed).
-  void refresh_required_times();
 
   const TimingGraph* graph_;
   DesignRouting* routing_;
   StaOptions options_;
   StaResult result_;
   std::unordered_set<NetId> dirty_nets_;
-  long long visited_ = 0;
   long long cone_nodes_ = 0;
 };
 

@@ -1,14 +1,15 @@
 #include "sta/timer.hpp"
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <string>
 
 #include "util/cancel.hpp"
 #include "util/check.hpp"
 #include "util/obs/metrics.hpp"
 #include "util/obs/trace.hpp"
 #include "util/parallel.hpp"
-#include "util/task_graph.hpp"
 #include "util/timer.hpp"
 
 namespace tg {
@@ -41,6 +42,19 @@ void input_trans_candidates(Sense sense, Trans out, Trans cands[2], int& n) {
       return;
   }
   n = 0;
+}
+
+/// TG_STA_ENGINE used to choose between propagation engines; the level
+/// walk is now the only one. A leftover setting other than `level` stops
+/// the run instead of being silently ignored.
+void reject_retired_engine_knob() {
+  const char* env = std::getenv("TG_STA_ENGINE");
+  if (env == nullptr) return;
+  const std::string v(env);
+  TG_CHECK_MSG(v.empty() || v == "level",
+               "TG_STA_ENGINE=" << v
+                                << ": the level walk is the only STA engine "
+                                   "(async and shard were removed)");
 }
 
 }  // namespace
@@ -215,32 +229,23 @@ void compute_required(const TimingGraph& graph, const StaOptions& options,
     }
   });
 
-  // Backward sweep over the reversed graph. Level engine: levels
-  // descending, all pins of a level in parallel (every successor lives on
-  // a higher level, so its RAT is final). Async engine: a pin relaxes the
-  // moment its last fan-out retires. relax_required_pin writes only
-  // rat[p], so both orders produce identical bits.
-  if (sta_engine() == StaEngine::kAsync) {
-    TG_TRACE_SCOPE("sta/backward/async", obs::kSpanDetail);
-    TG_METRIC_COUNT("sta/pins_relaxed", n);
-    const TaskDagStats stats = run_task_dag(
-        graph.backward_dag(), [&](int p) { relax_required_pin(graph, r, p); });
-    record_task_dag_metrics(stats);
-  } else {
-    const CancelToken cancel = current_cancel_token();
-    for (int l = graph.num_levels() - 1; l >= 0; --l) {
-      cancel.throw_if_cancelled();  // level boundary = cancellation checkpoint
-      const std::span<const PinId> level = graph.level_pins(l);
-      TG_TRACE_SCOPE("sta/backward/level", obs::kSpanDetail);
-      TG_METRIC_COUNT("sta/pins_relaxed", level.size());
-      parallel_for(0, static_cast<std::int64_t>(level.size()), kLevelGrain,
-                   [&](std::int64_t b, std::int64_t e) {
-                     for (std::int64_t i = b; i < e; ++i) {
-                       relax_required_pin(graph, r,
-                                          level[static_cast<std::size_t>(i)]);
-                     }
-                   });
-    }
+  // Backward sweep over the reversed graph: levels descending, all pins
+  // of a level in parallel (every successor lives on a higher level, so
+  // its RAT is final). relax_required_pin writes only rat[p], so the
+  // result does not depend on the thread count.
+  const CancelToken cancel = current_cancel_token();
+  for (int l = graph.num_levels() - 1; l >= 0; --l) {
+    cancel.throw_if_cancelled();  // level boundary = cancellation checkpoint
+    const std::span<const PinId> level = graph.level_pins(l);
+    TG_TRACE_SCOPE("sta/backward/level", obs::kSpanDetail);
+    TG_METRIC_COUNT("sta/pins_relaxed", level.size());
+    parallel_for(0, static_cast<std::int64_t>(level.size()), kLevelGrain,
+                 [&](std::int64_t b, std::int64_t e) {
+                   for (std::int64_t i = b; i < e; ++i) {
+                     relax_required_pin(graph, r,
+                                        level[static_cast<std::size_t>(i)]);
+                   }
+                 });
   }
 
   // Slack (per-pin, parallel) then the serial endpoint summary so WNS/TNS
@@ -275,6 +280,8 @@ void compute_required(const TimingGraph& graph, const StaOptions& options,
 
 StaResult run_sta(const TimingGraph& graph, const DesignRouting& routing,
                   const StaOptions& options) {
+  [[maybe_unused]] static const bool engine_knob_checked =
+      (reject_retired_engine_knob(), true);
   const Design& d = graph.design();
   const int n = d.num_pins();
   TG_CHECK(static_cast<int>(routing.nets.size()) == d.num_nets());
@@ -295,43 +302,27 @@ StaResult run_sta(const TimingGraph& graph, const DesignRouting& routing,
   r.pred_pin.assign(static_cast<std::size_t>(n), {-1, -1, -1, -1});
   r.pred_corner.assign(static_cast<std::size_t>(n), {-1, -1, -1, -1});
 
-  // Forward sweep. Two engines compute the same (bit-identical) result:
-  //
-  //  * kLevel — level-synchronized: each parallel_for is a barrier, and
-  //    every predecessor of a level-L pin lives below L.
-  //  * kAsync — worklist-driven: a pin fires the moment its last fan-in
-  //    retires; no barriers, so narrow levels no longer serialize the
-  //    sweep (util/task_graph.hpp).
-  //
-  // Both are safe because propagate_pin writes only pin-owned rows (a
-  // cell arc's delay slot is owned by its unique `to` pin) and reads only
-  // finalized predecessors, so the result is independent of interleaving.
+  // Forward sweep, level-synchronized: each parallel_for is a barrier,
+  // and every predecessor of a level-L pin lives below L. propagate_pin
+  // writes only pin-owned rows (a cell arc's delay slot is owned by its
+  // unique `to` pin) and reads only finalized predecessors, so the result
+  // does not depend on the thread count.
   {
     TG_TRACE_SCOPE("sta/forward", obs::kSpanCoarse);
-    if (sta_engine() == StaEngine::kAsync) {
-      TG_TRACE_SCOPE("sta/forward/async", obs::kSpanDetail);
-      TG_METRIC_COUNT("sta/pins_propagated", n);
-      const TaskDagStats stats =
-          run_task_dag(graph.forward_dag(), [&](int p) {
-            sta_detail::propagate_pin(graph, routing, options, r, p);
-          });
-      record_task_dag_metrics(stats);
-    } else {
-      const CancelToken cancel = current_cancel_token();
-      for (int l = 0; l < graph.num_levels(); ++l) {
-        cancel.throw_if_cancelled();  // level boundary = cancellation checkpoint
-        const std::span<const PinId> level = graph.level_pins(l);
-        TG_TRACE_SCOPE("sta/forward/level", obs::kSpanDetail);
-        TG_METRIC_COUNT("sta/pins_propagated", level.size());
-        parallel_for(0, static_cast<std::int64_t>(level.size()), kLevelGrain,
-                     [&](std::int64_t b, std::int64_t e) {
-                       for (std::int64_t i = b; i < e; ++i) {
-                         sta_detail::propagate_pin(
-                             graph, routing, options, r,
-                             level[static_cast<std::size_t>(i)]);
-                       }
-                     });
-      }
+    const CancelToken cancel = current_cancel_token();
+    for (int l = 0; l < graph.num_levels(); ++l) {
+      cancel.throw_if_cancelled();  // level boundary = cancellation checkpoint
+      const std::span<const PinId> level = graph.level_pins(l);
+      TG_TRACE_SCOPE("sta/forward/level", obs::kSpanDetail);
+      TG_METRIC_COUNT("sta/pins_propagated", level.size());
+      parallel_for(0, static_cast<std::int64_t>(level.size()), kLevelGrain,
+                   [&](std::int64_t b, std::int64_t e) {
+                     for (std::int64_t i = b; i < e; ++i) {
+                       sta_detail::propagate_pin(
+                           graph, routing, options, r,
+                           level[static_cast<std::size_t>(i)]);
+                     }
+                   });
     }
   }
   sta_detail::compute_required(graph, options, r);

@@ -93,28 +93,6 @@ const TimingArc& TimingGraph::lib_arc(const CellArc& arc) const {
   return cell.arcs[static_cast<std::size_t>(arc.arc_index)];
 }
 
-const TaskDag& TimingGraph::forward_dag() const {
-  std::call_once(fwd_dag_once_, [this] {
-    std::vector<std::pair<int, int>> edges;
-    edges.reserve(net_arcs_.size() + cell_arcs_.size());
-    for (const NetArc& a : net_arcs_) edges.emplace_back(a.from, a.to);
-    for (const CellArc& a : cell_arcs_) edges.emplace_back(a.from, a.to);
-    fwd_dag_ = TaskDag::from_edges(design_->num_pins(), edges);
-  });
-  return fwd_dag_;
-}
-
-const TaskDag& TimingGraph::backward_dag() const {
-  std::call_once(bwd_dag_once_, [this] {
-    std::vector<std::pair<int, int>> edges;
-    edges.reserve(net_arcs_.size() + cell_arcs_.size());
-    for (const NetArc& a : net_arcs_) edges.emplace_back(a.to, a.from);
-    for (const CellArc& a : cell_arcs_) edges.emplace_back(a.to, a.from);
-    bwd_dag_ = TaskDag::from_edges(design_->num_pins(), edges);
-  });
-  return bwd_dag_;
-}
-
 void TimingGraph::levelize() {
   const int n = design_->num_pins();
   std::vector<int> indeg(static_cast<std::size_t>(n), 0);

@@ -7,12 +7,10 @@
 /// with Kahn's algorithm — the levels drive both the golden timer and the
 /// GNN's level-by-level delay-propagation stage.
 
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "netlist/design.hpp"
-#include "util/task_graph.hpp"
 
 namespace tg {
 
@@ -69,14 +67,6 @@ class TimingGraph {
   /// Timing arc characterization of a cell arc.
   [[nodiscard]] const TimingArc& lib_arc(const CellArc& arc) const;
 
-  /// Pin-level dependency DAG for the async worklist engine
-  /// (util/task_graph.hpp): successors follow net + cell arcs, fan-in
-  /// counts include arc multiplicity. Built lazily on first use (the
-  /// levelized engine never needs it) and cached for the graph's lifetime.
-  [[nodiscard]] const TaskDag& forward_dag() const;
-  /// Same DAG with every arc reversed — the required-time sweep's order.
-  [[nodiscard]] const TaskDag& backward_dag() const;
-
  private:
   void build_arcs();
   void levelize();
@@ -99,10 +89,6 @@ class TimingGraph {
   // level_offsets_[l+1]). Same order as by_level_.
   std::vector<int> level_offsets_;
   std::vector<PinId> level_pins_;
-
-  // Lazily-built async-engine DAGs (see forward_dag / backward_dag).
-  mutable std::once_flag fwd_dag_once_, bwd_dag_once_;
-  mutable TaskDag fwd_dag_, bwd_dag_;
 };
 
 }  // namespace tg

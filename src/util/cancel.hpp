@@ -10,13 +10,13 @@
 /// clock reads.
 ///
 /// Cancellation is *cooperative*: nothing is interrupted preemptively.
-/// Checkpoints live at natural task boundaries — the task-graph engine
-/// checks before firing each node, the levelized STA sweeps check between
-/// levels, the GNN delay-propagation stage checks between level steps — so
-/// a cancelled request stops within one task-graph batch, never mid-tensor.
-/// A tripped checkpoint throws `CancelError`, which unwinds like any other
-/// failure (the engines' existing drain semantics apply) and names whether
-/// the stop was an explicit cancel or an expired deadline.
+/// Checkpoints live at natural task boundaries — the levelized STA sweeps
+/// check between levels, the incremental timer every 128 pins of its cone
+/// walk, the GNN delay-propagation stage between level steps — so a
+/// cancelled request stops within one level, never mid-tensor. A tripped
+/// checkpoint throws `CancelError`, which unwinds like any other failure
+/// and names whether the stop was an explicit cancel or an expired
+/// deadline.
 ///
 /// Tokens chain: `CancelSource` can be created with a parent token, and the
 /// child reports cancelled when either its own state or any ancestor trips.
@@ -27,8 +27,6 @@
 /// (`current_cancel_token()`), which is how cancellation threads through
 /// deep call stacks — run_sta, IncrementalTimer::update and
 /// DelayProp::forward all poll the ambient token without signature changes.
-/// The task-graph engine captures the submitting thread's ambient token at
-/// entry and polls it from every worker.
 
 #include <chrono>
 #include <memory>
@@ -76,7 +74,7 @@ class CancelToken {
   [[nodiscard]] CancelReason reason() const;
 
   /// Throws CancelError when cancelled; the checkpoint the compute
-  /// engines call at task boundaries.
+  /// sweeps call at level boundaries.
   void throw_if_cancelled() const;
 
   /// Remaining time before the nearest deadline in the chain, or

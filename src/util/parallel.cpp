@@ -200,10 +200,6 @@ void parallel_for_impl(std::int64_t begin, std::int64_t end,
   if (state->error) std::rethrow_exception(state->error);
 }
 
-void pool_submit(std::function<void()> task) {
-  global_pool().submit(std::move(task));
-}
-
 void parallel_invoke_impl(const std::function<void()>* tasks,
                           std::size_t count) {
   if (count == 0) return;

@@ -50,11 +50,6 @@ void parallel_for_impl(std::int64_t begin, std::int64_t end,
 void parallel_invoke_impl(const std::function<void()>* tasks,
                           std::size_t count);
 
-/// Hands a raw task to the global pool. Substrate for the task-graph
-/// engine (util/task_graph.hpp), whose workers outlive any single chunk;
-/// everything else should use parallel_for / parallel_invoke.
-void pool_submit(std::function<void()> task);
-
 }  // namespace parallel_detail
 
 /// Splits [begin, end) into chunks of at least `grain` indices and runs

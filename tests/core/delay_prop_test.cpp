@@ -6,7 +6,6 @@
 
 #include "core/test_fixture.hpp"
 #include "util/parallel.hpp"
-#include "util/task_graph.hpp"
 
 namespace tg::core {
 namespace {
@@ -144,19 +143,14 @@ void expect_tensor_bits_equal(const nn::Tensor& a, const nn::Tensor& b,
       << what;
 }
 
-/// Async-engine acceptance for the GNN propagation stage: forward values
-/// AND gradients must be bit-identical between the levelized walk and the
-/// worklist engine at 8 threads.
-TEST(DelayProp, AsyncEngineBitIdenticalForwardAndBackward) {
+/// The taped level walk (training's forward and backward) must give
+/// bit-identical values AND gradients at 1 and 8 threads.
+TEST(DelayProp, TapedWalkBitIdenticalForwardAndBackwardAcrossThreadCounts) {
   const int saved_threads = num_threads();
-  const StaEngine saved_engine = sta_engine();
-  const int saved_workers = task_dag_workers();
-  set_task_dag_workers(8);  // real concurrency even on small machines
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
 
-  auto run = [&](StaEngine engine, int threads) {
-    set_sta_engine(engine);
+  auto run = [&](int threads) {
     set_num_threads(threads);
     Rng rng(7);
     DelayProp model(8, tiny_prop(), rng);
@@ -179,25 +173,24 @@ TEST(DelayProp, AsyncEngineBitIdenticalForwardAndBackward) {
     return r;
   };
 
-  const auto level = run(StaEngine::kLevel, 1);
-  const auto async = run(StaEngine::kAsync, 8);
+  const auto serial = run(1);
+  const auto parallel = run(8);
   set_num_threads(saved_threads);
-  set_sta_engine(saved_engine);
-  set_task_dag_workers(saved_workers);
 
-  expect_tensor_bits_equal(level.out.state, async.out.state, "state");
-  expect_tensor_bits_equal(level.out.cell_delay, async.out.cell_delay,
+  expect_tensor_bits_equal(serial.out.state, parallel.out.state, "state");
+  expect_tensor_bits_equal(serial.out.cell_delay, parallel.out.cell_delay,
                            "cell_delay");
-  EXPECT_EQ(std::memcmp(level.emb_grad.data(), async.emb_grad.data(),
-                        level.emb_grad.size() * sizeof(float)),
+  ASSERT_EQ(serial.emb_grad.size(), parallel.emb_grad.size());
+  EXPECT_EQ(std::memcmp(serial.emb_grad.data(), parallel.emb_grad.data(),
+                        serial.emb_grad.size() * sizeof(float)),
             0)
       << "embedding gradient";
-  ASSERT_EQ(level.param_grads.size(), async.param_grads.size());
-  for (std::size_t i = 0; i < level.param_grads.size(); ++i) {
-    ASSERT_EQ(level.param_grads[i].size(), async.param_grads[i].size());
-    EXPECT_EQ(std::memcmp(level.param_grads[i].data(),
-                          async.param_grads[i].data(),
-                          level.param_grads[i].size() * sizeof(float)),
+  ASSERT_EQ(serial.param_grads.size(), parallel.param_grads.size());
+  for (std::size_t i = 0; i < serial.param_grads.size(); ++i) {
+    ASSERT_EQ(serial.param_grads[i].size(), parallel.param_grads[i].size());
+    EXPECT_EQ(std::memcmp(serial.param_grads[i].data(),
+                          parallel.param_grads[i].data(),
+                          serial.param_grads[i].size() * sizeof(float)),
               0)
         << "parameter gradient " << i;
   }

@@ -15,7 +15,6 @@
 #include "nn/kernels.hpp"
 #include "util/cancel.hpp"
 #include "util/parallel.hpp"
-#include "util/task_graph.hpp"
 
 namespace tg::core {
 namespace {
@@ -96,17 +95,13 @@ TEST(TimingGnn, InferenceFastPathMatchesTrainingForward) {
 /// The inference entry points are tape-free: once forward_atslew returns,
 /// every intermediate is released and only the output stays live (a taped
 /// output would keep the whole propagation tape reachable through its
-/// parents). forward_atslew takes the fused step under every engine; the
-/// evaluate paths run the full op-chain forward under a NoGradGuard, and
-/// under the async engine its level tasks run on pool workers, which must
-/// inherit the caller's inference mode: a worker that records the tape
-/// keeps every level's intermediates alive until the forward returns,
-/// which shows up as a transient peak far above the levelized walk's.
+/// parents). forward_atslew takes the fused step; the evaluate paths run
+/// the full op-chain forward under a NoGradGuard. A threaded run that
+/// recorded the tape would keep every level's intermediates alive until
+/// the forward returns, which shows up as a transient peak far above the
+/// serial walk's.
 TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
   const int saved_threads = num_threads();
-  const StaEngine saved_engine = sta_engine();
-  const int saved_workers = task_dag_workers();
-  set_task_dag_workers(8);  // real concurrency even on small machines
   const TimingGnn model(tiny_config());
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
@@ -121,10 +116,8 @@ TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
   };
   // Runs `reps` inference forwards; checks what each leaves live and
   // returns the largest transient peak above the pre-call live set.
-  auto run = [&](const auto& forward, StaEngine engine, int threads,
-                 int reps) {
-    SCOPED_TRACE(engine == StaEngine::kLevel ? "level" : "async");
-    set_sta_engine(engine);
+  auto run = [&](const auto& forward, int threads, int reps) {
+    SCOPED_TRACE(threads);
     set_num_threads(threads);
     (void)forward();  // warm any lazy caches
     std::int64_t peak = 0;
@@ -145,33 +138,26 @@ TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
     EXPECT_TRUE(nn::grad_enabled());  // the guard is scoped to the call
     return peak;
   };
-  for (const int threads : {1, 4, 8}) {
-    (void)run(fused, StaEngine::kLevel, threads, 2);
-    (void)run(fused, StaEngine::kAsync, threads, 2);
-  }
-  const std::int64_t level_peak = run(evaluate, StaEngine::kLevel, 1, 1);
+  for (const int threads : {1, 4, 8}) (void)run(fused, threads, 2);
+  const std::int64_t serial_peak = run(evaluate, 1, 1);
   for (const int threads : {4, 8}) {
-    EXPECT_LE(run(evaluate, StaEngine::kAsync, threads, 4), 2 * level_peak)
-        << "async workers at " << threads
-        << " threads recorded the tape (level peak " << level_peak << " B)";
+    EXPECT_LE(run(evaluate, threads, 4), 2 * serial_peak)
+        << "the evaluate forward at " << threads
+        << " threads recorded the tape (serial peak " << serial_peak
+        << " B)";
   }
   set_num_threads(saved_threads);
-  set_sta_engine(saved_engine);
-  set_task_dag_workers(saved_workers);
 }
 
 /// The fused inference step (forward_atslew) against the taped op-chain
 /// walk (forward().atslew), bit for bit, across every axis that could
 /// perturb either: plain and packed graphs, 1 and 4 threads, dispatched
-/// and portable kernels, the 1-hidden-layer test model and the serving
-/// shape, and both engines of the taped walk. The graphs include levels
+/// and portable kernels, and the 1-hidden-layer test model and the serving
+/// shape. The graphs include levels
 /// whose net feed or cell feed is empty, and levels wide enough to span
 /// several of the fused step's MLP blocks.
 TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
   const int saved_threads = num_threads();
-  const StaEngine saved_engine = sta_engine();
-  const int saved_workers = task_dag_workers();
-  set_task_dag_workers(4);
 
   data::DatasetOptions options;
   options.scale = 1.0 / 32;
@@ -209,24 +195,17 @@ TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
           set_num_threads(threads);
           const nn::Tensor emb = model.embed(g);
           const nn::Tensor fused = model.forward_atslew(g, plan, emb);
-          for (const StaEngine engine : {StaEngine::kLevel,
-                                         StaEngine::kAsync}) {
-            set_sta_engine(engine);
-            const nn::Tensor chain = model.forward(g, plan).atslew;
-            EXPECT_EQ(first_bit_mismatch(fused, chain), "")
-                << graph_name << (serving ? " serving" : " tiny")
-                << (portable ? " portable" : " dispatched") << " threads="
-                << threads
-                << (engine == StaEngine::kLevel ? " level" : " async");
-          }
+          const nn::Tensor chain = model.forward(g, plan).atslew;
+          EXPECT_EQ(first_bit_mismatch(fused, chain), "")
+              << graph_name << (serving ? " serving" : " tiny")
+              << (portable ? " portable" : " dispatched")
+              << " threads=" << threads;
         }
       }
     }
   }
   nn::kern::set_force_portable(false);
   set_num_threads(saved_threads);
-  set_sta_engine(saved_engine);
-  set_task_dag_workers(saved_workers);
 }
 
 /// Serve deadlines reach propagation through the level-boundary
@@ -234,7 +213,6 @@ TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
 /// deadline CancelError, and the unwind releases everything they
 /// acquired from the arena.
 TEST(TimingGnn, PropagationStopsOnExpiredDeadline) {
-  const StaEngine saved_engine = sta_engine();
   const TimingGnn model(tiny_config());
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
@@ -258,13 +236,9 @@ TEST(TimingGnn, PropagationStopsOnExpiredDeadline) {
     }
     EXPECT_EQ(nn::alloc::alloc_stats().bytes_live, live_before);
   };
-  for (const StaEngine engine : {StaEngine::kLevel, StaEngine::kAsync}) {
-    set_sta_engine(engine);
-    expect_deadline("fused forward_atslew",
-                    [&] { (void)model.forward_atslew(g, plan, emb); });
-    expect_deadline("taped forward", [&] { (void)model.forward(g, plan); });
-  }
-  set_sta_engine(saved_engine);
+  expect_deadline("fused forward_atslew",
+                  [&] { (void)model.forward_atslew(g, plan, emb); });
+  expect_deadline("taped forward", [&] { (void)model.forward(g, plan); });
 }
 
 TEST(TimingGnn, LossFiniteAndPositive) {

@@ -114,16 +114,6 @@ TEST(Tensor, NoGradGuardNestsAndRestores) {
       EXPECT_FALSE(grad_enabled());
     }
     EXPECT_FALSE(grad_enabled());  // inner restored the outer's mode
-    {
-      const NoGradGuard idle(/*engaged=*/false);
-      EXPECT_FALSE(grad_enabled());  // a disengaged guard changes nothing
-    }
-    EXPECT_FALSE(grad_enabled());
-  }
-  EXPECT_TRUE(grad_enabled());
-  {
-    const NoGradGuard idle(/*engaged=*/false);
-    EXPECT_TRUE(grad_enabled());
   }
   EXPECT_TRUE(grad_enabled());
 }

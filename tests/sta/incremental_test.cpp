@@ -79,7 +79,7 @@ TEST_F(IncrementalTest, NoChangeNoWork) {
   auto p = prepare("spm");
   IncrementalTimer inc(*p.graph, &p.routing);
   EXPECT_EQ(inc.update(), 0);
-  EXPECT_EQ(inc.last_update_visited(), 0);
+  EXPECT_EQ(inc.last_update_cone(), 0);
 }
 
 TEST_F(IncrementalTest, MatchesFullRecomputeAfterOneNetChange) {
@@ -123,8 +123,8 @@ TEST_F(IncrementalTest, TouchesOnlyAffectedCone) {
   perturb_net(p.routing, net, 1.5);
   inc.invalidate_net(net);
   inc.update();
-  EXPECT_GT(inc.last_update_visited(), 0);
-  EXPECT_LT(inc.last_update_visited(), p.design->num_pins() / 2);
+  EXPECT_GT(inc.last_update_cone(), 0);
+  EXPECT_LT(inc.last_update_cone(), p.design->num_pins() / 2);
 }
 
 TEST_F(IncrementalTest, TinyChangeStopsEarly) {
@@ -136,7 +136,7 @@ TEST_F(IncrementalTest, TinyChangeStopsEarly) {
   inc.invalidate_net(net);
   EXPECT_EQ(inc.update(), 0);
   const Net& n = p.design->net(net);
-  EXPECT_LE(inc.last_update_visited(),
+  EXPECT_LE(inc.last_update_cone(),
             static_cast<long long>(1 + n.sinks.size()));
 }
 

@@ -1,12 +1,15 @@
 /// \file parallel_sta_test.cpp
-/// Determinism contract of the parallel STA: every label the engine
+/// Determinism contract of the parallel STA: every label the level walk
 /// produces (arrival, slew, RAT, slack, net delay, cell-arc delay, WNS/TNS)
 /// must be bit-identical between a 1-thread and an 8-thread run on a
-/// generated mid-size benchmark. Labeled `tsan` so a TG_SANITIZE=thread
-/// build can run exactly these suites (`ctest -L tsan`).
+/// generated mid-size benchmark. Also the cancellation contract (DESIGN.md
+/// §12): the full and incremental timers poll the caller's ambient
+/// CancelToken and stop with CancelError. Labeled `tsan` so a
+/// TG_SANITIZE=thread build can run exactly these suites (`ctest -L tsan`).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "place/placer.hpp"
 #include "sta/incremental.hpp"
 #include "sta/timer.hpp"
+#include "util/cancel.hpp"
 #include "util/parallel.hpp"
 
 namespace tg {
@@ -42,35 +46,41 @@ class ParallelStaTest : public ::testing::Test {
 
 TEST_F(ParallelStaTest, FullTimerBitIdenticalAcrossThreadCounts) {
   const Library lib = build_library();
-  // Mid-size: a few thousand pins, deep enough for multi-pin levels.
-  const SuiteEntry entry = suite_entry("picorv32a", 1.0 / 32);
-  Design design = generate_design(entry.spec, lib);
-  place_design(design);
-  RoutingOptions ropts;
-  ropts.mode = RouteMode::kSteiner;
-  const DesignRouting routing = route_design(design, ropts);
-  const TimingGraph graph(design);
+  // Mid-size: a few thousand pins, deep enough for multi-pin levels. Plus
+  // all 21 Table-1 designs at 1/64 scale: every block mix and aspect ratio
+  // the generator produces, deep-narrow and shallow-wide members included.
+  std::vector<SuiteEntry> entries{suite_entry("picorv32a", 1.0 / 32)};
+  for (const SuiteEntry& e : table1_suite(1.0 / 64)) entries.push_back(e);
+  for (const SuiteEntry& entry : entries) {
+    SCOPED_TRACE(entry.spec.name);
+    Design design = generate_design(entry.spec, lib);
+    place_design(design);
+    RoutingOptions ropts;
+    ropts.mode = RouteMode::kSteiner;
+    const DesignRouting routing = route_design(design, ropts);
+    const TimingGraph graph(design);
 
-  set_num_threads(1);
-  const StaResult serial = run_sta(graph, routing);
-  set_num_threads(8);
-  const StaResult parallel = run_sta(graph, routing);
+    set_num_threads(1);
+    const StaResult serial = run_sta(graph, routing);
+    set_num_threads(8);
+    const StaResult parallel = run_sta(graph, routing);
 
-  expect_bits_equal(serial.arrival, parallel.arrival, "arrival");
-  expect_bits_equal(serial.slew, parallel.slew, "slew");
-  expect_bits_equal(serial.rat, parallel.rat, "rat");
-  expect_bits_equal(serial.slack, parallel.slack, "slack");
-  expect_bits_equal(serial.net_delay, parallel.net_delay, "net_delay");
-  expect_bits_equal(serial.cell_arc_delay, parallel.cell_arc_delay,
-                    "cell_arc_delay");
-  EXPECT_EQ(std::memcmp(&serial.wns_setup, &parallel.wns_setup,
-                        sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&serial.wns_hold, &parallel.wns_hold, sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(&serial.tns_setup, &parallel.tns_setup,
-                        sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&serial.tns_hold, &parallel.tns_hold, sizeof(double)),
-            0);
+    expect_bits_equal(serial.arrival, parallel.arrival, "arrival");
+    expect_bits_equal(serial.slew, parallel.slew, "slew");
+    expect_bits_equal(serial.rat, parallel.rat, "rat");
+    expect_bits_equal(serial.slack, parallel.slack, "slack");
+    expect_bits_equal(serial.net_delay, parallel.net_delay, "net_delay");
+    expect_bits_equal(serial.cell_arc_delay, parallel.cell_arc_delay,
+                      "cell_arc_delay");
+    EXPECT_EQ(std::memcmp(&serial.wns_setup, &parallel.wns_setup,
+                          sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&serial.wns_hold, &parallel.wns_hold,
+                          sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&serial.tns_setup, &parallel.tns_setup,
+                          sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&serial.tns_hold, &parallel.tns_hold,
+                          sizeof(double)), 0);
+  }
 }
 
 TEST_F(ParallelStaTest, IncrementalUpdateMatchesParallelFullRun) {
@@ -103,6 +113,80 @@ TEST_F(ParallelStaTest, IncrementalUpdateMatchesParallelFullRun) {
   const StaResult full = run_sta(graph, routing);
   expect_bits_equal(inc.result().arrival, full.arrival, "arrival");
   expect_bits_equal(inc.result().slack, full.slack, "slack");
+}
+
+struct Routed {
+  Design design;
+  DesignRouting routing;
+};
+
+/// spm at 1/32 scale, placed and Steiner-routed.
+Routed routed_spm(const Library& lib) {
+  Routed r{generate_design(suite_entry("spm", 1.0 / 32).spec, lib), {}};
+  place_design(r.design);
+  RoutingOptions ropts;
+  ropts.mode = RouteMode::kSteiner;
+  r.routing = route_design(r.design, ropts);
+  return r;
+}
+
+/// The STA sweeps poll the ambient token at level boundaries: a full
+/// timing run under an expired budget must stop with CancelError instead
+/// of running to completion.
+TEST_F(ParallelStaTest, StaRunStopsOnExpiredDeadline) {
+  const Library lib = build_library();
+  Routed f = routed_spm(lib);
+  const TimingGraph graph(f.design);
+  for (const int threads : {1, 8}) {
+    set_num_threads(threads);
+    {
+      const CancelSource source =
+          CancelSource::with_budget(std::chrono::nanoseconds(1));
+      const ScopedCancel ambient(source.token());
+      try {
+        (void)run_sta(graph, f.routing);
+        ADD_FAILURE() << "expected CancelError at " << threads << " threads";
+      } catch (const CancelError& e) {
+        EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+      }
+    }
+    // And cleanly recovers once the token is gone.
+    const StaResult sta = run_sta(graph, f.routing);
+    EXPECT_FALSE(sta.arrival.empty());
+  }
+}
+
+/// Cancelling while the incremental timer re-times a cone: the update
+/// aborts with CancelError and a subsequent full run heals the timer (the
+/// serving plane's timing_dirty protocol).
+TEST_F(ParallelStaTest, IncrementalUpdateSurvivesCancel) {
+  const Library lib = build_library();
+  Routed f = routed_spm(lib);
+  const TimingGraph graph(f.design);
+  set_num_threads(8);
+  IncrementalTimer timer(graph, &f.routing);
+  const double baseline_wns = timer.result().wns_setup;
+
+  // Invalidate something, then update under an already-expired budget.
+  NetId victim = kInvalidId;
+  for (NetId n = 0; n < f.design.num_nets(); ++n) {
+    if (!f.design.net(n).is_clock) {
+      victim = n;
+      break;
+    }
+  }
+  ASSERT_NE(victim, kInvalidId);
+  timer.invalidate_net(victim);
+  {
+    const CancelSource source =
+        CancelSource::with_budget(std::chrono::nanoseconds(1));
+    const ScopedCancel ambient(source.token());
+    EXPECT_THROW(timer.update(), CancelError);
+  }
+  // Heal with a full run; nothing actually changed, so the answer must be
+  // the baseline again.
+  timer.run_full();
+  EXPECT_DOUBLE_EQ(timer.result().wns_setup, baseline_wns);
 }
 
 }  // namespace

@@ -218,34 +218,6 @@ void print_alloc_summary(const json::Value& root) {
               num("gauges", "alloc/bytes_cached") / kMiB);
 }
 
-/// Async-engine digest (DESIGN.md §11): condenses the sta/async/* metrics
-/// into the scheduler numbers worth eyeballing — tasks fired per run,
-/// steal traffic (batches moved and their average size) and the peak
-/// ready-queue depth/worker count seen across runs.
-void print_task_dag_summary(const json::Value& root) {
-  auto num = [&root](const char* section, const char* name) -> double {
-    if (!root.contains(section)) return 0.0;
-    const json::Object& obj = root.at(section).as_object();
-    const auto it = obj.find(name);
-    return it == obj.end() ? 0.0 : it->second.as_number();
-  };
-  const double runs = num("counters", "sta/async/runs");
-  if (runs <= 0.0) return;  // levelized engine or no STA in this run
-  const double tasks = num("counters", "sta/async/tasks");
-  const double batches = num("counters", "sta/async/steal_batches");
-  const double stolen = num("counters", "sta/async/stolen_tasks");
-  std::printf("async STA scheduler (TG_STA_ENGINE=async)\n");
-  std::printf("  %12.0f runs   %12.0f tasks fired  (%.0f per run)\n", runs,
-              tasks, tasks / runs);
-  std::printf("  %12.0f steal batches   %9.0f tasks stolen  (%.1f%% of fired",
-              batches, stolen, tasks > 0.0 ? 100.0 * stolen / tasks : 0.0);
-  if (batches > 0.0) std::printf(", avg batch %.1f", stolen / batches);
-  std::printf(")\n");
-  std::printf("  %12.0f peak ready-queue depth   %4.0f peak workers\n",
-              num("gauges", "sta/async/max_ready_depth"),
-              num("gauges", "sta/async/workers"));
-}
-
 /// Serving-plane digest (DESIGN.md §12): the health-check numbers for a
 /// SlackServer run — admission outcome mix, ladder tier mix, request
 /// latency percentiles and the fault/retry/quarantine tallies.
@@ -319,7 +291,6 @@ int run_metrics_mode(const std::string& path, int top) {
   const json::Value root = json::parse_file(path);
 
   print_alloc_summary(root);
-  print_task_dag_summary(root);
   print_serve_summary(root);
   if (root.contains("counters")) {
     const json::Object& counters = root.at("counters").as_object();
