@@ -69,6 +69,15 @@ struct PropPlan {
 
 [[nodiscard]] PropPlan build_prop_plan(const data::DatasetGraph& g);
 
+/// Out-neighbours of every node over net and cell arcs (CSR): the rows a
+/// dirty-row walk marks when a row's state changes.
+struct Fanout {
+  std::vector<int> off;  ///< [N + 1]
+  std::vector<int> dst;  ///< destination node per arc, grouped by source
+};
+
+[[nodiscard]] Fanout build_fanout(const data::DatasetGraph& g);
+
 struct DelayPropConfig {
   int hidden = 32;      ///< propagated state width
   int mlp_hidden = 32;
@@ -105,13 +114,25 @@ class DelayProp : public nn::Module {
                                const nn::Tensor& embedding,
                                bool want_aux = true) const;
 
+  /// The fused tape-free walk, in place on the node-ordered `state`
+  /// [N, hidden]. With `dirty` null it computes every row (forward's
+  /// inference path, from a zero `state`). Otherwise it computes only the
+  /// rows whose node `dirty` marks, level by level, through the same
+  /// per-row step; a recomputed row whose
+  /// state bytes changed marks its `fanout` in `dirty`, so on return
+  /// `dirty` marks exactly the rows this call recomputed. Each row's
+  /// result is bit-identical to the full walk's as long as its inputs
+  /// (the state rows it reads, the embedding and feature rows) are.
+  /// Returns the number of rows recomputed. Polls the ambient cancel
+  /// token at every level boundary.
+  std::int64_t propagate(const data::DatasetGraph& g, const PropPlan& plan,
+                         const nn::Tensor& embedding, nn::Tensor& state,
+                         std::vector<unsigned char>* dirty = nullptr,
+                         const Fanout* fanout = nullptr) const;
+
   [[nodiscard]] const DelayPropConfig& config() const { return config_; }
 
  private:
-  /// The fused tape-free walk (see forward).
-  [[nodiscard]] nn::Tensor forward_fused(const data::DatasetGraph& g,
-                                         const PropPlan& plan,
-                                         const nn::Tensor& embedding) const;
   DelayPropConfig config_;
   int embed_dim_ = 0;
   nn::Mlp entry_;      ///< roots: embedding → initial state

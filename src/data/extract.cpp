@@ -1,5 +1,8 @@
 #include "data/extract.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "util/check.hpp"
 #include "util/obs/trace.hpp"
 
@@ -21,7 +24,69 @@ nn::Tensor per_corner_tensor(const std::vector<PerCorner>& values,
                                  kNumCorners);
 }
 
+/// Rewrites `width` floats at `row` through `write` and reports whether
+/// any byte changed.
+template <typename Write>
+bool rewrite_row(float* row, std::size_t width, Write&& write) {
+  float fresh[kCellEdgeFeatureDim];
+  TG_DCHECK(width <= static_cast<std::size_t>(kCellEdgeFeatureDim));
+  write(fresh);
+  if (std::memcmp(fresh, row, width * sizeof(float)) == 0) return false;
+  std::memcpy(row, fresh, width * sizeof(float));
+  return true;
+}
+
+void sort_unique(std::vector<int>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
 }  // namespace
+
+void write_node_features(const Design& design, PinId p, float* row) {
+  const Pin& pin = design.pin(p);
+  const BBox& die = design.die();
+  row[0] = pin.is_port ? 1.0f : 0.0f;
+  row[1] = pin.drives_net ? 1.0f : 0.0f;
+  row[2] = static_cast<float>(pin.pos.x - die.xmin) * kDistScale;
+  row[3] = static_cast<float>(die.xmax - pin.pos.x) * kDistScale;
+  row[4] = static_cast<float>(pin.pos.y - die.ymin) * kDistScale;
+  row[5] = static_cast<float>(die.ymax - pin.pos.y) * kDistScale;
+  for (int c = 0; c < kNumCorners; ++c) {
+    row[6 + c] = static_cast<float>(design.pin_cap(p, c)) * kCapScale;
+  }
+}
+
+void write_cell_edge_features(const TimingGraph& graph, const CellArc& arc,
+                              float* row) {
+  const TimingArc& lib = graph.lib_arc(arc);
+  // LUT order: delay[c0..c3], out_slew[c0..c3].
+  const NldmLut* luts[kNumLutsPerArc];
+  for (int c = 0; c < kNumCorners; ++c) {
+    luts[c] = &lib.delay[c];
+    luts[kNumCorners + c] = &lib.out_slew[c];
+  }
+  float* out = row;
+  for (int l = 0; l < kNumLutsPerArc; ++l) *out++ = 1.0f;  // valid
+  for (int l = 0; l < kNumLutsPerArc; ++l) {
+    for (double v : luts[l]->slew_axis()) {
+      *out++ = static_cast<float>(v) * kSlewAxisScale;
+    }
+    for (double v : luts[l]->load_axis()) {
+      *out++ = static_cast<float>(v) * kLoadAxisScale;
+    }
+  }
+  for (int l = 0; l < kNumLutsPerArc; ++l) {
+    for (double v : luts[l]->values()) *out++ = static_cast<float>(v);
+  }
+  TG_DCHECK(out == row + kCellEdgeFeatureDim);
+}
+
+void write_rat(const PerCorner& rat, float* row) {
+  for (int c = 0; c < kNumCorners; ++c) {
+    row[c] = static_cast<float>(rat[c]) * kArrivalScale;
+  }
+}
 
 DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
                            const DesignRouting& truth, const StaResult& sta) {
@@ -33,23 +98,14 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
   g.clock_period = design.clock_period();
   g.stats = design.stats();
 
-  const BBox& die = design.die();
-
   // ---- node features (Table 2) ----------------------------------------
   {
-    std::vector<float> feat;
-    feat.reserve(static_cast<std::size_t>(g.num_nodes) * kNodeFeatureDim);
+    std::vector<float> feat(static_cast<std::size_t>(g.num_nodes) *
+                            kNodeFeatureDim);
     for (PinId p = 0; p < design.num_pins(); ++p) {
-      const Pin& pin = design.pin(p);
-      feat.push_back(pin.is_port ? 1.0f : 0.0f);
-      feat.push_back(pin.drives_net ? 1.0f : 0.0f);
-      feat.push_back(static_cast<float>(pin.pos.x - die.xmin) * kDistScale);
-      feat.push_back(static_cast<float>(die.xmax - pin.pos.x) * kDistScale);
-      feat.push_back(static_cast<float>(pin.pos.y - die.ymin) * kDistScale);
-      feat.push_back(static_cast<float>(die.ymax - pin.pos.y) * kDistScale);
-      for (int c = 0; c < kNumCorners; ++c) {
-        feat.push_back(static_cast<float>(design.pin_cap(p, c)) * kCapScale);
-      }
+      write_node_features(design, p,
+                          feat.data() + static_cast<std::size_t>(p) *
+                                            kNodeFeatureDim);
     }
     g.node_feat = nn::Tensor::from_vector(std::move(feat), g.num_nodes,
                                           kNodeFeatureDim);
@@ -78,34 +134,14 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
   // ---- cell edges (Table 3: valid | axis indices | LUT values) ---------
   {
     const auto& arcs = graph.cell_arcs();
-    std::vector<float> feat;
-    feat.reserve(arcs.size() * kCellEdgeFeatureDim);
+    std::vector<float> feat(arcs.size() * kCellEdgeFeatureDim);
     g.cell_src.reserve(arcs.size());
     g.cell_dst.reserve(arcs.size());
-    for (const CellArc& a : arcs) {
-      g.cell_src.push_back(a.from);
-      g.cell_dst.push_back(a.to);
-      const TimingArc& lib = graph.lib_arc(a);
-      // LUT order: delay[c0..c3], out_slew[c0..c3].
-      const NldmLut* luts[kNumLutsPerArc];
-      for (int c = 0; c < kNumCorners; ++c) {
-        luts[c] = &lib.delay[c];
-        luts[kNumCorners + c] = &lib.out_slew[c];
-      }
-      for (int l = 0; l < kNumLutsPerArc; ++l) feat.push_back(1.0f);  // valid
-      for (int l = 0; l < kNumLutsPerArc; ++l) {
-        for (double v : luts[l]->slew_axis()) {
-          feat.push_back(static_cast<float>(v) * kSlewAxisScale);
-        }
-        for (double v : luts[l]->load_axis()) {
-          feat.push_back(static_cast<float>(v) * kLoadAxisScale);
-        }
-      }
-      for (int l = 0; l < kNumLutsPerArc; ++l) {
-        for (double v : luts[l]->values()) {
-          feat.push_back(static_cast<float>(v));
-        }
-      }
+    for (std::size_t e = 0; e < arcs.size(); ++e) {
+      g.cell_src.push_back(arcs[e].from);
+      g.cell_dst.push_back(arcs[e].to);
+      write_cell_edge_features(graph, arcs[e],
+                               feat.data() + e * kCellEdgeFeatureDim);
     }
     g.cell_edge_feat = nn::Tensor::from_vector(
         std::move(feat), static_cast<std::int64_t>(arcs.size()),
@@ -129,12 +165,14 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
     // RAT is ±inf away from constrained pins; store raw values at
     // endpoints and 0 elsewhere (the models only read endpoint rows).
     // Same unit as arrival so predicted slack = RAT − AT works directly.
-    std::vector<PerCorner> rat(static_cast<std::size_t>(g.num_nodes),
-                               per_corner_fill(0.0));
+    std::vector<float> rat(static_cast<std::size_t>(g.num_nodes) *
+                               kNumCorners,
+                           0.0f);
     for (int p : g.endpoints) {
-      rat[static_cast<std::size_t>(p)] = sta.rat[static_cast<std::size_t>(p)];
+      write_rat(sta.rat[static_cast<std::size_t>(p)],
+                rat.data() + static_cast<std::size_t>(p) * kNumCorners);
     }
-    g.rat = per_corner_tensor(rat, kArrivalScale);
+    g.rat = nn::Tensor::from_vector(std::move(rat), g.num_nodes, kNumCorners);
   }
   for (int p : g.endpoints) {
     g.endpoint_setup_slack.push_back(endpoint_setup_slack(sta, p));
@@ -143,6 +181,53 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
   g.route_seconds = truth.route_seconds;
   g.sta_seconds = sta.sta_seconds;
   return g;
+}
+
+GraphDelta patch_instances(DatasetGraph& g, const TimingGraph& graph,
+                           std::span<const InstId> insts) {
+  TG_TRACE_SCOPE("data/patch", obs::kSpanDetail);
+  const Design& design = graph.design();
+  TG_CHECK(g.num_nodes == design.num_pins());
+  TG_CHECK(g.cell_edge_feat.rows() ==
+           static_cast<std::int64_t>(graph.cell_arcs().size()));
+  float* node_feat = g.node_feat.data().data();
+  float* cell_feat = g.cell_edge_feat.data().data();
+  float* rat = g.rat.data().data();
+  const StaOptions sta_defaults;
+
+  GraphDelta delta;
+  for (const InstId inst : insts) {
+    for (const PinId p : design.instance(inst).pins) {
+      const auto pu = static_cast<std::size_t>(p);
+      if (rewrite_row(node_feat + pu * kNodeFeatureDim, kNodeFeatureDim,
+                      [&](float* row) {
+                        write_node_features(design, p, row);
+                      })) {
+        delta.pins.push_back(p);
+      }
+      if (design.is_endpoint(p) &&
+          rewrite_row(rat + pu * kNumCorners, kNumCorners, [&](float* row) {
+            write_rat(endpoint_required(design, p, sta_defaults), row);
+          })) {
+        delta.endpoints.push_back(p);
+      }
+      // Every cell arc of the instance leaves one of its input pins.
+      for (const int a : graph.out_cell_arcs(p)) {
+        const CellArc& arc = graph.cell_arcs()[static_cast<std::size_t>(a)];
+        if (rewrite_row(cell_feat + static_cast<std::size_t>(a) *
+                                        kCellEdgeFeatureDim,
+                        kCellEdgeFeatureDim, [&](float* row) {
+                          write_cell_edge_features(graph, arc, row);
+                        })) {
+          delta.cell_edges.push_back(a);
+        }
+      }
+    }
+  }
+  sort_unique(delta.pins);
+  sort_unique(delta.cell_edges);
+  sort_unique(delta.endpoints);
+  return delta;
 }
 
 }  // namespace tg::data

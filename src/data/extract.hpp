@@ -4,6 +4,13 @@
 /// and a golden STA run. Features contain ONLY placement-time information
 /// (pin positions/caps, cell LUTs); all time-valued labels come from the
 /// routed design — the exact pre-routing prediction setup of the paper.
+///
+/// The feature rows a resize can change (a pin's caps, a cell arc's LUTs,
+/// an endpoint's RAT) are written by per-row helpers, so a full extraction
+/// and an in-place patch of a moved design (patch_instances) run one
+/// definition.
+
+#include <span>
 
 #include "data/hetero_graph.hpp"
 #include "sta/timing_graph.hpp"
@@ -14,5 +21,37 @@ namespace tg::data {
                                          const TimingGraph& graph,
                                          const DesignRouting& truth,
                                          const StaResult& sta);
+
+/// Node-feature row of pin `p` (kNodeFeatureDim floats, Table 2).
+void write_node_features(const Design& design, PinId p, float* row);
+/// Cell-edge feature row of `arc` (kCellEdgeFeatureDim floats, Table 3:
+/// valid | axis indices | LUT values), from its instance's current cell.
+void write_cell_edge_features(const TimingGraph& graph, const CellArc& arc,
+                              float* row);
+/// RAT row of an endpoint (kNumCorners floats, arrival units).
+void write_rat(const PerCorner& rat, float* row);
+
+/// Rows of a DatasetGraph that an in-place patch rewrote with different
+/// values, each list ascending.
+struct GraphDelta {
+  std::vector<int> pins;        ///< node_feat rows
+  std::vector<int> cell_edges;  ///< cell_edge_feat rows
+  std::vector<int> endpoints;   ///< rat rows (endpoint node ids)
+
+  [[nodiscard]] bool empty() const {
+    return pins.empty() && cell_edges.empty() && endpoints.empty();
+  }
+};
+
+/// Re-extracts, in place, the rows of `g` that depend on the cells of
+/// `insts` after a resize: their pins' node features, their cell arcs'
+/// LUT rows and their endpoint pins' RAT (endpoint_required at default
+/// StaOptions, the serving timers' options). `g` must have been extracted
+/// from `graph` (same pins and arc order) and own its node_feat,
+/// cell_edge_feat and rat storage — Tensor copies share it. Labels are
+/// left untouched. Returns the rows whose bytes changed.
+[[nodiscard]] GraphDelta patch_instances(DatasetGraph& g,
+                                         const TimingGraph& graph,
+                                         std::span<const InstId> insts);
 
 }  // namespace tg::data

@@ -79,6 +79,8 @@ class SlackServer {
   [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] const ServeOptions& options() const { return options_; }
   [[nodiscard]] int queue_depth() const { return queue_.size(); }
+  /// The shared serving model (immutable weights).
+  [[nodiscard]] const core::TimingGnn& model() const { return model_; }
 
   /// Cached net embedding for a pristine template (query-invariant —
   /// computed once per template key per server, then replayed through the
@@ -114,6 +116,11 @@ class SlackServer {
   /// Executes the chosen tier for `t` on `session` (session lock held).
   /// Throws CancelError on deadline/cancel and anything else on faults.
   Response run_full_tier(Session& session, const Ticket& t);
+  /// GNN answer for a moved session (session lock held): patches the
+  /// instances moved since the last read into the session graph and
+  /// brings its read cache up to date — the dirty cone only, or every
+  /// row on the first read and after a stopped one (gnn_dirty).
+  Response session_gnn_read(Session& session);
   Response run_cone_tier(Session& session, const Ticket& t);
   /// Serves the checksummed stale cache; nullopt when absent/corrupt.
   std::optional<Response> run_stale_tier(Session& session);

@@ -87,6 +87,9 @@ struct Response {
   std::chrono::nanoseconds retry_after{0};
   int batch_size = 1;   ///< requests answered by the same full-graph pass
   int retries = 0;      ///< worker-fault retries this request survived
+  /// Propagation rows a moved session's GNN read recomputed: every row on
+  /// a full read, the dirty cone otherwise (0 for other answers).
+  std::int64_t gnn_rows = 0;
   std::string error;    ///< human-readable cause when shed
 };
 

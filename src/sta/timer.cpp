@@ -206,7 +206,6 @@ void compute_required(const TimingGraph& graph, const StaOptions& options,
   TG_TRACE_SCOPE("sta/backward", obs::kSpanCoarse);
   const Design& d = graph.design();
   const int n = d.num_pins();
-  const double period = d.clock_period();
 
   parallel_for(0, n, 256, [&](std::int64_t pb, std::int64_t pe) {
     for (PinId p = static_cast<PinId>(pb); p < pe; ++p) {
@@ -215,17 +214,7 @@ void compute_required(const TimingGraph& graph, const StaOptions& options,
         r.rat[static_cast<std::size_t>(p)][c] = late ? kInf : -kInf;
       }
       if (!d.is_endpoint(p)) continue;
-      PerCorner setup = per_corner_fill(options.po_setup_margin_ns);
-      PerCorner hold = per_corner_fill(options.po_hold_margin_ns);
-      if (!d.pin(p).is_port) {
-        const CellType& cell = d.cell_of(p);
-        setup = cell.setup;
-        hold = cell.hold;
-      }
-      for (int c = 0; c < kNumCorners; ++c) {
-        const bool late = corner_mode(c) == Mode::kLate;
-        r.rat[static_cast<std::size_t>(p)][c] = late ? period - setup[c] : hold[c];
-      }
+      r.rat[static_cast<std::size_t>(p)] = endpoint_required(d, p, options);
     }
   });
 
@@ -340,6 +329,24 @@ double endpoint_hold_slack(const StaResult& sta, PinId pin) {
   const PerCorner& s = sta.slack[static_cast<std::size_t>(pin)];
   return std::min(s[corner_index(Mode::kEarly, Trans::kRise)],
                   s[corner_index(Mode::kEarly, Trans::kFall)]);
+}
+
+PerCorner endpoint_required(const Design& design, PinId pin,
+                            const StaOptions& options) {
+  PerCorner setup = per_corner_fill(options.po_setup_margin_ns);
+  PerCorner hold = per_corner_fill(options.po_hold_margin_ns);
+  if (!design.pin(pin).is_port) {
+    const CellType& cell = design.cell_of(pin);
+    setup = cell.setup;
+    hold = cell.hold;
+  }
+  const double period = design.clock_period();
+  PerCorner rat{};
+  for (int c = 0; c < kNumCorners; ++c) {
+    const bool late = corner_mode(c) == Mode::kLate;
+    rat[c] = late ? period - setup[c] : hold[c];
+  }
+  return rat;
 }
 
 }  // namespace tg

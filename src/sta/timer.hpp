@@ -56,6 +56,13 @@ struct StaResult {
 /// Hold (early) endpoint slack reduced over rise/fall.
 [[nodiscard]] double endpoint_hold_slack(const StaResult& sta, PinId pin);
 
+/// Required time at endpoint `pin`: period − setup at the late corners,
+/// hold at the early ones, from the endpoint cell's setup/hold (the
+/// options' PO margins at ports). The backward sweep's seed, and the RAT
+/// an incremental GNN read patches after a flop resize.
+[[nodiscard]] PerCorner endpoint_required(const Design& design, PinId pin,
+                                          const StaOptions& options);
+
 namespace sta_detail {
 /// Recomputes arrival/slew/net_delay of one pin (and the delays of its
 /// incoming cell arcs) from its predecessors' current values. Returns the

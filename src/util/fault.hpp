@@ -33,6 +33,9 @@
 ///            and the degradation ladder)
 ///   cache  — corrupt a session's stale-answer cache entry as it is
 ///            written (exercises the checksum check on the read side)
+///   gnn    — throw from a moved session's GNN read after its feature
+///            patch, before its re-embed (exercises the gnn_dirty
+///            recovery: the next read re-embeds and re-propagates all)
 ///
 /// Serve faults carry a *count*: the fault trips on the Nth matching call
 /// and on the `count - 1` matching calls after it (default 1 — a single

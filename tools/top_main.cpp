@@ -246,6 +246,22 @@ void print_serve_summary(const json::Value& root) {
               num("counters", "serve/tier_cone"),
               num("counters", "serve/tier_stale"),
               num("counters", "serve/batched"));
+  // Moved sessions' incremental GNN reads: rows re-propagated per read
+  // over graph rows read (1.0 = every read walked the whole graph).
+  const double read_nodes = num("counters", "serve/gnn_read_nodes");
+  if (read_nodes > 0.0 && root.contains("histograms")) {
+    const json::Object& hists = root.at("histograms").as_object();
+    const auto it = hists.find("serve/gnn_read_rows");
+    if (it != hists.end()) {
+      const json::Value& h = it->second;
+      std::printf("  %12.0f gnn reads   %8.0f full reads   %.3f mean cone-row "
+                  "fraction   %.0f rows/read mean\n",
+                  h.at("count").as_number(),
+                  num("counters", "serve/gnn_read_full"),
+                  h.at("sum").as_number() / read_nodes,
+                  h.at("mean").as_number());
+    }
+  }
   std::printf("  %12.0f faults   %8.0f retries   %6.0f quarantines   "
               "%6.0f cancelled   %6.0f deadline-expired\n",
               num("counters", "serve/faults"),
