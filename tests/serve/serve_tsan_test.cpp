@@ -215,6 +215,63 @@ TEST(ServeTsanTest, MixedDesignConcurrentSubmitsCrossBatchCleanly) {
   if (s.cross_batched > 0) EXPECT_GE(s.pack_hits + s.pack_misses, 1u);
 }
 
+TEST(ServeTsanTest, FirstGnnReadsOfMovedSessionsRaceOnAFreshTemplate) {
+  // Moved sessions start their GNN graph from a copy of the template's,
+  // while a sibling's first read may be embedding that same template.
+  // Several sessions of one fresh template (no read has touched it yet)
+  // make their first GNN reads at once, on as many workers: the copies
+  // must not race the template's lazy caches, and every read, all on
+  // the same move, must give one answer. Each round is a fresh server,
+  // so a fresh template; rounds raise the odds that TSan sees a racing
+  // interleaving with no incidental lock ordering it.
+  constexpr int kRounds = 6;
+  constexpr int kSessions = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    ServeOptions o;
+    o.workers = kSessions;
+    o.queue_capacity = 16;
+    o.max_retries = 0;
+    SlackServer server(o);
+    std::vector<SessionId> sessions;
+    for (int i = 0; i < kSessions; ++i) {
+      sessions.push_back(server.open_session(kDesign, kScale));
+    }
+    ResizeMove move{-1, -1};
+    server.inspect(sessions[0], [&](const SessionView& v) {
+      for (int inst = 0; inst < v.design.num_instances(); ++inst) {
+        move = {inst, alternative_cell(v, inst)};
+        if (move.new_cell >= 0) break;
+      }
+    });
+    ASSERT_GE(move.new_cell, 0);
+    for (const SessionId id : sessions) {
+      Request req;
+      req.session = id;
+      req.mode = RequestMode::kSta;
+      req.moves.push_back(move);
+      ASSERT_EQ(server.call(std::move(req)).status, ResponseStatus::kOk);
+    }
+
+    std::vector<std::future<Response>> futs;
+    for (const SessionId id : sessions) {
+      Request req;
+      req.session = id;
+      req.mode = RequestMode::kGnn;
+      futs.push_back(server.submit(std::move(req)));
+    }
+    std::vector<Response> reads;
+    for (auto& fut : futs) {
+      ASSERT_EQ(fut.wait_for(std::chrono::seconds(120)),
+                std::future_status::ready);
+      reads.push_back(fut.get());
+    }
+    for (const Response& r : reads) {
+      ASSERT_EQ(r.status, ResponseStatus::kOk) << r.error;
+      EXPECT_EQ(r.endpoint_setup, reads[0].endpoint_setup);
+    }
+  }
+}
+
 TEST(ServeTsanTest, ShutdownRacesInFlightWorkCleanly) {
   ServeOptions o;
   o.workers = 2;
