@@ -67,7 +67,7 @@ void BM_NetEmbedForward(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.forward(f.g()).data().data());
   }
-  state.SetItemsProcessed(state.iterations() * f.g().num_nodes);
+  state.SetItemsProcessed(state.iterations() * f.g().num_nodes());
 }
 BENCHMARK(BM_NetEmbedForward);
 
@@ -77,7 +77,7 @@ void BM_TimingGnnForward(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.forward(f.g(), f.plan).atslew.data().data());
   }
-  state.SetItemsProcessed(state.iterations() * f.g().num_nodes);
+  state.SetItemsProcessed(state.iterations() * f.g().num_nodes());
 }
 BENCHMARK(BM_TimingGnnForward);
 
@@ -92,7 +92,7 @@ void BM_TimingGnnInfer(benchmark::State& state) {
     benchmark::DoNotOptimize(
         model.forward_atslew(f.g(), f.plan, embedding).data().data());
   }
-  state.SetItemsProcessed(state.iterations() * f.g().num_nodes);
+  state.SetItemsProcessed(state.iterations() * f.g().num_nodes());
 }
 BENCHMARK(BM_TimingGnnInfer);
 
@@ -211,10 +211,10 @@ void BM_EcoGnnRead(benchmark::State& state, bool cone) {
   data::DatasetGraph g =
       data::extract_graph(f->design, *f->graph, f->routing, f->sta);
   const core::PropPlan plan = core::build_prop_plan(g);
-  const core::ReadTopology topo = core::build_read_topology(g);
   core::ReadCache cache;
   cache.embedding = model.embed(g);
-  (void)model.read(g, plan, topo, data::GraphDelta{}, /*full=*/true, cache);
+  (void)model.read(g, plan, g.endpoints, data::GraphDelta{}, /*full=*/true,
+                   cache);
   int side = 0;
   std::int64_t rows = 0;
   for (auto _ : state) {
@@ -223,7 +223,7 @@ void BM_EcoGnnRead(benchmark::State& state, bool cone) {
     if (cone) {
       const data::GraphDelta delta =
           data::patch_instances(g, *f->graph, f->insts);
-      rows += model.read(g, plan, topo, delta, /*full=*/false, cache);
+      rows += model.read(g, plan, g.endpoints, delta, /*full=*/false, cache);
       benchmark::DoNotOptimize(cache.slack.data());
     } else {
       const data::DatasetGraph fresh =
@@ -237,7 +237,7 @@ void BM_EcoGnnRead(benchmark::State& state, bool cone) {
                        core::predicted_endpoint_slack(fresh, atslew, ep).setup);
       }
       benchmark::DoNotOptimize(wns);
-      rows += fresh.num_nodes;
+      rows += fresh.num_nodes();
     }
   }
   f->toggle(0);

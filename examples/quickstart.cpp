@@ -100,6 +100,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "GNN preview (untrained): %lld nodes -> atslew %lldx%lld in %.3f s\n",
-      g.num_nodes, pred.atslew.rows(), pred.atslew.cols(), infer_seconds);
+      static_cast<long long>(g.num_nodes()),
+      static_cast<long long>(pred.atslew.rows()),
+      static_cast<long long>(pred.atslew.cols()), infer_seconds);
   return 0;
 }

@@ -117,14 +117,18 @@ int main(int argc, char** argv) {
     // Fig. 3 in executable form: per-level workload of the delay
     // propagation stage on the first design.
     const auto& g = dataset.graphs[0];
-    const core::PropPlan& plan = trainer.plan_for(g);
+    const data::LevelCsr& csr = g.topo->csr();
+    const int levels = g.num_levels();
     std::printf("\nlevelized propagation trace for %s (%d levels):\n",
-                g.name.c_str(), plan.num_levels);
-    for (int l = 0; l < plan.num_levels; l += std::max(1, plan.num_levels / 12)) {
-      std::printf("  level %3d: %5zu pins, %5zu net arcs in, %5zu cell arcs in\n",
-                  l, plan.level_nodes[static_cast<std::size_t>(l)].size(),
-                  plan.level_net_edges[static_cast<std::size_t>(l)].size(),
-                  plan.level_cell_edges[static_cast<std::size_t>(l)].size());
+                g.name.c_str(), levels);
+    const auto count = [](const std::vector<int>& off, int l) {
+      return off[static_cast<std::size_t>(l) + 1] -
+             off[static_cast<std::size_t>(l)];
+    };
+    for (int l = 0; l < levels; l += std::max(1, levels / 12)) {
+      std::printf("  level %3d: %5d pins, %5d net arcs in, %5d cell arcs in\n",
+                  l, count(csr.node_off, l), count(csr.net_off, l),
+                  count(csr.cell_off, l));
     }
     std::printf("\n");
   }

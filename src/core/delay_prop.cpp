@@ -76,16 +76,13 @@ std::int64_t row_flops(const nn::Module& m) { return 2 * m.num_parameters(); }
 }  // namespace
 
 PropPlan build_prop_plan(const data::DatasetGraph& g) {
-  const data::LevelCsr& csr = data::ensure_level_csr(g);
+  const data::Topology& topo = *g.topo;
+  const data::LevelCsr& csr = topo.csr();
+  const std::vector<int>& node_level = topo.node_level();
   PropPlan plan;
-  plan.num_levels = csr.num_levels;
-  plan.node_level = g.node_level;
-  plan.node_row = csr.node_row;
+  plan.num_levels = topo.num_levels();
 
   const auto levels = static_cast<std::size_t>(plan.num_levels);
-  plan.level_nodes.assign(levels, {});
-  plan.level_net_edges.assign(levels, {});
-  plan.level_cell_edges.assign(levels, {});
   plan.level_rows.resize(levels);
   plan.net_feed.resize(levels);
   plan.cell_feed.resize(levels);
@@ -97,9 +94,9 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
   for (std::size_t l = 0; l < levels; ++l) {
     const auto nb = static_cast<std::size_t>(csr.node_off[l]);
     const auto ne = static_cast<std::size_t>(csr.node_off[l + 1]);
-    plan.level_nodes[l].assign(csr.node_perm.begin() + static_cast<long>(nb),
-                               csr.node_perm.begin() + static_cast<long>(ne));
-    plan.level_rows[l] = share(plan.level_nodes[l]);
+    plan.level_rows[l] =
+        share({csr.node_perm.begin() + static_cast<long>(nb),
+               csr.node_perm.begin() + static_cast<long>(ne)});
     const std::size_t n_l = ne - nb;
 
     // Net edges of this level, in CSR (destination-sorted) order.
@@ -110,12 +107,9 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
       src_t.reserve(ee - eb);
       for (std::size_t k = eb; k < ee; ++k) {
         const int e = csr.net_perm[k];
-        const int u = g.net_src[static_cast<std::size_t>(e)];
-        const int v = g.net_dst[static_cast<std::size_t>(e)];
-        TG_CHECK(g.node_level[static_cast<std::size_t>(v)] ==
-                 static_cast<int>(l));
-        plan.level_net_edges[l].push_back(e);
-        src_t.push_back(g.node_level[static_cast<std::size_t>(u)]);
+        const int u = topo.net_src()[static_cast<std::size_t>(e)];
+        const int v = topo.net_dst()[static_cast<std::size_t>(e)];
+        src_t.push_back(node_level[static_cast<std::size_t>(u)]);
         src_r.push_back(csr.node_row[static_cast<std::size_t>(u)]);
         dst_row.push_back(csr.node_row[static_cast<std::size_t>(v)]);
         feat_rows.push_back(e);
@@ -138,13 +132,9 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
       src_t.reserve(ee - eb);
       for (std::size_t k = eb; k < ee; ++k) {
         const int e = csr.cell_perm[k];
-        const int u = g.cell_src[static_cast<std::size_t>(e)];
-        const int v = g.cell_dst[static_cast<std::size_t>(e)];
-        TG_CHECK(g.node_level[static_cast<std::size_t>(v)] ==
-                 static_cast<int>(l));
-        plan.level_cell_edges[l].push_back(e);
-        plan.cell_edge_order.push_back(e);
-        src_t.push_back(g.node_level[static_cast<std::size_t>(u)]);
+        const int u = topo.cell_src()[static_cast<std::size_t>(e)];
+        const int v = topo.cell_dst()[static_cast<std::size_t>(e)];
+        src_t.push_back(node_level[static_cast<std::size_t>(u)]);
         src_r.push_back(csr.node_row[static_cast<std::size_t>(u)]);
         dst_row.push_back(csr.node_row[static_cast<std::size_t>(v)]);
         feat_rows.push_back(e);
@@ -159,22 +149,6 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
           share(std::move(emb_u_rows)), share(std::move(emb_v_rows)),
           std::move(dst_off)};
     }
-  }
-  TG_CHECK(plan.cell_edge_order.size() == g.cell_src.size());
-  plan.cell_order = share(plan.cell_edge_order);
-
-  // Final assembly: node order → (level, row) pairs.
-  {
-    std::vector<int> src_t(static_cast<std::size_t>(g.num_nodes));
-    std::vector<int> src_r(static_cast<std::size_t>(g.num_nodes));
-    for (int v = 0; v < g.num_nodes; ++v) {
-      src_t[static_cast<std::size_t>(v)] =
-          g.node_level[static_cast<std::size_t>(v)];
-      src_r[static_cast<std::size_t>(v)] =
-          csr.node_row[static_cast<std::size_t>(v)];
-    }
-    plan.assemble_t = share(std::move(src_t));
-    plan.assemble_r = share(std::move(src_r));
   }
   return plan;
 }
@@ -208,11 +182,12 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
                                      const PropPlan& plan,
                                      const Tensor& embedding,
                                      bool want_aux) const {
-  TG_CHECK(embedding.rows() == g.num_nodes);
+  TG_CHECK(embedding.rows() == g.num_nodes());
   TG_CHECK(embedding.cols() == embed_dim_);
+  TG_CHECK(plan.num_levels == g.num_levels());
   if (!nn::grad_enabled() && !want_aux) {
     Output out;
-    out.state = Tensor::zeros(g.num_nodes, config_.hidden);
+    out.state = Tensor::zeros(g.num_nodes(), config_.hidden);
     (void)propagate(g, plan, embedding, out.state);
     out.cell_delay = Tensor::zeros(0, kNumCorners);
     return out;
@@ -287,10 +262,12 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
     level_states.push_back(combine_.forward_relu(nn::concat_cols(comb_in)));
   }
 
-  // Assemble node-ordered state.
+  // Assemble node-ordered state: node v is row node_row[v] of level
+  // node_level[v].
   Output out;
-  out.state =
-      nn::multi_gather(level_states, plan.assemble_t, plan.assemble_r);
+  out.state = nn::multi_gather(
+      level_states, data::share(g.topo, g.topo->node_level()),
+      data::share(g.topo, g.topo->csr().node_row));
   if (cell_delay_parts.empty()) {
     out.cell_delay = Tensor::zeros(0, kNumCorners);
   } else {
@@ -302,13 +279,14 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
 std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
                                  const PropPlan& plan,
                                  const Tensor& embedding, Tensor& state,
-                                 std::vector<unsigned char>* dirty,
-                                 const Fanout* fanout) const {
+                                 std::vector<unsigned char>* dirty) const {
   TG_TRACE_SCOPE("gnn/delay_prop/fused", obs::kSpanDetail);
-  TG_CHECK(state.rows() == g.num_nodes && state.cols() == config_.hidden);
+  TG_CHECK(state.rows() == g.num_nodes() && state.cols() == config_.hidden);
+  TG_CHECK(plan.num_levels == g.num_levels());
   TG_CHECK(dirty == nullptr ||
-           (fanout != nullptr &&
-            dirty->size() == static_cast<std::size_t>(g.num_nodes)));
+           dirty->size() == static_cast<std::size_t>(g.num_nodes()));
+  const std::vector<int>& net_src = g.topo->net_src();
+  const data::NodeLists& fanout = g.topo->fanout();
   const std::int64_t hid = config_.hidden;
   const std::int64_t emb_w = embed_dim_;
   constexpr std::int64_t kNetW = data::kNetEdgeFeatureDim;
@@ -326,7 +304,7 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
   // Cone walk only: per node, whether its recomputed row changed. Written
   // by the row's owner chunk, read after the level's join.
   std::vector<unsigned char> changed;
-  if (dirty != nullptr) changed.assign(n(g.num_nodes), 0);
+  if (dirty != nullptr) changed.assign(n(g.num_nodes()), 0);
   unsigned char* chg = dirty != nullptr ? changed.data() : nullptr;
   const float* emb = embedding.data().data();
   const float* net_feat = g.net_edge_feat.data().data();
@@ -354,7 +332,7 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
   // `row_at` is a RowRange in the full walk, so each chunk is one run.
   const auto run_rows = [&](int l, const auto row_at, std::int64_t rows) {
     const auto lu = static_cast<std::size_t>(l);
-    const std::vector<int>& nodes = plan.level_nodes[lu];
+    const std::vector<int>& nodes = *plan.level_rows[lu];
     const auto node_of = [&](std::int64_t p) { return nodes[n(row_at[p])]; };
     nn::alloc::Buffer scratch;
     scratch.resize_discard(n(rows * comb_w) + block_w);
@@ -424,7 +402,7 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
       for (std::int64_t k = 0; k < nb; ++k) {
         const int e = (*nf.feat_rows)[n(i0 + k)];
         float* x = in + k * net_w;
-        std::copy_n(st + g.net_src[n(e)] * hid, hid, x);
+        std::copy_n(st + net_src[n(e)] * hid, hid, x);
         std::copy_n(net_feat + e * kNetW, kNetW, x + hid);
         std::copy_n(emb + nodes[n(net_rows[i0 + k])] * emb_w, emb_w,
                     x + hid + kNetW);
@@ -485,7 +463,7 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
     // Level boundary = cancellation checkpoint, as in the taped walk.
     if (l > 0) cancel.throw_if_cancelled();
     const auto lu = static_cast<std::size_t>(l);
-    const std::vector<int>& nodes = plan.level_nodes[lu];
+    const std::vector<int>& nodes = *plan.level_rows[lu];
     const auto n_l = static_cast<std::int64_t>(nodes.size());
     std::int64_t count = n_l;
     if (dirty != nullptr) {
@@ -523,32 +501,12 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
     for (std::int64_t p = 0; p < count; ++p) {
       const int v = nodes[n(dirty_rows[p])];
       if (chg[v] == 0) continue;
-      for (int k = fanout->off[n(v)]; k < fanout->off[n(v) + 1]; ++k) {
-        (*dirty)[n(fanout->dst[n(k)])] = 1;
+      for (int k = fanout.off[n(v)]; k < fanout.off[n(v) + 1]; ++k) {
+        (*dirty)[n(fanout.ids[n(k)])] = 1;
       }
     }
   }
   return rows_run;
-}
-
-Fanout build_fanout(const data::DatasetGraph& g) {
-  Fanout f;
-  f.off.assign(static_cast<std::size_t>(g.num_nodes) + 1, 0);
-  for (const int u : g.net_src) ++f.off[static_cast<std::size_t>(u) + 1];
-  for (const int u : g.cell_src) ++f.off[static_cast<std::size_t>(u) + 1];
-  for (std::size_t v = 0; v + 1 < f.off.size(); ++v) f.off[v + 1] += f.off[v];
-  f.dst.resize(static_cast<std::size_t>(f.off.back()));
-  std::vector<int> fill(f.off.begin(), f.off.end() - 1);
-  const auto add = [&](const std::vector<int>& src,
-                       const std::vector<int>& dst) {
-    for (std::size_t e = 0; e < src.size(); ++e) {
-      int& slot = fill[static_cast<std::size_t>(src[e])];
-      f.dst[static_cast<std::size_t>(slot++)] = dst[e];
-    }
-  };
-  add(g.net_src, g.net_dst);
-  add(g.cell_src, g.cell_dst);
-  return f;
 }
 
 }  // namespace tg::core

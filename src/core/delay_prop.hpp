@@ -16,24 +16,14 @@
 namespace tg::core {
 
 /// Precomputed traversal schedule for one graph (build once, reuse every
-/// epoch). Derived from the graph's level-packed CSR (data::LevelCsr);
-/// all gather/scatter index arrays the forward pass needs are materialized
-/// here as shared handles, so a training step performs zero index
-/// marshalling — it just passes the handles to the shared-index ops.
+/// epoch): the per-level gather/scatter feeds of the taped walk, derived
+/// from the topology's level-packed CSR (data::LevelCsr) and held as
+/// shared handles, so a training step performs zero index marshalling —
+/// it just passes the handles to the shared-index ops. Node-indexed
+/// arrays (levels, level rows, the cell-edge order) are read from the
+/// graph's topology, never copied here.
 struct PropPlan {
   int num_levels = 0;
-  std::vector<std::vector<int>> level_nodes;  ///< node ids per level
-  std::vector<int> node_level;                ///< level of each node
-  std::vector<int> node_row;                  ///< row within its level tensor
-  /// Per level: indices into g.net_src/net_dst of edges terminating here
-  /// (sorted by destination id — CSR order).
-  std::vector<std::vector<int>> level_net_edges;
-  /// Per level: indices into g.cell_src/cell_dst of edges terminating here
-  /// (CSR order).
-  std::vector<std::vector<int>> level_cell_edges;
-  /// Cell-edge indices in traversal order (for aligning predictions with
-  /// labels).
-  std::vector<int> cell_edge_order;
 
   // ---- shared per-step feeds (see forward) ----------------------------
   // `src_t` is remapped: it indexes into `dep_levels` (the distinct source
@@ -62,21 +52,9 @@ struct PropPlan {
   std::vector<nn::IndexVec> level_rows;  ///< node ids per level (shared)
   std::vector<NetFeed> net_feed;         ///< [num_levels]
   std::vector<CellFeed> cell_feed;       ///< [num_levels]
-  nn::IndexVec assemble_t;  ///< node → its level (final assembly)
-  nn::IndexVec assemble_r;  ///< node → its level row (final assembly)
-  nn::IndexVec cell_order;  ///< shared handle of cell_edge_order
 };
 
 [[nodiscard]] PropPlan build_prop_plan(const data::DatasetGraph& g);
-
-/// Out-neighbours of every node over net and cell arcs (CSR): the rows a
-/// dirty-row walk marks when a row's state changes.
-struct Fanout {
-  std::vector<int> off;  ///< [N + 1]
-  std::vector<int> dst;  ///< destination node per arc, grouped by source
-};
-
-[[nodiscard]] Fanout build_fanout(const data::DatasetGraph& g);
 
 struct DelayPropConfig {
   int hidden = 32;      ///< propagated state width
@@ -91,7 +69,7 @@ class DelayProp : public nn::Module {
 
   struct Output {
     nn::Tensor state;       ///< [N, hidden], node order
-    nn::Tensor cell_delay;  ///< [Ec, 4] in plan.cell_edge_order
+    nn::Tensor cell_delay;  ///< [Ec, 4] in level-CSR order (csr().cell_perm)
   };
 
   /// `embedding` is the net-embedding stage output [N, embed_dim].
@@ -118,8 +96,8 @@ class DelayProp : public nn::Module {
   /// [N, hidden]. With `dirty` null it computes every row (forward's
   /// inference path, from a zero `state`). Otherwise it computes only the
   /// rows whose node `dirty` marks, level by level, through the same
-  /// per-row step; a recomputed row whose
-  /// state bytes changed marks its `fanout` in `dirty`, so on return
+  /// per-row step; a recomputed row whose state bytes changed marks its
+  /// fanout (g.topo->fanout()) in `dirty`, so on return
   /// `dirty` marks exactly the rows this call recomputed. Each row's
   /// result is bit-identical to the full walk's as long as its inputs
   /// (the state rows it reads, the embedding and feature rows) are.
@@ -127,8 +105,7 @@ class DelayProp : public nn::Module {
   /// token at every level boundary.
   std::int64_t propagate(const data::DatasetGraph& g, const PropPlan& plan,
                          const nn::Tensor& embedding, nn::Tensor& state,
-                         std::vector<unsigned char>* dirty = nullptr,
-                         const Fanout* fanout = nullptr) const;
+                         std::vector<unsigned char>* dirty = nullptr) const;
 
   [[nodiscard]] const DelayPropConfig& config() const { return config_; }
 

@@ -11,7 +11,7 @@ using nn::Tensor;
 
 GcniiAdjacency build_gcnii_adjacency(const data::DatasetGraph& g) {
   GcniiAdjacency adj;
-  const int n = g.num_nodes;
+  const int n = g.num_nodes();
   std::vector<int> degree(static_cast<std::size_t>(n), 1);  // self loop
 
   auto add_undirected = [&](const std::vector<int>& a,
@@ -25,8 +25,8 @@ GcniiAdjacency build_gcnii_adjacency(const data::DatasetGraph& g) {
       ++degree[static_cast<std::size_t>(b[e])];
     }
   };
-  add_undirected(g.net_src, g.net_dst);
-  add_undirected(g.cell_src, g.cell_dst);
+  add_undirected(g.topo->net_src(), g.topo->net_dst());
+  add_undirected(g.topo->cell_src(), g.topo->cell_dst());
   for (int v = 0; v < n; ++v) {
     adj.src.push_back(v);
     adj.dst.push_back(v);
@@ -72,7 +72,7 @@ Gcnii::Gcnii(const GcniiConfig& config)
 Tensor Gcnii::forward(const data::DatasetGraph& g,
                       const GcniiAdjacency& adj) const {
   TG_TRACE_SCOPE("core/gcnii_forward", obs::kSpanDetail);
-  TG_CHECK(adj.csr.out_rows == g.num_nodes);
+  TG_CHECK(adj.csr.out_rows == g.num_nodes());
   Tensor h0 = input_proj_.forward_relu(g.node_feat);
   Tensor h = h0;
   for (const nn::Linear& w : layers_) {

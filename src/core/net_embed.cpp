@@ -37,17 +37,23 @@ NetEmbed::NetEmbed(const NetEmbedConfig& config, Rng& rng) : config_(config) {
 }
 
 Tensor NetEmbed::forward(const data::DatasetGraph& g) const {
+  return forward(g.node_feat, g.net_edge_feat,
+                 data::share(g.topo, g.topo->net_src()),
+                 data::share(g.topo, g.topo->net_dst()));
+}
+
+Tensor NetEmbed::forward(const Tensor& node_feat, const Tensor& edge_feat,
+                         const nn::IndexVec& net_src,
+                         const nn::IndexVec& net_dst) const {
   TG_TRACE_SCOPE("core/net_embed_forward", obs::kSpanDetail);
-  const std::int64_t n = g.num_nodes;
-  const nn::IndexVec& net_src = data::shared_net_src(g);
-  const nn::IndexVec& net_dst = data::shared_net_dst(g);
-  Tensor h = input_proj_.forward_relu(g.node_feat);
+  const std::int64_t n = node_feat.rows();
+  Tensor h = input_proj_.forward_relu(node_feat);
 
   for (const Layer& layer : layers_) {
     // Graph broadcast: driver → sinks along net edges.
     Tensor hd = nn::gather_rows(h, net_src);
     Tensor hs = nn::gather_rows(h, net_dst);
-    const Tensor bcast_in[] = {hd, hs, g.net_edge_feat};
+    const Tensor bcast_in[] = {hd, hs, edge_feat};
     Tensor msg = layer.broadcast.forward(nn::concat_cols(bcast_in));
     // Each sink has exactly one incoming net edge, so segment_sum acts as
     // a scatter; drivers/roots keep their state through the residual.
@@ -56,7 +62,7 @@ Tensor NetEmbed::forward(const data::DatasetGraph& g) const {
     // Graph reduction: sinks → driver through reversed net edges, with sum
     // and max channels.
     Tensor hs2 = nn::gather_rows(h_mid, net_dst);
-    const Tensor red_in[] = {hs2, g.net_edge_feat};
+    const Tensor red_in[] = {hs2, edge_feat};
     Tensor rmsg = layer.reduce_msg.forward(nn::concat_cols(red_in));
     Tensor rsum = nn::segment_sum(rmsg, net_src, n);
     Tensor rmax = nn::segment_max(rmsg, net_src, n);
@@ -68,8 +74,8 @@ Tensor NetEmbed::forward(const data::DatasetGraph& g) const {
 
 Tensor NetEmbed::predict_net_delay(const data::DatasetGraph& g,
                                    const Tensor& embedding) const {
-  const nn::IndexVec& net_src = data::shared_net_src(g);
-  const nn::IndexVec& net_dst = data::shared_net_dst(g);
+  const nn::IndexVec net_src = data::share(g.topo, g.topo->net_src());
+  const nn::IndexVec net_dst = data::share(g.topo, g.topo->net_dst());
   Tensor hd = nn::gather_rows(embedding, net_src);
   Tensor hs = nn::gather_rows(embedding, net_dst);
   const Tensor head_in[] = {hd, hs, g.net_edge_feat};
@@ -77,7 +83,7 @@ Tensor NetEmbed::predict_net_delay(const data::DatasetGraph& g,
   // when early training undershoots, collapsing the prediction to zero.
   Tensor per_edge = delay_head_.forward(nn::concat_cols(head_in));
   // Each sink has exactly one incoming net edge; scatter to node rows.
-  return nn::segment_sum(per_edge, net_dst, g.num_nodes);
+  return nn::segment_sum(per_edge, net_dst, g.num_nodes());
 }
 
 }  // namespace tg::core

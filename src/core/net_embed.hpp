@@ -27,6 +27,15 @@ class NetEmbed : public nn::Module {
   /// Per-pin embedding [N, hidden].
   [[nodiscard]] nn::Tensor forward(const data::DatasetGraph& g) const;
 
+  /// The same layers over an explicit net-edge graph: `node_feat` [n, 10],
+  /// `edge_feat` [En, 2] and the edge list `net_src` → `net_dst` over
+  /// those n rows. forward(g) is this over g's arrays; an incremental read
+  /// runs it on the nets it re-embeds.
+  [[nodiscard]] nn::Tensor forward(const nn::Tensor& node_feat,
+                                   const nn::Tensor& edge_feat,
+                                   const nn::IndexVec& net_src,
+                                   const nn::IndexVec& net_dst) const;
+
   /// Net-delay head (linear): per net edge, delay is predicted
   /// from the (driver, sink) embedding pair and scattered to the sink row;
   /// returns [N, 4] with zeros at non-sink rows.

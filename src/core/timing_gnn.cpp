@@ -35,16 +35,23 @@ EndpointSlack slack_from_rows(const float* rat, const float* atslew) {
   return out;
 }
 
-/// The nets (net-edge components) holding `pins`, as a standalone graph:
-/// their nodes ascending, their edges in ascending original order, edge
-/// endpoints remapped. `nodes` receives the original node ids.
-data::DatasetGraph net_subgraph(const data::DatasetGraph& g,
-                                const ReadTopology& topo,
-                                const std::vector<int>& pins,
-                                std::vector<int>& nodes) {
-  std::vector<int> local(static_cast<std::size_t>(g.num_nodes), -1);
+/// The nets (net-edge components) holding some pins of a graph, as the
+/// inputs of NetEmbed's layers: their nodes ascending, their edges in
+/// ascending original order, edge endpoints remapped.
+struct NetSubgraph {
+  std::vector<int> nodes;  ///< original node id per local row
+  Tensor node_feat, edge_feat;
+  nn::IndexVec net_src, net_dst;
+};
+
+NetSubgraph net_subgraph(const data::DatasetGraph& g,
+                         const std::vector<int>& pins) {
+  const data::Topology& topo = *g.topo;
+  const data::NodeLists& inc = topo.net_incidence();
+  NetSubgraph sub;
+  std::vector<int>& nodes = sub.nodes;
+  std::vector<int> local(static_cast<std::size_t>(g.num_nodes()), -1);
   std::vector<int> edges;
-  nodes.clear();
   for (const int p : pins) {
     if (local[static_cast<std::size_t>(p)] >= 0) continue;
     local[static_cast<std::size_t>(p)] = 0;
@@ -52,10 +59,10 @@ data::DatasetGraph net_subgraph(const data::DatasetGraph& g,
   }
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const auto v = static_cast<std::size_t>(nodes[i]);
-    for (int k = topo.net_off[v]; k < topo.net_off[v + 1]; ++k) {
-      const int e = topo.net_edges[static_cast<std::size_t>(k)];
-      const int src = g.net_src[static_cast<std::size_t>(e)];
-      const int dst = g.net_dst[static_cast<std::size_t>(e)];
+    for (int k = inc.off[v]; k < inc.off[v + 1]; ++k) {
+      const int e = inc.ids[static_cast<std::size_t>(k)];
+      const int src = topo.net_src()[static_cast<std::size_t>(e)];
+      const int dst = topo.net_dst()[static_cast<std::size_t>(e)];
       if (src == nodes[i]) edges.push_back(e);  // each edge once, at its driver
       const int w = src == nodes[i] ? dst : src;
       if (local[static_cast<std::size_t>(w)] < 0) {
@@ -70,8 +77,6 @@ data::DatasetGraph net_subgraph(const data::DatasetGraph& g,
     local[static_cast<std::size_t>(nodes[i])] = static_cast<int>(i);
   }
 
-  data::DatasetGraph sub;
-  sub.num_nodes = static_cast<int>(nodes.size());
   std::vector<float> node_feat;
   node_feat.reserve(nodes.size() * data::kNodeFeatureDim);
   const float* nf = g.node_feat.data().data();
@@ -81,45 +86,31 @@ data::DatasetGraph net_subgraph(const data::DatasetGraph& g,
   }
   std::vector<float> edge_feat;
   edge_feat.reserve(edges.size() * data::kNetEdgeFeatureDim);
+  std::vector<int> src, dst;
+  src.reserve(edges.size());
+  dst.reserve(edges.size());
   const float* ef = g.net_edge_feat.data().data();
   for (const int e : edges) {
     edge_feat.insert(edge_feat.end(), ef + e * data::kNetEdgeFeatureDim,
                      ef + (e + 1) * data::kNetEdgeFeatureDim);
-    sub.net_src.push_back(local[static_cast<std::size_t>(
-        g.net_src[static_cast<std::size_t>(e)])]);
-    sub.net_dst.push_back(local[static_cast<std::size_t>(
-        g.net_dst[static_cast<std::size_t>(e)])]);
+    src.push_back(local[static_cast<std::size_t>(
+        topo.net_src()[static_cast<std::size_t>(e)])]);
+    dst.push_back(local[static_cast<std::size_t>(
+        topo.net_dst()[static_cast<std::size_t>(e)])]);
   }
-  sub.node_feat = Tensor::from_vector(std::move(node_feat), sub.num_nodes,
-                                      data::kNodeFeatureDim);
-  sub.net_edge_feat = Tensor::from_vector(
+  sub.node_feat =
+      Tensor::from_vector(std::move(node_feat),
+                          static_cast<std::int64_t>(nodes.size()),
+                          data::kNodeFeatureDim);
+  sub.edge_feat = Tensor::from_vector(
       std::move(edge_feat), static_cast<std::int64_t>(edges.size()),
       data::kNetEdgeFeatureDim);
+  sub.net_src = std::make_shared<const std::vector<int>>(std::move(src));
+  sub.net_dst = std::make_shared<const std::vector<int>>(std::move(dst));
   return sub;
 }
 
 }  // namespace
-
-ReadTopology build_read_topology(const data::DatasetGraph& g) {
-  ReadTopology topo;
-  topo.fanout = build_fanout(g);
-  const auto n = static_cast<std::size_t>(g.num_nodes);
-  topo.net_off.assign(n + 1, 0);
-  for (std::size_t e = 0; e < g.net_src.size(); ++e) {
-    ++topo.net_off[static_cast<std::size_t>(g.net_src[e]) + 1];
-    ++topo.net_off[static_cast<std::size_t>(g.net_dst[e]) + 1];
-  }
-  for (std::size_t v = 0; v < n; ++v) topo.net_off[v + 1] += topo.net_off[v];
-  topo.net_edges.resize(static_cast<std::size_t>(topo.net_off.back()));
-  std::vector<int> fill(topo.net_off.begin(), topo.net_off.end() - 1);
-  for (std::size_t e = 0; e < g.net_src.size(); ++e) {
-    for (const int v : {g.net_src[e], g.net_dst[e]}) {
-      topo.net_edges[static_cast<std::size_t>(
-          fill[static_cast<std::size_t>(v)]++)] = static_cast<int>(e);
-    }
-  }
-  return topo;
-}
 
 TimingGnn::TimingGnn(const TimingGnnConfig& config)
     : config_(config),
@@ -166,25 +157,26 @@ Tensor TimingGnn::forward_atslew(const data::DatasetGraph& g,
 }
 
 std::int64_t TimingGnn::read(const data::DatasetGraph& g,
-                             const PropPlan& plan, const ReadTopology& topo,
+                             const PropPlan& plan,
+                             std::span<const int> endpoints,
                              const data::GraphDelta& delta, bool full,
                              ReadCache& cache) const {
   TG_TRACE_SCOPE("core/gnn_read", obs::kSpanCoarse);
   const nn::NoGradGuard no_grad;
   const std::int64_t emb_w = config_.net.hidden;
   const std::int64_t hid = config_.prop.hidden;
-  TG_CHECK(cache.embedding.rows() == g.num_nodes &&
+  TG_CHECK(cache.embedding.rows() == g.num_nodes() &&
            cache.embedding.cols() == emb_w);
-  TG_CHECK(topo.fanout.off.size() ==
-           static_cast<std::size_t>(g.num_nodes) + 1);
-  const auto nodes_n = static_cast<std::size_t>(g.num_nodes);
+  const auto nodes_n = static_cast<std::size_t>(g.num_nodes());
+  const data::NodeLists& fanout = g.topo->fanout();
 
   // Re-embed the nets holding a patched pin; keep the rows that moved.
   std::vector<int> moved;
   if (!delta.pins.empty()) {
-    std::vector<int> nodes;
-    const data::DatasetGraph sub = net_subgraph(g, topo, delta.pins, nodes);
-    const Tensor fresh = net_embed_.forward(sub);
+    const NetSubgraph sub = net_subgraph(g, delta.pins);
+    const std::vector<int>& nodes = sub.nodes;
+    const Tensor fresh = net_embed_.forward(sub.node_feat, sub.edge_feat,
+                                            sub.net_src, sub.net_dst);
     float* emb = cache.embedding.data().data();
     const float* rows = fresh.data().data();
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -205,29 +197,30 @@ std::int64_t TimingGnn::read(const data::DatasetGraph& g,
   std::vector<unsigned char> dirty;
   std::int64_t rows_run = 0;
   if (full) {
-    if (!cache.state.defined()) cache.state = Tensor::zeros(g.num_nodes, hid);
+    if (!cache.state.defined()) {
+      cache.state = Tensor::zeros(g.num_nodes(), hid);
+    }
     rows_run = prop_.propagate(g, plan, cache.embedding, cache.state);
   } else {
     dirty.assign(nodes_n, 0);
     for (const int v : moved) {
       dirty[static_cast<std::size_t>(v)] = 1;
       const auto vu = static_cast<std::size_t>(v);
-      for (int k = topo.fanout.off[vu]; k < topo.fanout.off[vu + 1]; ++k) {
+      for (int k = fanout.off[vu]; k < fanout.off[vu + 1]; ++k) {
         dirty[static_cast<std::size_t>(
-            topo.fanout.dst[static_cast<std::size_t>(k)])] = 1;
+            fanout.ids[static_cast<std::size_t>(k)])] = 1;
       }
     }
     for (const int e : delta.cell_edges) {
-      dirty[static_cast<std::size_t>(g.cell_dst[static_cast<std::size_t>(e)])] =
-          1;
+      dirty[static_cast<std::size_t>(
+          g.topo->cell_dst()[static_cast<std::size_t>(e)])] = 1;
     }
-    rows_run = prop_.propagate(g, plan, cache.embedding, cache.state,
-                               &dirty, &topo.fanout);
+    rows_run = prop_.propagate(g, plan, cache.embedding, cache.state, &dirty);
   }
 
   // Head + slack on the endpoints whose inputs moved.
-  std::vector<int> heads;  // positions in g.endpoints
-  const auto num_eps = g.endpoints.size();
+  std::vector<int> heads;  // positions in endpoints
+  const auto num_eps = endpoints.size();
   if (full) {
     cache.slack.assign(num_eps, EndpointSlack{});
     heads.resize(num_eps);
@@ -235,15 +228,14 @@ std::int64_t TimingGnn::read(const data::DatasetGraph& g,
   } else {
     TG_CHECK(cache.slack.size() == num_eps);
     for (std::size_t i = 0; i < num_eps; ++i) {
-      if (dirty[static_cast<std::size_t>(g.endpoints[i])] != 0) {
+      if (dirty[static_cast<std::size_t>(endpoints[i])] != 0) {
         heads.push_back(static_cast<int>(i));
       }
     }
     for (const int ep : delta.endpoints) {
-      const auto it =
-          std::lower_bound(g.endpoints.begin(), g.endpoints.end(), ep);
-      TG_CHECK(it != g.endpoints.end() && *it == ep);
-      heads.push_back(static_cast<int>(it - g.endpoints.begin()));
+      const auto it = std::lower_bound(endpoints.begin(), endpoints.end(), ep);
+      TG_CHECK(it != endpoints.end() && *it == ep);
+      heads.push_back(static_cast<int>(it - endpoints.begin()));
     }
     std::sort(heads.begin(), heads.end());
     heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
@@ -260,7 +252,7 @@ std::int64_t TimingGnn::read(const data::DatasetGraph& g,
   const auto num_heads = static_cast<std::int64_t>(heads.size());
   const auto endpoint = [&](std::int64_t h) {
     const auto i = static_cast<std::size_t>(heads[static_cast<std::size_t>(h)]);
-    return std::pair{i, static_cast<std::int64_t>(g.endpoints[i])};
+    return std::pair{i, static_cast<std::int64_t>(endpoints[i])};
   };
   for (std::int64_t b0 = 0; b0 < num_heads; b0 += kBlock) {
     const std::int64_t nb = std::min(kBlock, num_heads - b0);
@@ -281,6 +273,7 @@ std::int64_t TimingGnn::read(const data::DatasetGraph& g,
 
 Tensor TimingGnn::loss(const data::DatasetGraph& g, const PropPlan& plan,
                        const Prediction& pred) const {
+  TG_CHECK(plan.num_levels == g.num_levels());
   // Eq. 4: arrival/slew over all pins.
   const Tensor atslew_target_parts[] = {g.arrival, g.slew};
   Tensor total =
@@ -288,13 +281,14 @@ Tensor TimingGnn::loss(const data::DatasetGraph& g, const PropPlan& plan,
 
   // Eq. 5: cell-arc delay (plan order).
   if (config_.use_cell_aux && pred.cell_delay.rows() > 0) {
-    Tensor cell_target = nn::gather_rows(g.cell_delay, plan.cell_order);
+    Tensor cell_target = nn::gather_rows(
+        g.cell_delay, data::share(g.topo, g.topo->csr().cell_perm));
     total = nn::add(total, nn::mse_loss(pred.cell_delay, cell_target));
   }
 
   // Eq. 6: net delay at fan-in (net sink) pins.
-  if (config_.use_net_aux && !g.net_sinks.empty()) {
-    const nn::IndexVec& sinks = data::shared_net_sinks(g);
+  if (config_.use_net_aux && !g.topo->net_sinks().empty()) {
+    const nn::IndexVec sinks = data::share(g.topo, g.topo->net_sinks());
     Tensor target = nn::gather_rows(g.net_delay, sinks);
     total = nn::add(total, nn::mse_loss_rows(pred.net_delay, sinks, target));
   }
@@ -313,7 +307,7 @@ EndpointSlack predicted_endpoint_slack(const data::DatasetGraph& g,
 
 std::vector<GraphSlackSummary> packed_endpoint_slacks(
     const data::GraphPack& pack, const Tensor& atslew) {
-  TG_CHECK(atslew.rows() == pack.g.num_nodes);
+  TG_CHECK(atslew.rows() == pack.g.num_nodes());
   std::vector<GraphSlackSummary> out(
       static_cast<std::size_t>(pack.num_graphs));
   for (int k = 0; k < pack.num_graphs; ++k) {

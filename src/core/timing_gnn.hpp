@@ -8,6 +8,7 @@
 /// trained jointly (Eq. 7). Ablation switches reproduce the paper's
 /// "w/ Cell" and "w/ Net" columns of Table 5.
 
+#include <span>
 #include <vector>
 
 #include "core/delay_prop.hpp"
@@ -33,26 +34,13 @@ struct EndpointSlack {
   double hold = 0.0;
 };
 
-/// Topology-only lookups of an incremental read. Feature patches never
-/// change topology, so one build serves every graph sharing it (a serving
-/// template and all its moved sessions).
-struct ReadTopology {
-  Fanout fanout;  ///< net + cell fanout: the rows a changed row dirties
-  /// Incident net edges per node (CSR, both directions, ascending edge
-  /// id): the net-edge graph whose components are the nets a re-embed
-  /// recomputes.
-  std::vector<int> net_off, net_edges;
-};
-
-[[nodiscard]] ReadTopology build_read_topology(const data::DatasetGraph& g);
-
 /// Cached inference state of one graph whose feature rows are patched in
 /// place between reads — a serving session's moved design (DESIGN.md
 /// §12). Owned by the caller; TimingGnn::read keeps it current.
 struct ReadCache {
   nn::Tensor embedding;  ///< [N, embed], net embedding of the current rows
   nn::Tensor state;      ///< [N, hidden], propagated from `embedding`
-  std::vector<EndpointSlack> slack;  ///< aligned with g.endpoints
+  std::vector<EndpointSlack> slack;  ///< aligned with the read's endpoints
 };
 
 class TimingGnn : public nn::Module {
@@ -62,7 +50,7 @@ class TimingGnn : public nn::Module {
   struct Prediction {
     nn::Tensor atslew;      ///< [N, 8]: arrival (4) | slew (4)
     nn::Tensor net_delay;   ///< [N, 4]
-    nn::Tensor cell_delay;  ///< [Ec, 4] in plan.cell_edge_order
+    nn::Tensor cell_delay;  ///< [Ec, 4] in level-CSR order (csr().cell_perm)
   };
 
   [[nodiscard]] Prediction forward(const data::DatasetGraph& g,
@@ -104,10 +92,13 @@ class TimingGnn : public nn::Module {
   /// patched RAT. A stop mid-walk (ambient cancel token) leaves `cache`
   /// inconsistent: the caller must re-embed `g` and read with `full`.
   /// Returns the number of propagation rows recomputed.
-  /// `plan` and `topo` are those of `g`'s topology.
+  /// `plan` is that of `g`'s topology; `endpoints` (ascending node ids)
+  /// are the rows whose slack `cache.slack` holds. `g` needs only its
+  /// topology and value tensors (no labels): a moved session's graph.
   std::int64_t read(const data::DatasetGraph& g, const PropPlan& plan,
-                    const ReadTopology& topo, const data::GraphDelta& delta,
-                    bool full, ReadCache& cache) const;
+                    std::span<const int> endpoints,
+                    const data::GraphDelta& delta, bool full,
+                    ReadCache& cache) const;
 
   /// Combined loss of Eq. 7 (terms gated by the ablation config).
   [[nodiscard]] nn::Tensor loss(const data::DatasetGraph& g,

@@ -387,7 +387,7 @@ DesignEval TimingGnnTrainer::evaluate(const data::DatasetGraph& g) {
   const Tensor truth_parts[] = {g.arrival, g.slew};
   const Tensor atslew_truth = nn::concat_cols(truth_parts);
   eval.r2_atslew_all =
-      pooled_r2(atslew_truth, pred.atslew, all_rows(g.num_nodes));
+      pooled_r2(atslew_truth, pred.atslew, all_rows(g.num_nodes()));
 
   // Arrival R² at endpoints (Table 5): arrival columns only.
   {
@@ -402,9 +402,11 @@ DesignEval TimingGnnTrainer::evaluate(const data::DatasetGraph& g) {
         r2_score(std::span<const double>(t), std::span<const double>(p));
   }
 
-  eval.r2_net_delay = pooled_r2(g.net_delay, pred.net_delay, g.net_sinks);
+  eval.r2_net_delay =
+      pooled_r2(g.net_delay, pred.net_delay, g.topo->net_sinks());
   {
-    const Tensor cell_truth = nn::gather_rows(g.cell_delay, plan.cell_order);
+    const Tensor cell_truth = nn::gather_rows(
+        g.cell_delay, data::share(g.topo, g.topo->csr().cell_perm));
     eval.r2_cell_delay = pooled_r2(cell_truth, pred.cell_delay,
                                    all_rows(cell_truth.rows()));
   }
@@ -460,7 +462,7 @@ double NetEmbedTrainer::fit(const data::SuiteDataset& dataset) {
       adam_.zero_grad();
       Tensor emb = model_.forward(g);
       Tensor pred = model_.predict_net_delay(g, emb);
-      const nn::IndexVec& sinks = data::shared_net_sinks(g);
+      const nn::IndexVec sinks = data::share(g.topo, g.topo->net_sinks());
       Tensor target = nn::gather_rows(g.net_delay, sinks);
       Tensor loss = nn::mse_loss_rows(pred, sinks, target);
       const double loss_value = loss.item();
@@ -522,7 +524,7 @@ double NetEmbedTrainer::evaluate_r2(const data::DatasetGraph& g) const {
   const nn::NoGradGuard no_grad;
   Tensor pred = model_.predict_net_delay(g, model_.forward(g));
   std::vector<double> t, p;
-  for (int r : g.net_sinks) {
+  for (int r : g.topo->net_sinks()) {
     for (int c = 0; c < kNumCorners; ++c) {
       t.push_back(g.net_delay.at(r, c));
       p.push_back(pred.at(r, c));
@@ -637,7 +639,7 @@ DesignEval GcniiTrainer::evaluate(const data::DatasetGraph& g) {
 
   const Tensor truth_parts[] = {g.arrival, g.slew};
   eval.r2_atslew_all =
-      pooled_r2(nn::concat_cols(truth_parts), pred, all_rows(g.num_nodes));
+      pooled_r2(nn::concat_cols(truth_parts), pred, all_rows(g.num_nodes()));
   std::vector<double> t, p;
   for (int ep : g.endpoints) {
     for (int c = 0; c < kNumCorners; ++c) {

@@ -86,14 +86,11 @@ DatasetGraph build_design_graph(const SuiteEntry& entry, const Library& library,
     g.design = design;
     g.truth_routing = truth;
   }
-  // Precompute the level-packed CSR here, once per graph, so it rides
-  // along in the TGD2 file and downstream plans never rebuild it.
-  ensure_level_csr(g);
-  TG_INFO("dataset: " << g.name << " nodes=" << g.num_nodes
-                      << " net_edges=" << g.net_src.size()
-                      << " cell_edges=" << g.cell_src.size()
+  TG_INFO("dataset: " << g.name << " nodes=" << g.num_nodes()
+                      << " net_edges=" << g.topo->net_src().size()
+                      << " cell_edges=" << g.topo->cell_src().size()
                       << " endpoints=" << g.endpoints.size()
-                      << " levels=" << g.num_levels
+                      << " levels=" << g.num_levels()
                       << " route=" << g.route_seconds << "s");
   return g;
 }

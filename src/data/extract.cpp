@@ -93,21 +93,22 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
   TG_TRACE_SCOPE("data/extract", obs::kSpanCoarse);
   DatasetGraph g;
   g.name = design.name();
-  g.num_nodes = design.num_pins();
-  g.num_levels = graph.num_levels();
+  Topology::Arrays topo;
+  topo.num_nodes = design.num_pins();
+  topo.num_levels = graph.num_levels();
   g.clock_period = design.clock_period();
   g.stats = design.stats();
 
   // ---- node features (Table 2) ----------------------------------------
   {
-    std::vector<float> feat(static_cast<std::size_t>(g.num_nodes) *
+    std::vector<float> feat(static_cast<std::size_t>(topo.num_nodes) *
                             kNodeFeatureDim);
     for (PinId p = 0; p < design.num_pins(); ++p) {
       write_node_features(design, p,
                           feat.data() + static_cast<std::size_t>(p) *
                                             kNodeFeatureDim);
     }
-    g.node_feat = nn::Tensor::from_vector(std::move(feat), g.num_nodes,
+    g.node_feat = nn::Tensor::from_vector(std::move(feat), topo.num_nodes,
                                           kNodeFeatureDim);
   }
 
@@ -116,11 +117,11 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
     const auto& arcs = graph.net_arcs();
     std::vector<float> feat;
     feat.reserve(arcs.size() * kNetEdgeFeatureDim);
-    g.net_src.reserve(arcs.size());
-    g.net_dst.reserve(arcs.size());
+    topo.net_src.reserve(arcs.size());
+    topo.net_dst.reserve(arcs.size());
     for (const NetArc& a : arcs) {
-      g.net_src.push_back(a.from);
-      g.net_dst.push_back(a.to);
+      topo.net_src.push_back(a.from);
+      topo.net_dst.push_back(a.to);
       const Point& dp = design.pin(a.from).pos;
       const Point& sp = design.pin(a.to).pos;
       feat.push_back(static_cast<float>(std::abs(sp.x - dp.x)) * kDistScale);
@@ -135,11 +136,11 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
   {
     const auto& arcs = graph.cell_arcs();
     std::vector<float> feat(arcs.size() * kCellEdgeFeatureDim);
-    g.cell_src.reserve(arcs.size());
-    g.cell_dst.reserve(arcs.size());
+    topo.cell_src.reserve(arcs.size());
+    topo.cell_dst.reserve(arcs.size());
     for (std::size_t e = 0; e < arcs.size(); ++e) {
-      g.cell_src.push_back(arcs[e].from);
-      g.cell_dst.push_back(arcs[e].to);
+      topo.cell_src.push_back(arcs[e].from);
+      topo.cell_dst.push_back(arcs[e].to);
       write_cell_edge_features(graph, arcs[e],
                                feat.data() + e * kCellEdgeFeatureDim);
     }
@@ -149,12 +150,13 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
   }
 
   // ---- levels and index sets -------------------------------------------
-  g.node_level.resize(static_cast<std::size_t>(g.num_nodes));
+  topo.node_level.resize(static_cast<std::size_t>(topo.num_nodes));
   for (PinId p = 0; p < design.num_pins(); ++p) {
-    g.node_level[static_cast<std::size_t>(p)] = graph.level(p);
+    topo.node_level[static_cast<std::size_t>(p)] = graph.level(p);
     if (design.is_endpoint(p)) g.endpoints.push_back(p);
-    if (graph.in_net_arc(p) >= 0) g.net_sinks.push_back(p);
+    if (graph.in_net_arc(p) >= 0) topo.net_sinks.push_back(p);
   }
+  g.topo = std::make_shared<const Topology>(std::move(topo), g.name);
 
   // ---- labels ------------------------------------------------------------
   g.net_delay = per_corner_tensor(sta.net_delay, kNetDelayScale);
@@ -165,14 +167,15 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
     // RAT is ±inf away from constrained pins; store raw values at
     // endpoints and 0 elsewhere (the models only read endpoint rows).
     // Same unit as arrival so predicted slack = RAT − AT works directly.
-    std::vector<float> rat(static_cast<std::size_t>(g.num_nodes) *
+    std::vector<float> rat(static_cast<std::size_t>(g.num_nodes()) *
                                kNumCorners,
                            0.0f);
     for (int p : g.endpoints) {
       write_rat(sta.rat[static_cast<std::size_t>(p)],
                 rat.data() + static_cast<std::size_t>(p) * kNumCorners);
     }
-    g.rat = nn::Tensor::from_vector(std::move(rat), g.num_nodes, kNumCorners);
+    g.rat =
+        nn::Tensor::from_vector(std::move(rat), g.num_nodes(), kNumCorners);
   }
   for (int p : g.endpoints) {
     g.endpoint_setup_slack.push_back(endpoint_setup_slack(sta, p));
@@ -187,7 +190,7 @@ GraphDelta patch_instances(DatasetGraph& g, const TimingGraph& graph,
                            std::span<const InstId> insts) {
   TG_TRACE_SCOPE("data/patch", obs::kSpanDetail);
   const Design& design = graph.design();
-  TG_CHECK(g.num_nodes == design.num_pins());
+  TG_CHECK(g.num_nodes() == design.num_pins());
   TG_CHECK(g.cell_edge_feat.rows() ==
            static_cast<std::int64_t>(graph.cell_arcs().size()));
   float* node_feat = g.node_feat.data().data();

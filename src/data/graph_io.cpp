@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "data/validate.hpp"
 #include "util/check.hpp"
 #include "util/io.hpp"
 
@@ -9,16 +10,12 @@ namespace tg::data {
 
 namespace {
 
-// v3 ("TGD2" envelope, version 3): v2 body plus an optional trailing
-// level-packed CSR section, so datasets built once ship their traversal
-// schedule and loaders skip the per-graph rebuild.
-// v2 ("TGD2"): u32 magic + u32 version, CRC-32 trailer, atomic commit.
-// v1: u64 magic "TGDG" + u64 version, no checksum — still readable; every
-// field is bounds-checked so truncated v1 files raise CheckError.
-constexpr std::uint32_t kMagicV2 = 0x32444754;  // "TGD2" (LE bytes)
-constexpr std::uint32_t kVersionV2 = 2;
-constexpr std::uint32_t kVersionV3 = 3;
-constexpr std::uint64_t kMagicV1 = 0x54474447;  // "TGDG"
+// "TGD2" v4: u32 magic + u32 version, the body, CRC-32 trailer, atomic
+// commit. The body holds the topology's source arrays only; the loader
+// rebuilds (and range-checks) every derived index through the Topology
+// constructor.
+constexpr std::uint32_t kMagic = 0x32444754;  // "TGD2" (LE bytes)
+constexpr std::uint32_t kVersion = 4;
 
 void write_tensor(io::BinaryWriter& out, const nn::Tensor& t) {
   out.write_u64(static_cast<std::uint64_t>(t.rows()));
@@ -39,10 +36,11 @@ nn::Tensor read_tensor(io::BinaryReader& in, const char* what) {
 }
 
 void write_body(io::BinaryWriter& out, const DatasetGraph& g) {
+  const Topology& topo = *g.topo;
   out.write_string(g.name);
   out.write_u64(g.is_test ? 1 : 0);
-  out.write_u64(static_cast<std::uint64_t>(g.num_nodes));
-  out.write_u64(static_cast<std::uint64_t>(g.num_levels));
+  out.write_u64(static_cast<std::uint64_t>(topo.num_nodes()));
+  out.write_u64(static_cast<std::uint64_t>(topo.num_levels()));
   out.write_f64(g.clock_period);
   out.write_f64(g.route_seconds);
   out.write_f64(g.sta_seconds);
@@ -50,11 +48,11 @@ void write_body(io::BinaryWriter& out, const DatasetGraph& g) {
   write_tensor(out, g.node_feat);
   write_tensor(out, g.net_edge_feat);
   write_tensor(out, g.cell_edge_feat);
-  out.write_i32_vec(g.net_src);
-  out.write_i32_vec(g.net_dst);
-  out.write_i32_vec(g.cell_src);
-  out.write_i32_vec(g.cell_dst);
-  out.write_i32_vec(g.node_level);
+  out.write_i32_vec(topo.net_src());
+  out.write_i32_vec(topo.net_dst());
+  out.write_i32_vec(topo.cell_src());
+  out.write_i32_vec(topo.cell_dst());
+  out.write_i32_vec(topo.node_level());
 
   write_tensor(out, g.net_delay);
   write_tensor(out, g.arrival);
@@ -62,7 +60,7 @@ void write_body(io::BinaryWriter& out, const DatasetGraph& g) {
   write_tensor(out, g.rat);
   write_tensor(out, g.cell_delay);
   out.write_i32_vec(g.endpoints);
-  out.write_i32_vec(g.net_sinks);
+  out.write_i32_vec(topo.net_sinks());
   out.write_f64_vec(g.endpoint_setup_slack);
   out.write_f64_vec(g.endpoint_hold_slack);
 
@@ -76,13 +74,13 @@ void write_body(io::BinaryWriter& out, const DatasetGraph& g) {
   out.write_u64(static_cast<std::uint64_t>(g.stats.num_ffs));
 }
 
-/// Field order is identical in v1 and v2; only the envelope differs.
 DatasetGraph read_body(io::BinaryReader& in) {
   DatasetGraph g;
+  Topology::Arrays topo;
   g.name = in.read_string("design name");
   g.is_test = in.read_u64("is_test flag") != 0;
-  g.num_nodes = static_cast<int>(in.read_u64("num_nodes"));
-  g.num_levels = static_cast<int>(in.read_u64("num_levels"));
+  topo.num_nodes = static_cast<int>(in.read_u64("num_nodes"));
+  topo.num_levels = static_cast<int>(in.read_u64("num_levels"));
   g.clock_period = in.read_f64("clock_period");
   g.route_seconds = in.read_f64("route_seconds");
   g.sta_seconds = in.read_f64("sta_seconds");
@@ -90,11 +88,11 @@ DatasetGraph read_body(io::BinaryReader& in) {
   g.node_feat = read_tensor(in, "node_feat");
   g.net_edge_feat = read_tensor(in, "net_edge_feat");
   g.cell_edge_feat = read_tensor(in, "cell_edge_feat");
-  g.net_src = in.read_i32_vec("net_src");
-  g.net_dst = in.read_i32_vec("net_dst");
-  g.cell_src = in.read_i32_vec("cell_src");
-  g.cell_dst = in.read_i32_vec("cell_dst");
-  g.node_level = in.read_i32_vec("node_level");
+  topo.net_src = in.read_i32_vec("net_src");
+  topo.net_dst = in.read_i32_vec("net_dst");
+  topo.cell_src = in.read_i32_vec("cell_src");
+  topo.cell_dst = in.read_i32_vec("cell_dst");
+  topo.node_level = in.read_i32_vec("node_level");
 
   g.net_delay = read_tensor(in, "net_delay");
   g.arrival = read_tensor(in, "arrival");
@@ -102,7 +100,7 @@ DatasetGraph read_body(io::BinaryReader& in) {
   g.rat = read_tensor(in, "rat");
   g.cell_delay = read_tensor(in, "cell_delay");
   g.endpoints = in.read_i32_vec("endpoints");
-  g.net_sinks = in.read_i32_vec("net_sinks");
+  topo.net_sinks = in.read_i32_vec("net_sinks");
   g.endpoint_setup_slack = in.read_f64_vec("endpoint_setup_slack");
   g.endpoint_hold_slack = in.read_f64_vec("endpoint_hold_slack");
 
@@ -118,94 +116,33 @@ DatasetGraph read_body(io::BinaryReader& in) {
   g.stats.num_nets = static_cast<long long>(in.read_u64("stats.num_nets"));
   g.stats.num_ffs = static_cast<long long>(in.read_u64("stats.num_ffs"));
 
-  // Internal consistency.
-  TG_CHECK(g.node_feat.rows() == g.num_nodes);
-  TG_CHECK(g.net_src.size() == g.net_dst.size());
-  TG_CHECK(g.cell_src.size() == g.cell_dst.size());
-  TG_CHECK(static_cast<int>(g.node_level.size()) == g.num_nodes);
+  // Rejects out-of-range indices before anything derives from them, then
+  // checks the tensors against the topology.
+  g.topo = std::make_shared<const Topology>(std::move(topo), in.path());
+  DiagSink sink;
+  validate_dataset_graph(g, sink, ValidateLevel::kFast);
+  sink.throw_if_errors(in.path());
   return g;
-}
-
-// ---- v3 optional section: level-packed CSR ------------------------------
-
-void write_level_csr(io::BinaryWriter& out, const LevelCsr& csr) {
-  out.write_u64(static_cast<std::uint64_t>(csr.num_levels));
-  out.write_i32_vec(csr.node_off);
-  out.write_i32_vec(csr.node_perm);
-  out.write_i32_vec(csr.node_row);
-  out.write_i32_vec(csr.net_off);
-  out.write_i32_vec(csr.net_perm);
-  out.write_i32_vec(csr.cell_off);
-  out.write_i32_vec(csr.cell_perm);
-}
-
-LevelCsr read_level_csr(io::BinaryReader& in, const DatasetGraph& g) {
-  LevelCsr csr;
-  csr.num_levels = static_cast<int>(in.read_u64("level_csr.num_levels"));
-  csr.node_off = in.read_i32_vec("level_csr.node_off");
-  csr.node_perm = in.read_i32_vec("level_csr.node_perm");
-  csr.node_row = in.read_i32_vec("level_csr.node_row");
-  csr.net_off = in.read_i32_vec("level_csr.net_off");
-  csr.net_perm = in.read_i32_vec("level_csr.net_perm");
-  csr.cell_off = in.read_i32_vec("level_csr.cell_off");
-  csr.cell_perm = in.read_i32_vec("level_csr.cell_perm");
-
-  const auto levels = static_cast<std::size_t>(g.num_levels);
-  TG_CHECK_MSG(csr.num_levels == g.num_levels &&
-                   csr.node_off.size() == levels + 1 &&
-                   csr.node_perm.size() ==
-                       static_cast<std::size_t>(g.num_nodes) &&
-                   csr.node_row.size() ==
-                       static_cast<std::size_t>(g.num_nodes) &&
-                   csr.net_off.size() == levels + 1 &&
-                   csr.net_perm.size() == g.net_dst.size() &&
-                   csr.cell_off.size() == levels + 1 &&
-                   csr.cell_perm.size() == g.cell_dst.size(),
-               in.path() << ": level CSR section inconsistent with graph");
-  return csr;
 }
 
 }  // namespace
 
 void save_graph(const DatasetGraph& g, const std::string& path) {
   io::BinaryWriter out(path);
-  out.write_u32(kMagicV2);
-  out.write_u32(kVersionV3);
+  out.write_u32(kMagic);
+  out.write_u32(kVersion);
   write_body(out, g);
-  // Optional section: persist the level-packed CSR when the graph carries
-  // one (dataset builds always do; hand-assembled graphs may not).
-  if (g.level_csr) {
-    out.write_u64(1);
-    write_level_csr(out, *g.level_csr);
-  } else {
-    out.write_u64(0);
-  }
   out.commit();
 }
 
 DatasetGraph load_graph(const std::string& path) {
   io::BinaryReader in(path);
-  const std::uint32_t magic = in.peek_u32();
-  if (magic == kMagicV2) {
-    in.verify_crc();
-    (void)in.read_u32("magic");
-    const std::uint32_t version = in.read_u32("format version");
-    TG_CHECK_MSG(version == kVersionV2 || version == kVersionV3,
-                 path << ": unsupported dataset-graph version " << version);
-    DatasetGraph g = read_body(in);
-    if (version >= kVersionV3 && in.read_u64("level_csr flag") != 0) {
-      g.level_csr = std::make_shared<const LevelCsr>(read_level_csr(in, g));
-    }
-    in.expect_eof();
-    return g;
-  }
-  // Legacy v1 envelope: u64 magic, u64 version, no CRC.
-  TG_CHECK_MSG(static_cast<std::uint32_t>(kMagicV1) == magic,
+  TG_CHECK_MSG(in.read_u32("magic") == kMagic,
                "bad dataset-graph magic in " << path);
-  TG_CHECK_MSG(in.read_u64("magic") == kMagicV1,
-               "bad dataset-graph magic in " << path);
-  TG_CHECK_MSG(in.read_u64("format version") == 1,
-               path << ": unsupported dataset-graph version");
+  in.verify_crc();
+  const std::uint32_t version = in.read_u32("format version");
+  TG_CHECK_MSG(version == kVersion,
+               path << ": unsupported dataset-graph version " << version);
   DatasetGraph g = read_body(in);
   in.expect_eof();
   return g;

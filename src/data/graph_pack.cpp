@@ -28,35 +28,6 @@ void append_offset(std::vector<int>& out, const std::vector<int>& ids,
   for (int id : ids) out.push_back(id + base);
 }
 
-/// Merges per-part level-packed permutations into the packed CSR: packed
-/// level l holds part 0's level-l block, then part 1's, ... — exactly the
-/// (level, packed id) order build_level_csr would produce from scratch,
-/// because part k's packed ids all precede part k+1's.
-void merge_perm(const std::vector<const LevelCsr*>& csrs,
-                const std::vector<int>& bases, int num_levels,
-                std::vector<int> LevelCsr::*off_field,
-                std::vector<int> LevelCsr::*perm_field, LevelCsr& out) {
-  std::vector<int>& off = out.*off_field;
-  std::vector<int>& perm = out.*perm_field;
-  off.assign(static_cast<std::size_t>(num_levels) + 1, 0);
-  std::size_t total = 0;
-  for (const LevelCsr* c : csrs) total += (c->*perm_field).size();
-  perm.reserve(total);
-  for (int l = 0; l < num_levels; ++l) {
-    for (std::size_t k = 0; k < csrs.size(); ++k) {
-      const LevelCsr& c = *csrs[k];
-      if (l >= c.num_levels) continue;  // shallow part: done contributing
-      const std::vector<int>& part_off = c.*off_field;
-      const std::vector<int>& part_perm = c.*perm_field;
-      for (int s = part_off[static_cast<std::size_t>(l)];
-           s < part_off[static_cast<std::size_t>(l) + 1]; ++s) {
-        perm.push_back(part_perm[static_cast<std::size_t>(s)] + bases[k]);
-      }
-    }
-    off[static_cast<std::size_t>(l) + 1] = static_cast<int>(perm.size());
-  }
-}
-
 }  // namespace
 
 GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
@@ -71,14 +42,14 @@ GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
   int levels = 0;
   for (const DatasetGraph* p : parts) {
     TG_CHECK(p != nullptr);
-    pack.node_base.push_back(pack.node_base.back() + p->num_nodes);
+    pack.node_base.push_back(pack.node_base.back() + p->num_nodes());
     pack.net_base.push_back(pack.net_base.back() +
-                            static_cast<int>(p->net_src.size()));
+                            static_cast<int>(p->topo->net_src().size()));
     pack.cell_base.push_back(pack.cell_base.back() +
-                             static_cast<int>(p->cell_src.size()));
+                             static_cast<int>(p->topo->cell_src().size()));
     pack.endpoint_base.push_back(pack.endpoint_base.back() +
                                  static_cast<int>(p->endpoints.size()));
-    levels = std::max(levels, p->num_levels);
+    levels = std::max(levels, p->num_levels());
   }
 
   DatasetGraph& g = pack.g;
@@ -86,8 +57,9 @@ GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
   const int en = pack.net_base.back();
   const int ec = pack.cell_base.back();
   g.name = "pack[" + std::to_string(pack.num_graphs) + "]";
-  g.num_nodes = n;
-  g.num_levels = levels;
+  Topology::Arrays topo;
+  topo.num_nodes = n;
+  topo.num_levels = levels;
 
   // ---- concatenated tensors (detached leaves) ---------------------------
   g.node_feat = nn::Tensor::zeros(n, kNodeFeatureDim);
@@ -99,16 +71,17 @@ GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
   g.rat = nn::Tensor::zeros(n, kNumCorners);
   g.cell_delay = nn::Tensor::zeros(ec, kNumCorners);
 
-  g.node_level.reserve(static_cast<std::size_t>(n));
+  topo.node_level.reserve(static_cast<std::size_t>(n));
   pack.graph_of_node.reserve(static_cast<std::size_t>(n));
-  g.net_src.reserve(static_cast<std::size_t>(en));
-  g.net_dst.reserve(static_cast<std::size_t>(en));
-  g.cell_src.reserve(static_cast<std::size_t>(ec));
-  g.cell_dst.reserve(static_cast<std::size_t>(ec));
+  topo.net_src.reserve(static_cast<std::size_t>(en));
+  topo.net_dst.reserve(static_cast<std::size_t>(en));
+  topo.cell_src.reserve(static_cast<std::size_t>(ec));
+  topo.cell_dst.reserve(static_cast<std::size_t>(ec));
 
   g.clock_period = 0.0;
   for (std::size_t k = 0; k < parts.size(); ++k) {
     const DatasetGraph& p = *parts[k];
+    const Topology& pt = *p.topo;
     const int nb = pack.node_base[k];
     copy_rows(g.node_feat, nb, p.node_feat);
     copy_rows(g.net_edge_feat, pack.net_base[k], p.net_edge_feat);
@@ -119,17 +92,17 @@ GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
     copy_rows(g.rat, nb, p.rat);
     copy_rows(g.cell_delay, pack.cell_base[k], p.cell_delay);
 
-    g.node_level.insert(g.node_level.end(), p.node_level.begin(),
-                        p.node_level.end());
+    topo.node_level.insert(topo.node_level.end(), pt.node_level().begin(),
+                           pt.node_level().end());
     pack.graph_of_node.insert(pack.graph_of_node.end(),
-                              static_cast<std::size_t>(p.num_nodes),
+                              static_cast<std::size_t>(pt.num_nodes()),
                               static_cast<int>(k));
-    append_offset(g.net_src, p.net_src, nb);
-    append_offset(g.net_dst, p.net_dst, nb);
-    append_offset(g.cell_src, p.cell_src, nb);
-    append_offset(g.cell_dst, p.cell_dst, nb);
+    append_offset(topo.net_src, pt.net_src(), nb);
+    append_offset(topo.net_dst, pt.net_dst(), nb);
+    append_offset(topo.cell_src, pt.cell_src(), nb);
+    append_offset(topo.cell_dst, pt.cell_dst(), nb);
     append_offset(g.endpoints, p.endpoints, nb);
-    append_offset(g.net_sinks, p.net_sinks, nb);
+    append_offset(topo.net_sinks, pt.net_sinks(), nb);
     g.endpoint_setup_slack.insert(g.endpoint_setup_slack.end(),
                                   p.endpoint_setup_slack.begin(),
                                   p.endpoint_setup_slack.end());
@@ -150,31 +123,7 @@ GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
   }
   if (g.clock_period <= 0.0) g.clock_period = 1.0;  // K = 0: stay valid
 
-  // ---- merged LevelCsr --------------------------------------------------
-  // Concatenating per-part level blocks (parts in ascending packed-id
-  // order) reproduces build_level_csr(g) exactly; merging reuses the
-  // parts' cached CSRs instead of re-sorting the union.
-  std::vector<const LevelCsr*> csrs;
-  csrs.reserve(parts.size());
-  for (const DatasetGraph* p : parts) csrs.push_back(&ensure_level_csr(*p));
-  auto csr = std::make_shared<LevelCsr>();
-  csr->num_levels = levels;
-  merge_perm(csrs, pack.node_base, levels, &LevelCsr::node_off,
-             &LevelCsr::node_perm, *csr);
-  merge_perm(csrs, pack.net_base, levels, &LevelCsr::net_off,
-             &LevelCsr::net_perm, *csr);
-  merge_perm(csrs, pack.cell_base, levels, &LevelCsr::cell_off,
-             &LevelCsr::cell_perm, *csr);
-  csr->node_row.resize(static_cast<std::size_t>(n));
-  for (int l = 0; l < levels; ++l) {
-    for (int s = csr->node_off[static_cast<std::size_t>(l)];
-         s < csr->node_off[static_cast<std::size_t>(l) + 1]; ++s) {
-      csr->node_row[static_cast<std::size_t>(
-          csr->node_perm[static_cast<std::size_t>(s)])] =
-          s - csr->node_off[static_cast<std::size_t>(l)];
-    }
-  }
-  g.level_csr = std::move(csr);
+  g.topo = std::make_shared<const Topology>(std::move(topo), g.name);
   return pack;
 }
 
@@ -193,58 +142,53 @@ void validate_graph_pack(const GraphPack& pack, DiagSink& sink,
                    << total);
     }
   };
-  check_base(pack.node_base, g.num_nodes, "node");
-  check_base(pack.net_base, static_cast<int>(g.net_src.size()), "net");
-  check_base(pack.cell_base, static_cast<int>(g.cell_src.size()), "cell");
+  const Topology& topo = *g.topo;
+  const int n = g.num_nodes();
+  check_base(pack.node_base, n, "node");
+  check_base(pack.net_base, static_cast<int>(topo.net_src().size()), "net");
+  check_base(pack.cell_base, static_cast<int>(topo.cell_src().size()),
+             "cell");
   check_base(pack.endpoint_base, static_cast<int>(g.endpoints.size()),
              "endpoint");
 
-  if (pack.graph_of_node.size() != static_cast<std::size_t>(g.num_nodes)) {
+  if (pack.graph_of_node.size() != static_cast<std::size_t>(n)) {
     TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
             "graph_of_node holds " << pack.graph_of_node.size()
-                                   << " entries for " << g.num_nodes
-                                   << " nodes");
-  } else if (pack.node_base.size() == k + 1) {
-    for (int v = 0; v < g.num_nodes; ++v) {
-      const int part = pack.graph_of_node[static_cast<std::size_t>(v)];
-      if (part < 0 || part >= pack.num_graphs ||
-          v < pack.node_base[static_cast<std::size_t>(part)] ||
-          v >= pack.node_base[static_cast<std::size_t>(part) + 1]) {
-        TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-                "graph_of_node[" << v << "] = " << part
-                                 << " disagrees with node_base");
-        break;
+                                   << " entries for " << n << " nodes");
+  } else {
+    if (pack.node_base.size() == k + 1) {
+      for (int v = 0; v < n; ++v) {
+        const int part = pack.graph_of_node[static_cast<std::size_t>(v)];
+        if (part < 0 || part >= pack.num_graphs ||
+            v < pack.node_base[static_cast<std::size_t>(part)] ||
+            v >= pack.node_base[static_cast<std::size_t>(part) + 1]) {
+          TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
+                  "graph_of_node[" << v << "] = " << part
+                                   << " disagrees with node_base");
+          break;
+        }
       }
     }
-  }
-
-  // No edge may cross a part boundary — the disjoint-union invariant that
-  // makes the packed forward separable.
-  for (std::size_t e = 0; e < g.net_src.size(); ++e) {
-    const int s = g.net_src[e];
-    const int d = g.net_dst[e];
-    if (s >= 0 && s < g.num_nodes && d >= 0 && d < g.num_nodes &&
-        pack.graph_of_node.size() == static_cast<std::size_t>(g.num_nodes) &&
-        pack.graph_of_node[static_cast<std::size_t>(s)] !=
+    // No edge may cross a part boundary — the disjoint-union invariant
+    // that makes the packed forward separable. (The topology guarantees
+    // every endpoint is a node.)
+    const auto check_edges = [&](const std::vector<int>& src,
+                                 const std::vector<int>& dst,
+                                 const char* what) {
+      for (std::size_t e = 0; e < src.size(); ++e) {
+        const int s = src[e];
+        const int d = dst[e];
+        if (pack.graph_of_node[static_cast<std::size_t>(s)] !=
             pack.graph_of_node[static_cast<std::size_t>(d)]) {
-      TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-              "net edge " << e << " crosses the part boundary (" << s << " -> "
-                          << d << ")");
-      break;
-    }
-  }
-  for (std::size_t e = 0; e < g.cell_src.size(); ++e) {
-    const int s = g.cell_src[e];
-    const int d = g.cell_dst[e];
-    if (s >= 0 && s < g.num_nodes && d >= 0 && d < g.num_nodes &&
-        pack.graph_of_node.size() == static_cast<std::size_t>(g.num_nodes) &&
-        pack.graph_of_node[static_cast<std::size_t>(s)] !=
-            pack.graph_of_node[static_cast<std::size_t>(d)]) {
-      TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-              "cell edge " << e << " crosses the part boundary (" << s
-                           << " -> " << d << ")");
-      break;
-    }
+          TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
+                  what << " edge " << e << " crosses the part boundary (" << s
+                       << " -> " << d << ")");
+          return;
+        }
+      }
+    };
+    check_edges(topo.net_src(), topo.net_dst(), "net");
+    check_edges(topo.cell_src(), topo.cell_dst(), "cell");
   }
 
   validate_dataset_graph(g, sink, level);

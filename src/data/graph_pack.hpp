@@ -10,10 +10,11 @@
 /// [node_base[k], node_base[k+1]), its net/cell edges likewise, and each
 /// node keeps its own topological level. Because every op in the forward
 /// (row-local MLPs, gather, per-destination segment reductions) touches
-/// only rows/segments of one part, and the merged LevelCsr keeps part
-/// order inside each level block, the packed forward is bit-identical to
-/// running the K forwards sequentially — the packed graph is not an
-/// approximation, just a bigger batch.
+/// only rows/segments of one part, and the packed LevelCsr keeps part
+/// order inside each level block (part k's ids all precede part k+1's),
+/// the packed forward is bit-identical to running the K forwards
+/// sequentially — the packed graph is not an approximation, just a bigger
+/// batch.
 ///
 /// Level alignment: part k's level-l nodes land in the *packed* level l
 /// (levels are not stacked end-to-end). The packed level count is the max
@@ -33,8 +34,8 @@ namespace tg::data {
 struct GraphPack {
   /// The disjoint union, shaped exactly like a normal extracted graph —
   /// every DatasetGraph consumer (validate, build_prop_plan, forward)
-  /// works on it unchanged. `g.level_csr` is pre-attached by the packer
-  /// (merged from per-part blocks, equal to a from-scratch rebuild).
+  /// works on it unchanged. Its topology is built by the Topology
+  /// constructor from the offset edge lists.
   DatasetGraph g;
   int num_graphs = 0;
 

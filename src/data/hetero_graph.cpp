@@ -1,9 +1,8 @@
 #include "data/hetero_graph.hpp"
 
 #include <algorithm>
-#include <mutex>
 
-#include "util/check.hpp"
+#include "data/validate.hpp"
 
 namespace tg::data {
 
@@ -25,7 +24,6 @@ void pack_edges(const std::vector<int>& dst, const std::vector<int>& node_level,
   for (int e = 0; e < ne; ++e) {
     const int lvl =
         node_level[static_cast<std::size_t>(dst[static_cast<std::size_t>(e)])];
-    TG_CHECK(lvl >= 0 && lvl < num_levels);
     ++off[static_cast<std::size_t>(lvl) + 1];
   }
   for (int l = 0; l < num_levels; ++l) {
@@ -47,97 +45,91 @@ void pack_edges(const std::vector<int>& dst, const std::vector<int>& node_level,
   }
 }
 
+/// Sizes `out` for `n` nodes with one entry per value in `keys` (each
+/// value a node id) and returns each node's first free slot.
+std::vector<int> size_lists(
+    NodeLists& out, std::size_t n,
+    std::initializer_list<const std::vector<int>*> keys) {
+  out.off.assign(n + 1, 0);
+  for (const std::vector<int>* key : keys) {
+    for (const int v : *key) ++out.off[static_cast<std::size_t>(v) + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) out.off[v + 1] += out.off[v];
+  out.ids.resize(static_cast<std::size_t>(out.off.back()));
+  return {out.off.begin(), out.off.end() - 1};
+}
+
 }  // namespace
 
-LevelCsr build_level_csr(const DatasetGraph& g) {
-  TG_CHECK(static_cast<int>(g.node_level.size()) == g.num_nodes);
+LevelCsr build_level_csr(const Topology& topo) {
+  const int num_nodes = topo.num_nodes();
+  const int num_levels = topo.num_levels();
+  const std::vector<int>& node_level = topo.node_level();
   LevelCsr csr;
-  csr.num_levels = g.num_levels;
 
   // Nodes sorted by (level, id): counting sort over levels; the ascending
   // node-id scan makes the within-level order ascending ids.
-  csr.node_off.assign(static_cast<std::size_t>(g.num_levels) + 1, 0);
-  for (int v = 0; v < g.num_nodes; ++v) {
-    const int lvl = g.node_level[static_cast<std::size_t>(v)];
-    TG_CHECK(lvl >= 0 && lvl < g.num_levels);
-    ++csr.node_off[static_cast<std::size_t>(lvl) + 1];
+  csr.node_off.assign(static_cast<std::size_t>(num_levels) + 1, 0);
+  for (int v = 0; v < num_nodes; ++v) {
+    ++csr.node_off[static_cast<std::size_t>(
+                       node_level[static_cast<std::size_t>(v)]) +
+                   1];
   }
-  for (int l = 0; l < g.num_levels; ++l) {
+  for (int l = 0; l < num_levels; ++l) {
     csr.node_off[static_cast<std::size_t>(l) + 1] +=
         csr.node_off[static_cast<std::size_t>(l)];
   }
-  csr.node_perm.resize(static_cast<std::size_t>(g.num_nodes));
-  csr.node_row.resize(static_cast<std::size_t>(g.num_nodes));
+  csr.node_perm.resize(static_cast<std::size_t>(num_nodes));
+  csr.node_row.resize(static_cast<std::size_t>(num_nodes));
   std::vector<int> cursor(csr.node_off.begin(), csr.node_off.end() - 1);
-  for (int v = 0; v < g.num_nodes; ++v) {
-    const int lvl = g.node_level[static_cast<std::size_t>(v)];
+  for (int v = 0; v < num_nodes; ++v) {
+    const int lvl = node_level[static_cast<std::size_t>(v)];
     const int slot = cursor[static_cast<std::size_t>(lvl)]++;
     csr.node_perm[static_cast<std::size_t>(slot)] = v;
     csr.node_row[static_cast<std::size_t>(v)] =
         slot - csr.node_off[static_cast<std::size_t>(lvl)];
   }
 
-  pack_edges(g.net_dst, g.node_level, g.num_levels, csr.net_off, csr.net_perm);
-  pack_edges(g.cell_dst, g.node_level, g.num_levels, csr.cell_off,
+  pack_edges(topo.net_dst(), node_level, num_levels, csr.net_off,
+             csr.net_perm);
+  pack_edges(topo.cell_dst(), node_level, num_levels, csr.cell_off,
              csr.cell_perm);
   return csr;
 }
 
-namespace {
+Topology::Topology(Arrays arrays, const std::string& name)
+    : a_(std::move(arrays)) {
+  DiagSink sink;
+  validate_topology(a_, sink, name);
+  sink.throw_if_errors(name.empty() ? "topology" : name + " topology");
+  csr_ = build_level_csr(*this);
 
-/// Guards the lazy caches below. A const DatasetGraph is shared
-/// read-only across serving workers (serve/session.hpp), so first-use
-/// publication must be a proper release/acquire handoff; one process-wide
-/// mutex suffices because each cache is touched a handful of times per
-/// forward, and the builds run outside the lock so concurrent first-use
-/// on *different* graphs never serializes the expensive part.
-std::mutex& graph_cache_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-/// Publishes `build()`'s result into the cached field `slot` exactly
-/// once; losers of the build race drop their copy and adopt the winner's.
-template <typename T, typename Build>
-const std::shared_ptr<T>& publish_once(std::shared_ptr<T>& slot,
-                                       const Build& build) {
-  {
-    const std::lock_guard<std::mutex> lock(graph_cache_mutex());
-    if (slot) return slot;
+  const auto n = static_cast<std::size_t>(a_.num_nodes);
+  const auto push = [](NodeLists& out, std::vector<int>& fill, int v,
+                       int id) {
+    out.ids[static_cast<std::size_t>(fill[static_cast<std::size_t>(v)]++)] = id;
+  };
+  std::vector<int> fill = size_lists(fanout_, n, {&a_.net_src, &a_.cell_src});
+  for (std::size_t e = 0; e < a_.net_src.size(); ++e) {
+    push(fanout_, fill, a_.net_src[e], a_.net_dst[e]);
   }
-  std::shared_ptr<T> built = build();
-  const std::lock_guard<std::mutex> lock(graph_cache_mutex());
-  if (!slot) slot = std::move(built);
-  return slot;
+  for (std::size_t e = 0; e < a_.cell_src.size(); ++e) {
+    push(fanout_, fill, a_.cell_src[e], a_.cell_dst[e]);
+  }
+  // Edge e joins the lists of both its ends; the edge-order scan keeps
+  // every list ascending.
+  fill = size_lists(net_incidence_, n, {&a_.net_src, &a_.net_dst});
+  for (std::size_t e = 0; e < a_.net_src.size(); ++e) {
+    for (const int v : {a_.net_src[e], a_.net_dst[e]}) {
+      push(net_incidence_, fill, v, static_cast<int>(e));
+    }
+  }
 }
 
-}  // namespace
-
-const LevelCsr& ensure_level_csr(const DatasetGraph& g) {
-  return *publish_once(g.level_csr, [&g] {
-    return std::make_shared<const LevelCsr>(build_level_csr(g));
-  });
-}
-
-const std::shared_ptr<const std::vector<int>>& shared_net_src(
-    const DatasetGraph& g) {
-  return publish_once(g.net_src_sh, [&g] {
-    return std::make_shared<const std::vector<int>>(g.net_src);
-  });
-}
-
-const std::shared_ptr<const std::vector<int>>& shared_net_dst(
-    const DatasetGraph& g) {
-  return publish_once(g.net_dst_sh, [&g] {
-    return std::make_shared<const std::vector<int>>(g.net_dst);
-  });
-}
-
-const std::shared_ptr<const std::vector<int>>& shared_net_sinks(
-    const DatasetGraph& g) {
-  return publish_once(g.net_sinks_sh, [&g] {
-    return std::make_shared<const std::vector<int>>(g.net_sinks);
-  });
+const std::shared_ptr<const Topology>& Topology::empty() {
+  static const std::shared_ptr<const Topology> topo =
+      std::make_shared<const Topology>(Arrays{});
+  return topo;
 }
 
 }  // namespace tg::data

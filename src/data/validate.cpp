@@ -45,43 +45,46 @@ void check_finite(const nn::Tensor& t, const char* tname, bool allow_inf,
   }
 }
 
-void check_edges(const std::vector<int>& src, const std::vector<int>& dst,
-                 const char* what, const DatasetGraph& g, DiagSink& sink) {
-  if (src.size() != dst.size()) {
-    TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-            what << " src/dst length mismatch (" << src.size() << " vs "
-                 << dst.size() << ")");
-    return;
-  }
-  const bool have_levels =
-      g.node_level.size() == static_cast<std::size_t>(g.num_nodes);
-  for (std::size_t e = 0; e < src.size(); ++e) {
-    const int s = src[e];
-    const int t = dst[e];
-    if (s < 0 || s >= g.num_nodes || t < 0 || t >= g.num_nodes) {
-      TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-              what << " edge " << e << " endpoint out of range (" << s
-                   << " -> " << t << ", " << g.num_nodes << " nodes)");
-      return;  // a corrupted edge list usually has many; first is enough
-    }
-    if (have_levels && g.node_level[static_cast<std::size_t>(t)] <=
-                           g.node_level[static_cast<std::size_t>(s)]) {
-      TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-              what << " edge " << e << " does not increase level ("
-                   << g.node_level[static_cast<std::size_t>(s)] << " -> "
-                   << g.node_level[static_cast<std::size_t>(t)] << ")");
-      return;
+/// Reports the first entry of `ids` outside [0, n) as `what[i] = v`;
+/// returns whether every entry is in range.
+bool check_index_list(const std::vector<int>& ids, const char* what, int n,
+                      const std::string& object, DiagSink& sink) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < 0 || ids[i] >= n) {
+      TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, object,
+              what << '[' << i << "] = " << ids[i] << " out of range ("
+                   << n << " nodes)");
+      return false;
     }
   }
+  return true;
 }
 
-void check_index_list(const std::vector<int>& ids, const char* what,
-                      const DatasetGraph& g, DiagSink& sink) {
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] < 0 || ids[i] >= g.num_nodes) {
-      TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-              what << '[' << i << "] = " << ids[i] << " out of range ("
-                   << g.num_nodes << " nodes)");
+void check_edges(const std::vector<int>& src, const std::vector<int>& dst,
+                 const char* what, const Topology::Arrays& t, bool have_levels,
+                 const std::string& object, DiagSink& sink) {
+  const std::string name(what);
+  if (src.size() != dst.size()) {
+    TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, object,
+            name << "_src/" << name << "_dst length mismatch (" << src.size()
+                 << " vs " << dst.size() << ")");
+    return;
+  }
+  // A corrupted edge list usually has many bad entries; the first is enough.
+  if (!check_index_list(src, (name + "_src").c_str(), t.num_nodes, object,
+                        sink) ||
+      !check_index_list(dst, (name + "_dst").c_str(), t.num_nodes, object,
+                        sink) ||
+      !have_levels) {
+    return;
+  }
+  for (std::size_t e = 0; e < src.size(); ++e) {
+    const int ls = t.node_level[static_cast<std::size_t>(src[e])];
+    const int ld = t.node_level[static_cast<std::size_t>(dst[e])];
+    if (ld <= ls) {
+      TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, object,
+              name << " edge " << e << " does not increase level (" << ls
+                   << " -> " << ld << ")");
       return;
     }
   }
@@ -89,54 +92,69 @@ void check_index_list(const std::vector<int>& ids, const char* what,
 
 }  // namespace
 
-void validate_dataset_graph(const DatasetGraph& g, DiagSink& sink,
-                            ValidateLevel level) {
-  if (level == ValidateLevel::kOff) return;
-
-  if (g.num_nodes < 0) {
-    TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-            "negative node count " << g.num_nodes);
+void validate_topology(const Topology::Arrays& t, DiagSink& sink,
+                       const std::string& object) {
+  if (t.num_nodes < 0 || t.num_levels < 0) {
+    TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, object,
+            "negative node or level count (" << t.num_nodes << ", "
+                                             << t.num_levels << ")");
     return;
   }
-
-  // ---- shapes (paper layout: 10 node / 2 net-edge / 512 cell-edge) ------
-  check_shape(g.node_feat, "node_feat", g.num_nodes, kNodeFeatureDim, g, sink);
-  const std::int64_t num_net_edges = static_cast<std::int64_t>(g.net_src.size());
-  const std::int64_t num_cell_edges =
-      static_cast<std::int64_t>(g.cell_src.size());
-  check_shape(g.net_edge_feat, "net_edge_feat", num_net_edges,
-              kNetEdgeFeatureDim, g, sink);
-  check_shape(g.cell_edge_feat, "cell_edge_feat", num_cell_edges,
-              kCellEdgeFeatureDim, g, sink);
-  check_shape(g.net_delay, "net_delay", g.num_nodes, kNumCorners, g, sink);
-  check_shape(g.arrival, "arrival", g.num_nodes, kNumCorners, g, sink);
-  check_shape(g.slew, "slew", g.num_nodes, kNumCorners, g, sink);
-  check_shape(g.rat, "rat", g.num_nodes, kNumCorners, g, sink);
-  check_shape(g.cell_delay, "cell_delay", num_cell_edges, kNumCorners, g,
-              sink);
-
-  // ---- levelization ------------------------------------------------------
-  if (g.node_level.size() != static_cast<std::size_t>(g.num_nodes)) {
-    TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-            "node_level holds " << g.node_level.size() << " entries for "
-                                << g.num_nodes << " nodes");
+  // Extraction and packing leave no level empty, so more levels than
+  // nodes means a corrupt count; bounding it also keeps the per-level
+  // arrays of the level CSR and the plan from a huge allocation.
+  if (t.num_levels > t.num_nodes) {
+    TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, object,
+            "num_levels = " << t.num_levels << " exceeds num_nodes = "
+                            << t.num_nodes);
+    return;
+  }
+  bool have_levels = false;
+  if (t.node_level.size() != static_cast<std::size_t>(t.num_nodes)) {
+    TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, object,
+            "node_level holds " << t.node_level.size() << " entries for "
+                                << t.num_nodes << " nodes");
   } else {
-    for (std::size_t i = 0; i < g.node_level.size(); ++i) {
-      if (g.node_level[i] < 0 || g.node_level[i] >= g.num_levels) {
-        TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
-                "node " << i << " level " << g.node_level[i]
-                        << " outside [0, " << g.num_levels << ")");
+    have_levels = true;
+    for (std::size_t i = 0; i < t.node_level.size(); ++i) {
+      if (t.node_level[i] < 0 || t.node_level[i] >= t.num_levels) {
+        TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, object,
+                "node_level[" << i << "] = " << t.node_level[i]
+                              << " outside [0, " << t.num_levels << ")");
+        have_levels = false;
         break;
       }
     }
   }
+  check_edges(t.net_src, t.net_dst, "net", t, have_levels, object, sink);
+  check_edges(t.cell_src, t.cell_dst, "cell", t, have_levels, object, sink);
+  check_index_list(t.net_sinks, "net_sinks", t.num_nodes, object, sink);
+}
 
-  // ---- edges + index lists ----------------------------------------------
-  check_edges(g.net_src, g.net_dst, "net", g, sink);
-  check_edges(g.cell_src, g.cell_dst, "cell", g, sink);
-  check_index_list(g.endpoints, "endpoints", g, sink);
-  check_index_list(g.net_sinks, "net_sinks", g, sink);
+void validate_dataset_graph(const DatasetGraph& g, DiagSink& sink,
+                            ValidateLevel level) {
+  if (level == ValidateLevel::kOff) return;
+  const Topology& topo = *g.topo;
 
+  // ---- shapes (paper layout: 10 node / 2 net-edge / 512 cell-edge) ------
+  const std::int64_t n = g.num_nodes();
+  const auto num_net_edges = static_cast<std::int64_t>(topo.net_src().size());
+  const auto num_cell_edges =
+      static_cast<std::int64_t>(topo.cell_src().size());
+  check_shape(g.node_feat, "node_feat", n, kNodeFeatureDim, g, sink);
+  check_shape(g.net_edge_feat, "net_edge_feat", num_net_edges,
+              kNetEdgeFeatureDim, g, sink);
+  check_shape(g.cell_edge_feat, "cell_edge_feat", num_cell_edges,
+              kCellEdgeFeatureDim, g, sink);
+  check_shape(g.net_delay, "net_delay", n, kNumCorners, g, sink);
+  check_shape(g.arrival, "arrival", n, kNumCorners, g, sink);
+  check_shape(g.slew, "slew", n, kNumCorners, g, sink);
+  check_shape(g.rat, "rat", n, kNumCorners, g, sink);
+  check_shape(g.cell_delay, "cell_delay", num_cell_edges, kNumCorners, g,
+              sink);
+
+  // The topology's own indexes were checked when it was built.
+  check_index_list(g.endpoints, "endpoints", g.num_nodes(), g.name, sink);
   if (!(std::isfinite(g.clock_period) && g.clock_period > 0.0)) {
     TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
             "clock period " << g.clock_period

@@ -12,8 +12,7 @@ namespace tg::nn {
 
 namespace {
 
-constexpr std::uint32_t kMagicV0 = 0x54474E4E;  // "TGNN" — legacy, no CRC
-constexpr std::uint32_t kMagicV1 = 0x314E4754;  // "TGN1" (LE bytes)
+constexpr std::uint32_t kMagic = 0x314E4754;  // "TGN1" (LE bytes)
 constexpr std::uint32_t kVersion = 1;
 
 using BlobMap =
@@ -29,31 +28,11 @@ void check_dims(io::BinaryReader& in, std::uint64_t rows, std::uint64_t cols,
                          << in.offset());
 }
 
-BlobMap read_blobs_v1(io::BinaryReader& in) {
+BlobMap read_blobs(io::BinaryReader& in) {
   const std::uint32_t count = in.read_u32("parameter count");
   BlobMap blobs;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::string name = in.read_string("parameter name");
-    const std::uint32_t rows = in.read_u32("parameter rows");
-    const std::uint32_t cols = in.read_u32("parameter cols");
-    check_dims(in, rows, cols, name);
-    std::vector<float> data = in.read_f32_vec(
-        static_cast<std::uint64_t>(rows) * cols, "parameter data");
-    blobs.emplace(std::move(name), std::make_pair(rows, std::move(data)));
-  }
-  return blobs;
-}
-
-/// v0 layout: u32 magic, u32 count, then per parameter
-/// {u32 name_len, bytes, u32 rows, u32 cols, f32 data} — no version, no CRC.
-/// Every read is still bounds-checked, so the truncated/bit-flipped v0 files
-/// that the old loader read as garbage now raise CheckError.
-BlobMap read_blobs_v0(io::BinaryReader& in) {
-  const std::uint32_t count = in.read_u32("parameter count");
-  BlobMap blobs;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t name_len = in.read_u32("parameter name length");
-    std::string name = in.read_raw(name_len, "parameter name");
     const std::uint32_t rows = in.read_u32("parameter rows");
     const std::uint32_t cols = in.read_u32("parameter cols");
     check_dims(in, rows, cols, name);
@@ -98,12 +77,12 @@ void write_parameter_block(const Module& module, io::BinaryWriter& out) {
 }
 
 void read_parameter_block(Module& module, io::BinaryReader& in) {
-  apply_blobs(module, read_blobs_v1(in), in.path());
+  apply_blobs(module, read_blobs(in), in.path());
 }
 
 void save_parameters(const Module& module, const std::string& path) {
   io::BinaryWriter out(path);
-  out.write_u32(kMagicV1);
+  out.write_u32(kMagic);
   out.write_u32(kVersion);
   write_parameter_block(module, out);
   out.commit();
@@ -111,24 +90,15 @@ void save_parameters(const Module& module, const std::string& path) {
 
 void load_parameters(Module& module, const std::string& path) {
   io::BinaryReader in(path);
-  const std::uint32_t magic = in.peek_u32();
-  if (magic == kMagicV1) {
-    in.verify_crc();
-    (void)in.read_u32("magic");
-    const std::uint32_t version = in.read_u32("format version");
-    TG_CHECK_MSG(version == kVersion, path << ": unsupported model format"
-                                           << " version " << version);
-    const BlobMap blobs = read_blobs_v1(in);
-    in.expect_eof();
-    apply_blobs(module, blobs, path);
-  } else if (magic == kMagicV0) {
-    (void)in.read_u32("magic");
-    const BlobMap blobs = read_blobs_v0(in);
-    in.expect_eof();
-    apply_blobs(module, blobs, path);
-  } else {
-    TG_CHECK_MSG(false, "bad model file magic in " << path);
-  }
+  TG_CHECK_MSG(in.read_u32("magic") == kMagic,
+               "bad model file magic in " << path);
+  in.verify_crc();
+  const std::uint32_t version = in.read_u32("format version");
+  TG_CHECK_MSG(version == kVersion, path << ": unsupported model format"
+                                         << " version " << version);
+  const BlobMap blobs = read_blobs(in);
+  in.expect_eof();
+  apply_blobs(module, blobs, path);
 }
 
 }  // namespace tg::nn

@@ -5,9 +5,8 @@
 ///
 /// Format v1 ("TGN1"): magic, version, then the parameter block
 /// {count, per-parameter {name, rows, cols, float data}}, CRC-32 trailer,
-/// written atomically via io::BinaryWriter. The unversioned v0 format
-/// ("TGNN", no checksum) is still readable; loads of either version raise
-/// CheckError on any truncation or corruption.
+/// written atomically via io::BinaryWriter. Loads raise CheckError on any
+/// truncation or corruption.
 
 #include <string>
 

@@ -276,7 +276,7 @@ std::future<Response> SlackServer::submit(Request req) {
       t.req.budget.count() > 0 ? t.req.budget : options_.default_budget;
   if (budget.count() > 0) t.deadline = t.enqueued + budget;
   t.tpl_key = session->tpl->key;
-  t.num_nodes = session->tpl->g.num_nodes;
+  t.num_nodes = session->tpl->g.num_nodes();
   t.batchable = t.req.moves.empty() && !t.req.force_full &&
                 t.req.mode != RequestMode::kSta && session->pristine();
 
@@ -306,7 +306,9 @@ bool SlackServer::inspect(SessionId id,
                          session->current_graph(),
                          session->engine_result(),
                          session->tpl->g.endpoints,
-                         session->pristine()};
+                         session->pristine(),
+                         session->tpl->g,
+                         session->gnn ? &session->gnn->g : nullptr};
   fn(view);
   return true;
 }
@@ -414,7 +416,7 @@ Response SlackServer::run_full_tier(Session& session, const Ticket& t) {
   Response r;
   if (want_gnn) {
     // No engine flush: a GNN read needs no STA labels (a moved session's
-    // stay the template's), so moves wait for the next engine answer.
+    // graph has none), so moves wait for the next engine answer.
     if (session.pristine()) {
       r = gnn_payload(model_, session.tpl->g, session.tpl->plan,
                       template_embedding(*session.tpl));
@@ -432,13 +434,17 @@ Response SlackServer::run_full_tier(Session& session, const Ticket& t) {
 Response SlackServer::session_gnn_read(Session& session) {
   bool full = session.gnn_dirty;
   if (!session.gnn) {
-    // First read after materialize: the template's graph with private
-    // copies of the rows a patch rewrites, and its cached embedding.
+    // First read after materialize: the template's topology and net-edge
+    // features with private copies of the rows a patch rewrites, and its
+    // cached embedding.
+    const data::DatasetGraph& base = session.tpl->g;
     auto gnn = std::make_unique<Session::GnnState>();
-    gnn->g = session.tpl->g;
-    gnn->g.node_feat = nn::detach(gnn->g.node_feat);
-    gnn->g.cell_edge_feat = nn::detach(gnn->g.cell_edge_feat);
-    gnn->g.rat = nn::detach(gnn->g.rat);
+    gnn->g.name = base.name;
+    gnn->g.topo = base.topo;
+    gnn->g.node_feat = nn::detach(base.node_feat);
+    gnn->g.net_edge_feat = base.net_edge_feat;
+    gnn->g.cell_edge_feat = nn::detach(base.cell_edge_feat);
+    gnn->g.rat = nn::detach(base.rat);
     gnn->cache.embedding = nn::detach(template_embedding(*session.tpl));
     session.gnn = std::move(gnn);
     full = true;
@@ -446,7 +452,7 @@ Response SlackServer::session_gnn_read(Session& session) {
   data::DatasetGraph& g = session.gnn->g;
   core::ReadCache& cache = session.gnn->cache;
   const core::PropPlan& plan = session.tpl->plan;
-  const core::ReadTopology& topo = session.tpl->read_topo;
+  const std::vector<int>& endpoints = session.tpl->g.endpoints;
   const bool recover = session.gnn_dirty;
 
   // Cleared only when the read completes: a stop anywhere below leaves
@@ -467,19 +473,19 @@ Response SlackServer::session_gnn_read(Session& session) {
     // The previous read stopped part way: its patch may have landed
     // without its re-embed, so re-embed everything.
     cache.embedding = model_.embed(g);
-    rows = model_.read(g, plan, topo, data::GraphDelta{}, true, cache);
+    rows = model_.read(g, plan, endpoints, data::GraphDelta{}, true, cache);
   } else if (full) {
-    rows = model_.read(g, plan, topo, delta, true, cache);
+    rows = model_.read(g, plan, endpoints, delta, true, cache);
   } else {
     TG_TRACE_SCOPE("serve/gnn_cone", obs::kSpanDetail);
-    rows = model_.read(g, plan, topo, delta, false, cache);
+    rows = model_.read(g, plan, endpoints, delta, false, cache);
   }
   session.gnn_dirty = false;
 
   if (full) {
     TG_METRIC_COUNT("serve/gnn_read_full", 1);
   }
-  TG_METRIC_COUNT("serve/gnn_read_nodes", g.num_nodes);
+  TG_METRIC_COUNT("serve/gnn_read_nodes", g.num_nodes());
   static obs::Histogram& rows_hist = obs::histogram("serve/gnn_read_rows");
   rows_hist.record(static_cast<std::uint64_t>(rows));
 

@@ -75,13 +75,7 @@ std::shared_ptr<const SessionTemplate> TemplateCache::get_or_build(
   tpl->sta = run_sta(*tpl->graph, tpl->routing);
   tpl->g =
       data::extract_graph(tpl->design, *tpl->graph, tpl->routing, tpl->sta);
-  tpl->plan = core::build_prop_plan(tpl->g);  // publishes g.level_csr
-  tpl->read_topo = core::build_read_topology(tpl->g);
-  // Publish the remaining lazy caches now: from here on `g` is read, and
-  // copied by moved sessions, with no lock.
-  (void)data::shared_net_src(tpl->g);
-  (void)data::shared_net_dst(tpl->g);
-  (void)data::shared_net_sinks(tpl->g);
+  tpl->plan = core::build_prop_plan(tpl->g);
 
   cache_.emplace(key, tpl);
   return tpl;
@@ -129,7 +123,7 @@ std::shared_ptr<const PackEntry> PackCache::get_or_pack(
     if (std::includes((*it)->keys.begin(), (*it)->keys.end(), keys.begin(),
                       keys.end()) &&
         (best == lru_.end() ||
-         (*it)->pack.g.num_nodes < (*best)->pack.g.num_nodes)) {
+         (*it)->pack.g.num_nodes() < (*best)->pack.g.num_nodes())) {
       best = it;
     }
   }

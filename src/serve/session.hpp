@@ -6,10 +6,11 @@
 /// generated + placed netlist, Steiner routing, timing graph, golden STA,
 /// extracted DatasetGraph and its PropPlan — everything a *pristine*
 /// session needs to answer full-graph prediction requests without owning
-/// any mutable state. Moved sessions start their GNN graph from a copy of
-/// it and share the plan. Templates are built once per design hash and cached
-/// (`TemplateCache`), so opening hundreds of sessions on the same design
-/// costs a hash lookup plus a control block.
+/// any mutable state. Moved sessions share its graph's topology and the
+/// plan, and own copies of the value rows a resize rewrites. Templates
+/// are built once per design hash and cached (`TemplateCache`), so
+/// opening hundreds of sessions on the same design costs a hash lookup
+/// plus a control block.
 ///
 /// A `Session` starts as a thin handle on its template. The first resize
 /// move *materializes* it (copy-on-write): the design and routing are
@@ -21,10 +22,9 @@
 /// Thread-safety: all mutable session state is guarded by `mu`; the server
 /// holds it for the whole request (compute included), so each session graph
 /// sees one thread at a time. Template state is immutable after
-/// construction and safe to read from any number of workers. That includes
-/// the lazy GNN caches on `g` (`ensure_level_csr` and friends): the build
-/// publishes them all, so a moved session's plain copy of `g` never races
-/// a first-use publication on another worker.
+/// construction and safe to read from any number of workers: the graph's
+/// topology builds every index it derives eagerly, so no read of `g`
+/// (nor a moved session's first copy of its values) ever writes to it.
 
 #include <atomic>
 #include <chrono>
@@ -55,7 +55,6 @@ struct SessionTemplate {
   StaResult sta;          ///< golden baseline STA
   data::DatasetGraph g;   ///< extracted features + labels
   core::PropPlan plan;    ///< GNN traversal schedule for `g`
-  core::ReadTopology read_topo;  ///< incremental-read lookups for `g`
 
   /// `lib` must outlive the template (the serving plane uses the
   /// process-wide synthetic library, a function-local static).
@@ -169,11 +168,11 @@ struct Session {
   std::unique_ptr<IncrementalTimer> timer;
 
   // ---- incremental GNN reads (DESIGN.md §12) ---------------------------
-  /// The session's GNN graph and read cache. `g` is a copy of tpl->g with
-  /// its own node_feat, cell_edge_feat and rat storage, patched to the
-  /// session design; its STA labels stay the template's. Resizes never
-  /// change topology, so reads run on tpl->plan and tpl->read_topo. Null
-  /// until the first GNN read after materialize.
+  /// The session's GNN graph and read cache. `g` holds tpl->g's topology
+  /// and net-edge features (shared) and its own copies of node_feat,
+  /// cell_edge_feat and rat, patched to the session design; it has no
+  /// labels. Resizes never change topology, so reads run on tpl->plan and
+  /// tpl->g.endpoints. Null until the first GNN read after materialize.
   struct GnnState {
     data::DatasetGraph g;
     core::ReadCache cache;
@@ -229,6 +228,9 @@ struct Session {
 /// session lock). `endpoints` are node==pin ids, the alignment of
 /// Response::endpoint_setup. `sta` is the engine's last answer: moves that
 /// arrived with GNN reads are timed by the next engine (kSta) request.
+/// `template_graph` is the template's extracted graph; `gnn_graph` the
+/// moved session's GNN graph (Session::GnnState), null before its first
+/// GNN read.
 struct SessionView {
   const Design& design;
   const DesignRouting& routing;
@@ -236,6 +238,8 @@ struct SessionView {
   const StaResult& sta;
   const std::vector<int>& endpoints;
   bool pristine = false;
+  const data::DatasetGraph& template_graph;
+  const data::DatasetGraph* gnn_graph = nullptr;
 };
 
 }  // namespace tg::serve

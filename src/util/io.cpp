@@ -152,15 +152,6 @@ void BinaryReader::need(std::size_t n, const char* what) const {
                      << ", only " << (end_ - pos_) << " remaining");
 }
 
-std::uint32_t BinaryReader::peek_u32() const {
-  TG_CHECK_MSG(end_ - pos_ >= sizeof(std::uint32_t),
-               path_ << ": file too short for a format magic (" << (end_ - pos_)
-                     << " byte(s))");
-  std::uint32_t v = 0;
-  std::memcpy(&v, buf_.data() + pos_, sizeof(v));
-  return v;
-}
-
 void BinaryReader::verify_crc() {
   TG_CHECK_MSG(end_ - pos_ >= sizeof(std::uint32_t),
                path_ << ": file too short for a CRC trailer");
@@ -202,13 +193,9 @@ double BinaryReader::read_f64(const char* what) {
 }
 
 std::string BinaryReader::read_string(const char* what) {
-  const std::uint64_t len = read_u64(what);
   // The cap also bounds the allocation: a corrupted length can never exceed
   // the bytes that are actually present.
-  return read_raw(static_cast<std::size_t>(len), what);
-}
-
-std::string BinaryReader::read_raw(std::size_t n, const char* what) {
+  const auto n = static_cast<std::size_t>(read_u64(what));
   need(n, what);
   std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
   pos_ += n;

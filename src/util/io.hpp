@@ -20,8 +20,7 @@
 ///     `fault::should_fail_io` (TG_FAULT_IO=<op>:<nth>), so tests can kill
 ///     a save/load at each failure point deterministically.
 ///
-/// Values are stored little-endian (native on every supported target), the
-/// same layout the pre-CRC formats used.
+/// Values are stored little-endian (native on every supported target).
 
 #include <cstdint>
 #include <span>
@@ -84,12 +83,9 @@ class BinaryReader {
  public:
   explicit BinaryReader(std::string path);
 
-  /// First 4 bytes without advancing — format/magic dispatch.
-  [[nodiscard]] std::uint32_t peek_u32() const;
-
   /// Validates the trailing CRC-32 over everything before it, then excludes
-  /// the trailer from the readable range. Call once, before parsing, on
-  /// formats written by BinaryWriter.
+  /// the trailer from the readable range. Call once on formats written by
+  /// BinaryWriter, after reading the magic and before any other field.
   void verify_crc();
 
   [[nodiscard]] std::uint8_t read_u8(const char* what);
@@ -99,8 +95,6 @@ class BinaryReader {
   [[nodiscard]] double read_f64(const char* what);
   /// u64 length prefix (capped by remaining bytes) + raw bytes.
   [[nodiscard]] std::string read_string(const char* what);
-  /// `n` raw bytes (caller already consumed whatever length prefix applies).
-  [[nodiscard]] std::string read_raw(std::size_t n, const char* what);
   /// `count` raw floats; `count` is validated against the remaining bytes
   /// *before* allocating.
   [[nodiscard]] std::vector<float> read_f32_vec(std::uint64_t count,

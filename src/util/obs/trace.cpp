@@ -85,7 +85,7 @@ thread_local ThreadBuffer* t_buffer = nullptr;
 thread_local int t_depth = 0;
 thread_local std::uint64_t t_start_stack[64];
 // Name requested via set_thread_name before the buffer existed.
-thread_local std::string* t_pending_name = nullptr;
+thread_local std::string t_pending_name;
 
 ThreadBuffer& this_thread_buffer() {
   if (t_buffer) return *t_buffer;
@@ -94,11 +94,7 @@ ThreadBuffer& this_thread_buffer() {
   BufferRegistry& reg = buffer_registry();
   std::lock_guard<std::mutex> lock(reg.mu);
   buf->tid = static_cast<int>(reg.buffers.size());
-  if (t_pending_name) {
-    buf->name = *t_pending_name;
-    delete t_pending_name;
-    t_pending_name = nullptr;
-  }
+  buf->name = std::move(t_pending_name);
   t_buffer = buf.get();
   reg.buffers.push_back(std::move(buf));
   return *t_buffer;
@@ -167,8 +163,7 @@ void set_thread_name(const std::string& name) {
     detail::t_buffer->name = name;
     return;
   }
-  if (!detail::t_pending_name) detail::t_pending_name = new std::string;
-  *detail::t_pending_name = name;
+  detail::t_pending_name = name;
 }
 
 std::uint64_t now_ns() {

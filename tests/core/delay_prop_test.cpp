@@ -23,25 +23,27 @@ DelayPropConfig tiny_prop() {
 TEST(PropPlan, CoversAllNodesAndEdges) {
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
-  EXPECT_EQ(plan.num_levels, g.num_levels);
+  EXPECT_EQ(plan.num_levels, g.num_levels());
   std::size_t nodes = 0;
-  for (const auto& lvl : plan.level_nodes) nodes += lvl.size();
-  EXPECT_EQ(nodes, static_cast<std::size_t>(g.num_nodes));
+  for (const auto& lvl : plan.level_rows) nodes += lvl->size();
+  EXPECT_EQ(nodes, static_cast<std::size_t>(g.num_nodes()));
   std::size_t net_edges = 0, cell_edges = 0;
-  for (const auto& e : plan.level_net_edges) net_edges += e.size();
-  for (const auto& e : plan.level_cell_edges) cell_edges += e.size();
-  EXPECT_EQ(net_edges, g.net_src.size());
-  EXPECT_EQ(cell_edges, g.cell_src.size());
-  EXPECT_EQ(plan.cell_edge_order.size(), g.cell_src.size());
+  for (const auto& f : plan.net_feed) net_edges += f.feat_rows->size();
+  for (const auto& f : plan.cell_feed) cell_edges += f.feat_rows->size();
+  EXPECT_EQ(net_edges, g.topo->net_src().size());
+  EXPECT_EQ(cell_edges, g.topo->cell_src().size());
+  EXPECT_EQ(g.topo->csr().cell_perm.size(), g.topo->cell_src().size());
 }
 
 TEST(PropPlan, RowsAreConsistent) {
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
-  for (int v = 0; v < g.num_nodes; ++v) {
-    const int lvl = plan.node_level[static_cast<std::size_t>(v)];
-    const int row = plan.node_row[static_cast<std::size_t>(v)];
-    EXPECT_EQ(plan.level_nodes[static_cast<std::size_t>(lvl)][static_cast<std::size_t>(row)], v);
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    const auto lvl =
+        static_cast<std::size_t>(g.topo->node_level()[static_cast<std::size_t>(v)]);
+    const auto row =
+        static_cast<std::size_t>(g.topo->csr().node_row[static_cast<std::size_t>(v)]);
+    EXPECT_EQ((*plan.level_rows[lvl])[row], v);
   }
 }
 
@@ -50,11 +52,12 @@ TEST(DelayProp, ForwardShapes) {
   const DelayProp model(8, tiny_prop(), rng);
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
-  nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes, 8, 0.5f, rng);
+  nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes(), 8, 0.5f, rng);
   const DelayProp::Output out = model.forward(g, plan, emb);
-  EXPECT_EQ(out.state.rows(), g.num_nodes);
+  EXPECT_EQ(out.state.rows(), g.num_nodes());
   EXPECT_EQ(out.state.cols(), 8);
-  EXPECT_EQ(out.cell_delay.rows(), static_cast<std::int64_t>(g.cell_src.size()));
+  EXPECT_EQ(out.cell_delay.rows(),
+            static_cast<std::int64_t>(g.topo->cell_src().size()));
   EXPECT_EQ(out.cell_delay.cols(), kNumCorners);
 }
 
@@ -63,7 +66,7 @@ TEST(DelayProp, CellDelayPredictionsFinite) {
   const DelayProp model(8, tiny_prop(), rng);
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
-  nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes, 8, 0.5f, rng);
+  nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes(), 8, 0.5f, rng);
   const DelayProp::Output out = model.forward(g, plan, emb);
   for (float v : out.cell_delay.data()) EXPECT_TRUE(std::isfinite(v));
 }
@@ -73,7 +76,7 @@ TEST(DelayProp, GradientsFlowThroughLevels) {
   DelayProp model(8, tiny_prop(), rng);
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
-  nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes, 8, 0.5f, rng, true);
+  nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes(), 8, 0.5f, rng, true);
   const DelayProp::Output out = model.forward(g, plan, emb);
   nn::Tensor loss = nn::add(nn::sum_all(nn::mul(out.state, out.state)),
                             nn::sum_all(out.cell_delay));
@@ -100,17 +103,17 @@ TEST(DelayProp, ReceptiveFieldCoversFullDepth) {
   const DelayProp model(8, tiny_prop(), rng);
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
-  nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes, 8, 0.5f, rng);
+  nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes(), 8, 0.5f, rng);
 
   // Find a deepest node and one of its cone roots by walking predecessors.
   int deep_node = 0;
-  for (int v = 0; v < g.num_nodes; ++v) {
-    if (g.node_level[static_cast<std::size_t>(v)] >
-        g.node_level[static_cast<std::size_t>(deep_node)]) {
+  for (int v = 0; v < g.num_nodes(); ++v) {
+    if (g.topo->node_level()[static_cast<std::size_t>(v)] >
+        g.topo->node_level()[static_cast<std::size_t>(deep_node)]) {
       deep_node = v;
     }
   }
-  ASSERT_GT(g.node_level[static_cast<std::size_t>(deep_node)], 10);
+  ASSERT_GT(g.topo->node_level()[static_cast<std::size_t>(deep_node)], 10);
 
   const nn::Tensor base = model.forward(g, plan, emb).state;
 
@@ -118,7 +121,7 @@ TEST(DelayProp, ReceptiveFieldCoversFullDepth) {
   nn::Tensor emb2 = nn::Tensor::from_vector(
       std::vector<float>(emb.data().begin(), emb.data().end()), emb.rows(),
       emb.cols());
-  for (int v : plan.level_nodes[0]) {
+  for (int v : *plan.level_rows[0]) {
     for (std::int64_t c = 0; c < emb2.cols(); ++c) {
       emb2.data()[static_cast<std::size_t>(v * emb2.cols() + c)] += 0.7f;
     }
@@ -154,7 +157,7 @@ TEST(DelayProp, TapedWalkBitIdenticalForwardAndBackwardAcrossThreadCounts) {
     set_num_threads(threads);
     Rng rng(7);
     DelayProp model(8, tiny_prop(), rng);
-    nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes, 8, 0.5f, rng, true);
+    nn::Tensor emb = nn::Tensor::rand_uniform(g.num_nodes(), 8, 0.5f, rng, true);
     DelayProp::Output out = model.forward(g, plan, emb);
     nn::Tensor loss = nn::add(nn::sum_all(nn::mul(out.state, out.state)),
                               nn::sum_all(out.cell_delay));

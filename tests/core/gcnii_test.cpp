@@ -21,18 +21,18 @@ TEST(GcniiAdjacency, SymmetricNormalization) {
   const GcniiAdjacency adj = build_gcnii_adjacency(g);
   // Edge count: 2×(net + cell) + self loops.
   EXPECT_EQ(adj.src.size(),
-            2 * (g.net_src.size() + g.cell_src.size()) +
-                static_cast<std::size_t>(g.num_nodes));
+            2 * (g.topo->net_src().size() + g.topo->cell_src().size()) +
+                static_cast<std::size_t>(g.num_nodes()));
   // Weights positive, symmetric (w(u,v) == w(v,u) since paired entries are
   // adjacent), and self loops carry exactly 1/d(v).
-  std::vector<int> degree(static_cast<std::size_t>(g.num_nodes), 1);
-  for (std::size_t e = 0; e < g.net_src.size(); ++e) {
-    ++degree[static_cast<std::size_t>(g.net_src[e])];
-    ++degree[static_cast<std::size_t>(g.net_dst[e])];
+  std::vector<int> degree(static_cast<std::size_t>(g.num_nodes()), 1);
+  for (std::size_t e = 0; e < g.topo->net_src().size(); ++e) {
+    ++degree[static_cast<std::size_t>(g.topo->net_src()[e])];
+    ++degree[static_cast<std::size_t>(g.topo->net_dst()[e])];
   }
-  for (std::size_t e = 0; e < g.cell_src.size(); ++e) {
-    ++degree[static_cast<std::size_t>(g.cell_src[e])];
-    ++degree[static_cast<std::size_t>(g.cell_dst[e])];
+  for (std::size_t e = 0; e < g.topo->cell_src().size(); ++e) {
+    ++degree[static_cast<std::size_t>(g.topo->cell_src()[e])];
+    ++degree[static_cast<std::size_t>(g.topo->cell_dst()[e])];
   }
   for (std::size_t e = 0; e < adj.src.size(); ++e) {
     EXPECT_GT(adj.w[e], 0.0f);
@@ -48,7 +48,7 @@ TEST(Gcnii, ForwardShapes) {
   const auto& g = testing::train_graph();
   const GcniiAdjacency adj = build_gcnii_adjacency(g);
   const nn::Tensor pred = model.forward(g, adj);
-  EXPECT_EQ(pred.rows(), g.num_nodes);
+  EXPECT_EQ(pred.rows(), g.num_nodes());
   EXPECT_EQ(pred.cols(), 2 * kNumCorners);
   for (float v : pred.data()) {
     EXPECT_TRUE(std::isfinite(v));
@@ -102,7 +102,7 @@ TEST(Gcnii, LayerNormVariantRunsAndAddsParameters) {
   const auto& g = testing::train_graph();
   const GcniiAdjacency adj = build_gcnii_adjacency(g);
   const nn::Tensor pred = normed.forward(g, adj);
-  EXPECT_EQ(pred.rows(), g.num_nodes);
+  EXPECT_EQ(pred.rows(), g.num_nodes());
   for (float v : pred.data()) EXPECT_TRUE(std::isfinite(v));
   // Gradients reach the norm parameters.
   normed.loss(g, normed.forward(g, adj)).backward();

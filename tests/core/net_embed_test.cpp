@@ -24,10 +24,10 @@ TEST(NetEmbed, ForwardShapes) {
   const NetEmbed model(tiny_config(), rng);
   const auto& g = testing::train_graph();
   const nn::Tensor emb = model.forward(g);
-  EXPECT_EQ(emb.rows(), g.num_nodes);
+  EXPECT_EQ(emb.rows(), g.num_nodes());
   EXPECT_EQ(emb.cols(), 8);
   const nn::Tensor delay = model.predict_net_delay(g, emb);
-  EXPECT_EQ(delay.rows(), g.num_nodes);
+  EXPECT_EQ(delay.rows(), g.num_nodes());
   EXPECT_EQ(delay.cols(), kNumCorners);
 }
 
@@ -38,9 +38,9 @@ TEST(NetEmbed, PredictionsFiniteAndZeroAtNonSinks) {
   const nn::Tensor delay = model.predict_net_delay(g, model.forward(g));
   for (float v : delay.data()) EXPECT_TRUE(std::isfinite(v));
   // Rows without an incoming net edge stay exactly zero.
-  std::vector<char> is_sink(static_cast<std::size_t>(g.num_nodes), 0);
-  for (int s : g.net_sinks) is_sink[static_cast<std::size_t>(s)] = 1;
-  for (int v = 0; v < g.num_nodes; ++v) {
+  std::vector<char> is_sink(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (int s : g.topo->net_sinks()) is_sink[static_cast<std::size_t>(s)] = 1;
+  for (int v = 0; v < g.num_nodes(); ++v) {
     if (is_sink[static_cast<std::size_t>(v)]) continue;
     for (int c = 0; c < kNumCorners; ++c) EXPECT_FLOAT_EQ(delay.at(v, c), 0.0f);
   }
@@ -62,8 +62,8 @@ TEST(NetEmbed, GradientsReachAllParameters) {
   NetEmbed model(tiny_config(), rng);
   const auto& g = testing::train_graph();
   nn::Tensor pred = model.predict_net_delay(g, model.forward(g));
-  nn::Tensor target = nn::gather_rows(g.net_delay, g.net_sinks);
-  nn::Tensor loss = nn::mse_loss_rows(pred, g.net_sinks, target);
+  nn::Tensor target = nn::gather_rows(g.net_delay, g.topo->net_sinks());
+  nn::Tensor loss = nn::mse_loss_rows(pred, g.topo->net_sinks(), target);
   loss.backward();
   int nonzero_params = 0;
   for (const nn::Tensor& p : model.parameters()) {
@@ -85,8 +85,8 @@ TEST(NetEmbed, FewStepsReduceLoss) {
   for (int step = 0; step < 30; ++step) {
     adam.zero_grad();
     nn::Tensor pred = model.predict_net_delay(g, model.forward(g));
-    nn::Tensor target = nn::gather_rows(g.net_delay, g.net_sinks);
-    nn::Tensor loss = nn::mse_loss_rows(pred, g.net_sinks, target);
+    nn::Tensor target = nn::gather_rows(g.net_delay, g.topo->net_sinks());
+    nn::Tensor loss = nn::mse_loss_rows(pred, g.topo->net_sinks(), target);
     loss.backward();
     adam.step();
     if (step == 0) first = loss.item();

@@ -67,10 +67,11 @@ TEST(TimingGnn, ForwardShapes) {
   const auto& g = testing::train_graph();
   const PropPlan plan = build_prop_plan(g);
   const TimingGnn::Prediction pred = model.forward(g, plan);
-  EXPECT_EQ(pred.atslew.rows(), g.num_nodes);
+  EXPECT_EQ(pred.atslew.rows(), g.num_nodes());
   EXPECT_EQ(pred.atslew.cols(), 2 * kNumCorners);
-  EXPECT_EQ(pred.net_delay.rows(), g.num_nodes);
-  EXPECT_EQ(pred.cell_delay.rows(), static_cast<std::int64_t>(g.cell_src.size()));
+  EXPECT_EQ(pred.net_delay.rows(), g.num_nodes());
+  EXPECT_EQ(pred.cell_delay.rows(),
+            static_cast<std::int64_t>(g.topo->cell_src().size()));
 }
 
 TEST(TimingGnn, InferenceFastPathMatchesTrainingForward) {
@@ -303,13 +304,13 @@ TEST(PredictedEndpointSlack, MatchesManualComputation) {
   const int ep = g.endpoints[0];
   // Build a fake atslew where arrival = RAT - 0.25 at late corners and
   // arrival = RAT + 0.5 at early corners.
-  std::vector<float> at(static_cast<std::size_t>(g.num_nodes) * 8, 0.0f);
+  std::vector<float> at(static_cast<std::size_t>(g.num_nodes()) * 8, 0.0f);
   for (int c = 0; c < kNumCorners; ++c) {
     const bool late = corner_mode(c) == Mode::kLate;
     at[static_cast<std::size_t>(ep * 8 + c)] =
         g.rat.at(ep, c) + (late ? -0.25f : 0.5f);
   }
-  nn::Tensor atslew = nn::Tensor::from_vector(std::move(at), g.num_nodes, 8);
+  nn::Tensor atslew = nn::Tensor::from_vector(std::move(at), g.num_nodes(), 8);
   const EndpointSlack s = predicted_endpoint_slack(g, atslew, ep);
   EXPECT_NEAR(s.setup, 0.25, 1e-5);
   EXPECT_NEAR(s.hold, 0.5, 1e-5);

@@ -29,7 +29,7 @@ TEST(Dataset, SlimModeDropsHeavyHandles) {
       build_design_graph(suite_entry("spm", options.scale), lib, options);
   EXPECT_EQ(g.design, nullptr);
   EXPECT_EQ(g.truth_routing, nullptr);
-  EXPECT_GT(g.num_nodes, 0);
+  EXPECT_GT(g.num_nodes(), 0);
 }
 
 TEST(Dataset, ClockPeriodCalibrated) {
@@ -56,7 +56,7 @@ TEST(Dataset, DeterministicRebuild) {
       build_design_graph(suite_entry("spm", options.scale), lib, options);
   const DatasetGraph b =
       build_design_graph(suite_entry("spm", options.scale), lib, options);
-  EXPECT_EQ(a.num_nodes, b.num_nodes);
+  EXPECT_EQ(a.num_nodes(), b.num_nodes());
   ASSERT_EQ(a.arrival.numel(), b.arrival.numel());
   for (std::int64_t i = 0; i < a.arrival.numel(); i += 97) {
     EXPECT_EQ(a.arrival.data()[static_cast<std::size_t>(i)],

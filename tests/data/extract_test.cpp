@@ -36,22 +36,27 @@ DatasetGraph* ExtractTest::graph_ = nullptr;
 
 TEST_F(ExtractTest, ShapesMatchPaperTables) {
   const DatasetGraph& g = *graph_;
-  EXPECT_EQ(g.node_feat.rows(), g.num_nodes);
+  EXPECT_EQ(g.node_feat.rows(), g.num_nodes());
   EXPECT_EQ(g.node_feat.cols(), kNodeFeatureDim);
-  EXPECT_EQ(g.net_edge_feat.rows(), static_cast<std::int64_t>(g.net_src.size()));
+  EXPECT_EQ(g.net_edge_feat.rows(),
+            static_cast<std::int64_t>(g.topo->net_src().size()));
   EXPECT_EQ(g.net_edge_feat.cols(), kNetEdgeFeatureDim);
-  EXPECT_EQ(g.cell_edge_feat.rows(), static_cast<std::int64_t>(g.cell_src.size()));
+  EXPECT_EQ(g.cell_edge_feat.rows(),
+            static_cast<std::int64_t>(g.topo->cell_src().size()));
   EXPECT_EQ(g.cell_edge_feat.cols(), 512);
-  EXPECT_EQ(g.net_delay.rows(), g.num_nodes);
+  EXPECT_EQ(g.net_delay.rows(), g.num_nodes());
   EXPECT_EQ(g.arrival.cols(), kNumCorners);
-  EXPECT_EQ(g.cell_delay.rows(), static_cast<std::int64_t>(g.cell_src.size()));
+  EXPECT_EQ(g.cell_delay.rows(),
+            static_cast<std::int64_t>(g.topo->cell_src().size()));
 }
 
 TEST_F(ExtractTest, StatsMatchArrays) {
   const DatasetGraph& g = *graph_;
-  EXPECT_EQ(g.stats.num_nodes, g.num_nodes);
-  EXPECT_EQ(g.stats.num_net_edges, static_cast<long long>(g.net_src.size()));
-  EXPECT_EQ(g.stats.num_cell_edges, static_cast<long long>(g.cell_src.size()));
+  EXPECT_EQ(g.stats.num_nodes, g.num_nodes());
+  EXPECT_EQ(g.stats.num_net_edges,
+            static_cast<long long>(g.topo->net_src().size()));
+  EXPECT_EQ(g.stats.num_cell_edges,
+            static_cast<long long>(g.topo->cell_src().size()));
   EXPECT_EQ(g.stats.num_endpoints, static_cast<long long>(g.endpoints.size()));
 }
 
@@ -104,7 +109,7 @@ TEST_F(ExtractTest, LabelsMatchGoldenSta) {
   // Re-run the golden STA and compare a sample of labels.
   const TimingGraph tgraph(*g.design);
   const StaResult sta = run_sta(tgraph, *g.truth_routing);
-  for (PinId p = 0; p < g.num_nodes; p += 13) {
+  for (PinId p = 0; p < g.num_nodes(); p += 13) {
     for (int c = 0; c < kNumCorners; ++c) {
       EXPECT_NEAR(g.arrival.at(p, c),
                   static_cast<float>(sta.arrival[static_cast<std::size_t>(p)][c]), 1e-4);
@@ -121,9 +126,11 @@ TEST_F(ExtractTest, EndpointsAndSinksConsistent) {
   const Design& d = *g.design;
   for (int ep : g.endpoints) EXPECT_TRUE(d.is_endpoint(ep));
   // Every net edge's dst appears in net_sinks exactly once.
-  std::vector<int> count(static_cast<std::size_t>(g.num_nodes), 0);
-  for (int s : g.net_sinks) ++count[static_cast<std::size_t>(s)];
-  for (int dst : g.net_dst) EXPECT_EQ(count[static_cast<std::size_t>(dst)], 1);
+  std::vector<int> count(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (int s : g.topo->net_sinks()) ++count[static_cast<std::size_t>(s)];
+  for (int dst : g.topo->net_dst()) {
+    EXPECT_EQ(count[static_cast<std::size_t>(dst)], 1);
+  }
 }
 
 TEST_F(ExtractTest, SlackVectorsAlignedWithEndpoints) {
@@ -134,16 +141,18 @@ TEST_F(ExtractTest, SlackVectorsAlignedWithEndpoints) {
 }
 
 TEST_F(ExtractTest, LevelsMatchArcDirection) {
-  const DatasetGraph& g = *graph_;
-  for (std::size_t e = 0; e < g.net_src.size(); ++e) {
-    EXPECT_LT(g.node_level[static_cast<std::size_t>(g.net_src[e])],
-              g.node_level[static_cast<std::size_t>(g.net_dst[e])]);
+  const Topology& t = *graph_->topo;
+  const auto level = [&](int v) {
+    return t.node_level()[static_cast<std::size_t>(v)];
+  };
+  for (std::size_t e = 0; e < t.net_src().size(); ++e) {
+    EXPECT_LT(level(t.net_src()[e]), level(t.net_dst()[e]));
   }
-  for (std::size_t e = 0; e < g.cell_src.size(); ++e) {
-    EXPECT_LT(g.node_level[static_cast<std::size_t>(g.cell_src[e])],
-              g.node_level[static_cast<std::size_t>(g.cell_dst[e])]);
+  for (std::size_t e = 0; e < t.cell_src().size(); ++e) {
+    EXPECT_LT(level(t.cell_src()[e]), level(t.cell_dst()[e]));
   }
 }
+
 
 TEST_F(ExtractTest, RuntimesRecorded) {
   EXPECT_GT(graph_->route_seconds, 0.0);

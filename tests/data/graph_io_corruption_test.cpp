@@ -12,6 +12,7 @@
 #include "data/dataset.hpp"
 #include "data/graph_io.hpp"
 #include "liberty/library_builder.hpp"
+#include "testing/graph_file.hpp"
 #include "util/check.hpp"
 
 namespace tg::data {
@@ -73,8 +74,16 @@ TEST_F(GraphCorruptionTest, TruncationAtEighthBoundaries) {
 DatasetGraph make_tiny_graph() {
   DatasetGraph g;
   g.name = "tiny";
-  g.num_nodes = 4;
-  g.num_levels = 2;
+  Topology::Arrays topo;
+  topo.num_nodes = 4;
+  topo.num_levels = 2;
+  topo.net_src = {0, 1};
+  topo.net_dst = {2, 3};
+  topo.cell_src = {0, 1};
+  topo.cell_dst = {2, 3};
+  topo.node_level = {0, 0, 1, 1};
+  topo.net_sinks = {2, 3};
+  g.topo = std::make_shared<const Topology>(std::move(topo), g.name);
   g.clock_period = 1.25;
   auto tensor = [](std::int64_t rows, std::int64_t cols) {
     std::vector<float> v(static_cast<std::size_t>(rows * cols));
@@ -85,19 +94,13 @@ DatasetGraph make_tiny_graph() {
   };
   g.node_feat = tensor(4, 10);
   g.net_edge_feat = tensor(2, 2);
-  g.cell_edge_feat = tensor(2, 8);
-  g.net_src = {0, 1};
-  g.net_dst = {2, 3};
-  g.cell_src = {0, 1};
-  g.cell_dst = {2, 3};
-  g.node_level = {0, 0, 1, 1};
+  g.cell_edge_feat = tensor(2, kCellEdgeFeatureDim);
   g.net_delay = tensor(4, 4);
   g.arrival = tensor(4, 4);
   g.slew = tensor(4, 4);
   g.rat = tensor(4, 4);
   g.cell_delay = tensor(2, 4);
   g.endpoints = {2, 3};
-  g.net_sinks = {2, 3};
   g.endpoint_setup_slack = {0.5, -0.25};
   g.endpoint_hold_slack = {0.125, 0.75};
   g.stats.num_nodes = 4;
@@ -146,45 +149,53 @@ TEST_F(GraphCorruptionTest, ErrorNamesFileAndLocation) {
   }
 }
 
-/// Legacy v1 files (u64 magic + u64 version, no CRC) must stay loadable; the
-/// core body layout is byte-identical across versions, so a v1 file is the
-/// current payload minus the v3 optional-section flag, with the old envelope
-/// spliced on.
-class LegacyV1Test : public GraphCorruptionTest {
- protected:
-  std::vector<unsigned char> make_v1_bytes() {
-    DatasetGraph slim = graph();
-    slim.level_csr = nullptr;  // v1 bodies have no level-CSR section
-    save_graph(slim, path_);
-    const std::vector<unsigned char> v2 = slurp(path_);
-    // file = u32 magic + u32 version + body + u64 csr flag (0) + u32 crc.
-    const std::vector<unsigned char> body(v2.begin() + 8, v2.end() - 4 - 8);
-    std::vector<unsigned char> v1;
-    const std::uint64_t magic = 0x54474447;  // "TGDG"
-    const std::uint64_t version = 1;
-    v1.resize(16);
-    std::memcpy(v1.data(), &magic, 8);
-    std::memcpy(v1.data() + 8, &version, 8);
-    v1.insert(v1.end(), body.begin(), body.end());
-    return v1;
+/// A file whose checksum holds but whose net_dst names a node past the
+/// end must fail to load with an error naming the field and the entry —
+/// before any index derived from it (the level CSR, the plan) reads out
+/// of bounds.
+TEST_F(GraphCorruptionTest, OutOfRangeNetDstRejected) {
+  const DatasetGraph g = make_tiny_graph();
+  save_graph(g, path_);
+  EXPECT_NO_THROW((void)load_graph(path_));
+  std::vector<unsigned char> bytes = slurp(path_);
+  const std::size_t src =
+      tg::testing::find_i32_array(bytes, g.topo->net_src());
+  const std::size_t dst =
+      tg::testing::find_i32_array(bytes, g.topo->net_dst(), src);
+  ASSERT_LT(dst, bytes.size());
+  tg::testing::put_i32(bytes, dst + 4, g.num_nodes());  // net_dst[1]
+  tg::testing::reseal_crc(bytes);
+  spit(path_, bytes);
+  try {
+    (void)load_graph(path_);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("net_dst[1] = 4"), std::string::npos)
+        << e.what();
   }
-};
-
-TEST_F(LegacyV1Test, LegacyFileStillLoads) {
-  spit(path_, make_v1_bytes());
-  const DatasetGraph b = load_graph(path_);
-  EXPECT_EQ(b.name, graph().name);
-  EXPECT_EQ(b.num_nodes, graph().num_nodes);
-  EXPECT_EQ(b.node_level, graph().node_level);
-  EXPECT_EQ(b.endpoint_setup_slack, graph().endpoint_setup_slack);
 }
 
-TEST_F(LegacyV1Test, TruncatedLegacyFileRejected) {
-  const std::vector<unsigned char> v1 = make_v1_bytes();
-  for (int i = 0; i < 8; ++i) {
-    const std::size_t n = v1.size() * static_cast<std::size_t>(i) / 8;
-    spit(path_, {v1.begin(), v1.begin() + static_cast<std::ptrdiff_t>(n)});
-    EXPECT_THROW(load_graph(path_), CheckError) << "truncated to " << n;
+/// A CRC-valid file whose level count is far past its node count must fail
+/// to load with a CheckError, not size the per-level arrays of the level
+/// CSR by that count.
+TEST_F(GraphCorruptionTest, OversizedLevelCountRejected) {
+  const DatasetGraph g = make_tiny_graph();
+  save_graph(g, path_);
+  std::vector<unsigned char> bytes = slurp(path_);
+  const std::size_t levels = tg::testing::num_nodes_offset(g.name) + 8;
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + levels, sizeof(stored));
+  ASSERT_EQ(stored, static_cast<std::uint64_t>(g.num_levels()));
+  tg::testing::put_i32(bytes, levels, 0x7FFFFFFF);  // low word; high is 0
+  tg::testing::reseal_crc(bytes);
+  spit(path_, bytes);
+  try {
+    (void)load_graph(path_);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("num_levels = 2147483647"),
+              std::string::npos)
+        << e.what();
   }
 }
 

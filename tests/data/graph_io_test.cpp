@@ -30,14 +30,14 @@ TEST_F(GraphIoTest, RoundTripPreservesEverything) {
 
   EXPECT_EQ(b.name, a.name);
   EXPECT_EQ(b.is_test, a.is_test);
-  EXPECT_EQ(b.num_nodes, a.num_nodes);
-  EXPECT_EQ(b.num_levels, a.num_levels);
+  EXPECT_EQ(b.num_nodes(), a.num_nodes());
+  EXPECT_EQ(b.num_levels(), a.num_levels());
   EXPECT_DOUBLE_EQ(b.clock_period, a.clock_period);
-  EXPECT_EQ(b.net_src, a.net_src);
-  EXPECT_EQ(b.cell_dst, a.cell_dst);
-  EXPECT_EQ(b.node_level, a.node_level);
+  EXPECT_EQ(b.topo->net_src(), a.topo->net_src());
+  EXPECT_EQ(b.topo->cell_dst(), a.topo->cell_dst());
+  EXPECT_EQ(b.topo->node_level(), a.topo->node_level());
   EXPECT_EQ(b.endpoints, a.endpoints);
-  EXPECT_EQ(b.net_sinks, a.net_sinks);
+  EXPECT_EQ(b.topo->net_sinks(), a.topo->net_sinks());
   EXPECT_EQ(b.endpoint_setup_slack, a.endpoint_setup_slack);
   EXPECT_EQ(b.stats.num_cell_edges, a.stats.num_cell_edges);
 
@@ -69,58 +69,37 @@ TEST_F(GraphIoTest, LoadedGraphIsTrainable) {
   const DatasetGraph loaded = load_graph(path_);
   EXPECT_EQ(loaded.design, nullptr);  // slim by definition
   // Spot check model-facing invariants.
-  for (std::size_t e = 0; e < loaded.net_src.size(); ++e) {
-    EXPECT_LT(loaded.node_level[static_cast<std::size_t>(loaded.net_src[e])],
-              loaded.node_level[static_cast<std::size_t>(loaded.net_dst[e])]);
+  const Topology& t = *loaded.topo;
+  for (std::size_t e = 0; e < t.net_src().size(); ++e) {
+    EXPECT_LT(t.node_level()[static_cast<std::size_t>(t.net_src()[e])],
+              t.node_level()[static_cast<std::size_t>(t.net_dst()[e])]);
   }
 }
 
-TEST_F(GraphIoTest, RoundTripPreservesLevelCsr) {
+TEST_F(GraphIoTest, RoundTripRebuildsTheSameTopology) {
   const Library lib = build_library();
   DatasetOptions options;
   options.scale = 1.0 / 32;
   options.slim = true;
   const DatasetGraph a =
       build_design_graph(suite_entry("usb", options.scale), lib, options);
-  ASSERT_NE(a.level_csr, nullptr) << "dataset build must attach the CSR";
   save_graph(a, path_);
   const DatasetGraph b = load_graph(path_);
-  // TGD2 v3 persists the CSR: loading must not fall back to a rebuild.
-  ASSERT_NE(b.level_csr, nullptr);
-  EXPECT_EQ(b.level_csr->num_levels, a.level_csr->num_levels);
-  EXPECT_EQ(b.level_csr->node_off, a.level_csr->node_off);
-  EXPECT_EQ(b.level_csr->node_perm, a.level_csr->node_perm);
-  EXPECT_EQ(b.level_csr->node_row, a.level_csr->node_row);
-  EXPECT_EQ(b.level_csr->net_off, a.level_csr->net_off);
-  EXPECT_EQ(b.level_csr->net_perm, a.level_csr->net_perm);
-  EXPECT_EQ(b.level_csr->cell_off, a.level_csr->cell_off);
-  EXPECT_EQ(b.level_csr->cell_perm, a.level_csr->cell_perm);
-  // And the persisted CSR must be exactly what a fresh build produces.
-  const LevelCsr rebuilt = build_level_csr(b);
-  EXPECT_EQ(b.level_csr->node_perm, rebuilt.node_perm);
-  EXPECT_EQ(b.level_csr->net_perm, rebuilt.net_perm);
-  EXPECT_EQ(b.level_csr->cell_perm, rebuilt.cell_perm);
-}
-
-TEST_F(GraphIoTest, EnsureLevelCsrRebuildsWhenAbsent) {
-  // Graphs from pre-v3 files (or hand-built ones) have no cached CSR;
-  // ensure_level_csr must build, attach, and then reuse one instance.
-  const Library lib = build_library();
-  DatasetOptions options;
-  options.scale = 1.0 / 32;
-  options.slim = true;
-  DatasetGraph g =
-      build_design_graph(suite_entry("zipdiv", options.scale), lib, options);
-  const LevelCsr expected = build_level_csr(g);
-  g.level_csr = nullptr;  // simulate a legacy load
-  const LevelCsr& rebuilt = ensure_level_csr(g);
-  ASSERT_NE(g.level_csr, nullptr);
-  EXPECT_EQ(&rebuilt, g.level_csr.get());
-  EXPECT_EQ(rebuilt.node_perm, expected.node_perm);
-  EXPECT_EQ(rebuilt.net_perm, expected.net_perm);
-  EXPECT_EQ(rebuilt.cell_perm, expected.cell_perm);
-  // Second call returns the cached instance, not a rebuild.
-  EXPECT_EQ(&ensure_level_csr(g), &rebuilt);
+  // The file holds only the source arrays; the loader's Topology rebuilds
+  // every derived index, equal to the original's.
+  const LevelCsr& ca = a.topo->csr();
+  const LevelCsr& cb = b.topo->csr();
+  EXPECT_EQ(cb.node_off, ca.node_off);
+  EXPECT_EQ(cb.node_perm, ca.node_perm);
+  EXPECT_EQ(cb.node_row, ca.node_row);
+  EXPECT_EQ(cb.net_off, ca.net_off);
+  EXPECT_EQ(cb.net_perm, ca.net_perm);
+  EXPECT_EQ(cb.cell_off, ca.cell_off);
+  EXPECT_EQ(cb.cell_perm, ca.cell_perm);
+  EXPECT_EQ(b.topo->fanout().off, a.topo->fanout().off);
+  EXPECT_EQ(b.topo->fanout().ids, a.topo->fanout().ids);
+  EXPECT_EQ(b.topo->net_incidence().off, a.topo->net_incidence().off);
+  EXPECT_EQ(b.topo->net_incidence().ids, a.topo->net_incidence().ids);
 }
 
 TEST_F(GraphIoTest, CorruptFileRejected) {

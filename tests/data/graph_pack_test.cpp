@@ -1,6 +1,6 @@
 /// \file graph_pack_test.cpp
 /// Disjoint-union graph packing (data/graph_pack.hpp): offset-table and
-/// merged-LevelCsr invariants via validate_graph_pack, ragged K ∈ {1,2,5}
+/// packed-LevelCsr invariants via validate_graph_pack, ragged K ∈ {1,2,5}
 /// mixes across distinct designs, empty/singleton edge cases, and the
 /// tentpole contract — a packed forward over K ≥ 2 designs matches the K
 /// sequential per-design forwards within 1e-6.
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/timing_gnn.hpp"
@@ -55,27 +56,50 @@ DatasetGraph* GraphPackTest::a_ = nullptr;
 DatasetGraph* GraphPackTest::b_ = nullptr;
 DatasetGraph* GraphPackTest::c_ = nullptr;
 
-/// The merged CSR the packer attaches must equal a from-scratch rebuild —
-/// the per-graph level alignment invariant.
-void expect_csr_matches_rebuild(const GraphPack& pack) {
-  ASSERT_NE(pack.g.level_csr, nullptr);
-  const LevelCsr rebuilt = build_level_csr(pack.g);
-  const LevelCsr& merged = *pack.g.level_csr;
-  EXPECT_EQ(merged.num_levels, rebuilt.num_levels);
-  EXPECT_EQ(merged.node_off, rebuilt.node_off);
-  EXPECT_EQ(merged.node_perm, rebuilt.node_perm);
-  EXPECT_EQ(merged.node_row, rebuilt.node_row);
-  EXPECT_EQ(merged.net_off, rebuilt.net_off);
-  EXPECT_EQ(merged.net_perm, rebuilt.net_perm);
-  EXPECT_EQ(merged.cell_off, rebuilt.cell_off);
-  EXPECT_EQ(merged.cell_perm, rebuilt.cell_perm);
+/// Each packed level block is the parts' level-l blocks in part order,
+/// ids offset by the part's base — the order that makes the packed
+/// forward reduce every row exactly as the part's own forward does.
+void expect_csr_is_part_blocks(const GraphPack& pack,
+                               const std::vector<const DatasetGraph*>& parts) {
+  const LevelCsr& packed = pack.g.topo->csr();
+  // The expected {offsets, ids} of one kind of CSR.
+  const auto blocks = [&](std::vector<int> LevelCsr::*off,
+                          std::vector<int> LevelCsr::*perm,
+                          const std::vector<int>& base) {
+    std::vector<int> offsets{0};
+    std::vector<int> ids;
+    for (int l = 0; l < pack.g.num_levels(); ++l) {
+      for (std::size_t k = 0; k < parts.size(); ++k) {
+        if (l >= parts[k]->num_levels()) continue;
+        const LevelCsr& c = parts[k]->topo->csr();
+        for (int s = (c.*off)[static_cast<std::size_t>(l)];
+             s < (c.*off)[static_cast<std::size_t>(l) + 1]; ++s) {
+          ids.push_back((c.*perm)[static_cast<std::size_t>(s)] + base[k]);
+        }
+      }
+      offsets.push_back(static_cast<int>(ids.size()));
+    }
+    return std::pair{offsets, ids};
+  };
+  const auto nodes =
+      blocks(&LevelCsr::node_off, &LevelCsr::node_perm, pack.node_base);
+  EXPECT_EQ(packed.node_off, nodes.first);
+  EXPECT_EQ(packed.node_perm, nodes.second);
+  const auto nets =
+      blocks(&LevelCsr::net_off, &LevelCsr::net_perm, pack.net_base);
+  EXPECT_EQ(packed.net_off, nets.first);
+  EXPECT_EQ(packed.net_perm, nets.second);
+  const auto cells =
+      blocks(&LevelCsr::cell_off, &LevelCsr::cell_perm, pack.cell_base);
+  EXPECT_EQ(packed.cell_off, cells.first);
+  EXPECT_EQ(packed.cell_perm, cells.second);
 }
 
 TEST_F(GraphPackTest, EmptyPackIsWellFormed) {
   const GraphPack pack = pack_graphs({});
   EXPECT_EQ(pack.num_graphs, 0);
-  EXPECT_EQ(pack.g.num_nodes, 0);
-  EXPECT_EQ(pack.g.num_levels, 0);
+  EXPECT_EQ(pack.g.num_nodes(), 0);
+  EXPECT_EQ(pack.g.num_levels(), 0);
   EXPECT_EQ(pack.node_base, std::vector<int>{0});
   EXPECT_TRUE(pack.graph_of_node.empty());
   EXPECT_GT(pack.g.clock_period, 0.0);
@@ -88,13 +112,13 @@ TEST_F(GraphPackTest, SingletonPackIsIdentity) {
   const DatasetGraph& g = *a_;
   const GraphPack pack = pack_graphs({&g});
   EXPECT_EQ(pack.num_graphs, 1);
-  EXPECT_EQ(pack.g.num_nodes, g.num_nodes);
-  EXPECT_EQ(pack.g.num_levels, g.num_levels);
-  EXPECT_EQ(pack.g.net_src, g.net_src);
-  EXPECT_EQ(pack.g.cell_dst, g.cell_dst);
-  EXPECT_EQ(pack.g.node_level, g.node_level);
+  EXPECT_EQ(pack.g.num_nodes(), g.num_nodes());
+  EXPECT_EQ(pack.g.num_levels(), g.num_levels());
+  EXPECT_EQ(pack.g.topo->net_src(), g.topo->net_src());
+  EXPECT_EQ(pack.g.topo->cell_dst(), g.topo->cell_dst());
+  EXPECT_EQ(pack.g.topo->node_level(), g.topo->node_level());
   EXPECT_EQ(pack.g.endpoints, g.endpoints);
-  EXPECT_EQ(pack.g.net_sinks, g.net_sinks);
+  EXPECT_EQ(pack.g.topo->net_sinks(), g.topo->net_sinks());
   EXPECT_EQ(pack.g.clock_period, g.clock_period);
   ASSERT_EQ(pack.g.node_feat.numel(), g.node_feat.numel());
   const std::span<const float> packed = pack.g.node_feat.data();
@@ -105,45 +129,45 @@ TEST_F(GraphPackTest, SingletonPackIsIdentity) {
   DiagSink sink;
   validate_graph_pack(pack, sink, ValidateLevel::kFull);
   EXPECT_TRUE(sink.ok()) << sink.report_text();
-  expect_csr_matches_rebuild(pack);
+  expect_csr_is_part_blocks(pack, {&g});
 }
 
 TEST_F(GraphPackTest, TwoDesignPackOffsetsAndLevelAlignment) {
   const GraphPack pack = pack_graphs({a_, b_});
   ASSERT_EQ(pack.num_graphs, 2);
-  const std::vector<int> expect_nodes{0, a_->num_nodes,
-                                      a_->num_nodes + b_->num_nodes};
+  const std::vector<int> expect_nodes{0, a_->num_nodes(),
+                                      a_->num_nodes() + b_->num_nodes()};
   EXPECT_EQ(pack.node_base, expect_nodes);
-  EXPECT_EQ(pack.g.num_nodes, a_->num_nodes + b_->num_nodes);
-  EXPECT_EQ(pack.g.num_levels, std::max(a_->num_levels, b_->num_levels));
-  ASSERT_EQ(static_cast<int>(pack.graph_of_node.size()), pack.g.num_nodes);
+  EXPECT_EQ(pack.g.num_nodes(), a_->num_nodes() + b_->num_nodes());
+  EXPECT_EQ(pack.g.num_levels(), std::max(a_->num_levels(), b_->num_levels()));
+  ASSERT_EQ(static_cast<int>(pack.graph_of_node.size()), pack.g.num_nodes());
 
   // Every node keeps its part's level; graph_of_node matches node_base.
-  for (int v = 0; v < pack.g.num_nodes; ++v) {
+  for (int v = 0; v < pack.g.num_nodes(); ++v) {
     const int part = pack.graph_of_node[static_cast<std::size_t>(v)];
     const DatasetGraph& src = part == 0 ? *a_ : *b_;
     const int local = v - pack.node_base[static_cast<std::size_t>(part)];
     ASSERT_GE(local, 0);
-    ASSERT_LT(local, src.num_nodes);
-    ASSERT_EQ(pack.g.node_level[static_cast<std::size_t>(v)],
-              src.node_level[static_cast<std::size_t>(local)]);
+    ASSERT_LT(local, src.num_nodes());
+    ASSERT_EQ(pack.g.topo->node_level()[static_cast<std::size_t>(v)],
+              src.topo->node_level()[static_cast<std::size_t>(local)]);
   }
 
   // Part b's edges are part a's offsets shifted by the node base.
-  ASSERT_EQ(pack.net_base[1], static_cast<int>(a_->net_src.size()));
+  ASSERT_EQ(pack.net_base[1], static_cast<int>(a_->topo->net_src().size()));
   const int nb = pack.node_base[1];
   const int eb = pack.net_base[1];
-  for (std::size_t e = 0; e < b_->net_src.size(); ++e) {
-    ASSERT_EQ(pack.g.net_src[static_cast<std::size_t>(eb) + e],
-              b_->net_src[e] + nb);
-    ASSERT_EQ(pack.g.net_dst[static_cast<std::size_t>(eb) + e],
-              b_->net_dst[e] + nb);
+  for (std::size_t e = 0; e < b_->topo->net_src().size(); ++e) {
+    ASSERT_EQ(pack.g.topo->net_src()[static_cast<std::size_t>(eb) + e],
+              b_->topo->net_src()[e] + nb);
+    ASSERT_EQ(pack.g.topo->net_dst()[static_cast<std::size_t>(eb) + e],
+              b_->topo->net_dst()[e] + nb);
   }
 
   DiagSink sink;
   validate_graph_pack(pack, sink, ValidateLevel::kFull);
   EXPECT_TRUE(sink.ok()) << sink.report_text();
-  expect_csr_matches_rebuild(pack);
+  expect_csr_is_part_blocks(pack, {a_, b_});
 }
 
 TEST_F(GraphPackTest, RaggedFivePartMixWithRepeatsValidates) {
@@ -155,17 +179,17 @@ TEST_F(GraphPackTest, RaggedFivePartMixWithRepeatsValidates) {
   int total = 0;
   for (std::size_t k = 0; k < parts.size(); ++k) {
     EXPECT_EQ(pack.node_base[k], total);
-    total += parts[k]->num_nodes;
+    total += parts[k]->num_nodes();
   }
   EXPECT_EQ(pack.node_base.back(), total);
-  EXPECT_EQ(pack.g.num_nodes, total);
+  EXPECT_EQ(pack.g.num_nodes(), total);
   EXPECT_EQ(pack.endpoint_base.back(),
             static_cast<int>(pack.g.endpoints.size()));
 
   DiagSink sink;
   validate_graph_pack(pack, sink, ValidateLevel::kFull);
   EXPECT_TRUE(sink.ok()) << sink.report_text();
-  expect_csr_matches_rebuild(pack);
+  expect_csr_is_part_blocks(pack, parts);
 }
 
 TEST_F(GraphPackTest, PackedForwardMatchesSequentialWithin1e6) {
@@ -192,7 +216,7 @@ TEST_F(GraphPackTest, PackedForwardMatchesSequentialWithin1e6) {
 
     // Per-node atslew rows: the packed rows of part k, shifted back.
     const int base = pack.node_base[k];
-    for (int v = 0; v < g.num_nodes; ++v) {
+    for (int v = 0; v < g.num_nodes(); ++v) {
       for (int c = 0; c < 8; ++c) {
         ASSERT_NEAR(packed.atslew.at(base + v, c), solo.atslew.at(v, c), 1e-6)
             << "part " << k << " node " << v << " col " << c;

@@ -77,8 +77,6 @@ TEST_F(SerializeTest, CorruptMagicRejected) {
   EXPECT_THROW(load_parameters(a, path_), CheckError);
 }
 
-// ---- legacy v0 ("TGNN") compatibility -------------------------------------
-
 std::vector<unsigned char> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -88,71 +86,6 @@ void spit(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
-}
-
-/// Writes `m` in the pre-CRC v0 layout: u32 magic "TGNN", u32 count, then
-/// per parameter {u32 name_len, bytes, u32 rows, u32 cols, raw f32 data}.
-void write_v0_file(const Module& m, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  auto put_u32 = [&](std::uint32_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_u32(0x54474E4Eu);  // "TGNN"
-  put_u32(static_cast<std::uint32_t>(m.parameters().size()));
-  for (std::size_t i = 0; i < m.parameters().size(); ++i) {
-    const std::string& name = m.parameter_names()[i];
-    const Tensor& t = m.parameters()[i];
-    put_u32(static_cast<std::uint32_t>(name.size()));
-    out.write(name.data(), static_cast<std::streamsize>(name.size()));
-    put_u32(static_cast<std::uint32_t>(t.rows()));
-    put_u32(static_cast<std::uint32_t>(t.cols()));
-    out.write(reinterpret_cast<const char*>(t.data().data()),
-              static_cast<std::streamsize>(t.data().size() * sizeof(float)));
-  }
-}
-
-TEST_F(SerializeTest, LegacyV0FileStillLoads) {
-  Rng rng(1);
-  Mlp a(4, 2, 8, 2, &rng, "m");
-  write_v0_file(a, path_);
-
-  Rng rng2(999);
-  Mlp b(4, 2, 8, 2, &rng2, "m");
-  load_parameters(b, path_);
-  for (std::size_t i = 0; i < a.parameters().size(); ++i) {
-    const auto av = a.parameters()[i].data();
-    const auto bv = b.parameters()[i].data();
-    ASSERT_EQ(av.size(), bv.size());
-    for (std::size_t j = 0; j < av.size(); ++j) EXPECT_EQ(av[j], bv[j]);
-  }
-}
-
-TEST_F(SerializeTest, TruncatedLegacyV0FileRejected) {
-  Rng rng(1);
-  Mlp a(4, 2, 8, 2, &rng, "m");
-  write_v0_file(a, path_);
-  const std::vector<unsigned char> full = slurp(path_);
-  ASSERT_GT(full.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    const std::size_t n = full.size() * static_cast<std::size_t>(i) / 8;
-    if (n < 4) continue;  // below a magic it is CorruptMagicRejected territory
-    spit(path_, {full.begin(), full.begin() + static_cast<std::ptrdiff_t>(n)});
-    EXPECT_THROW(load_parameters(a, path_), CheckError) << "truncated to " << n;
-  }
-}
-
-TEST_F(SerializeTest, HugeNameLengthInV0Rejected) {
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  auto put_u32 = [&](std::uint32_t v) {
-    out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_u32(0x54474E4Eu);  // "TGNN"
-  put_u32(1);            // one parameter...
-  put_u32(0xFFFFFFFFu);  // ...whose name claims 4 GiB
-  out.close();
-  Rng rng(1);
-  Mlp a(4, 2, 8, 2, &rng, "m");
-  EXPECT_THROW(load_parameters(a, path_), CheckError);
 }
 
 TEST_F(SerializeTest, CorruptedV1FileAlwaysRejected) {

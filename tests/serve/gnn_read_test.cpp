@@ -54,7 +54,7 @@ Reference fresh_reference(SlackServer& server, SessionId id) {
   const core::TimingGnn& model = server.model();
   const nn::Tensor atslew = model.forward_atslew(g, plan, model.embed(g));
   Reference ref;
-  ref.num_nodes = g.num_nodes;
+  ref.num_nodes = g.num_nodes();
   ref.wns_setup = std::numeric_limits<double>::infinity();
   ref.wns_hold = std::numeric_limits<double>::infinity();
   for (const int ep : g.endpoints) {

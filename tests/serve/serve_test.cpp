@@ -389,17 +389,45 @@ TEST(ServeTest, CrossTemplateBatchMatchesPerSessionForceFull) {
   EXPECT_GE(server.stats().pack_hits, 1u) << "recurring mix re-packed";
 }
 
-/// Moved sessions copy `tpl->g` with no lock, so a built template must
-/// hold no lazy cache left to publish on first use.
-TEST(ServeTest, TemplateBuildPublishesEveryLazyGraphCache) {
-  TemplateCache templates;
-  const auto tpl = templates.get_or_build(kDesign, kScale, 0.0);
-  EXPECT_TRUE(tpl->g.level_csr);
-  EXPECT_TRUE(tpl->g.net_src_sh);
-  EXPECT_TRUE(tpl->g.net_dst_sh);
-  EXPECT_TRUE(tpl->g.net_sinks_sh);
-  EXPECT_EQ(tpl->read_topo.fanout.off.size(),
-            static_cast<std::size_t>(tpl->g.num_nodes) + 1);
+/// A moved session's GNN graph shares the template graph's topology (one
+/// pointer) and net-edge features, and owns storage only for the rows a
+/// resize rewrites: node_feat, cell_edge_feat and rat. It carries no
+/// labels and no index array of its own.
+TEST(ServeTest, MovedSessionGraphOwnsOnlyItsValues) {
+  SlackServer server(small_options());
+  const SessionId id = server.open_session(kDesign, kScale);
+  ResizeMove move{-1, -1};
+  server.inspect(id, [&](const SessionView& v) {
+    EXPECT_EQ(v.gnn_graph, nullptr);
+    move = {0, alternative_cell(v, 0)};
+  });
+  ASSERT_GE(move.new_cell, 0) << "library has no alternative drive";
+  Request req;
+  req.session = id;
+  req.mode = RequestMode::kGnn;
+  req.moves.push_back(move);
+  ASSERT_EQ(server.call(std::move(req)).status, ResponseStatus::kOk);
+
+  server.inspect(id, [&](const SessionView& v) {
+    ASSERT_NE(v.gnn_graph, nullptr);
+    const data::DatasetGraph& s = *v.gnn_graph;
+    const data::DatasetGraph& t = v.template_graph;
+    EXPECT_EQ(s.topo.get(), t.topo.get());
+    const auto storage = [](const nn::Tensor& x) {
+      return x.defined() ? x.data().data() : nullptr;
+    };
+    EXPECT_NE(storage(s.node_feat), storage(t.node_feat));
+    EXPECT_NE(storage(s.cell_edge_feat), storage(t.cell_edge_feat));
+    EXPECT_NE(storage(s.rat), storage(t.rat));
+    EXPECT_EQ(storage(s.net_edge_feat), storage(t.net_edge_feat));
+    for (const nn::Tensor* label :
+         {&s.net_delay, &s.arrival, &s.slew, &s.cell_delay}) {
+      EXPECT_FALSE(label->defined());
+    }
+    EXPECT_TRUE(s.endpoints.empty());
+    EXPECT_TRUE(s.endpoint_setup_slack.empty());
+    EXPECT_TRUE(s.endpoint_hold_slack.empty());
+  });
 }
 
 TEST(ServeTest, PackCacheReusesSupersetForShrunkenMix) {

@@ -136,6 +136,18 @@ TEST_F(IoTest, OversizedLengthPrefixRejectedBeforeAllocation) {
   EXPECT_THROW((void)in.read_i32_vec("huge vector"), CheckError);
 }
 
+TEST_F(IoTest, OversizedStringLengthRejectedBeforeAllocation) {
+  {
+    BinaryWriter out(path_);
+    out.write_u64(~0ULL);  // absurd name length with a few bytes behind it
+    out.write_u32(0x656D616Eu);
+    out.commit();
+  }
+  BinaryReader in(path_);
+  in.verify_crc();
+  EXPECT_THROW((void)in.read_string("name"), CheckError);
+}
+
 TEST_F(IoTest, ExpectEofCatchesTrailingGarbage) {
   write_sample();
   BinaryReader in(path_);

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("exported %s (%d pins, %zu endpoints) to %s/\n", name.c_str(),
-              g.num_nodes, g.endpoints.size(), out_dir.string().c_str());
+              g.num_nodes(), g.endpoints.size(), out_dir.string().c_str());
   std::printf("  %s.v     netlist (structural Verilog)\n", name.c_str());
   std::printf("  %s.pl    placement\n", name.c_str());
   std::printf("  %s.lib   library (Liberty-style)\n", name.c_str());
