@@ -21,7 +21,8 @@
 #          a multi-row kernel guard: a hidden-8 MLP block must run in at
 #          most 0.6x the time of the same block one row per kernel call,
 #          and an incremental-read guard: an ECO session's cone GNN read
-#          must run in at most 0.25x the time of a full read
+#          must run in at most 0.25x the time of a full read. Every gate
+#          runs; the job then names each one that failed and exits 1
 #   serve  serving-plane gate: `serve` label suites, the tg_serve_load
 #          acceptance drill (deadlines + overload spike + injected worker
 #          faults; non-zero exit on any hang or untagged response), and
@@ -87,8 +88,17 @@ run_bench() {
   local dir
   dir="$(mktemp -d)"
   trap 'rm -rf "$dir"' RETURN
+  # Every gate runs even after an earlier one failed; the job fails at the
+  # end and names each gate that failed.
+  local failed=""
+  gate() {
+    local name="$1"
+    shift
+    "$@" || failed="$failed $name"
+  }
   # Steady-state allocator gate: real train steps, alloc/miss must be ~0.
-  TG_THREADS=1 ./build-ci/bench/micro_models --selfcheck
+  gate alloc-selfcheck \
+    env TG_THREADS=1 ./build-ci/bench/micro_models --selfcheck
   # Perf gate: single-threaded medians vs the checked-in baselines.
   # min_time is short and the medians are taken over 3 repetitions — the
   # 25% threshold absorbs what's left of small-sample noise.
@@ -104,12 +114,12 @@ run_bench() {
   TG_THREADS=1 ./build-ci/bench/micro_sta \
     --json="$dir/BENCH_micro_sta.json" --benchmark_min_time=0.1 \
     --benchmark_repetitions=3 > /dev/null
-  python3 ci/check_bench.py bench/BENCH_micro_nn_ops.json \
-    "$dir/BENCH_micro_nn_ops.json"
-  python3 ci/check_bench.py bench/BENCH_micro_models.json \
-    "$dir/BENCH_micro_models.json"
-  python3 ci/check_bench.py bench/BENCH_micro_sta.json \
-    "$dir/BENCH_micro_sta.json"
+  gate micro_nn_ops-baseline python3 ci/check_bench.py \
+    bench/BENCH_micro_nn_ops.json "$dir/BENCH_micro_nn_ops.json"
+  gate micro_models-baseline python3 ci/check_bench.py \
+    bench/BENCH_micro_models.json "$dir/BENCH_micro_models.json"
+  gate micro_sta-baseline python3 ci/check_bench.py \
+    bench/BENCH_micro_sta.json "$dir/BENCH_micro_sta.json"
   # Multi-row kernel guard: a 32-row hidden-8 MLP block through
   # Mlp::infer_rows (register-tiled matmul_rows) against the same block and
   # weights run one row per kernel call, in one run with interleaved
@@ -123,7 +133,7 @@ run_bench() {
     --benchmark_filter='^BM_MlpInferRow' --json="$dir/BENCH_mlp_rows.json" \
     --benchmark_min_time=0.05 --benchmark_repetitions=9 \
     --benchmark_enable_random_interleaving=true > /dev/null
-  python3 ci/check_bench.py --threshold=0.6 \
+  gate mlp-rows-ratio python3 ci/check_bench.py --threshold=0.6 \
     --ratio=BM_MlpInferRows/0:BM_MlpInferRowByRow/0 \
     "$dir/BENCH_mlp_rows.json"
   # Incremental GNN read guard: an ECO session's cone read (patch, re-embed
@@ -137,7 +147,7 @@ run_bench() {
     --benchmark_filter='^BM_EcoGnnRead/' --json="$dir/BENCH_eco_read.json" \
     --benchmark_min_time=0.1 --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true > /dev/null
-  python3 ci/check_bench.py --threshold=0.25 \
+  gate eco-read-ratio python3 ci/check_bench.py --threshold=0.25 \
     --ratio=BM_EcoGnnRead/cone:BM_EcoGnnRead/full \
     "$dir/BENCH_eco_read.json"
   # Thread-scaling guard: the train step at the machine's thread count must
@@ -154,8 +164,12 @@ run_bench() {
         --json="$dir/BENCH_train_step_t$t.json" --benchmark_min_time=0.2 \
         --benchmark_repetitions=3 > /dev/null
     done
-    python3 ci/check_bench.py --threshold=2.0 "$dir/BENCH_train_step_t1.json" \
-      "$dir/BENCH_train_step_t$threads.json"
+    gate train-step-threads python3 ci/check_bench.py --threshold=2.0 \
+      "$dir/BENCH_train_step_t1.json" "$dir/BENCH_train_step_t$threads.json"
+  fi
+  if [ -n "$failed" ]; then
+    for name in $failed; do echo "bench: gate failed: $name" >&2; done
+    return 1
   fi
 }
 

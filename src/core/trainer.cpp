@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <ostream>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -48,33 +50,26 @@ std::vector<int> all_rows(std::int64_t n) {
 // ---- crash-safe checkpointing --------------------------------------------
 
 constexpr std::uint32_t kCheckpointMagic = 0x4B434754;  // "TGCK" (LE bytes)
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
-/// Checkpoint = {tag, completed epochs, optional RNG stream, parameter
-/// block, Adam state}, checksummed and committed atomically (util/io), so a
-/// save killed at any point leaves the previous checkpoint loadable.
+/// Checkpoint = {tag, completed epochs, parameter block, Adam state},
+/// checksummed and committed atomically (util/io), so a save killed at any
+/// point leaves the previous checkpoint loadable.
 void write_checkpoint(const std::string& path, const char* tag,
                       const nn::Module& model, const nn::Adam& adam,
-                      int epoch, const Rng* rng) {
+                      int epoch) {
   io::BinaryWriter out(path);
   out.write_u32(kCheckpointMagic);
   out.write_u32(kCheckpointVersion);
   out.write_string(tag);
   out.write_u32(static_cast<std::uint32_t>(epoch));
-  out.write_u8(rng != nullptr ? 1 : 0);
-  if (rng != nullptr) {
-    const RngState st = rng->state();
-    for (std::uint64_t word : st.s) out.write_u64(word);
-    out.write_u8(st.has_cached_normal ? 1 : 0);
-    out.write_f64(st.cached_normal);
-  }
   nn::write_parameter_block(model, out);
   adam.save_state(out);
   out.commit();
 }
 
 int read_checkpoint(const std::string& path, const char* tag,
-                    nn::Module& model, nn::Adam& adam, Rng* rng) {
+                    nn::Module& model, nn::Adam& adam) {
   io::BinaryReader in(path);
   in.verify_crc();
   TG_CHECK_MSG(in.read_u32("magic") == kCheckpointMagic,
@@ -86,13 +81,6 @@ int read_checkpoint(const std::string& path, const char* tag,
                                      << "' checkpoint, expected '" << tag
                                      << "'");
   const int epoch = static_cast<int>(in.read_u32("epoch"));
-  if (in.read_u8("rng flag") != 0) {
-    RngState st;
-    for (std::uint64_t& word : st.s) word = in.read_u64("rng state word");
-    st.has_cached_normal = in.read_u8("rng cached-normal flag") != 0;
-    st.cached_normal = in.read_f64("rng cached normal");
-    if (rng != nullptr) rng->set_state(st);
-  }
   nn::read_parameter_block(model, in);
   adam.load_state(in);
   in.expect_eof();
@@ -116,9 +104,9 @@ bool stop_requested(const TrainOptions& options, int completed) {
          options.stop_requested->load(std::memory_order_relaxed);
 }
 
-/// Every fit() loop averages its epoch loss over the train split, so an
-/// empty split would train nothing and report 0/0 = NaN every epoch. Fail
-/// loudly instead, naming each design and the split it landed in.
+/// An empty train split would train nothing and report a NaN loss every
+/// epoch. Fail loudly instead, naming each design and the split it landed
+/// in.
 void require_train_split(const data::SuiteDataset& dataset,
                          const char* trainer) {
   TG_CHECK_MSG(!dataset.train_ids.empty(), [&] {
@@ -168,8 +156,7 @@ class GoodState {
 /// weight that diverged is identified at the step that produced it.
 /// Returns "" when clean or when TG_VALIDATE is below "full" (the
 /// non-finite-loss guard alone covers the fast level).
-template <typename Model>
-std::string first_nonfinite_grad(const Model& model) {
+std::string first_nonfinite_grad(const nn::Module& model) {
   if (validate_level() != ValidateLevel::kFull) return {};
   const std::vector<Tensor>& params = model.parameters();
   const std::vector<std::string>& names = model.parameter_names();
@@ -191,8 +178,7 @@ std::string first_nonfinite_grad(const Model& model) {
 
 /// Global L2 norm over all parameter gradients. Only evaluated when the
 /// telemetry stream is active — it touches every gradient entry.
-template <typename Model>
-double global_grad_norm(const Model& model) {
+double global_grad_norm(const nn::Module& model) {
   double acc = 0.0;
   for (const Tensor& t : model.parameters()) {
     if (!t.requires_grad()) continue;
@@ -201,6 +187,17 @@ double global_grad_norm(const Model& model) {
     }
   }
   return std::sqrt(acc);
+}
+
+/// A double as a JSON value: JSON has no NaN or infinity, so a non-finite
+/// value (the loss of an epoch with no good step) writes null.
+struct JsonNumber {
+  double v;
+};
+
+std::ostream& operator<<(std::ostream& os, JsonNumber n) {
+  if (std::isfinite(n.v)) return os << n.v;
+  return os << "null";
 }
 
 /// Per-epoch JSONL telemetry (TrainOptions::telemetry_path): one JSON
@@ -223,8 +220,9 @@ class TelemetryStream {
     std::ostringstream os;
     os.precision(10);
     os << "{\"trainer\":\"" << trainer_ << "\",\"epoch\":" << epoch
-       << ",\"epochs\":" << options.epochs << ",\"loss\":" << loss
-       << ",\"grad_norm\":" << grad_norm << ",\"lr\":" << lr
+       << ",\"epochs\":" << options.epochs
+       << ",\"loss\":" << JsonNumber{loss}
+       << ",\"grad_norm\":" << JsonNumber{grad_norm} << ",\"lr\":" << lr
        << ",\"epoch_seconds\":" << epoch_seconds << ",\"peak_rss_mb\":"
        << static_cast<double>(obs::peak_rss_bytes()) / (1024.0 * 1024.0)
        << ",\"non_finite_steps\":" << non_finite_steps << "}";
@@ -236,36 +234,6 @@ class TelemetryStream {
   obs::JsonlWriter writer_;
 };
 
-}  // namespace
-
-double mean_of(const std::vector<DesignEval>& evals,
-               double DesignEval::* field) {
-  if (evals.empty()) return 0.0;
-  double acc = 0.0;
-  for (const DesignEval& e : evals) acc += e.*field;
-  return acc / static_cast<double>(evals.size());
-}
-
-// ---- TimingGnnTrainer ----------------------------------------------------
-
-TimingGnnTrainer::TimingGnnTrainer(const TimingGnnConfig& config,
-                                   const TrainOptions& options)
-    : model_(config),
-      options_(options),
-      adam_(model_.parameters(),
-            nn::AdamConfig{.lr = options.lr, .grad_clip = options.grad_clip}) {}
-
-const PropPlan& TimingGnnTrainer::plan_for(const data::DatasetGraph& g) {
-  // Keyed by address, not name: the same benchmark can exist at several
-  // scales within one process.
-  auto it = plans_.find(&g);
-  if (it == plans_.end()) {
-    it = plans_.emplace(&g, build_prop_plan(g)).first;
-  }
-  return it->second;
-}
-
-namespace {
 /// Geometric decay from options.lr to options.lr_final across the run.
 float scheduled_lr(const TrainOptions& options, int epoch) {
   if (options.lr_final <= 0.0f || options.epochs <= 1 ||
@@ -276,86 +244,22 @@ float scheduled_lr(const TrainOptions& options, int epoch) {
                   static_cast<float>(options.epochs - 1);
   return options.lr * std::pow(options.lr_final / options.lr, t);
 }
-}  // namespace
 
-double TimingGnnTrainer::fit(const data::SuiteDataset& dataset) {
-  TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
-  require_train_split(dataset, "TimingGnnTrainer::fit");
-  TelemetryStream telemetry(options_.telemetry_path, "timing-gnn");
-  double mean_loss = 0.0;
-  GoodState good;
-  good.capture(model_, adam_);
-  for (int epoch = epoch_; epoch < options_.epochs; ++epoch) {
-    TG_TRACE_SCOPE("core/train_epoch", obs::kSpanDetail);
-    WallTimer epoch_timer;
-    const float lr = scheduled_lr(options_, epoch);
-    adam_.set_lr(lr);
-    double epoch_loss = 0.0;
-    double grad_norm_sum = 0.0;
-    int good_steps = 0;
-    for (int id : dataset.train_ids) {
-      TG_TRACE_SCOPE("core/train_step", obs::kSpanVerbose);
-      const data::DatasetGraph& g = dataset.graphs[static_cast<std::size_t>(id)];
-      const PropPlan& plan = plan_for(g);
-      adam_.zero_grad();
-      const TimingGnn::Prediction pred = model_.forward(g, plan);
-      Tensor loss = model_.loss(g, plan, pred);
-      const double loss_value = loss.item();
-      if (!std::isfinite(loss_value)) {
-        ++non_finite_steps_;
-        TG_WARN("non-finite-loss trainer=timing-gnn design=" << g.name
-                << " epoch=" << epoch + 1 << " loss=" << loss_value
-                << " action=restore-last-good-state,skip-step");
-        good.restore(model_, adam_);
-        continue;
-      }
-      loss.backward();
-      if (const std::string bad = first_nonfinite_grad(model_); !bad.empty()) {
-        ++non_finite_steps_;
-        TG_WARN("non-finite-gradient trainer=timing-gnn design=" << g.name
-                << " epoch=" << epoch + 1 << " first-offender=" << bad
-                << " action=restore-last-good-state,skip-step");
-        good.restore(model_, adam_);
-        continue;
-      }
-      if (telemetry.active()) grad_norm_sum += global_grad_norm(model_);
-      adam_.step();
-      good.capture(model_, adam_);
-      epoch_loss += loss_value;
-      ++good_steps;
-    }
-    mean_loss = epoch_loss / static_cast<double>(dataset.train_ids.size());
-    epoch_ = epoch + 1;
-    telemetry.emit_epoch(
-        options_, epoch_, mean_loss,
-        good_steps > 0 ? grad_norm_sum / good_steps : 0.0, lr,
-        epoch_timer.seconds(), non_finite_steps_);
-    if (options_.verbose) {
-      TG_INFO("timing-gnn epoch " << epoch + 1 << "/" << options_.epochs
-                                  << " loss=" << mean_loss);
-    }
-    bool due = checkpoint_due(options_, epoch_);
-    if (stop_requested(options_, epoch_)) {
-      TG_WARN("graceful-stop trainer=timing-gnn epoch=" << epoch_ << "/"
-              << options_.epochs << " action=checkpoint-and-return");
-      due = !options_.checkpoint_path.empty();
-      if (due) save_checkpoint(options_.checkpoint_path);
-      break;
-    }
-    if (due) save_checkpoint(options_.checkpoint_path);
-  }
-  return mean_loss;
+/// The Table 5 metrics of an [N, 8] arrival+slew prediction: R² pooled
+/// over every pin and column, and arrival R² at the endpoints (pred's
+/// first kNumCorners columns are the arrivals).
+DesignEval atslew_eval(const data::DatasetGraph& g, const Tensor& atslew,
+                       double infer_seconds) {
+  DesignEval eval;
+  eval.infer_seconds = infer_seconds;
+  eval.name = g.name;
+  eval.is_test = g.is_test;
+  const Tensor truth_parts[] = {g.arrival, g.slew};
+  eval.r2_atslew_all =
+      pooled_r2(nn::concat_cols(truth_parts), atslew, all_rows(g.num_nodes()));
+  eval.r2_arrival_endpoints = pooled_r2(g.arrival, atslew, g.endpoints);
+  return eval;
 }
-
-void TimingGnnTrainer::save_checkpoint(const std::string& path) const {
-  write_checkpoint(path, "timing-gnn", model_, adam_, epoch_, nullptr);
-}
-
-void TimingGnnTrainer::load_checkpoint(const std::string& path) {
-  epoch_ = read_checkpoint(path, "timing-gnn", model_, adam_, nullptr);
-}
-
-namespace {
 
 /// Endpoint slack pairs for Fig. 4 from an already-computed prediction.
 TimingGnnTrainer::SlackScatter scatter_from(const data::DatasetGraph& g,
@@ -373,35 +277,145 @@ TimingGnnTrainer::SlackScatter scatter_from(const data::DatasetGraph& g,
 
 }  // namespace
 
+double mean_of(const std::vector<DesignEval>& evals,
+               double DesignEval::* field) {
+  if (evals.empty()) return 0.0;
+  double acc = 0.0;
+  for (const DesignEval& e : evals) acc += e.*field;
+  return acc / static_cast<double>(evals.size());
+}
+
+// ---- TrainLoop -------------------------------------------------------------
+
+TrainLoop::TrainLoop(const char* tag, nn::Module& model,
+                     const TrainOptions& options)
+    : tag_(tag),
+      module_(model),
+      options_(options),
+      adam_(model.parameters(),
+            nn::AdamConfig{.lr = options.lr, .grad_clip = options.grad_clip}) {}
+
+double TrainLoop::run(const data::SuiteDataset& dataset, const char* caller,
+                      const std::string& label, const LossFn& step_loss) {
+  TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
+  require_train_split(dataset, caller);
+  TelemetryStream telemetry(options_.telemetry_path, tag_);
+  double mean_loss = 0.0;
+  GoodState good;
+  good.capture(module_, adam_);
+  for (int epoch = epoch_; epoch < options_.epochs; ++epoch) {
+    TG_TRACE_SCOPE("core/train_epoch", obs::kSpanDetail);
+    WallTimer epoch_timer;
+    const float lr = scheduled_lr(options_, epoch);
+    adam_.set_lr(lr);
+    double epoch_loss = 0.0;
+    double grad_norm_sum = 0.0;
+    int good_steps = 0;
+    for (int id : dataset.train_ids) {
+      TG_TRACE_SCOPE("core/train_step", obs::kSpanVerbose);
+      const data::DatasetGraph& g = dataset.graphs[static_cast<std::size_t>(id)];
+      adam_.zero_grad();
+      Tensor loss = step_loss(g);
+      const double loss_value = loss.item();
+      if (!std::isfinite(loss_value)) {
+        ++non_finite_steps_;
+        TG_WARN("non-finite-loss trainer=" << tag_ << " design=" << g.name
+                << " epoch=" << epoch + 1 << " loss=" << loss_value
+                << " action=restore-last-good-state,skip-step");
+        good.restore(module_, adam_);
+        continue;
+      }
+      loss.backward();
+      const std::string bad = first_nonfinite_grad(module_);
+      if (!bad.empty()) {
+        ++non_finite_steps_;
+        TG_WARN("non-finite-gradient trainer=" << tag_ << " design=" << g.name
+                << " epoch=" << epoch + 1 << " first-offender=" << bad
+                << " action=restore-last-good-state,skip-step");
+        good.restore(module_, adam_);
+        continue;
+      }
+      if (telemetry.active()) grad_norm_sum += global_grad_norm(module_);
+      adam_.step();
+      good.capture(module_, adam_);
+      epoch_loss += loss_value;
+      ++good_steps;
+    }
+    epoch_ = epoch + 1;
+    // The mean over good steps: a skipped step neither adds to the loss nor
+    // pulls it toward 0, and an epoch that trained nothing reports NaN.
+    double grad_norm = std::numeric_limits<double>::quiet_NaN();
+    if (good_steps > 0) {
+      mean_loss = epoch_loss / static_cast<double>(good_steps);
+      grad_norm = grad_norm_sum / good_steps;
+    } else {
+      mean_loss = std::numeric_limits<double>::quiet_NaN();
+      TG_WARN("no-good-step trainer=" << tag_ << " epoch=" << epoch_ << "/"
+              << options_.epochs << " skipped=" << dataset.train_ids.size()
+              << " action=report-nan-loss");
+    }
+    telemetry.emit_epoch(options_, epoch_, mean_loss, grad_norm, lr,
+                         epoch_timer.seconds(), non_finite_steps_);
+    if (options_.verbose) {
+      TG_INFO(label << " epoch " << epoch + 1 << "/" << options_.epochs
+                    << " loss=" << mean_loss);
+    }
+    bool due = checkpoint_due(options_, epoch_);
+    if (stop_requested(options_, epoch_)) {
+      TG_WARN("graceful-stop trainer=" << tag_ << " epoch=" << epoch_ << "/"
+              << options_.epochs << " action=checkpoint-and-return");
+      due = !options_.checkpoint_path.empty();
+      if (due) save_checkpoint(options_.checkpoint_path);
+      break;
+    }
+    if (due) save_checkpoint(options_.checkpoint_path);
+  }
+  return mean_loss;
+}
+
+void TrainLoop::save_checkpoint(const std::string& path) const {
+  write_checkpoint(path, tag_, module_, adam_, epoch_);
+}
+
+void TrainLoop::load_checkpoint(const std::string& path) {
+  epoch_ = read_checkpoint(path, tag_, module_, adam_);
+}
+
+// ---- TimingGnnTrainer ----------------------------------------------------
+
+TimingGnnTrainer::TimingGnnTrainer(const TimingGnnConfig& config,
+                                   const TrainOptions& options)
+    : TimingGnnTrainer(std::make_unique<TimingGnn>(config), options) {}
+
+TimingGnnTrainer::TimingGnnTrainer(std::unique_ptr<TimingGnn> model,
+                                   const TrainOptions& options)
+    : TrainLoop("timing-gnn", *model, options), model_(std::move(model)) {}
+
+const PropPlan& TimingGnnTrainer::plan_for(const data::DatasetGraph& g) {
+  // Keyed by address, not name: the same benchmark can exist at several
+  // scales within one process.
+  auto it = plans_.find(&g);
+  if (it == plans_.end()) {
+    it = plans_.emplace(&g, build_prop_plan(g)).first;
+  }
+  return it->second;
+}
+
+double TimingGnnTrainer::fit(const data::SuiteDataset& dataset) {
+  return run(dataset, "TimingGnnTrainer::fit", "timing-gnn",
+             [this](const data::DatasetGraph& g) {
+               const PropPlan& plan = plan_for(g);
+               return model_->loss(g, plan, model_->forward(g, plan));
+             });
+}
+
 DesignEval TimingGnnTrainer::evaluate(const data::DatasetGraph& g) {
   TG_TRACE_SCOPE("core/evaluate", obs::kSpanCoarse);
   const nn::NoGradGuard no_grad;  // evaluation never replays the tape
   const PropPlan& plan = plan_for(g);
   WallTimer timer;
-  const TimingGnn::Prediction pred = model_.forward(g, plan);
-  DesignEval eval;
-  eval.infer_seconds = timer.seconds();
-  eval.name = g.name;
-  eval.is_test = g.is_test;
-
-  const Tensor truth_parts[] = {g.arrival, g.slew};
-  const Tensor atslew_truth = nn::concat_cols(truth_parts);
-  eval.r2_atslew_all =
-      pooled_r2(atslew_truth, pred.atslew, all_rows(g.num_nodes()));
-
-  // Arrival R² at endpoints (Table 5): arrival columns only.
-  {
-    std::vector<double> t, p;
-    for (int ep : g.endpoints) {
-      for (int c = 0; c < kNumCorners; ++c) {
-        t.push_back(g.arrival.at(ep, c));
-        p.push_back(pred.atslew.at(ep, c));
-      }
-    }
-    eval.r2_arrival_endpoints =
-        r2_score(std::span<const double>(t), std::span<const double>(p));
-  }
-
+  const TimingGnn::Prediction pred = model_->forward(g, plan);
+  DesignEval eval = atslew_eval(g, pred.atslew, timer.seconds());
   eval.r2_net_delay =
       pooled_r2(g.net_delay, pred.net_delay, g.topo->net_sinks());
   {
@@ -427,7 +441,7 @@ TimingGnnTrainer::SlackScatter TimingGnnTrainer::slack_scatter(
     const data::DatasetGraph& g) {
   const nn::NoGradGuard no_grad;
   const PropPlan& plan = plan_for(g);
-  return scatter_from(g, model_.forward(g, plan).atslew);
+  return scatter_from(g, model_->forward(g, plan).atslew);
 }
 
 // ---- NetEmbedTrainer ------------------------------------------------------
@@ -435,112 +449,43 @@ TimingGnnTrainer::SlackScatter TimingGnnTrainer::slack_scatter(
 NetEmbedTrainer::NetEmbedTrainer(const NetEmbedConfig& config,
                                  const TrainOptions& options,
                                  std::uint64_t seed)
-    : rng_(seed),
-      model_(config, rng_),
-      options_(options),
-      adam_(model_.parameters(),
-            nn::AdamConfig{.lr = options.lr, .grad_clip = options.grad_clip}) {}
+    : NetEmbedTrainer(
+          [&] {
+            Rng rng(seed);  // used only for the initial weights
+            return std::make_unique<NetEmbed>(config, rng);
+          }(),
+          options) {}
+
+NetEmbedTrainer::NetEmbedTrainer(std::unique_ptr<NetEmbed> model,
+                                 const TrainOptions& options)
+    : TrainLoop("net-embed", *model, options), model_(std::move(model)) {}
 
 double NetEmbedTrainer::fit(const data::SuiteDataset& dataset) {
-  TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
-  require_train_split(dataset, "NetEmbedTrainer::fit");
-  TelemetryStream telemetry(options_.telemetry_path, "net-embed");
-  double mean_loss = 0.0;
-  GoodState good;
-  good.capture(model_, adam_);
-  for (int epoch = epoch_; epoch < options_.epochs; ++epoch) {
-    TG_TRACE_SCOPE("core/train_epoch", obs::kSpanDetail);
-    WallTimer epoch_timer;
-    const float lr = scheduled_lr(options_, epoch);
-    adam_.set_lr(lr);
-    double epoch_loss = 0.0;
-    double grad_norm_sum = 0.0;
-    int good_steps = 0;
-    for (int id : dataset.train_ids) {
-      TG_TRACE_SCOPE("core/train_step", obs::kSpanVerbose);
-      const data::DatasetGraph& g = dataset.graphs[static_cast<std::size_t>(id)];
-      adam_.zero_grad();
-      Tensor emb = model_.forward(g);
-      Tensor pred = model_.predict_net_delay(g, emb);
-      const nn::IndexVec sinks = data::share(g.topo, g.topo->net_sinks());
-      Tensor target = nn::gather_rows(g.net_delay, sinks);
-      Tensor loss = nn::mse_loss_rows(pred, sinks, target);
-      const double loss_value = loss.item();
-      if (!std::isfinite(loss_value)) {
-        ++non_finite_steps_;
-        TG_WARN("non-finite-loss trainer=net-embed design=" << g.name
-                << " epoch=" << epoch + 1 << " loss=" << loss_value
-                << " action=restore-last-good-state,skip-step");
-        good.restore(model_, adam_);
-        continue;
-      }
-      loss.backward();
-      if (const std::string bad = first_nonfinite_grad(model_); !bad.empty()) {
-        ++non_finite_steps_;
-        TG_WARN("non-finite-gradient trainer=net-embed design=" << g.name
-                << " epoch=" << epoch + 1 << " first-offender=" << bad
-                << " action=restore-last-good-state,skip-step");
-        good.restore(model_, adam_);
-        continue;
-      }
-      if (telemetry.active()) grad_norm_sum += global_grad_norm(model_);
-      adam_.step();
-      good.capture(model_, adam_);
-      epoch_loss += loss_value;
-      ++good_steps;
-    }
-    mean_loss = epoch_loss / static_cast<double>(dataset.train_ids.size());
-    epoch_ = epoch + 1;
-    telemetry.emit_epoch(
-        options_, epoch_, mean_loss,
-        good_steps > 0 ? grad_norm_sum / good_steps : 0.0, lr,
-        epoch_timer.seconds(), non_finite_steps_);
-    if (options_.verbose) {
-      TG_INFO("net-embed epoch " << epoch + 1 << "/" << options_.epochs
-                                 << " loss=" << mean_loss);
-    }
-    bool due = checkpoint_due(options_, epoch_);
-    if (stop_requested(options_, epoch_)) {
-      TG_WARN("graceful-stop trainer=net-embed epoch=" << epoch_ << "/"
-              << options_.epochs << " action=checkpoint-and-return");
-      due = !options_.checkpoint_path.empty();
-      if (due) save_checkpoint(options_.checkpoint_path);
-      break;
-    }
-    if (due) save_checkpoint(options_.checkpoint_path);
-  }
-  return mean_loss;
-}
-
-void NetEmbedTrainer::save_checkpoint(const std::string& path) const {
-  write_checkpoint(path, "net-embed", model_, adam_, epoch_, &rng_);
-}
-
-void NetEmbedTrainer::load_checkpoint(const std::string& path) {
-  epoch_ = read_checkpoint(path, "net-embed", model_, adam_, &rng_);
+  return run(
+      dataset, "NetEmbedTrainer::fit", "net-embed",
+      [this](const data::DatasetGraph& g) {
+        Tensor pred = model_->predict_net_delay(g, model_->forward(g));
+        const nn::IndexVec sinks = data::share(g.topo, g.topo->net_sinks());
+        Tensor target = nn::gather_rows(g.net_delay, sinks);
+        return nn::mse_loss_rows(pred, sinks, target);
+      });
 }
 
 double NetEmbedTrainer::evaluate_r2(const data::DatasetGraph& g) const {
   const nn::NoGradGuard no_grad;
-  Tensor pred = model_.predict_net_delay(g, model_.forward(g));
-  std::vector<double> t, p;
-  for (int r : g.topo->net_sinks()) {
-    for (int c = 0; c < kNumCorners; ++c) {
-      t.push_back(g.net_delay.at(r, c));
-      p.push_back(pred.at(r, c));
-    }
-  }
-  return r2_score(std::span<const double>(t), std::span<const double>(p));
+  Tensor pred = model_->predict_net_delay(g, model_->forward(g));
+  return pooled_r2(g.net_delay, pred, g.topo->net_sinks());
 }
 
 // ---- GcniiTrainer ---------------------------------------------------------
 
 GcniiTrainer::GcniiTrainer(const GcniiConfig& config,
                            const TrainOptions& options)
-    : model_(config),
-      options_(options),
-      adam_(model_.parameters(),
-            nn::AdamConfig{.lr = options.lr, .grad_clip = options.grad_clip}) {}
+    : GcniiTrainer(std::make_unique<Gcnii>(config), options) {}
+
+GcniiTrainer::GcniiTrainer(std::unique_ptr<Gcnii> model,
+                           const TrainOptions& options)
+    : TrainLoop("gcnii", *model, options), model_(std::move(model)) {}
 
 const GcniiAdjacency& GcniiTrainer::adjacency_for(const data::DatasetGraph& g) {
   auto it = adjacencies_.find(&g);
@@ -551,79 +496,11 @@ const GcniiAdjacency& GcniiTrainer::adjacency_for(const data::DatasetGraph& g) {
 }
 
 double GcniiTrainer::fit(const data::SuiteDataset& dataset) {
-  TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
-  require_train_split(dataset, "GcniiTrainer::fit");
-  TelemetryStream telemetry(options_.telemetry_path, "gcnii");
-  double mean_loss = 0.0;
-  GoodState good;
-  good.capture(model_, adam_);
-  for (int epoch = epoch_; epoch < options_.epochs; ++epoch) {
-    TG_TRACE_SCOPE("core/train_epoch", obs::kSpanDetail);
-    WallTimer epoch_timer;
-    const float lr = scheduled_lr(options_, epoch);
-    adam_.set_lr(lr);
-    double epoch_loss = 0.0;
-    double grad_norm_sum = 0.0;
-    int good_steps = 0;
-    for (int id : dataset.train_ids) {
-      TG_TRACE_SCOPE("core/train_step", obs::kSpanVerbose);
-      const data::DatasetGraph& g = dataset.graphs[static_cast<std::size_t>(id)];
-      adam_.zero_grad();
-      Tensor pred = model_.forward(g, adjacency_for(g));
-      Tensor loss = model_.loss(g, pred);
-      const double loss_value = loss.item();
-      if (!std::isfinite(loss_value)) {
-        ++non_finite_steps_;
-        TG_WARN("non-finite-loss trainer=gcnii design=" << g.name
-                << " epoch=" << epoch + 1 << " loss=" << loss_value
-                << " action=restore-last-good-state,skip-step");
-        good.restore(model_, adam_);
-        continue;
-      }
-      loss.backward();
-      if (const std::string bad = first_nonfinite_grad(model_); !bad.empty()) {
-        ++non_finite_steps_;
-        TG_WARN("non-finite-gradient trainer=gcnii design=" << g.name
-                << " epoch=" << epoch + 1 << " first-offender=" << bad
-                << " action=restore-last-good-state,skip-step");
-        good.restore(model_, adam_);
-        continue;
-      }
-      if (telemetry.active()) grad_norm_sum += global_grad_norm(model_);
-      adam_.step();
-      good.capture(model_, adam_);
-      epoch_loss += loss_value;
-      ++good_steps;
-    }
-    mean_loss = epoch_loss / static_cast<double>(dataset.train_ids.size());
-    epoch_ = epoch + 1;
-    telemetry.emit_epoch(
-        options_, epoch_, mean_loss,
-        good_steps > 0 ? grad_norm_sum / good_steps : 0.0, lr,
-        epoch_timer.seconds(), non_finite_steps_);
-    if (options_.verbose) {
-      TG_INFO("gcnii-" << model_.config().num_layers << " epoch " << epoch + 1
-                       << "/" << options_.epochs << " loss=" << mean_loss);
-    }
-    bool due = checkpoint_due(options_, epoch_);
-    if (stop_requested(options_, epoch_)) {
-      TG_WARN("graceful-stop trainer=gcnii epoch=" << epoch_ << "/"
-              << options_.epochs << " action=checkpoint-and-return");
-      due = !options_.checkpoint_path.empty();
-      if (due) save_checkpoint(options_.checkpoint_path);
-      break;
-    }
-    if (due) save_checkpoint(options_.checkpoint_path);
-  }
-  return mean_loss;
-}
-
-void GcniiTrainer::save_checkpoint(const std::string& path) const {
-  write_checkpoint(path, "gcnii", model_, adam_, epoch_, nullptr);
-}
-
-void GcniiTrainer::load_checkpoint(const std::string& path) {
-  epoch_ = read_checkpoint(path, "gcnii", model_, adam_, nullptr);
+  return run(dataset, "GcniiTrainer::fit",
+             "gcnii-" + std::to_string(model_->config().num_layers),
+             [this](const data::DatasetGraph& g) {
+               return model_->loss(g, model_->forward(g, adjacency_for(g)));
+             });
 }
 
 DesignEval GcniiTrainer::evaluate(const data::DatasetGraph& g) {
@@ -631,25 +508,8 @@ DesignEval GcniiTrainer::evaluate(const data::DatasetGraph& g) {
   const nn::NoGradGuard no_grad;
   const GcniiAdjacency& adj = adjacency_for(g);
   WallTimer timer;
-  Tensor pred = model_.forward(g, adj);
-  DesignEval eval;
-  eval.infer_seconds = timer.seconds();
-  eval.name = g.name;
-  eval.is_test = g.is_test;
-
-  const Tensor truth_parts[] = {g.arrival, g.slew};
-  eval.r2_atslew_all =
-      pooled_r2(nn::concat_cols(truth_parts), pred, all_rows(g.num_nodes()));
-  std::vector<double> t, p;
-  for (int ep : g.endpoints) {
-    for (int c = 0; c < kNumCorners; ++c) {
-      t.push_back(g.arrival.at(ep, c));
-      p.push_back(pred.at(ep, c));
-    }
-  }
-  eval.r2_arrival_endpoints =
-      r2_score(std::span<const double>(t), std::span<const double>(p));
-  return eval;
+  Tensor pred = model_->forward(g, adj);
+  return atslew_eval(g, pred, timer.seconds());
 }
 
 }  // namespace tg::core

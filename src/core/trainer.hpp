@@ -5,11 +5,14 @@
 ///  - TimingGnnTrainer: the full two-stage model (Table 5, Fig. 4),
 ///  - NetEmbedTrainer: the net-embedding stage standalone (Table 4),
 ///  - GcniiTrainer: the vanilla deep-GNN baseline (Table 5).
-/// All trainers run full-graph gradient steps over the training designs
-/// (the paper's setup: one graph per design, no mini-batching).
+/// All three run one loop, TrainLoop: full-graph gradient steps over the
+/// training designs (the paper's setup: one graph per design, no
+/// mini-batching). Each trainer hands it only its per-design loss.
 
 #include <atomic>
+#include <functional>
 #include <map>
+#include <memory>
 
 #include "core/gcnii.hpp"
 #include "core/timing_gnn.hpp"
@@ -27,7 +30,7 @@ struct TrainOptions {
   float grad_clip = 5.0f;
   bool verbose = true;
   /// Crash-safe checkpointing: when non-empty, fit() atomically writes
-  /// {params, Adam moments, epoch, RNG state} here after every
+  /// {params, Adam moments, epoch} here after every
   /// `checkpoint_every`-th epoch (and after the final one). Restoring via
   /// load_checkpoint and re-running fit() reproduces the uninterrupted
   /// run bit-identically.
@@ -70,7 +73,48 @@ struct DesignEval {
 [[nodiscard]] double mean_of(const std::vector<DesignEval>& evals,
                              double DesignEval::* field);
 
-class TimingGnnTrainer {
+/// The training loop every trainer runs, and the state that travels with
+/// it: options, Adam, completed epochs, skipped steps and the TGCK
+/// checkpoint, keyed by the trainer tag ("timing-gnn", "net-embed",
+/// "gcnii"). The tag also names the trainer in warnings and telemetry.
+class TrainLoop {
+ public:
+  /// Atomic, checksummed checkpoint (same format rules as graph_io/serialize;
+  /// see DESIGN.md "Failure model & persistence"). Throws CheckError on any
+  /// I/O failure, leaving a previous checkpoint at `path` intact.
+  void save_checkpoint(const std::string& path) const;
+  /// Restores params + Adam state + epoch counter; the next fit() continues
+  /// from the stored epoch.
+  void load_checkpoint(const std::string& path);
+  /// Epochs completed so far (nonzero after load_checkpoint or fit()).
+  [[nodiscard]] int completed_epochs() const { return epoch_; }
+  /// Training steps skipped by the non-finite loss and gradient guards.
+  [[nodiscard]] long long non_finite_steps() const { return non_finite_steps_; }
+
+ protected:
+  /// The per-design training loss (forward + loss, on the tape).
+  using LossFn = std::function<nn::Tensor(const data::DatasetGraph&)>;
+
+  /// Keeps a reference to `model`, which the derived trainer owns.
+  TrainLoop(const char* tag, nn::Module& model, const TrainOptions& options);
+
+  /// Runs epochs completed_epochs()..options.epochs over dataset.train_ids,
+  /// one step per design. Returns the last epoch's mean loss over its good
+  /// steps, NaN when the non-finite guards skipped all of them. `caller`
+  /// names the empty-split error; `label` starts the verbose epoch line.
+  double run(const data::SuiteDataset& dataset, const char* caller,
+             const std::string& label, const LossFn& loss);
+
+ private:
+  const char* tag_;
+  nn::Module& module_;
+  TrainOptions options_;
+  nn::Adam adam_;
+  int epoch_ = 0;
+  long long non_finite_steps_ = 0;
+};
+
+class TimingGnnTrainer : public TrainLoop {
  public:
   TimingGnnTrainer(const TimingGnnConfig& config, const TrainOptions& options);
 
@@ -85,32 +129,20 @@ class TimingGnnTrainer {
   };
   [[nodiscard]] SlackScatter slack_scatter(const data::DatasetGraph& g);
 
-  [[nodiscard]] TimingGnn& model() { return model_; }
+  [[nodiscard]] TimingGnn& model() { return *model_; }
   [[nodiscard]] const PropPlan& plan_for(const data::DatasetGraph& g);
 
-  /// Atomic, checksummed checkpoint (same format rules as graph_io/serialize;
-  /// see DESIGN.md "Failure model & persistence"). Throws CheckError on any
-  /// I/O failure, leaving a previous checkpoint at `path` intact.
-  void save_checkpoint(const std::string& path) const;
-  /// Restores params + Adam state + epoch counter; the next fit() continues
-  /// from the stored epoch.
-  void load_checkpoint(const std::string& path);
-  /// Epochs completed so far (nonzero after load_checkpoint or fit()).
-  [[nodiscard]] int completed_epochs() const { return epoch_; }
-  /// Training steps skipped by the non-finite-loss guard.
-  [[nodiscard]] long long non_finite_steps() const { return non_finite_steps_; }
-
  private:
-  TimingGnn model_;
-  TrainOptions options_;
-  nn::Adam adam_;
-  int epoch_ = 0;
-  long long non_finite_steps_ = 0;
+  TimingGnnTrainer(std::unique_ptr<TimingGnn> model,
+                   const TrainOptions& options);
+
+  std::unique_ptr<TimingGnn> model_;
   std::map<const data::DatasetGraph*, PropPlan> plans_;
 };
 
-class NetEmbedTrainer {
+class NetEmbedTrainer : public TrainLoop {
  public:
+  /// `seed` initialises the model's weights.
   NetEmbedTrainer(const NetEmbedConfig& config, const TrainOptions& options,
                   std::uint64_t seed = 11);
 
@@ -118,43 +150,27 @@ class NetEmbedTrainer {
   /// R² of net-delay prediction at net sinks, pooled over corners.
   [[nodiscard]] double evaluate_r2(const data::DatasetGraph& g) const;
 
-  [[nodiscard]] NetEmbed& model() { return model_; }
-
-  /// Checkpoint / resume; includes the trainer's RNG stream state.
-  void save_checkpoint(const std::string& path) const;
-  void load_checkpoint(const std::string& path);
-  [[nodiscard]] int completed_epochs() const { return epoch_; }
-  [[nodiscard]] long long non_finite_steps() const { return non_finite_steps_; }
+  [[nodiscard]] NetEmbed& model() { return *model_; }
 
  private:
-  Rng rng_;
-  NetEmbed model_;
-  TrainOptions options_;
-  nn::Adam adam_;
-  int epoch_ = 0;
-  long long non_finite_steps_ = 0;
+  NetEmbedTrainer(std::unique_ptr<NetEmbed> model, const TrainOptions& options);
+
+  std::unique_ptr<NetEmbed> model_;
 };
 
-class GcniiTrainer {
+class GcniiTrainer : public TrainLoop {
  public:
   GcniiTrainer(const GcniiConfig& config, const TrainOptions& options);
 
   double fit(const data::SuiteDataset& dataset);
   [[nodiscard]] DesignEval evaluate(const data::DatasetGraph& g);
 
-  [[nodiscard]] Gcnii& model() { return model_; }
-
-  void save_checkpoint(const std::string& path) const;
-  void load_checkpoint(const std::string& path);
-  [[nodiscard]] int completed_epochs() const { return epoch_; }
-  [[nodiscard]] long long non_finite_steps() const { return non_finite_steps_; }
+  [[nodiscard]] Gcnii& model() { return *model_; }
 
  private:
-  Gcnii model_;
-  TrainOptions options_;
-  nn::Adam adam_;
-  int epoch_ = 0;
-  long long non_finite_steps_ = 0;
+  GcniiTrainer(std::unique_ptr<Gcnii> model, const TrainOptions& options);
+
+  std::unique_ptr<Gcnii> model_;
   std::map<const data::DatasetGraph*, GcniiAdjacency> adjacencies_;
   const GcniiAdjacency& adjacency_for(const data::DatasetGraph& g);
 };

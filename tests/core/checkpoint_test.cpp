@@ -1,12 +1,16 @@
 /// Crash-safe checkpoint/resume: bit-identical resume after a fault-killed
-/// run, a sweep over every injected failure point during a save, the
-/// non-finite-loss guard, and corruption fuzzing of the checkpoint format.
+/// run and after a graceful stop (for each of the three trainers), a sweep
+/// over every injected failure point during a save, the non-finite-loss
+/// guard, and corruption fuzzing of the checkpoint format.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
+#include <type_traits>
 
 #include "core/test_fixture.hpp"
 #include "core/trainer.hpp"
@@ -139,7 +143,10 @@ TEST_F(CheckpointTest, NonFiniteLossGuardSkipsAndRecovers) {
   TimingGnnTrainer trainer(tiny_config(), opt);
   const double loss = trainer.fit(ds);
   EXPECT_GT(trainer.non_finite_steps(), 0);
-  EXPECT_TRUE(std::isfinite(loss));
+  // Epoch 1 takes the one good step; epochs 2-4 skip theirs, so the last
+  // epoch trained nothing and has no loss to report.
+  EXPECT_TRUE(std::isnan(loss));
+  EXPECT_EQ(trainer.non_finite_steps(), 3);
   for (const auto& p : trainer.model().parameters()) {
     for (float v : p.data()) {
       ASSERT_TRUE(std::isfinite(v));
@@ -200,7 +207,8 @@ TEST_F(CheckpointTest, NetEmbedResumeRestoresRngStream) {
   const double reference_loss = reference.fit(ds);
 
   // A second trainer resumed from the epoch-2 checkpoint must land on the
-  // same final loss bit-for-bit (RNG stream state rides in the checkpoint).
+  // same final loss bit-for-bit (the trainer draws no random numbers after
+  // construction, so the checkpoint carries no RNG state).
   opt.checkpoint_path = path2_;
   NetEmbedTrainer half(cfg, opt);
   fault::arm_io_fault("rename", 2);  // kill the epoch-4 checkpoint publish
@@ -212,6 +220,94 @@ TEST_F(CheckpointTest, NetEmbedResumeRestoresRngStream) {
   EXPECT_EQ(resumed.completed_epochs(), 2);
   const double resumed_loss = resumed.fit(ds);
   EXPECT_EQ(resumed_loss, reference_loss);
+}
+
+// ---- the shared training loop, once per trainer ---------------------------
+
+template <typename Trainer>
+std::unique_ptr<Trainer> make_trainer(const TrainOptions& opt) {
+  if constexpr (std::is_same_v<Trainer, TimingGnnTrainer>) {
+    return std::make_unique<Trainer>(tiny_config(), opt);
+  } else if constexpr (std::is_same_v<Trainer, NetEmbedTrainer>) {
+    NetEmbedConfig cfg;
+    cfg.hidden = 8;
+    cfg.mlp_hidden = 8;
+    cfg.mlp_layers = 1;
+    cfg.num_layers = 2;
+    return std::make_unique<Trainer>(cfg, opt);
+  } else {
+    GcniiConfig cfg;
+    cfg.num_layers = 2;
+    cfg.hidden = 8;
+    return std::make_unique<Trainer>(cfg, opt);
+  }
+}
+
+/// Every parameter's bytes, in registration order.
+template <typename Trainer>
+std::vector<unsigned char> param_bytes(Trainer& trainer) {
+  std::vector<unsigned char> bytes;
+  for (const nn::Tensor& p : trainer.model().parameters()) {
+    const auto data = p.data();
+    const std::size_t at = bytes.size();
+    bytes.resize(at + data.size_bytes());
+    std::memcpy(bytes.data() + at, data.data(), data.size_bytes());
+  }
+  return bytes;
+}
+
+template <typename Trainer>
+class TrainLoopResumeTest : public CheckpointTest {
+ protected:
+  static constexpr int kEpochs = 6;
+
+  /// The uninterrupted run every interrupted one must reproduce.
+  void SetUp() override {
+    auto reference = make_trainer<Trainer>(quick_options(kEpochs));
+    reference_loss_ = reference->fit(testing::tiny_dataset());
+    reference_params_ = param_bytes(*reference);
+  }
+
+  /// Resumes from path2_'s checkpoint, expecting `from` epochs done, and
+  /// checks the finished run against the reference bit for bit.
+  void resume_and_expect_reference(int from) {
+    TrainOptions opt = quick_options(kEpochs);
+    opt.checkpoint_path = path2_;
+    auto resumed = make_trainer<Trainer>(opt);
+    resumed->load_checkpoint(path2_);
+    EXPECT_EQ(resumed->completed_epochs(), from);
+    const double loss = resumed->fit(testing::tiny_dataset());
+    EXPECT_EQ(resumed->completed_epochs(), kEpochs);
+    EXPECT_EQ(loss, reference_loss_);
+    EXPECT_EQ(param_bytes(*resumed), reference_params_);
+  }
+
+  double reference_loss_ = 0.0;
+  std::vector<unsigned char> reference_params_;
+};
+
+using AllTrainers =
+    ::testing::Types<TimingGnnTrainer, NetEmbedTrainer, GcniiTrainer>;
+TYPED_TEST_SUITE(TrainLoopResumeTest, AllTrainers);
+
+TYPED_TEST(TrainLoopResumeTest, KilledPublishResumesBitIdentical) {
+  TrainOptions opt = quick_options(this->kEpochs);
+  opt.checkpoint_path = this->path2_;
+  auto killed = make_trainer<TypeParam>(opt);
+  fault::arm_io_fault("rename", 4);  // kill the epoch-4 checkpoint publish
+  EXPECT_THROW(killed->fit(testing::tiny_dataset()), CheckError);
+  fault::clear_io_fault();
+  this->resume_and_expect_reference(3);
+}
+
+TYPED_TEST(TrainLoopResumeTest, GracefulStopResumesBitIdentical) {
+  TrainOptions opt = quick_options(this->kEpochs);
+  opt.checkpoint_path = this->path2_;
+  opt.stop_after_epochs = 2;
+  auto stopped = make_trainer<TypeParam>(opt);
+  stopped->fit(testing::tiny_dataset());
+  EXPECT_EQ(stopped->completed_epochs(), 2);
+  this->resume_and_expect_reference(2);
 }
 
 }  // namespace
