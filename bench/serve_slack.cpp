@@ -11,10 +11,12 @@
 ///                          the serving p50/p99 the ladder exists to bound,
 ///   serve_mixed_designs/N  one client per template over >= 4 distinct
 ///                          designs x 3 clock corners (pure batchable
-///                          predictions), run twice on otherwise identical
+///                          predictions), run on otherwise identical
 ///                          single-worker servers — cross-template packed
 ///                          batching on vs off — to measure the packing
-///                          speedup (N = sum of template nodes).
+///                          speedup (N = sum of template nodes). The two
+///                          legs run as five back-to-back pairs and the
+///                          pair with the median on/off ratio is reported.
 ///
 /// Writes BENCH_serve_slack.json (`--json=...`): per-phase median/p90
 /// request latency as the gated entries, plus "serve" and
@@ -31,6 +33,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -290,11 +293,32 @@ int main(int argc, char** argv) {
     s.shutdown();
     return leg;
   };
-  const MixedDesignsLeg md_off = run_mixed_designs(false);
-  const MixedDesignsLeg md_on = run_mixed_designs(true);
-  const double md_speedup = md_off.throughput_rps > 0.0
-                                ? md_on.throughput_rps / md_off.throughput_rps
-                                : 0.0;
+  // One off/on pair's ratio swung from 0.5 to 1.5 over runs on a shared
+  // 4-core box, where packing gains ~1.1x, so the legs run as kMixedPairs
+  // pairs, alternating which leg goes first, and the median pair is kept.
+  constexpr int kMixedPairs = 5;
+  std::vector<std::pair<MixedDesignsLeg, MixedDesignsLeg>> md_pairs;
+  for (int p = 0; p < kMixedPairs; ++p) {
+    MixedDesignsLeg first = run_mixed_designs(p % 2 == 1);
+    MixedDesignsLeg second = run_mixed_designs(p % 2 == 0);
+    if (p % 2 == 0) {
+      md_pairs.emplace_back(std::move(first), std::move(second));
+    } else {
+      md_pairs.emplace_back(std::move(second), std::move(first));
+    }
+  }
+  const auto speedup = [](const std::pair<MixedDesignsLeg, MixedDesignsLeg>&
+                              pair) {  // {off, on}
+    return pair.first.throughput_rps > 0.0
+               ? pair.second.throughput_rps / pair.first.throughput_rps
+               : 0.0;
+  };
+  std::nth_element(md_pairs.begin(), md_pairs.begin() + kMixedPairs / 2,
+                   md_pairs.end(), [&](const auto& a, const auto& b) {
+                     return speedup(a) < speedup(b);
+                   });
+  const auto& [md_off, md_on] = md_pairs[kMixedPairs / 2];
+  const double md_speedup = speedup(md_pairs[kMixedPairs / 2]);
   std::vector<double> md_lat = md_on.lat_s;
   const double md_p50_ms = percentile_s(md_lat, 0.50) * 1e3;
   const double md_p99_ms = percentile_s(md_lat, 0.99) * 1e3;

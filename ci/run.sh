@@ -25,8 +25,10 @@
 #          runs; the job then names each one that failed and exits 1
 #   serve  serving-plane gate: `serve` label suites, the tg_serve_load
 #          acceptance drill (deadlines + overload spike + injected worker
-#          faults; non-zero exit on any hang or untagged response), and
-#          serve_slack request-latency medians vs the checked-in
+#          faults; non-zero exit on any hang or untagged response),
+#          serve_slack's packed-over-sequential speedup and pack count
+#          from the same run (ci/check_bench.py --min-field), and its
+#          request-latency medians vs the checked-in
 #          bench/BENCH_serve_slack.json baseline
 # Usage: ci/run.sh [tier1|asan|ubsan|tsan|obs|bench|serve|all]   (default: all)
 set -euo pipefail
@@ -192,8 +194,19 @@ run_serve() {
   trap 'rm -rf "$dir"' RETURN
   TG_THREADS=1 ./build-ci/bench/serve_slack --design=spm --scale=0.03125 \
     --requests=32 --workers=2 --json="$dir/BENCH_serve_slack.json" > /dev/null
+  local status=0
+  # Packed against sequential serving, measured within this run: the
+  # cross-template leg must pack (cross_batched) and may not fall to half
+  # the rate of the one-forward-per-tenant leg. On a shared 4-core box the
+  # speedup read 0.975-1.45 in quiet periods and 0.63-0.68 in busy ones,
+  # so a floor near 1 would fail healthy code; a build with packing off
+  # reads ~1.0 there and is caught by cross_batched.
+  python3 ci/check_bench.py --min-field=serve_mixed_designs.speedup:0.5 \
+    --min-field=serve_mixed_designs.cross_batched:1 \
+    "$dir/BENCH_serve_slack.json" || status=1
   python3 ci/check_bench.py bench/BENCH_serve_slack.json \
-    "$dir/BENCH_serve_slack.json"
+    "$dir/BENCH_serve_slack.json" || status=1
+  return "$status"
 }
 
 case "$job" in

@@ -73,6 +73,18 @@ struct RowRange {
 /// parameter.
 std::int64_t row_flops(const nn::Module& m) { return 2 * m.num_parameters(); }
 
+/// The LutTable row of each cell edge in `edges`: the gather index of a
+/// level's cell-edge features. Built per forward, because a moved
+/// session's graph shares the plan but re-points its own indices.
+nn::IndexVec lut_rows(const data::DatasetGraph& g,
+                      const std::vector<int>& edges) {
+  std::vector<int> rows(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    rows[i] = g.cell_arc_lut[static_cast<std::size_t>(edges[i])];
+  }
+  return std::make_shared<const std::vector<int>>(std::move(rows));
+}
+
 }  // namespace
 
 PropPlan build_prop_plan(const data::DatasetGraph& g) {
@@ -240,7 +252,8 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
                                         cf.src_t, cf.src_r);
       Tensor emb_u = nn::gather_rows(embedding, cf.emb_u_rows);
       Tensor emb_v = nn::gather_rows(embedding, cf.emb_v_rows);
-      Tensor cell_feat = nn::gather_rows(g.cell_edge_feat, cf.feat_rows);
+      Tensor cell_feat =
+          nn::gather_rows(g.lut_table->rows, lut_rows(g, *cf.feat_rows));
 
       const Tensor q_in[] = {state_u, emb_u, emb_v};
       Tensor interp = lut_.forward(nn::concat_cols(q_in), cell_feat);
@@ -308,7 +321,8 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
   unsigned char* chg = dirty != nullptr ? changed.data() : nullptr;
   const float* emb = embedding.data().data();
   const float* net_feat = g.net_edge_feat.data().data();
-  const float* cell_feat = g.cell_edge_feat.data().data();
+  const float* table_rows = g.lut_table->rows.data().data();
+  const int* cell_lut = g.cell_arc_lut.data();
 
   // Per-block scratch: edge MLP input rows, LUT interpolations, MLP
   // outputs and the MLPs' own scratch, sized for kBlock rows.
@@ -430,7 +444,8 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
         std::copy_n(emb + src(k) * emb_w, emb_w, x + hid);
         std::copy_n(emb_v(k), emb_w, x + hid + emb_w);
       }
-      lut_.infer_rows(in, nb, cell_feat, cf.feat_rows->data() + i0, lut, mlp);
+      lut_.infer_rows(in, nb, table_rows, cell_lut, cf.feat_rows->data() + i0,
+                      lut, mlp);
       for (std::int64_t k = 0; k < nb; ++k) {
         float* x = in + k * cell_w;
         std::copy_n(st + src(k) * hid, hid, x);

@@ -28,18 +28,18 @@ LutInterp::LutInterp(int query_dim, const LutInterpConfig& config, Rng& rng,
 }
 
 Tensor LutInterp::forward(const Tensor& query,
-                          const Tensor& cell_edge_feat) const {
-  TG_CHECK(query.rows() == cell_edge_feat.rows());
-  TG_CHECK(cell_edge_feat.cols() == data::kCellEdgeFeatureDim);
+                          const Tensor& cell_feat) const {
+  TG_CHECK(query.rows() == cell_feat.rows());
+  TG_CHECK(cell_feat.cols() == data::kCellEdgeFeatureDim);
 
   // Per-axis coefficients, normalized within each LUT's 7-vector.
   Tensor a = nn::softmax_groups(coeff_a_.forward(query), kLutDim);
   Tensor b = nn::softmax_groups(coeff_b_.forward(query), kLutDim);
 
   // LUT value block and validity flags from the Table-3 layout.
-  Tensor lut_values = nn::slice_cols(cell_edge_feat, kValueBegin,
+  Tensor lut_values = nn::slice_cols(cell_feat, kValueBegin,
                                      data::kCellEdgeFeatureDim);
-  Tensor valid = nn::slice_cols(cell_edge_feat, 0, data::kCellEdgeValidDim);
+  Tensor valid = nn::slice_cols(cell_feat, 0, data::kCellEdgeValidDim);
 
   // Kronecker-combined coefficient matrix dotted with the LUT matrix.
   Tensor out = nn::lut_kron_dot(a, b, lut_values, kLutDim);
@@ -47,8 +47,9 @@ Tensor LutInterp::forward(const Tensor& query,
 }
 
 void LutInterp::infer_rows(const float* query, std::int64_t rows,
-                           const float* cell_edge_feat, const int* feat_rows,
-                           float* out, float* scratch) const {
+                           const float* lut_rows, const int* lut_of_edge,
+                           const int* edges, float* out,
+                           float* scratch) const {
   const auto block = static_cast<std::size_t>(rows) * kCoeffDim;
   float* a = scratch;
   float* b = a + block;
@@ -62,8 +63,8 @@ void LutInterp::infer_rows(const float* query, std::int64_t rows,
     nn::kern::softmax_groups_row(ar, ar, kCoeffDim, kLutDim);
     nn::kern::softmax_groups_row(br, br, kCoeffDim, kLutDim);
     const float* feat =
-        cell_edge_feat +
-        static_cast<std::int64_t>(feat_rows[r]) * data::kCellEdgeFeatureDim;
+        lut_rows + static_cast<std::int64_t>(lut_of_edge[edges[r]]) *
+                       data::kCellEdgeFeatureDim;
     float* y = out + r * data::kNumLutsPerArc;
     nn::kern::kron_dot_row(y, ar, br, feat + kValueBegin,
                            data::kNumLutsPerArc, kLutDim);

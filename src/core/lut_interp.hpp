@@ -24,22 +24,22 @@ class LutInterp : public nn::Module {
   LutInterp(int query_dim, const LutInterpConfig& config, Rng& rng,
             const std::string& name = "lut_interp");
 
-  /// query: [E, query_dim]; cell_edge_feat: [E, 512] (Table 3 layout).
+  /// query: [E, query_dim]; cell_feat: [E, 512] (Table 3 layout).
   /// Returns the interpolated value of each of the 8 LUTs: [E, 8],
   /// masked by the LUT-valid flags.
   [[nodiscard]] nn::Tensor forward(const nn::Tensor& query,
-                                   const nn::Tensor& cell_edge_feat) const;
+                                   const nn::Tensor& cell_feat) const;
 
   /// forward over `rows` query rows with no tensors and no tape:
-  /// out[rows, 8]. Query row r is `query + r * query_dim`; its Table-3
-  /// feature row is row feat_rows[r] of `cell_edge_feat` ([E, 512],
-  /// row-major), read in place. Each row is bit-identical to that row of
-  /// forward (same per-row kernels and per-row op arithmetic). `scratch`
-  /// holds infer_scratch(rows) floats; out must not alias the inputs or
-  /// scratch.
+  /// out[rows, 8]. Query row r is `query + r * query_dim`; it reads cell
+  /// edge edges[r], whose Table-3 feature row is row lut_of_edge[edges[r]]
+  /// of `lut_rows` (a LutTable's [R, 512], row-major), read in place. Each
+  /// row is bit-identical to that row of forward (same per-row kernels
+  /// and per-row op arithmetic). `scratch` holds infer_scratch(rows)
+  /// floats; out must not alias the inputs or scratch.
   void infer_rows(const float* query, std::int64_t rows,
-                  const float* cell_edge_feat, const int* feat_rows,
-                  float* out, float* scratch) const;
+                  const float* lut_rows, const int* lut_of_edge,
+                  const int* edges, float* out, float* scratch) const;
   /// Scratch floats infer_rows needs for `rows` rows.
   [[nodiscard]] std::size_t infer_scratch(std::int64_t rows) const;
 

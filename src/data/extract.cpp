@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "util/check.hpp"
 #include "util/obs/trace.hpp"
@@ -28,8 +29,8 @@ nn::Tensor per_corner_tensor(const std::vector<PerCorner>& values,
 /// any byte changed.
 template <typename Write>
 bool rewrite_row(float* row, std::size_t width, Write&& write) {
-  float fresh[kCellEdgeFeatureDim];
-  TG_DCHECK(width <= static_cast<std::size_t>(kCellEdgeFeatureDim));
+  float fresh[kNodeFeatureDim];
+  TG_DCHECK(width <= static_cast<std::size_t>(kNodeFeatureDim));
   write(fresh);
   if (std::memcmp(fresh, row, width * sizeof(float)) == 0) return false;
   std::memcpy(row, fresh, width * sizeof(float));
@@ -57,14 +58,12 @@ void write_node_features(const Design& design, PinId p, float* row) {
   }
 }
 
-void write_cell_edge_features(const TimingGraph& graph, const CellArc& arc,
-                              float* row) {
-  const TimingArc& lib = graph.lib_arc(arc);
+void write_cell_edge_features(const TimingArc& arc, float* row) {
   // LUT order: delay[c0..c3], out_slew[c0..c3].
   const NldmLut* luts[kNumLutsPerArc];
   for (int c = 0; c < kNumCorners; ++c) {
-    luts[c] = &lib.delay[c];
-    luts[kNumCorners + c] = &lib.out_slew[c];
+    luts[c] = &arc.delay[c];
+    luts[kNumCorners + c] = &arc.out_slew[c];
   }
   float* out = row;
   for (int l = 0; l < kNumLutsPerArc; ++l) *out++ = 1.0f;  // valid
@@ -86,6 +85,43 @@ void write_rat(const PerCorner& rat, float* row) {
   for (int c = 0; c < kNumCorners; ++c) {
     row[c] = static_cast<float>(rat[c]) * kArrivalScale;
   }
+}
+
+std::shared_ptr<const LutTable> build_lut_table(const Library& lib) {
+  auto table = std::make_shared<LutTable>();
+  table->cell_base.assign(1, 0);
+  for (const CellType& cell : lib.cells()) {
+    table->cell_base.push_back(table->cell_base.back() +
+                               static_cast<int>(cell.arcs.size()));
+  }
+  // Every arc's row, then each distinct row once in first-appearance
+  // order; the byte-order key makes "equal" mean bitwise equal.
+  constexpr auto kW = static_cast<std::size_t>(kCellEdgeFeatureDim);
+  std::vector<float> all(static_cast<std::size_t>(table->cell_base.back()) *
+                         kW);
+  std::size_t id = 0;
+  for (const CellType& cell : lib.cells()) {
+    for (const TimingArc& arc : cell.arcs) {
+      write_cell_edge_features(arc, all.data() + id++ * kW);
+    }
+  }
+  const auto bytes_less = [](const float* a, const float* b) {
+    return std::memcmp(a, b, kW * sizeof(float)) < 0;
+  };
+  std::map<const float*, int, decltype(bytes_less)> row_of(bytes_less);
+  std::vector<float> rows;
+  table->arc_row.reserve(id);
+  for (std::size_t a = 0; a < id; ++a) {
+    const float* row = all.data() + a * kW;
+    const auto [it, fresh] =
+        row_of.emplace(row, static_cast<int>(row_of.size()));
+    if (fresh) rows.insert(rows.end(), row, row + kW);
+    table->arc_row.push_back(it->second);
+  }
+  table->rows = nn::Tensor::from_vector(
+      std::move(rows), static_cast<std::int64_t>(row_of.size()),
+      kCellEdgeFeatureDim);
+  return table;
 }
 
 DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
@@ -132,29 +168,26 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
         kNetEdgeFeatureDim);
   }
 
-  // ---- cell edges (Table 3: valid | axis indices | LUT values) ---------
+  // ---- cell edges (Table 3 rows, by index into the library's table) ----
   {
     const auto& arcs = graph.cell_arcs();
-    std::vector<float> feat(arcs.size() * kCellEdgeFeatureDim);
+    g.lut_table = build_lut_table(design.library());
     topo.cell_src.reserve(arcs.size());
     topo.cell_dst.reserve(arcs.size());
-    for (std::size_t e = 0; e < arcs.size(); ++e) {
-      topo.cell_src.push_back(arcs[e].from);
-      topo.cell_dst.push_back(arcs[e].to);
-      write_cell_edge_features(graph, arcs[e],
-                               feat.data() + e * kCellEdgeFeatureDim);
+    g.cell_arc_lut.reserve(arcs.size());
+    for (const CellArc& arc : arcs) {
+      topo.cell_src.push_back(arc.from);
+      topo.cell_dst.push_back(arc.to);
+      g.cell_arc_lut.push_back(g.lut_table->row_of(
+          design.instance(arc.inst).cell_id, arc.arc_index));
     }
-    g.cell_edge_feat = nn::Tensor::from_vector(
-        std::move(feat), static_cast<std::int64_t>(arcs.size()),
-        kCellEdgeFeatureDim);
   }
 
-  // ---- levels and index sets -------------------------------------------
+  // ---- levels and endpoints --------------------------------------------
   topo.node_level.resize(static_cast<std::size_t>(topo.num_nodes));
   for (PinId p = 0; p < design.num_pins(); ++p) {
     topo.node_level[static_cast<std::size_t>(p)] = graph.level(p);
     if (design.is_endpoint(p)) g.endpoints.push_back(p);
-    if (graph.in_net_arc(p) >= 0) topo.net_sinks.push_back(p);
   }
   g.topo = std::make_shared<const Topology>(std::move(topo), g.name);
 
@@ -191,10 +224,11 @@ GraphDelta patch_instances(DatasetGraph& g, const TimingGraph& graph,
   TG_TRACE_SCOPE("data/patch", obs::kSpanDetail);
   const Design& design = graph.design();
   TG_CHECK(g.num_nodes() == design.num_pins());
-  TG_CHECK(g.cell_edge_feat.rows() ==
-           static_cast<std::int64_t>(graph.cell_arcs().size()));
+  TG_CHECK(g.cell_arc_lut.size() == graph.cell_arcs().size());
+  const LutTable& table = *g.lut_table;
+  TG_CHECK(table.cell_base.size() ==
+           static_cast<std::size_t>(design.library().num_cells()) + 1);
   float* node_feat = g.node_feat.data().data();
-  float* cell_feat = g.cell_edge_feat.data().data();
   float* rat = g.rat.data().data();
   const StaOptions sta_defaults;
 
@@ -214,14 +248,15 @@ GraphDelta patch_instances(DatasetGraph& g, const TimingGraph& graph,
           })) {
         delta.endpoints.push_back(p);
       }
-      // Every cell arc of the instance leaves one of its input pins.
+      // Every cell arc of the instance leaves one of its input pins. Equal
+      // rows share one index, so a changed index is a changed row.
       for (const int a : graph.out_cell_arcs(p)) {
         const CellArc& arc = graph.cell_arcs()[static_cast<std::size_t>(a)];
-        if (rewrite_row(cell_feat + static_cast<std::size_t>(a) *
-                                        kCellEdgeFeatureDim,
-                        kCellEdgeFeatureDim, [&](float* row) {
-                          write_cell_edge_features(graph, arc, row);
-                        })) {
+        const int row = table.row_of(design.instance(inst).cell_id,
+                                     arc.arc_index);
+        int& lut = g.cell_arc_lut[static_cast<std::size_t>(a)];
+        if (lut != row) {
+          lut = row;
           delta.cell_edges.push_back(a);
         }
       }

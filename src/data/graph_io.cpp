@@ -10,12 +10,13 @@ namespace tg::data {
 
 namespace {
 
-// "TGD2" v4: u32 magic + u32 version, the body, CRC-32 trailer, atomic
+// "TGD2" v5: u32 magic + u32 version, the body, CRC-32 trailer, atomic
 // commit. The body holds the topology's source arrays only; the loader
-// rebuilds (and range-checks) every derived index through the Topology
-// constructor.
+// rebuilds (and range-checks) every derived index, net_sinks included,
+// through the Topology constructor. The cell-edge features are the LUT
+// table once (rows and arc map), then one table row index per cell edge.
 constexpr std::uint32_t kMagic = 0x32444754;  // "TGD2" (LE bytes)
-constexpr std::uint32_t kVersion = 4;
+constexpr std::uint32_t kVersion = 5;
 
 void write_tensor(io::BinaryWriter& out, const nn::Tensor& t) {
   out.write_u64(static_cast<std::uint64_t>(t.rows()));
@@ -47,7 +48,10 @@ void write_body(io::BinaryWriter& out, const DatasetGraph& g) {
 
   write_tensor(out, g.node_feat);
   write_tensor(out, g.net_edge_feat);
-  write_tensor(out, g.cell_edge_feat);
+  write_tensor(out, g.lut_table->rows);
+  out.write_i32_vec(g.lut_table->cell_base);
+  out.write_i32_vec(g.lut_table->arc_row);
+  out.write_i32_vec(g.cell_arc_lut);
   out.write_i32_vec(topo.net_src());
   out.write_i32_vec(topo.net_dst());
   out.write_i32_vec(topo.cell_src());
@@ -60,7 +64,6 @@ void write_body(io::BinaryWriter& out, const DatasetGraph& g) {
   write_tensor(out, g.rat);
   write_tensor(out, g.cell_delay);
   out.write_i32_vec(g.endpoints);
-  out.write_i32_vec(topo.net_sinks());
   out.write_f64_vec(g.endpoint_setup_slack);
   out.write_f64_vec(g.endpoint_hold_slack);
 
@@ -87,7 +90,14 @@ DatasetGraph read_body(io::BinaryReader& in) {
 
   g.node_feat = read_tensor(in, "node_feat");
   g.net_edge_feat = read_tensor(in, "net_edge_feat");
-  g.cell_edge_feat = read_tensor(in, "cell_edge_feat");
+  {
+    LutTable table;
+    table.rows = read_tensor(in, "lut_table.rows");
+    table.cell_base = in.read_i32_vec("lut_table.cell_base");
+    table.arc_row = in.read_i32_vec("lut_table.arc_row");
+    g.lut_table = std::make_shared<const LutTable>(std::move(table));
+  }
+  g.cell_arc_lut = in.read_i32_vec("cell_arc_lut");
   topo.net_src = in.read_i32_vec("net_src");
   topo.net_dst = in.read_i32_vec("net_dst");
   topo.cell_src = in.read_i32_vec("cell_src");
@@ -100,7 +110,6 @@ DatasetGraph read_body(io::BinaryReader& in) {
   g.rat = read_tensor(in, "rat");
   g.cell_delay = read_tensor(in, "cell_delay");
   g.endpoints = in.read_i32_vec("endpoints");
-  topo.net_sinks = in.read_i32_vec("net_sinks");
   g.endpoint_setup_slack = in.read_f64_vec("endpoint_setup_slack");
   g.endpoint_hold_slack = in.read_f64_vec("endpoint_hold_slack");
 

@@ -3,9 +3,10 @@
 /// Binary (de)serialization of extracted DatasetGraphs, mirroring the
 /// paper's "all data open-sourced" release: a dataset generated once can
 /// be shipped and re-trained on without the generator, placer, router or
-/// timer. Format ("TGD2" v4): magic/version header, then length-prefixed
-/// tensors and the topology's source index arrays, then a CRC-32 trailer.
-/// Derived indexes (level CSR, fanout) are rebuilt on load, not stored.
+/// timer. Format ("TGD2" v5): magic/version header, then length-prefixed
+/// tensors, the LUT table once with one table row index per cell edge, and
+/// the topology's source index arrays, then a CRC-32 trailer. Derived
+/// indexes (net sinks, level CSR, fanout) are rebuilt on load, not stored.
 /// Slim graphs only (the Design/DesignRouting handles are not serialized).
 
 #include <string>

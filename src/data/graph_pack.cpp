@@ -64,7 +64,6 @@ GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
   // ---- concatenated tensors (detached leaves) ---------------------------
   g.node_feat = nn::Tensor::zeros(n, kNodeFeatureDim);
   g.net_edge_feat = nn::Tensor::zeros(en, kNetEdgeFeatureDim);
-  g.cell_edge_feat = nn::Tensor::zeros(ec, kCellEdgeFeatureDim);
   g.net_delay = nn::Tensor::zeros(n, kNumCorners);
   g.arrival = nn::Tensor::zeros(n, kNumCorners);
   g.slew = nn::Tensor::zeros(n, kNumCorners);
@@ -77,6 +76,18 @@ GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
   topo.net_dst.reserve(static_cast<std::size_t>(en));
   topo.cell_src.reserve(static_cast<std::size_t>(ec));
   topo.cell_dst.reserve(static_cast<std::size_t>(ec));
+  g.cell_arc_lut.reserve(static_cast<std::size_t>(ec));
+
+  // One table for the whole pack: the first part's. Every other part must
+  // hold the same rows, so its indices stay valid unchanged.
+  if (!parts.empty()) g.lut_table = parts.front()->lut_table;
+  for (std::size_t k = 1; k < parts.size(); ++k) {
+    const LutTable& t = *parts[k]->lut_table;
+    TG_CHECK_MSG(&t == g.lut_table.get() || t.same_content(*g.lut_table),
+                 "pack_graphs: part " << k << " (" << parts[k]->name
+                                      << ") has a LUT table that differs "
+                                         "from part 0's");
+  }
 
   g.clock_period = 0.0;
   for (std::size_t k = 0; k < parts.size(); ++k) {
@@ -85,7 +96,6 @@ GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
     const int nb = pack.node_base[k];
     copy_rows(g.node_feat, nb, p.node_feat);
     copy_rows(g.net_edge_feat, pack.net_base[k], p.net_edge_feat);
-    copy_rows(g.cell_edge_feat, pack.cell_base[k], p.cell_edge_feat);
     copy_rows(g.net_delay, nb, p.net_delay);
     copy_rows(g.arrival, nb, p.arrival);
     copy_rows(g.slew, nb, p.slew);
@@ -102,7 +112,8 @@ GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts) {
     append_offset(topo.cell_src, pt.cell_src(), nb);
     append_offset(topo.cell_dst, pt.cell_dst(), nb);
     append_offset(g.endpoints, p.endpoints, nb);
-    append_offset(topo.net_sinks, pt.net_sinks(), nb);
+    g.cell_arc_lut.insert(g.cell_arc_lut.end(), p.cell_arc_lut.begin(),
+                          p.cell_arc_lut.end());
     g.endpoint_setup_slack.insert(g.endpoint_setup_slack.end(),
                                   p.endpoint_setup_slack.begin(),
                                   p.endpoint_setup_slack.end());

@@ -53,8 +53,11 @@ struct GraphPack {
 /// super-graph. Deterministic: output depends only on the part order and
 /// contents. Parts may repeat and may have wildly different sizes/depths;
 /// K = 0 yields a well-formed empty pack. Feature/label tensors are
-/// copied into fresh leaf tensors (no autograd tape), so the pack shares
-/// no storage with its parts and is safe to cache across requests.
+/// copied into fresh leaf tensors (no autograd tape); the cell edges'
+/// LUT indices are concatenated as they are and the pack holds part 0's
+/// immutable LutTable, so the pack shares only that table with its parts
+/// and is safe to cache across requests. Throws CheckError naming the
+/// first part whose table differs in content from part 0's.
 [[nodiscard]] GraphPack pack_graphs(const std::vector<const DatasetGraph*>& parts);
 
 /// Validates the pack's offset tables (monotone, totals match, graph_of_node

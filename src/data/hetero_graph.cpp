@@ -1,6 +1,7 @@
 #include "data/hetero_graph.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "data/validate.hpp"
 
@@ -102,6 +103,10 @@ Topology::Topology(Arrays arrays, const std::string& name)
   DiagSink sink;
   validate_topology(a_, sink, name);
   sink.throw_if_errors(name.empty() ? "topology" : name + " topology");
+  net_sinks_ = a_.net_dst;
+  std::sort(net_sinks_.begin(), net_sinks_.end());
+  net_sinks_.erase(std::unique(net_sinks_.begin(), net_sinks_.end()),
+                   net_sinks_.end());
   csr_ = build_level_csr(*this);
 
   const auto n = static_cast<std::size_t>(a_.num_nodes);
@@ -130,6 +135,20 @@ const std::shared_ptr<const Topology>& Topology::empty() {
   static const std::shared_ptr<const Topology> topo =
       std::make_shared<const Topology>(Arrays{});
   return topo;
+}
+
+bool LutTable::same_content(const LutTable& other) const {
+  const std::span<const float> a = rows.data();
+  const std::span<const float> b = other.rows.data();
+  return rows.cols() == other.rows.cols() && a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0) &&
+         cell_base == other.cell_base && arc_row == other.arc_row;
+}
+
+const std::shared_ptr<const LutTable>& LutTable::empty() {
+  static const std::shared_ptr<const LutTable> table =
+      std::make_shared<const LutTable>();
+  return table;
 }
 
 }  // namespace tg::data

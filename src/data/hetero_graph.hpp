@@ -7,6 +7,11 @@
 /// models and benches consume. Feature layout and sizes match the paper:
 /// 10 node features, 2 net-edge features, 512 cell-edge features
 /// (8 valid flags | 8×14 axis indices | 8×49 LUT values).
+///
+/// A cell edge's 512 floats depend only on its library arc, so they are
+/// not stored per edge: each distinct row lives once in the library's
+/// shared LutTable, and each cell edge holds the index of its row
+/// (DatasetGraph::cell_arc_lut).
 
 #include <memory>
 #include <string>
@@ -80,12 +85,11 @@ class Topology {
     std::vector<int> node_level;          ///< topological level per node
     std::vector<int> net_src, net_dst;    ///< driver → sink
     std::vector<int> cell_src, cell_dst;  ///< cell input → output
-    std::vector<int> net_sinks;           ///< nodes with an incoming net arc
   };
 
-  /// Checks `arrays` (validate_topology) and builds the level CSR, the
-  /// fanout and the net incidence. Throws CheckError naming the first
-  /// offending field and entry; `name` labels the error.
+  /// Checks `arrays` (validate_topology) and builds the net sinks, the
+  /// level CSR, the fanout and the net incidence. Throws CheckError naming
+  /// the first offending field and entry; `name` labels the error.
   explicit Topology(Arrays arrays, const std::string& name = "");
 
   /// The shared topology of a graph with no nodes.
@@ -104,8 +108,9 @@ class Topology {
   [[nodiscard]] const std::vector<int>& cell_dst() const {
     return a_.cell_dst;
   }
+  /// Nodes with an incoming net arc: the distinct net_dst, ascending.
   [[nodiscard]] const std::vector<int>& net_sinks() const {
-    return a_.net_sinks;
+    return net_sinks_;
   }
   [[nodiscard]] const LevelCsr& csr() const { return csr_; }
   /// Out-neighbours over net and cell arcs: the rows a dirty-row walk
@@ -119,6 +124,7 @@ class Topology {
 
  private:
   Arrays a_;
+  std::vector<int> net_sinks_;
   LevelCsr csr_;
   NodeLists fanout_;
   NodeLists net_incidence_;
@@ -137,22 +143,53 @@ class Topology {
   return {topo, &array};
 }
 
+/// The Table-3 cell-edge rows of one library, each distinct row stored
+/// once, and the map from every library arc to its row. Built by
+/// data::build_lut_table and never changed; graphs share it through a
+/// `shared_ptr<const LutTable>`, as they share their Topology.
+struct LutTable {
+  /// [R, 512] distinct rows (valid | axis indices | LUT values), deduped
+  /// by content: two arcs map to one row exactly when their rows are
+  /// bitwise equal.
+  nn::Tensor rows = nn::Tensor::zeros(0, kCellEdgeFeatureDim);
+  /// [num_cells + 1] dense id of each cell's first arc: arc `i` of cell
+  /// `c` has id cell_base[c] + i.
+  std::vector<int> cell_base{0};
+  /// [A] row of each library arc, by dense arc id.
+  std::vector<int> arc_row;
+
+  [[nodiscard]] int num_rows() const { return static_cast<int>(rows.rows()); }
+  /// Row of arc `arc_index` of library cell `cell`.
+  [[nodiscard]] int row_of(int cell, int arc_index) const {
+    return arc_row[static_cast<std::size_t>(
+        cell_base[static_cast<std::size_t>(cell)] + arc_index)];
+  }
+  /// True when both tables hold the same bytes.
+  [[nodiscard]] bool same_content(const LutTable& other) const;
+
+  /// The shared table of a graph with no cell arcs.
+  [[nodiscard]] static const std::shared_ptr<const LutTable>& empty();
+};
+
 /// One benchmark's extracted graph: a topology handle, the value tensors
 /// the model reads, STA labels and provenance.
 struct DatasetGraph {
   std::string name;
   bool is_test = false;
   std::shared_ptr<const Topology> topo = Topology::empty();
+  /// The cell-edge feature rows; cell edge e's row is
+  /// lut_table->rows[cell_arc_lut[e]].
+  std::shared_ptr<const LutTable> lut_table = LutTable::empty();
 
   [[nodiscard]] int num_nodes() const { return topo->num_nodes(); }
   [[nodiscard]] int num_levels() const { return topo->num_levels(); }
 
   // ---- values (placement-only information) ----------------------------
-  // A resize rewrites rows of node_feat, cell_edge_feat and rat, never the
-  // topology (data::patch_instances).
+  // A resize rewrites rows of node_feat and rat and entries of
+  // cell_arc_lut, never the topology or the table (data::patch_instances).
   nn::Tensor node_feat;       ///< [N, 10]
   nn::Tensor net_edge_feat;   ///< [En, 2]
-  nn::Tensor cell_edge_feat;  ///< [Ec, 512]
+  std::vector<int> cell_arc_lut;  ///< [Ec] lut_table row of each cell edge
   nn::Tensor rat;             ///< [N, 4], valid at endpoints
 
   // ---- labels (from ground-truth routing + golden STA) -----------------

@@ -1,5 +1,6 @@
 #include "data/validate.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace tg::data {
@@ -46,18 +47,49 @@ void check_finite(const nn::Tensor& t, const char* tname, bool allow_inf,
 }
 
 /// Reports the first entry of `ids` outside [0, n) as `what[i] = v`;
-/// returns whether every entry is in range.
+/// returns whether every entry is in range. `unit` names what n counts.
 bool check_index_list(const std::vector<int>& ids, const char* what, int n,
-                      const std::string& object, DiagSink& sink) {
+                      const std::string& object, DiagSink& sink,
+                      const char* unit = "nodes") {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (ids[i] < 0 || ids[i] >= n) {
       TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, object,
               what << '[' << i << "] = " << ids[i] << " out of range ("
-                   << n << " nodes)");
+                   << n << ' ' << unit << ")");
       return false;
     }
   }
   return true;
+}
+
+/// The cell-edge LUT indices and the table they point into: shapes, the
+/// arc map's prefix sums and every index below the table's row count.
+void check_lut(const DatasetGraph& g, std::size_t num_cell_edges,
+               DiagSink& sink) {
+  const LutTable& t = *g.lut_table;
+  if (!check_shape(t.rows, "lut_table.rows",
+                   t.rows.defined() ? t.rows.rows() : 0, kCellEdgeFeatureDim,
+                   g, sink)) {
+    return;
+  }
+  const int r = t.num_rows();
+  if (t.cell_base.empty() || t.cell_base.front() != 0 ||
+      !std::is_sorted(t.cell_base.begin(), t.cell_base.end()) ||
+      t.cell_base.back() != static_cast<int>(t.arc_row.size())) {
+    TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
+            "lut_table.cell_base is not a prefix sum ending at the "
+                << t.arc_row.size() << " arcs of arc_row");
+  }
+  check_index_list(t.arc_row, "lut_table.arc_row", r, g.name, sink,
+                   "table rows");
+  if (g.cell_arc_lut.size() != num_cell_edges) {
+    TG_DIAG(sink, Severity::kError, Stage::kExtract, SrcLoc{}, g.name,
+            "cell_arc_lut holds " << g.cell_arc_lut.size() << " entries for "
+                                  << num_cell_edges << " cell edges");
+    return;
+  }
+  check_index_list(g.cell_arc_lut, "cell_arc_lut", r, g.name, sink,
+                   "table rows");
 }
 
 void check_edges(const std::vector<int>& src, const std::vector<int>& dst,
@@ -128,7 +160,6 @@ void validate_topology(const Topology::Arrays& t, DiagSink& sink,
   }
   check_edges(t.net_src, t.net_dst, "net", t, have_levels, object, sink);
   check_edges(t.cell_src, t.cell_dst, "cell", t, have_levels, object, sink);
-  check_index_list(t.net_sinks, "net_sinks", t.num_nodes, object, sink);
 }
 
 void validate_dataset_graph(const DatasetGraph& g, DiagSink& sink,
@@ -144,8 +175,7 @@ void validate_dataset_graph(const DatasetGraph& g, DiagSink& sink,
   check_shape(g.node_feat, "node_feat", n, kNodeFeatureDim, g, sink);
   check_shape(g.net_edge_feat, "net_edge_feat", num_net_edges,
               kNetEdgeFeatureDim, g, sink);
-  check_shape(g.cell_edge_feat, "cell_edge_feat", num_cell_edges,
-              kCellEdgeFeatureDim, g, sink);
+  check_lut(g, static_cast<std::size_t>(num_cell_edges), sink);
   check_shape(g.net_delay, "net_delay", n, kNumCorners, g, sink);
   check_shape(g.arrival, "arrival", n, kNumCorners, g, sink);
   check_shape(g.slew, "slew", n, kNumCorners, g, sink);
@@ -165,7 +195,7 @@ void validate_dataset_graph(const DatasetGraph& g, DiagSink& sink,
   if (level == ValidateLevel::kFull) {
     check_finite(g.node_feat, "node_feat", false, g, sink);
     check_finite(g.net_edge_feat, "net_edge_feat", false, g, sink);
-    check_finite(g.cell_edge_feat, "cell_edge_feat", false, g, sink);
+    check_finite(g.lut_table->rows, "lut_table.rows", false, g, sink);
     check_finite(g.net_delay, "net_delay", false, g, sink);
     check_finite(g.arrival, "arrival", false, g, sink);
     check_finite(g.slew, "slew", false, g, sink);

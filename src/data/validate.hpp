@@ -5,9 +5,11 @@
 /// and level monotonicity along every edge; the Topology constructor runs
 /// it on every build, whatever the validate level. The graph check's fast
 /// level covers shape consistency (feature matrix dimensions vs. the
-/// paper's 10/2/512 layout against its topology), endpoint bounds and the
-/// clock period; full adds the finiteness sweep over every feature/label
-/// tensor with first-offender row/column reporting.
+/// paper's 10/2/512 layout against its topology), the cell edges' LUT
+/// indices and table against the table's row count, endpoint bounds and
+/// the clock period; full adds the finiteness sweep over every
+/// feature/label tensor and the LUT table with first-offender row/column
+/// reporting.
 
 #include "data/hetero_graph.hpp"
 #include "util/diag.hpp"

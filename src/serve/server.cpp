@@ -434,16 +434,17 @@ Response SlackServer::run_full_tier(Session& session, const Ticket& t) {
 Response SlackServer::session_gnn_read(Session& session) {
   bool full = session.gnn_dirty;
   if (!session.gnn) {
-    // First read after materialize: the template's topology and net-edge
-    // features with private copies of the rows a patch rewrites, and its
-    // cached embedding.
+    // First read after materialize: the template's topology, LUT table
+    // and net-edge features with private copies of the rows a patch
+    // rewrites, and its cached embedding.
     const data::DatasetGraph& base = session.tpl->g;
     auto gnn = std::make_unique<Session::GnnState>();
     gnn->g.name = base.name;
     gnn->g.topo = base.topo;
+    gnn->g.lut_table = base.lut_table;
     gnn->g.node_feat = nn::detach(base.node_feat);
     gnn->g.net_edge_feat = base.net_edge_feat;
-    gnn->g.cell_edge_feat = nn::detach(base.cell_edge_feat);
+    gnn->g.cell_arc_lut = base.cell_arc_lut;
     gnn->g.rat = nn::detach(base.rat);
     gnn->cache.embedding = nn::detach(template_embedding(*session.tpl));
     session.gnn = std::move(gnn);

@@ -168,11 +168,12 @@ struct Session {
   std::unique_ptr<IncrementalTimer> timer;
 
   // ---- incremental GNN reads (DESIGN.md §12) ---------------------------
-  /// The session's GNN graph and read cache. `g` holds tpl->g's topology
-  /// and net-edge features (shared) and its own copies of node_feat,
-  /// cell_edge_feat and rat, patched to the session design; it has no
-  /// labels. Resizes never change topology, so reads run on tpl->plan and
-  /// tpl->g.endpoints. Null until the first GNN read after materialize.
+  /// The session's GNN graph and read cache. `g` holds tpl->g's topology,
+  /// LUT table and net-edge features (shared) and its own copies of
+  /// node_feat, cell_arc_lut and rat, patched to the session design; it
+  /// has no labels. Resizes never change topology, so reads run on
+  /// tpl->plan and tpl->g.endpoints. Null until the first GNN read after
+  /// materialize.
   struct GnnState {
     data::DatasetGraph g;
     core::ReadCache cache;

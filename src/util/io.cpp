@@ -210,7 +210,10 @@ std::vector<float> BinaryReader::read_f32_vec(std::uint64_t count,
                      << " at offset " << pos_ << " exceeds the " << remaining()
                      << " byte(s) remaining");
   std::vector<float> v(static_cast<std::size_t>(count));
-  std::memcpy(v.data(), buf_.data() + pos_, v.size() * sizeof(float));
+  // An empty vector's data() may be null, which memcpy must not get.
+  if (!v.empty()) {
+    std::memcpy(v.data(), buf_.data() + pos_, v.size() * sizeof(float));
+  }
   pos_ += v.size() * sizeof(float);
   return v;
 }
@@ -222,7 +225,9 @@ std::vector<int> BinaryReader::read_i32_vec(const char* what) {
                      << " at offset " << pos_ << " exceeds the " << remaining()
                      << " byte(s) remaining");
   std::vector<int> v(static_cast<std::size_t>(count));
-  std::memcpy(v.data(), buf_.data() + pos_, v.size() * sizeof(int));
+  if (!v.empty()) {
+    std::memcpy(v.data(), buf_.data() + pos_, v.size() * sizeof(int));
+  }
   pos_ += v.size() * sizeof(int);
   return v;
 }
@@ -234,7 +239,9 @@ std::vector<double> BinaryReader::read_f64_vec(const char* what) {
                      << " at offset " << pos_ << " exceeds the " << remaining()
                      << " byte(s) remaining");
   std::vector<double> v(static_cast<std::size_t>(count));
-  std::memcpy(v.data(), buf_.data() + pos_, v.size() * sizeof(double));
+  if (!v.empty()) {
+    std::memcpy(v.data(), buf_.data() + pos_, v.size() * sizeof(double));
+  }
   pos_ += v.size() * sizeof(double);
   return v;
 }

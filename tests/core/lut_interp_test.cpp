@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/test_fixture.hpp"
+#include "testing/lut_rows.hpp"
 
 namespace tg::core {
 namespace {
@@ -11,9 +12,10 @@ TEST(LutInterp, OutputShape) {
   Rng rng(1);
   LutInterp module(10, LutInterpConfig{.mlp_hidden = 8, .mlp_layers = 1}, rng);
   const auto& g = testing::train_graph();
-  const std::int64_t e = std::min<std::int64_t>(g.cell_edge_feat.rows(), 16);
+  const nn::Tensor cell_edge_feat = tg::testing::cell_edge_rows(g);
+  const std::int64_t e = std::min<std::int64_t>(cell_edge_feat.rows(), 16);
   nn::Tensor query = nn::Tensor::rand_uniform(e, 10, 1.0f, rng);
-  nn::Tensor feat = nn::gather_rows(g.cell_edge_feat, [&] {
+  nn::Tensor feat = nn::gather_rows(cell_edge_feat, [&] {
     std::vector<int> rows;
     for (std::int64_t i = 0; i < e; ++i) rows.push_back(static_cast<int>(i));
     return rows;
@@ -29,10 +31,11 @@ TEST(LutInterp, OutputsWithinLutValueRange) {
   Rng rng(2);
   LutInterp module(6, LutInterpConfig{.mlp_hidden = 8, .mlp_layers = 1}, rng);
   const auto& g = testing::train_graph();
-  const std::int64_t e = std::min<std::int64_t>(g.cell_edge_feat.rows(), 8);
+  const nn::Tensor cell_edge_feat = tg::testing::cell_edge_rows(g);
+  const std::int64_t e = std::min<std::int64_t>(cell_edge_feat.rows(), 8);
   std::vector<int> rows;
   for (std::int64_t i = 0; i < e; ++i) rows.push_back(static_cast<int>(i));
-  nn::Tensor feat = nn::gather_rows(g.cell_edge_feat, rows);
+  nn::Tensor feat = nn::gather_rows(cell_edge_feat, rows);
   nn::Tensor query = nn::Tensor::rand_uniform(e, 6, 2.0f, rng);
   nn::Tensor out = module.forward(query, feat);
 
@@ -55,8 +58,9 @@ TEST(LutInterp, GradientsFlowToCoefficientMlps) {
   Rng rng(3);
   LutInterp module(6, LutInterpConfig{.mlp_hidden = 8, .mlp_layers = 1}, rng);
   const auto& g = testing::train_graph();
+  const nn::Tensor cell_edge_feat = tg::testing::cell_edge_rows(g);
   std::vector<int> rows{0, 1, 2, 3};
-  nn::Tensor feat = nn::gather_rows(g.cell_edge_feat, rows);
+  nn::Tensor feat = nn::gather_rows(cell_edge_feat, rows);
   nn::Tensor query = nn::Tensor::rand_uniform(4, 6, 1.0f, rng, true);
   nn::Tensor out = module.forward(query, feat);
   nn::sum_all(out).backward();
@@ -85,8 +89,9 @@ TEST(LutInterp, DifferentQueriesDifferentOutputs) {
   Rng rng(5);
   LutInterp module(4, LutInterpConfig{.mlp_hidden = 8, .mlp_layers = 1}, rng);
   const auto& g = testing::train_graph();
+  const nn::Tensor cell_edge_feat = tg::testing::cell_edge_rows(g);
   std::vector<int> rows{0, 0};  // same LUT twice
-  nn::Tensor feat = nn::gather_rows(g.cell_edge_feat, rows);
+  nn::Tensor feat = nn::gather_rows(cell_edge_feat, rows);
   nn::Tensor query = nn::Tensor::from_vector(
       {1.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 5.0f}, 2, 4);
   nn::Tensor out = module.forward(query, feat);

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "data/dataset.hpp"
 #include "liberty/library_builder.hpp"
+#include "testing/lut_rows.hpp"
+#include "util/rng.hpp"
 
 namespace tg::data {
 namespace {
@@ -41,9 +45,10 @@ TEST_F(ExtractTest, ShapesMatchPaperTables) {
   EXPECT_EQ(g.net_edge_feat.rows(),
             static_cast<std::int64_t>(g.topo->net_src().size()));
   EXPECT_EQ(g.net_edge_feat.cols(), kNetEdgeFeatureDim);
-  EXPECT_EQ(g.cell_edge_feat.rows(),
+  const nn::Tensor cell_edge_feat = tg::testing::cell_edge_rows(g);
+  EXPECT_EQ(cell_edge_feat.rows(),
             static_cast<std::int64_t>(g.topo->cell_src().size()));
-  EXPECT_EQ(g.cell_edge_feat.cols(), 512);
+  EXPECT_EQ(cell_edge_feat.cols(), 512);
   EXPECT_EQ(g.net_delay.rows(), g.num_nodes());
   EXPECT_EQ(g.arrival.cols(), kNumCorners);
   EXPECT_EQ(g.cell_delay.rows(),
@@ -64,7 +69,8 @@ TEST_F(ExtractTest, FeaturesAreFinite) {
   const DatasetGraph& g = *graph_;
   for (float v : g.node_feat.data()) EXPECT_TRUE(std::isfinite(v));
   for (float v : g.net_edge_feat.data()) EXPECT_TRUE(std::isfinite(v));
-  for (float v : g.cell_edge_feat.data()) EXPECT_TRUE(std::isfinite(v));
+  const nn::Tensor cell_edge_feat = tg::testing::cell_edge_rows(g);
+  for (float v : cell_edge_feat.data()) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST_F(ExtractTest, NodeFeatureSemantics) {
@@ -82,23 +88,23 @@ TEST_F(ExtractTest, NodeFeatureSemantics) {
 }
 
 TEST_F(ExtractTest, CellEdgeValidFlagsAllOne) {
-  const DatasetGraph& g = *graph_;
-  for (std::int64_t e = 0; e < g.cell_edge_feat.rows(); e += 7) {
+  const nn::Tensor cell_edge_feat = tg::testing::cell_edge_rows(*graph_);
+  for (std::int64_t e = 0; e < cell_edge_feat.rows(); e += 7) {
     for (int l = 0; l < kCellEdgeValidDim; ++l) {
-      EXPECT_FLOAT_EQ(g.cell_edge_feat.at(e, l), 1.0f);
+      EXPECT_FLOAT_EQ(cell_edge_feat.at(e, l), 1.0f);
     }
   }
 }
 
 TEST_F(ExtractTest, LutAxisIndicesAscending) {
-  const DatasetGraph& g = *graph_;
+  const nn::Tensor cell_edge_feat = tg::testing::cell_edge_rows(*graph_);
   // Within each LUT's 7 slew-axis entries, values ascend.
-  for (std::int64_t e = 0; e < std::min<std::int64_t>(g.cell_edge_feat.rows(), 20); ++e) {
+  for (std::int64_t e = 0; e < std::min<std::int64_t>(cell_edge_feat.rows(), 20); ++e) {
     for (int l = 0; l < kNumLutsPerArc; ++l) {
       const int base = kCellEdgeValidDim + l * 2 * kLutDim;
       for (int i = 1; i < kLutDim; ++i) {
-        EXPECT_GT(g.cell_edge_feat.at(e, base + i),
-                  g.cell_edge_feat.at(e, base + i - 1));
+        EXPECT_GT(cell_edge_feat.at(e, base + i),
+                  cell_edge_feat.at(e, base + i - 1));
       }
     }
   }
@@ -158,6 +164,86 @@ TEST_F(ExtractTest, RuntimesRecorded) {
   EXPECT_GT(graph_->route_seconds, 0.0);
   EXPECT_GE(graph_->sta_seconds, 0.0);
   EXPECT_GT(graph_->clock_period, 0.0);
+}
+
+/// Over a seeded stream of resizes, patch_instances reports as changed
+/// exactly the cell arcs whose freshly written Table-3 row differs bitwise
+/// from the row before the resize, and re-points each arc at a table row
+/// holding those fresh bytes.
+TEST(ExtractPatchTest, ResizeDeltaMatchesRowBytes) {
+  const Library lib = build_library();
+  DatasetOptions options;
+  options.scale = 1.0 / 32;
+  DatasetGraph g =
+      build_design_graph(suite_entry("picorv32a", options.scale), lib, options);
+  ASSERT_NE(g.design, nullptr);
+  Design& design = *g.design;
+  const TimingGraph graph(design);
+  std::vector<InstId> resizable;
+  for (InstId i = 0; i < design.num_instances(); ++i) {
+    const CellType& cell = lib.cell(design.instance(i).cell_id);
+    if (lib.cells_of_function(cell.function).size() > 1) {
+      resizable.push_back(i);
+    }
+  }
+  ASSERT_FALSE(resizable.empty());
+
+  constexpr std::size_t kW = kCellEdgeFeatureDim;
+  // The Table-3 row of every arc of `inst`, by cell-arc id.
+  const auto arc_rows = [&](InstId inst) {
+    std::vector<std::pair<int, std::vector<float>>> rows;
+    for (const PinId p : design.instance(inst).pins) {
+      for (const int a : graph.out_cell_arcs(p)) {
+        std::vector<float> row(kW);
+        write_cell_edge_features(
+            graph.lib_arc(graph.cell_arcs()[static_cast<std::size_t>(a)]),
+            row.data());
+        rows.emplace_back(a, std::move(row));
+      }
+    }
+    return rows;
+  };
+
+  Rng rng(0xC311);
+  std::size_t changed_total = 0;
+  for (int step = 0; step < 50; ++step) {
+    const InstId inst = resizable[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(resizable.size()) - 1))];
+    const std::vector<int> cells = lib.cells_of_function(
+        lib.cell(design.instance(inst).cell_id).function);
+    const auto before = arc_rows(inst);
+    design.instance(inst).cell_id = cells[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(cells.size()) - 1))];
+    const auto after = arc_rows(inst);
+
+    std::vector<int> expected;
+    ASSERT_EQ(before.size(), after.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      if (std::memcmp(before[i].second.data(), after[i].second.data(),
+                      kW * sizeof(float)) != 0) {
+        expected.push_back(before[i].first);
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+
+    const std::vector<InstId> insts{inst};
+    const GraphDelta delta = patch_instances(g, graph, insts);
+    EXPECT_EQ(delta.cell_edges, expected) << "step " << step;
+    changed_total += delta.cell_edges.size();
+    const std::span<const float> table = g.lut_table->rows.data();
+    for (const auto& [a, row] : after) {
+      const auto r = static_cast<std::size_t>(
+          g.cell_arc_lut[static_cast<std::size_t>(a)]);
+      EXPECT_EQ(std::memcmp(table.data() + r * kW, row.data(),
+                            kW * sizeof(float)),
+                0)
+          << "step " << step << " arc " << a;
+    }
+  }
+  // The stream must exercise both outcomes.
+  EXPECT_GT(changed_total, 0u);
 }
 
 }  // namespace

@@ -82,7 +82,6 @@ DatasetGraph make_tiny_graph() {
   topo.cell_src = {0, 1};
   topo.cell_dst = {2, 3};
   topo.node_level = {0, 0, 1, 1};
-  topo.net_sinks = {2, 3};
   g.topo = std::make_shared<const Topology>(std::move(topo), g.name);
   g.clock_period = 1.25;
   auto tensor = [](std::int64_t rows, std::int64_t cols) {
@@ -94,7 +93,12 @@ DatasetGraph make_tiny_graph() {
   };
   g.node_feat = tensor(4, 10);
   g.net_edge_feat = tensor(2, 2);
-  g.cell_edge_feat = tensor(2, kCellEdgeFeatureDim);
+  LutTable table;
+  table.rows = tensor(3, kCellEdgeFeatureDim);
+  table.cell_base = {0, 1, 3};
+  table.arc_row = {0, 2, 1};
+  g.lut_table = std::make_shared<const LutTable>(std::move(table));
+  g.cell_arc_lut = {2, 1};
   g.net_delay = tensor(4, 4);
   g.arrival = tensor(4, 4);
   g.slew = tensor(4, 4);
@@ -171,6 +175,34 @@ TEST_F(GraphCorruptionTest, OutOfRangeNetDstRejected) {
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("net_dst[1] = 4"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// A file whose checksum holds but whose cell_arc_lut names a row past the
+/// table's end must fail to load with an error naming the field and the
+/// entry, before any walk reads that row.
+TEST_F(GraphCorruptionTest, OutOfRangeLutIndexRejected) {
+  const DatasetGraph g = make_tiny_graph();
+  save_graph(g, path_);
+  EXPECT_NO_THROW((void)load_graph(path_));
+  std::vector<unsigned char> bytes = slurp(path_);
+  const std::size_t arc_row =
+      tg::testing::find_i32_array(bytes, g.lut_table->arc_row);
+  const std::size_t lut =
+      tg::testing::find_i32_array(bytes, g.cell_arc_lut, arc_row);
+  ASSERT_LT(lut, bytes.size());
+  const int rows = g.lut_table->num_rows();
+  tg::testing::put_i32(bytes, lut + 4, rows);  // cell_arc_lut[1]
+  tg::testing::reseal_crc(bytes);
+  spit(path_, bytes);
+  try {
+    (void)load_graph(path_);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("cell_arc_lut[1] = " +
+                                         std::to_string(rows)),
+              std::string::npos)
         << e.what();
   }
 }

@@ -50,7 +50,10 @@ TEST_F(GraphIoTest, RoundTripPreservesEverything) {
     }
   };
   tensors_equal(a.node_feat, b.node_feat);
-  tensors_equal(a.cell_edge_feat, b.cell_edge_feat);
+  EXPECT_EQ(b.cell_arc_lut, a.cell_arc_lut);
+  tensors_equal(a.lut_table->rows, b.lut_table->rows);
+  EXPECT_EQ(b.lut_table->cell_base, a.lut_table->cell_base);
+  EXPECT_EQ(b.lut_table->arc_row, a.lut_table->arc_row);
   tensors_equal(a.arrival, b.arrival);
   tensors_equal(a.net_delay, b.net_delay);
   tensors_equal(a.rat, b.rat);

@@ -16,6 +16,7 @@
 #include "core/timing_gnn.hpp"
 #include "data/dataset.hpp"
 #include "liberty/library_builder.hpp"
+#include "util/check.hpp"
 
 namespace tg::data {
 namespace {
@@ -190,6 +191,48 @@ TEST_F(GraphPackTest, RaggedFivePartMixWithRepeatsValidates) {
   validate_graph_pack(pack, sink, ValidateLevel::kFull);
   EXPECT_TRUE(sink.ok()) << sink.report_text();
   expect_csr_is_part_blocks(pack, parts);
+}
+
+/// A pack of graphs from one library holds part 0's LUT table itself, no
+/// copy of its floats, and the parts' row indices concatenated unchanged:
+/// the table is the only per-edge Table-3 data it carries.
+TEST_F(GraphPackTest, PackSharesThePartsLutTable) {
+  DatasetGraph b = *b_;
+  b.lut_table = a_->lut_table;  // parts sharing one table pointer
+  const std::vector<const DatasetGraph*> parts{a_, &b, c_};
+  const GraphPack pack = pack_graphs(parts);
+  EXPECT_EQ(pack.g.lut_table.get(), a_->lut_table.get());
+  EXPECT_EQ(pack.g.lut_table->rows.data().data(),
+            a_->lut_table->rows.data().data());
+  std::vector<int> lut;
+  for (const DatasetGraph* p : parts) {
+    lut.insert(lut.end(), p->cell_arc_lut.begin(), p->cell_arc_lut.end());
+  }
+  EXPECT_EQ(pack.g.cell_arc_lut, lut);
+  EXPECT_EQ(static_cast<int>(pack.g.cell_arc_lut.size()),
+            pack.cell_base.back());
+  DiagSink sink;
+  validate_graph_pack(pack, sink, ValidateLevel::kFull);
+  EXPECT_TRUE(sink.ok()) << sink.report_text();
+}
+
+/// Parts whose tables differ in content cannot share one table: packing
+/// them throws and names the first such part.
+TEST_F(GraphPackTest, PackRejectsPartsWithDifferentLutTables) {
+  DatasetGraph b = *b_;
+  LutTable table = *b.lut_table;
+  table.rows = nn::detach(table.rows);  // a private copy to alter
+  table.rows.data()[7] += 1.0f;
+  b.lut_table = std::make_shared<const LutTable>(std::move(table));
+  b.name = "zipdiv_altered";
+  try {
+    (void)pack_graphs({a_, c_, &b});
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("part 2 (zipdiv_altered)"), std::string::npos)
+        << what;
+  }
 }
 
 TEST_F(GraphPackTest, PackedForwardMatchesSequentialWithin1e6) {

@@ -1,5 +1,7 @@
 /// Structured fuzz driver for the dataset-graph file: corrupt one int of
-/// an index field or a header count of a saved graph, re-seal the CRC so
+/// an index field (the topology's, the endpoints, the LUT table's arc map
+/// or the cell edges' table rows) or a count (the header's node and level
+/// counts, the LUT table's row count) of a saved graph, re-seal the CRC so
 /// the checksum cannot catch it, and check the load_graph contract — the
 /// mutant is either rejected with a CheckError, or it loads as a graph
 /// that plans, embeds and propagates without undefined behavior (the
@@ -25,6 +27,7 @@ namespace {
 
 constexpr int kLevels = 5;
 constexpr int kWidth = 6;
+constexpr int kLutRows = 4;
 
 nn::Tensor uniform(std::int64_t rows, std::int64_t cols, Rng& rng) {
   std::vector<float> v(static_cast<std::size_t>(rows * cols));
@@ -49,7 +52,6 @@ data::DatasetGraph fuzz_graph() {
     if (pos % 2 == 0) {
       t.net_src.push_back(below + pos);
       t.net_dst.push_back(v);
-      t.net_sinks.push_back(v);
     } else {
       for (const int u : {below + pos, below + (pos + 1) % kWidth}) {
         t.cell_src.push_back(u);
@@ -66,7 +68,14 @@ data::DatasetGraph fuzz_graph() {
   Rng rng(0x6A4F);
   g.node_feat = uniform(n, data::kNodeFeatureDim, rng);
   g.net_edge_feat = uniform(num_net, data::kNetEdgeFeatureDim, rng);
-  g.cell_edge_feat = uniform(num_cell, data::kCellEdgeFeatureDim, rng);
+  data::LutTable table;
+  table.rows = uniform(kLutRows, data::kCellEdgeFeatureDim, rng);
+  table.cell_base = {0, 2, kLutRows};
+  for (int r = 0; r < kLutRows; ++r) table.arc_row.push_back(r);
+  g.lut_table = std::make_shared<const data::LutTable>(std::move(table));
+  for (std::int64_t e = 0; e < num_cell; ++e) {
+    g.cell_arc_lut.push_back(static_cast<int>(rng.uniform_int(0, kLutRows - 1)));
+  }
   g.net_delay = nn::Tensor::zeros(n, kNumCorners);
   g.arrival = nn::Tensor::zeros(n, kNumCorners);
   g.slew = nn::Tensor::zeros(n, kNumCorners);
@@ -107,14 +116,26 @@ TEST(FuzzGraphFile, CorruptedIndicesAreCaughtOrStaySafe) {
   // the index arrays in file order, each searched after the previous one
   // (arrays with equal contents then resolve to their own slots).
   const data::Topology& t = *base.topo;
+  const data::LutTable& table = *base.lut_table;
   const std::size_t counts = tg::testing::num_nodes_offset(base.name);
   std::vector<Field> fields{{counts, 1}, {counts + 8, 1}};
   std::size_t from = counts + 16;
   for (const std::vector<int>* a :
-       {&t.net_src(), &t.net_dst(), &t.cell_src(), &t.cell_dst(),
-        &t.node_level(), &base.endpoints, &t.net_sinks()}) {
+       {&table.cell_base, &table.arc_row, &base.cell_arc_lut, &t.net_src(),
+        &t.net_dst(), &t.cell_src(), &t.cell_dst(), &t.node_level(),
+        &base.endpoints}) {
     const std::size_t at = tg::testing::find_i32_array(clean, *a, from);
     ASSERT_LT(at, clean.size());
+    if (a == &table.cell_base) {
+      // The low word of the table's u64 row count: the rows tensor (u64
+      // rows, u64 cols, its floats) sits just before cell_base's count.
+      const std::size_t rows_at =
+          at - 8 - 4 * static_cast<std::size_t>(table.rows.numel()) - 16;
+      std::uint64_t stored = 0;
+      std::memcpy(&stored, clean.data() + rows_at, sizeof(stored));
+      ASSERT_EQ(stored, static_cast<std::uint64_t>(kLutRows));
+      fields.push_back({rows_at, 1});
+    }
     fields.push_back({at, a->size()});
     from = at + 4 * a->size();
   }

@@ -389,10 +389,11 @@ TEST(ServeTest, CrossTemplateBatchMatchesPerSessionForceFull) {
   EXPECT_GE(server.stats().pack_hits, 1u) << "recurring mix re-packed";
 }
 
-/// A moved session's GNN graph shares the template graph's topology (one
-/// pointer) and net-edge features, and owns storage only for the rows a
-/// resize rewrites: node_feat, cell_edge_feat and rat. It carries no
-/// labels and no index array of its own.
+/// A moved session's GNN graph shares the template graph's topology and
+/// LUT table (one pointer each) and net-edge features, and owns storage
+/// only for what a resize rewrites: node_feat, rat and the cell edges'
+/// table indices (cell_arc_lut, not their 512-float rows). It carries no
+/// labels and no topology index array of its own.
 TEST(ServeTest, MovedSessionGraphOwnsOnlyItsValues) {
   SlackServer server(small_options());
   const SessionId id = server.open_session(kDesign, kScale);
@@ -413,11 +414,14 @@ TEST(ServeTest, MovedSessionGraphOwnsOnlyItsValues) {
     const data::DatasetGraph& s = *v.gnn_graph;
     const data::DatasetGraph& t = v.template_graph;
     EXPECT_EQ(s.topo.get(), t.topo.get());
+    EXPECT_EQ(s.lut_table.get(), t.lut_table.get());
     const auto storage = [](const nn::Tensor& x) {
       return x.defined() ? x.data().data() : nullptr;
     };
     EXPECT_NE(storage(s.node_feat), storage(t.node_feat));
-    EXPECT_NE(storage(s.cell_edge_feat), storage(t.cell_edge_feat));
+    ASSERT_EQ(s.cell_arc_lut.size(), t.cell_arc_lut.size());
+    ASSERT_FALSE(s.cell_arc_lut.empty());
+    EXPECT_NE(s.cell_arc_lut.data(), t.cell_arc_lut.data());
     EXPECT_NE(storage(s.rat), storage(t.rat));
     EXPECT_EQ(storage(s.net_edge_feat), storage(t.net_edge_feat));
     for (const nn::Tensor* label :
