@@ -11,18 +11,14 @@
 ///                          the serving p50/p99 the ladder exists to bound,
 ///   serve_mixed_designs/N  one client per template over >= 4 distinct
 ///                          designs x 3 clock corners (pure batchable
-///                          predictions), run on otherwise identical
-///                          single-worker servers — cross-template packed
-///                          batching on vs off — to measure the packing
-///                          speedup (N = sum of template nodes). The two
-///                          legs run as five back-to-back pairs and the
-///                          pair with the median on/off ratio is reported.
+///                          predictions) on a single-worker server: one
+///                          compute slot multiplexed across the tenants
+///                          (N = sum of template nodes).
 ///
 /// Writes BENCH_serve_slack.json (`--json=...`): per-phase median/p90
 /// request latency as the gated entries, plus "serve" and
-/// "serve_mixed_designs" sections with throughput, percentiles and the
-/// pack-cache/cross-batch counters. Gated by ci/check_bench.py like the
-/// micro benches.
+/// "serve_mixed_designs" sections with throughput and percentiles. Gated
+/// by ci/check_bench.py like the micro benches.
 ///
 ///   ./serve_slack [--design=spm] [--scale=0.03125] [--requests=32]
 ///                 [--workers=2] [--mixed-designs=spm,zipdiv,...]
@@ -68,14 +64,6 @@ bench_json::Entry make_entry(const std::string& op, long long size,
 double seconds(std::chrono::nanoseconds ns) {
   return static_cast<double>(ns.count()) / 1e9;
 }
-
-/// One leg of the cross-design comparison (packing on or off).
-struct MixedDesignsLeg {
-  double throughput_rps = 0.0;
-  std::vector<double> lat_s;
-  long long nodes = 0;  ///< sum of the distinct templates' pin counts
-  serve::ServerStats stats;
-};
 
 }  // namespace
 }  // namespace tg
@@ -210,51 +198,44 @@ int main(int argc, char** argv) {
   }
   server.shutdown();
 
-  // Phase 4: cross-design packed batching — the multi-tenant story. One
-  // client per template (no same-template sharing to hide behind) drives
-  // pure batchable predictions through fresh servers pinned to a single
-  // worker, i.e. one compute slot multiplexed across K tenants. The only
-  // difference between the two legs is cross-template packing: off
-  // round-robins K solo forwards per wave, on answers the wave with one
-  // packed forward. The gated entry comes from the packing-on leg (the
-  // shipped default).
-  const auto run_mixed_designs = [&](bool cross_on) {
-    MixedDesignsLeg leg;
+  // Phase 4: the multi-tenant mix. One client per template (no same-
+  // template sharing to hide behind) drives pure batchable predictions
+  // through a fresh server pinned to a single worker, i.e. one compute
+  // slot multiplexed across K tenants, one solo forward per request.
+  double md_throughput = 0.0, md_p50_ms = 0.0, md_p99_ms = 0.0;
+  const int md_clients = 3 * static_cast<int>(mix.size());
+  {
     serve::ServeOptions mo;
     mo.workers = 1;
     mo.queue_capacity = 64;
-    mo.max_batch = std::max(8, 3 * static_cast<int>(mix.size()));
-    mo.cross_batch = cross_on ? 1 : 0;
+    mo.max_batch = std::max(8, md_clients);
     serve::SlackServer s(mo);
     // Three tenants per design: the suite's calibrated clock, a tight ECO
     // corner and a relaxed what-if corner. Distinct clock factors are
     // distinct templates (design-hash keyed), so this is a 3x-wider honest
-    // mix — every tenant is a separate graph in the pack and a separate
-    // solo forward on the off leg.
+    // mix — every tenant is a separate graph and a separate forward.
     static constexpr double kCorners[] = {0.0, 0.92, 1.08};
-    const int clients = 3 * static_cast<int>(mix.size());
     const int per_client = std::max(8, requests);
     std::vector<serve::SessionId> ids;
-    for (int c = 0; c < clients; ++c) {
-      const std::string& design = mix[static_cast<std::size_t>(c) % mix.size()];
+    for (int c = 0; c < md_clients; ++c) {
+      const std::string& tenant = mix[static_cast<std::size_t>(c) % mix.size()];
       const double clock_factor =
           kCorners[static_cast<std::size_t>(c) / mix.size()];
-      ids.push_back(s.open_session(design, scale, clock_factor));
+      ids.push_back(s.open_session(tenant, scale, clock_factor));
     }
-    for (int c = 0; c < clients; ++c) {
+    long long md_nodes = 0;
+    for (int c = 0; c < md_clients; ++c) {
       s.inspect(ids[static_cast<std::size_t>(c)],
                 [&](const serve::SessionView& v) {
-                  leg.nodes += static_cast<long long>(v.design.num_pins());
+                  md_nodes += static_cast<long long>(v.design.num_pins());
                 });
     }
     // Untimed warmup wave: a concurrent round per tenant so the steady
-    // state being measured starts with the pack + embedding caches hot on
-    // both legs (the off leg has nothing to warm beyond the templates the
-    // opens already built, so the legs stay comparable).
+    // state being measured starts with the embedding cache hot.
     {
-      std::vector<std::thread> warm;
-      for (int c = 0; c < clients; ++c) {
-        warm.emplace_back([&, c] {
+      std::vector<std::thread> warmers;
+      for (int c = 0; c < md_clients; ++c) {
+        warmers.emplace_back([&, c] {
           for (int i = 0; i < 2; ++i) {
             serve::Request req;
             req.session = ids[static_cast<std::size_t>(c)];
@@ -262,12 +243,12 @@ int main(int argc, char** argv) {
           }
         });
       }
-      for (std::thread& t : warm) t.join();
+      for (std::thread& t : warmers) t.join();
     }
-    std::vector<std::vector<double>> lat(static_cast<std::size_t>(clients));
+    std::vector<std::vector<double>> lat(static_cast<std::size_t>(md_clients));
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c) {
+    for (int c = 0; c < md_clients; ++c) {
       threads.emplace_back([&, c] {
         for (int i = 0; i < per_client; ++i) {
           serve::Request req;
@@ -283,49 +264,17 @@ int main(int argc, char** argv) {
     const double wall =
         seconds(std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0));
-    leg.throughput_rps =
-        static_cast<double>(static_cast<long long>(clients) * per_client) /
+    md_throughput =
+        static_cast<double>(static_cast<long long>(md_clients) * per_client) /
         wall;
-    for (auto& per : lat) {
-      leg.lat_s.insert(leg.lat_s.end(), per.begin(), per.end());
-    }
-    leg.stats = s.stats();
     s.shutdown();
-    return leg;
-  };
-  // One off/on pair's ratio swung from 0.5 to 1.5 over runs on a shared
-  // 4-core box, where packing gains ~1.1x, so the legs run as kMixedPairs
-  // pairs, alternating which leg goes first, and the median pair is kept.
-  constexpr int kMixedPairs = 5;
-  std::vector<std::pair<MixedDesignsLeg, MixedDesignsLeg>> md_pairs;
-  for (int p = 0; p < kMixedPairs; ++p) {
-    MixedDesignsLeg first = run_mixed_designs(p % 2 == 1);
-    MixedDesignsLeg second = run_mixed_designs(p % 2 == 0);
-    if (p % 2 == 0) {
-      md_pairs.emplace_back(std::move(first), std::move(second));
-    } else {
-      md_pairs.emplace_back(std::move(second), std::move(first));
-    }
-  }
-  const auto speedup = [](const std::pair<MixedDesignsLeg, MixedDesignsLeg>&
-                              pair) {  // {off, on}
-    return pair.first.throughput_rps > 0.0
-               ? pair.second.throughput_rps / pair.first.throughput_rps
-               : 0.0;
-  };
-  std::nth_element(md_pairs.begin(), md_pairs.begin() + kMixedPairs / 2,
-                   md_pairs.end(), [&](const auto& a, const auto& b) {
-                     return speedup(a) < speedup(b);
-                   });
-  const auto& [md_off, md_on] = md_pairs[kMixedPairs / 2];
-  const double md_speedup = speedup(md_pairs[kMixedPairs / 2]);
-  std::vector<double> md_lat = md_on.lat_s;
-  const double md_p50_ms = percentile_s(md_lat, 0.50) * 1e3;
-  const double md_p99_ms = percentile_s(md_lat, 0.99) * 1e3;
-  {
-    std::vector<double> gated = md_on.lat_s;
-    entries.push_back(make_entry("serve_mixed_designs", md_on.nodes,
-                                 3 * static_cast<int>(mix.size()), gated));
+    std::vector<double> md_lat;
+    for (auto& per : lat) md_lat.insert(md_lat.end(), per.begin(), per.end());
+    std::vector<double> md_copy = md_lat;
+    md_p50_ms = percentile_s(md_copy, 0.50) * 1e3;
+    md_p99_ms = percentile_s(md_copy, 0.99) * 1e3;
+    entries.push_back(
+        make_entry("serve_mixed_designs", md_nodes, md_clients, md_lat));
   }
 
   for (const bench_json::Entry& e : entries) {
@@ -336,15 +285,9 @@ int main(int argc, char** argv) {
   std::printf("  mixed: %.1f req/s, p50 %.3f ms, p99 %.3f ms "
               "(%lld ok, %lld degraded, %lld shed)\n",
               throughput, p50_ms, p99_ms, ok, degraded, shed);
-  std::printf("  mixed-designs (%zu templates): cross-batch on %.1f req/s "
-              "vs off %.1f req/s (%.2fx), p50 %.3f ms, p99 %.3f ms\n",
-              3 * mix.size(), md_on.throughput_rps, md_off.throughput_rps,
-              md_speedup, md_p50_ms, md_p99_ms);
-  std::printf("  packed: %llu cross-batched, %llu pack hits, "
-              "%llu pack misses\n",
-              static_cast<unsigned long long>(md_on.stats.cross_batched),
-              static_cast<unsigned long long>(md_on.stats.pack_hits),
-              static_cast<unsigned long long>(md_on.stats.pack_misses));
+  std::printf("  mixed-designs (%d templates): %.1f req/s, p50 %.3f ms, "
+              "p99 %.3f ms\n",
+              md_clients, md_throughput, md_p50_ms, md_p99_ms);
 
   char extra[1024];
   std::snprintf(
@@ -353,15 +296,9 @@ int main(int argc, char** argv) {
       "\"p99_ms\": %.6f, \"ok\": %lld, \"degraded\": %lld, "
       "\"shed\": %lld},\n  "
       "\"serve_mixed_designs\": {\"templates\": %d, "
-      "\"throughput_rps\": %.3f, \"throughput_off_rps\": %.3f, "
-      "\"speedup\": %.3f, \"p50_ms\": %.6f, \"p99_ms\": %.6f, "
-      "\"cross_batched\": %llu, \"pack_hits\": %llu, \"pack_misses\": %llu}",
-      throughput, p50_ms, p99_ms, ok, degraded, shed,
-      3 * static_cast<int>(mix.size()), md_on.throughput_rps,
-      md_off.throughput_rps, md_speedup, md_p50_ms, md_p99_ms,
-      static_cast<unsigned long long>(md_on.stats.cross_batched),
-      static_cast<unsigned long long>(md_on.stats.pack_hits),
-      static_cast<unsigned long long>(md_on.stats.pack_misses));
+      "\"throughput_rps\": %.3f, \"p50_ms\": %.6f, \"p99_ms\": %.6f}",
+      throughput, p50_ms, p99_ms, ok, degraded, shed, md_clients,
+      md_throughput, md_p50_ms, md_p99_ms);
   if (!bench_json::write_file(json, "serve_slack", workers, entries, extra)) {
     return 1;
   }

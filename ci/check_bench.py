@@ -7,7 +7,6 @@ regresses beyond the threshold (default 1.25x). Used by `ci/run.sh bench`.
 
     ci/check_bench.py <baseline.json> <current.json> [--threshold=1.25]
     ci/check_bench.py --ratio=FAST:SLOW [--ratio=...] --threshold=T <current.json>
-    ci/check_bench.py --min-field=PATH:FLOOR [--min-field=...] <current.json>
 
 Baseline entries missing from the current run fail the check (a renamed or
 dropped benchmark must update the baseline on purpose); entries new in the
@@ -17,11 +16,6 @@ With --ratio the gate compares benchmarks of one run with each other, so no
 recorded baseline (and no machine difference) is involved: each FAST
 entry's median must be at most T times its SLOW entry's, and a missing
 entry fails.
-
-With --min-field the gate reads a number the run itself derived, such as
-serve_slack's packed-over-sequential `serve_mixed_designs.speedup`: PATH is
-a dotted path of object keys from the top of the JSON, and the value there
-must be at least FLOOR. A missing or non-numeric value fails.
 """
 
 import json
@@ -64,49 +58,13 @@ def check_ratios(path, pairs, threshold):
     return 0
 
 
-def check_min_fields(path, floors):
-    with open(path) as f:
-        doc = json.load(f)
-    failures = []
-    print(f"# field gate: {path}")
-    for field, floor in floors:
-        value = doc
-        for key in field.split("."):
-            value = value.get(key) if isinstance(value, dict) else None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            failures.append(f"{field}: missing or not a number")
-            continue
-        flag = " <-- BELOW FLOOR" if value < floor else ""
-        print(f"{value:12.4f} >= {floor:<10.4f} {field}{flag}")
-        if value < floor:
-            failures.append(f"{field}: {value} below floor {floor}")
-    if failures:
-        print(f"# field gate FAILED ({len(failures)}):", file=sys.stderr)
-        for f in failures:
-            print(f"#   {f}", file=sys.stderr)
-        return 1
-    print("# field gate OK")
-    return 0
-
-
 def main(argv):
     threshold = 1.25
     paths = []
     pairs = []
-    floors = []
     for arg in argv[1:]:
         if arg.startswith("--threshold="):
             threshold = float(arg.split("=", 1)[1])
-        elif arg.startswith("--min-field="):
-            field, sep, floor = arg.split("=", 1)[1].rpartition(":")
-            try:
-                floors.append((field, float(floor)))
-            except ValueError:
-                sep = ""
-            if not sep or not field:
-                print(f"bad --min-field {arg!r}: want PATH:FLOOR",
-                      file=sys.stderr)
-                return 2
         elif arg.startswith("--ratio="):
             fast, sep, slow = arg.split("=", 1)[1].partition(":")
             if not sep or not fast or not slow:
@@ -115,15 +73,10 @@ def main(argv):
             pairs.append((fast, slow))
         else:
             paths.append(arg)
-    if pairs and floors:
-        print("--ratio and --min-field are separate checks", file=sys.stderr)
-        return 2
-    if pairs or floors:
+    if pairs:
         if len(paths) != 1:
             print(__doc__.strip(), file=sys.stderr)
             return 2
-        if floors:
-            return check_min_fields(paths[0], floors)
         return check_ratios(paths[0], pairs, threshold)
     if len(paths) != 2:
         print(__doc__.strip(), file=sys.stderr)

@@ -79,7 +79,7 @@ class DelayProp : public nn::Module {
   ///
   /// Two walks produce bit-identical `state`, both level by level with a
   /// cancellation checkpoint at every level boundary:
-  ///  - Under an nn::NoGradGuard with `want_aux = false` (the serving
+  ///  - Under an nn::NoGradGuard with `want_aux = false` (the inference
   ///    path, TimingGnn::forward_atslew) the fused inference step runs:
   ///    per level, the incoming edges stream through gather → MLP → LUT
   ///    interp → sum/max reduce on arena scratch, with no per-op tensors

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "util/check.hpp"
 #include "util/obs/trace.hpp"
@@ -303,31 +302,6 @@ EndpointSlack predicted_endpoint_slack(const data::DatasetGraph& g,
   TG_CHECK(node >= 0 && node < atslew.rows() && node < g.rat.rows());
   return slack_from_rows(g.rat.data().data() + node * kNumCorners,
                          atslew.data().data() + node * 2 * kNumCorners);
-}
-
-std::vector<GraphSlackSummary> packed_endpoint_slacks(
-    const data::GraphPack& pack, const Tensor& atslew) {
-  TG_CHECK(atslew.rows() == pack.g.num_nodes());
-  std::vector<GraphSlackSummary> out(
-      static_cast<std::size_t>(pack.num_graphs));
-  for (int k = 0; k < pack.num_graphs; ++k) {
-    GraphSlackSummary& s = out[static_cast<std::size_t>(k)];
-    const int lo = pack.endpoint_base[static_cast<std::size_t>(k)];
-    const int hi = pack.endpoint_base[static_cast<std::size_t>(k) + 1];
-    if (lo == hi) continue;  // endpoint-free part: all-zero digest
-    s.wns_setup = std::numeric_limits<double>::infinity();
-    s.wns_hold = std::numeric_limits<double>::infinity();
-    s.endpoint_setup.reserve(static_cast<std::size_t>(hi - lo));
-    for (int i = lo; i < hi; ++i) {
-      const EndpointSlack es = predicted_endpoint_slack(
-          pack.g, atslew, pack.g.endpoints[static_cast<std::size_t>(i)]);
-      s.endpoint_setup.push_back(es.setup);
-      s.wns_setup = std::min(s.wns_setup, es.setup);
-      s.wns_hold = std::min(s.wns_hold, es.hold);
-      if (es.setup < 0.0) s.tns_setup += es.setup;
-    }
-  }
-  return out;
 }
 
 }  // namespace tg::core

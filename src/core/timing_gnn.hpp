@@ -14,7 +14,6 @@
 #include "core/delay_prop.hpp"
 #include "core/net_embed.hpp"
 #include "data/extract.hpp"
-#include "data/graph_pack.hpp"
 
 namespace tg::core {
 
@@ -59,13 +58,13 @@ class TimingGnn : public nn::Module {
   // ---- inference entry points ------------------------------------------
   // embed() and forward_atslew() are tape-free by contract: each installs
   // an nn::NoGradGuard, so their results are plain leaves (no parents,
-  // requires_grad false) and the intermediates die with the call. Their
-  // callers are the serving plane and the benchmarks; training goes
-  // through forward() + loss(), which record the tape as usual.
+  // requires_grad false) and the intermediates die with the call, as do
+  // read()'s. The serving plane answers through embed() + read(); training
+  // goes through forward() + loss(), which record the tape as usual.
 
   /// Net-embedding stage output [N, embed_dim]. Depends only on the graph
-  /// (not on the query), so serving caches it per template / per pack and
-  /// replays it through forward_atslew.
+  /// (not on the query), so serving caches it per template and replays it
+  /// through read().
   [[nodiscard]] nn::Tensor embed(const data::DatasetGraph& g) const;
 
   /// Inference fast path: arrival/slew [N, 8] from a precomputed
@@ -118,19 +117,5 @@ class TimingGnn : public nn::Module {
 
 [[nodiscard]] EndpointSlack predicted_endpoint_slack(
     const data::DatasetGraph& g, const nn::Tensor& atslew, int endpoint_node);
-
-/// Per-graph slack digest scattered back from one packed forward
-/// (data/graph_pack.hpp): entry k summarizes part k's endpoint slice of
-/// the packed atslew. Because packing is a disjoint union, entry k equals
-/// the digest of running part k's forward alone.
-struct GraphSlackSummary {
-  double wns_setup = 0.0;
-  double tns_setup = 0.0;
-  double wns_hold = 0.0;
-  /// Aligned with part k's own endpoint list.
-  std::vector<double> endpoint_setup;
-};
-[[nodiscard]] std::vector<GraphSlackSummary> packed_endpoint_slacks(
-    const data::GraphPack& pack, const nn::Tensor& atslew);
 
 }  // namespace tg::core

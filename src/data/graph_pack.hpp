@@ -1,10 +1,9 @@
 #pragma once
 /// \file graph_pack.hpp
 /// Disjoint-union packing of K extracted hetero-graphs into one
-/// super-graph (DESIGN.md §12). The serving plane's cross-design
-/// micro-batcher packs the pristine templates of a mixed-tenant batch so
-/// a *single* GNN forward answers every member, then scatters the packed
-/// outputs back per graph.
+/// super-graph, so a *single* GNN forward covers every part. The serving
+/// plane does not pack (DESIGN.md §12 says why); perfbench's predict_mix
+/// probe and the fused-inference stress test in core_test do.
 ///
 /// Packing is a pure concatenation: part k's nodes become the id range
 /// [node_base[k], node_base[k+1]), its net/cell edges likewise, and each

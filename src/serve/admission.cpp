@@ -32,35 +32,15 @@ std::optional<Ticket> AdmissionQueue::pop() {
 }
 
 std::vector<Ticket> AdmissionQueue::drain_compatible(std::uint64_t tpl_key,
-                                                     int max_extra,
-                                                     bool cross_template,
-                                                     long long max_total_nodes,
-                                                     long long lead_nodes) {
+                                                     int max_extra) {
   std::vector<Ticket> out;
   if (max_extra <= 0) return out;
   const std::lock_guard<std::mutex> lock(mu_);
-  // Distinct templates admitted so far and the node budget they consume.
-  // A batch is a handful of tickets, so linear membership scans beat a
-  // hash map here.
-  std::vector<std::uint64_t> members{tpl_key};
-  long long total_nodes = lead_nodes;
   for (auto it = queue_.begin();
        it != queue_.end() && static_cast<int>(out.size()) < max_extra;) {
-    if (!it->batchable) {
+    if (!it->batchable || it->tpl_key != tpl_key) {
       ++it;
       continue;
-    }
-    const bool known =
-        std::find(members.begin(), members.end(), it->tpl_key) != members.end();
-    if (!known) {
-      if (!cross_template ||
-          (max_total_nodes >= 0 &&
-           total_nodes + it->num_nodes > max_total_nodes)) {
-        ++it;
-        continue;
-      }
-      members.push_back(it->tpl_key);
-      total_nodes += it->num_nodes;
     }
     out.push_back(std::move(*it));
     it = queue_.erase(it);

@@ -30,9 +30,6 @@ struct Ticket {
       std::chrono::steady_clock::time_point::max()};
   /// Template key of the target session (micro-batch compatibility).
   std::uint64_t tpl_key = 0;
-  /// Node count of the target session's template graph — the unit of the
-  /// cross-template packed-batch node budget.
-  long long num_nodes = 0;
   /// True when this is a pure full-graph prediction on a pristine session.
   bool batchable = false;
 };
@@ -48,18 +45,9 @@ class AdmissionQueue {
   /// Blocks until a ticket or stop. nullopt = stopped and drained.
   std::optional<Ticket> pop();
 
-  /// Removes up to `max_extra` queued tickets batch-compatible with a
-  /// batch led by a `tpl_key` ticket of `lead_nodes` packed nodes. Always
-  /// takes batchable same-template tickets; with `cross_template` set it
-  /// also takes batchable tickets of other templates, as long as the sum
-  /// of the *distinct* member templates' node counts stays within
-  /// `max_total_nodes` (< 0 = unlimited; extra tickets of an already-
-  /// admitted template are free — they share the packed rows). FIFO order
-  /// preserved.
-  std::vector<Ticket> drain_compatible(std::uint64_t tpl_key, int max_extra,
-                                       bool cross_template = false,
-                                       long long max_total_nodes = -1,
-                                       long long lead_nodes = 0);
+  /// Removes up to `max_extra` queued batchable tickets of template
+  /// `tpl_key`, in FIFO order; every other ticket stays queued in place.
+  std::vector<Ticket> drain_compatible(std::uint64_t tpl_key, int max_extra);
 
   /// Stops the queue and returns every still-queued ticket so the caller
   /// can shed them (no ticket is ever silently dropped).

@@ -49,9 +49,9 @@ long long env_number(const char* name, long long fallback) {
 }
 
 /// Resolves the env-defaulted ServeOptions knobs once, at construction
-/// (DESIGN.md §12). A 0 (or -1 for cross_batch) field means "take the
-/// environment's word"; explicit non-zero fields always win, so tests and
-/// benches can pin behaviour regardless of the ambient environment.
+/// (DESIGN.md §12). A 0 field means "take the environment's word";
+/// explicit non-zero fields always win, so tests and benches can pin
+/// behaviour regardless of the ambient environment.
 ServeOptions resolved_options(ServeOptions options) {
   if (options.max_batch == 0) {
     options.max_batch =
@@ -60,20 +60,6 @@ ServeOptions resolved_options(ServeOptions options) {
   TG_CHECK_MSG(options.max_batch >= 1,
                "TG_SERVE_MAX_BATCH / ServeOptions::max_batch must be >= 1, got "
                    << options.max_batch);
-  if (options.cross_batch < 0) {
-    options.cross_batch =
-        env_number("TG_SERVE_CROSS_BATCH", 1) != 0 ? 1 : 0;
-  }
-  if (options.max_batch_nodes == 0) {
-    options.max_batch_nodes = env_number("TG_SERVE_MAX_BATCH_NODES", 262144);
-  }
-  if (options.pack_cache == 0) {
-    options.pack_cache =
-        static_cast<int>(env_number("TG_SERVE_PACK_CACHE", 8));
-  }
-  TG_CHECK_MSG(options.pack_cache >= 1,
-               "TG_SERVE_PACK_CACHE / ServeOptions::pack_cache must be >= 1, "
-               "got " << options.pack_cache);
   if (options.max_sessions == 0) {
     options.max_sessions =
         static_cast<int>(env_number("TG_SERVE_MAX_SESSIONS", 0));
@@ -124,19 +110,19 @@ Response slack_payload(const std::vector<core::EndpointSlack>& slacks) {
   return r;
 }
 
-/// GNN payload over (g, plan) via the inference fast path: auxiliary
-/// training heads are skipped and `embedding`, the cached per-template
-/// net embedding (it is query-invariant), replaces the net-embedding
-/// stage entirely.
-Response gnn_payload(const core::TimingGnn& model, const data::DatasetGraph& g,
-                     const core::PropPlan& plan, const nn::Tensor& embedding) {
-  const nn::Tensor atslew = model.forward_atslew(g, plan, embedding);
-  std::vector<core::EndpointSlack> slacks;
-  slacks.reserve(g.endpoints.size());
-  for (int ep : g.endpoints) {
-    slacks.push_back(core::predicted_endpoint_slack(g, atslew, ep));
-  }
-  return slack_payload(slacks);
+/// GNN answer for a pristine session: a full read of the template graph
+/// from its cached net embedding (query-invariant), with the head run on
+/// the endpoint rows only.
+Response pristine_payload(const core::TimingGnn& model,
+                          const SessionTemplate& tpl,
+                          const nn::Tensor& embedding) {
+  core::ReadCache cache;
+  // A full read with an empty delta never writes cache.embedding, so the
+  // cached tensor is shared here, not copied.
+  cache.embedding = embedding;
+  model.read(tpl.g, tpl.plan, tpl.g.endpoints, data::GraphDelta{},
+             /*full=*/true, cache);
+  return slack_payload(cache.slack);
 }
 
 /// Flushes the session's pending engine work so its STA view is current.
@@ -181,7 +167,6 @@ const char* serve_tier_name(ServeTier tier) {
 
 SlackServer::SlackServer(const ServeOptions& options)
     : options_(resolved_options(options)),
-      packs_(options_.pack_cache),
       queue_(options_.queue_capacity),
       model_(model_config(options_)) {
   TG_CHECK(options_.workers >= 1);
@@ -276,7 +261,6 @@ std::future<Response> SlackServer::submit(Request req) {
       t.req.budget.count() > 0 ? t.req.budget : options_.default_budget;
   if (budget.count() > 0) t.deadline = t.enqueued + budget;
   t.tpl_key = session->tpl->key;
-  t.num_nodes = session->tpl->g.num_nodes();
   t.batchable = t.req.moves.empty() && !t.req.force_full &&
                 t.req.mode != RequestMode::kSta && session->pristine();
 
@@ -339,9 +323,6 @@ ServerStats SlackServer::stats() const {
   s.deadline_expired =
       stats_.deadline_expired.load(std::memory_order_relaxed);
   s.evicted = stats_.evicted.load(std::memory_order_relaxed);
-  s.cross_batched = stats_.cross_batched.load(std::memory_order_relaxed);
-  s.pack_hits = stats_.pack_hits.load(std::memory_order_relaxed);
-  s.pack_misses = stats_.pack_misses.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -418,8 +399,8 @@ Response SlackServer::run_full_tier(Session& session, const Ticket& t) {
     // No engine flush: a GNN read needs no STA labels (a moved session's
     // graph has none), so moves wait for the next engine answer.
     if (session.pristine()) {
-      r = gnn_payload(model_, session.tpl->g, session.tpl->plan,
-                      template_embedding(*session.tpl));
+      r = pristine_payload(model_, *session.tpl,
+                           template_embedding(*session.tpl));
     } else {
       r = session_gnn_read(session);
     }
@@ -551,27 +532,20 @@ void SlackServer::handle(Ticket ticket) {
     return;
   }
 
-  // Micro-batcher: coalesce queued compatible full-graph predictions into
-  // this pass — same-template always, cross-template when enabled (the
-  // packed forward answers the whole mix). Compatibility re-checks under
-  // each session lock at fulfill time — the submit-time flag is only a
-  // hint.
+  // Micro-batcher: coalesce queued full-graph predictions on the same
+  // template into this pass. Other templates' tickets stay queued for the
+  // other workers, so their forwards run side by side. Compatibility
+  // re-checks under each session lock at fulfill time — the submit-time
+  // flag is only a hint.
   if (ticket.batchable && session->pristine()) {
-    std::vector<Ticket> extras = queue_.drain_compatible(
-        ticket.tpl_key, options_.max_batch - 1, options_.cross_batch > 0,
-        options_.max_batch_nodes, ticket.num_nodes);
+    std::vector<Ticket> extras =
+        queue_.drain_compatible(ticket.tpl_key, options_.max_batch - 1);
     if (!extras.empty()) {
-      bool multi = false;
-      for (const Ticket& e : extras) multi |= e.tpl_key != ticket.tpl_key;
       std::vector<Ticket> batch;
       batch.reserve(extras.size() + 1);
       batch.push_back(std::move(ticket));
       for (Ticket& e : extras) batch.push_back(std::move(e));
-      if (multi) {
-        handle_packed_batch(std::move(batch));
-      } else {
-        handle_batch(session->tpl, std::move(batch));
-      }
+      handle_batch(session->tpl, std::move(batch));
       return;
     }
   }
@@ -773,7 +747,7 @@ void SlackServer::handle_batch(
                                     : CancelSource();
     const ScopedCancel ambient(source.token());
     maybe_inject_faults();
-    proto = gnn_payload(model_, tpl->g, tpl->plan, template_embedding(*tpl));
+    proto = pristine_payload(model_, *tpl, template_embedding(*tpl));
     proto->tier = ServeTier::kFull;
   } catch (...) {
     // Batch compute failed (fault or every member past deadline): fall
@@ -788,13 +762,13 @@ void SlackServer::handle_batch(
   const int n = static_cast<int>(batch.size());
   std::vector<Ticket> deferred;
   for (Ticket& t : batch) {
-    fulfill_batch_member(std::move(t), *proto, n, /*cross=*/false, deferred);
+    fulfill_batch_member(std::move(t), *proto, n, deferred);
   }
   for (Ticket& t : deferred) handle(std::move(t));
 }
 
 void SlackServer::fulfill_batch_member(Ticket&& t, const Response& proto,
-                                       int batch_size, bool cross,
+                                       int batch_size,
                                        std::vector<Ticket>& deferred) {
   const std::shared_ptr<Session> session = find_session(t.req.session);
   if (!session) {
@@ -831,107 +805,7 @@ void SlackServer::fulfill_batch_member(Ticket&& t, const Response& proto,
   session->consecutive_failures = 0;
   stats_.batched.fetch_add(1, std::memory_order_relaxed);
   TG_METRIC_COUNT("serve/batched", 1);
-  if (cross) {
-    stats_.cross_batched.fetch_add(1, std::memory_order_relaxed);
-    TG_METRIC_COUNT("serve/cross_batched", 1);
-  }
   fulfill(t, std::move(r));
-}
-
-void SlackServer::handle_packed_batch(std::vector<Ticket> batch) {
-  TG_TRACE_SCOPE("serve/packed_batch", obs::kSpanCoarse);
-
-  // Resolve each distinct template through any still-live member session;
-  // members whose session vanished are shed here and their template drops
-  // out of the pack.
-  std::vector<std::shared_ptr<const SessionTemplate>> tpls;
-  std::vector<Ticket> live;
-  live.reserve(batch.size());
-  for (Ticket& t : batch) {
-    const std::shared_ptr<Session> session = find_session(t.req.session);
-    if (!session) {
-      fulfill(t, shed_response(CancelReason::kNone, "unknown session"));
-      continue;
-    }
-    bool known = false;
-    for (const auto& tpl : tpls) known |= tpl->key == t.tpl_key;
-    if (!known) tpls.push_back(session->tpl);
-    live.push_back(std::move(t));
-  }
-  if (live.empty()) return;
-  if (tpls.size() == 1) {
-    // Shedding collapsed the mix to one template: the plain batch path is
-    // strictly cheaper than packing.
-    handle_batch(tpls.front(), std::move(live));
-    return;
-  }
-
-  TG_METRIC_COUNT("serve/batches", 1);
-
-  // One packed forward answers the whole mix. Compute under the *latest*
-  // member deadline (as in handle_batch); members past their own deadline
-  // are tagged degraded at fulfill time.
-  auto latest = std::chrono::steady_clock::time_point::min();
-  for (const Ticket& t : live) latest = std::max(latest, t.deadline);
-
-  std::shared_ptr<const PackEntry> entry;
-  std::vector<core::GraphSlackSummary> summaries;
-  try {
-    const CancelSource source = latest != kNoDeadline
-                                    ? CancelSource::with_deadline(latest)
-                                    : CancelSource();
-    const ScopedCancel ambient(source.token());
-    maybe_inject_faults();
-    bool hit = false;
-    entry = packs_.get_or_pack(tpls, model_, &hit);
-    if (hit) {
-      stats_.pack_hits.fetch_add(1, std::memory_order_relaxed);
-      TG_METRIC_COUNT("serve/pack_hits", 1);
-    } else {
-      stats_.pack_misses.fetch_add(1, std::memory_order_relaxed);
-      TG_METRIC_COUNT("serve/pack_misses", 1);
-    }
-    const nn::Tensor atslew = model_.forward_atslew(
-        entry->pack.g, entry->plan, entry->embedding);
-    summaries = core::packed_endpoint_slacks(entry->pack, atslew);
-  } catch (...) {
-    // Packed compute failed (fault or every member past deadline): fall
-    // back to the individual ladder, which owns retry/degradation.
-    for (Ticket& t : live) {
-      t.batchable = false;  // no re-batching recursion
-      handle(std::move(t));
-    }
-    return;
-  }
-
-  static obs::Histogram& pack_size = obs::histogram("serve/packed_batch_size");
-  pack_size.record(static_cast<std::uint64_t>(entry->pack.num_graphs));
-
-  // Per-template prototype answers, scattered back from the pack. Entry
-  // keys are sorted and align with the pack's part order.
-  const int n = static_cast<int>(live.size());
-  std::vector<Ticket> deferred;
-  for (Ticket& t : live) {
-    const auto it =
-        std::find(entry->keys.begin(), entry->keys.end(), t.tpl_key);
-    if (it == entry->keys.end()) {
-      // Can't happen with a consistent cache; heal via the individual
-      // ladder rather than trusting a mismatched digest.
-      t.batchable = false;
-      deferred.push_back(std::move(t));
-      continue;
-    }
-    const core::GraphSlackSummary& s =
-        summaries[static_cast<std::size_t>(it - entry->keys.begin())];
-    Response proto;
-    proto.tier = ServeTier::kFull;
-    proto.wns_setup = s.wns_setup;
-    proto.tns_setup = s.tns_setup;
-    proto.wns_hold = s.wns_hold;
-    proto.endpoint_setup = s.endpoint_setup;
-    fulfill_batch_member(std::move(t), proto, n, /*cross=*/true, deferred);
-  }
-  for (Ticket& t : deferred) handle(std::move(t));
 }
 
 }  // namespace tg::serve

@@ -83,17 +83,17 @@ class SlackServer {
   [[nodiscard]] const core::TimingGnn& model() const { return model_; }
 
   /// Cached net embedding for a pristine template (query-invariant —
-  /// computed once per template key per server, then replayed through the
-  /// forward_atslew inference path by every full-tier GNN answer). A
-  /// tape-free leaf: TimingGnn::embed records no autograd graph.
+  /// computed once per template key per server, then read by every
+  /// full-tier GNN answer on that template, and copied as the start of a
+  /// moved session's own). A tape-free leaf: TimingGnn::embed records no
+  /// autograd graph.
   [[nodiscard]] nn::Tensor template_embedding(const SessionTemplate& tpl);
 
  private:
   struct StatsCells {
     std::atomic<std::uint64_t> submitted{0}, completed{0}, ok{0},
         degraded{0}, shed{0}, batched{0}, retries{0}, faults{0},
-        quarantines{0}, cancelled{0}, deadline_expired{0}, evicted{0},
-        cross_batched{0}, pack_hits{0}, pack_misses{0};
+        quarantines{0}, cancelled{0}, deadline_expired{0}, evicted{0};
   };
 
   void worker_loop();
@@ -132,21 +132,13 @@ class SlackServer {
   /// Batched pristine-template predict: one forward answers all tickets.
   void handle_batch(const std::shared_ptr<const SessionTemplate>& tpl,
                     std::vector<Ticket> batch);
-  /// Cross-template packed predict: the batch spans >= 2 templates; one
-  /// forward over the packed super-graph (PackCache) answers everyone,
-  /// per-graph digests scattered back by template. Falls back to
-  /// handle_batch when shedding collapses the mix to one template, and to
-  /// the individual ladder when the packed compute fails.
-  void handle_packed_batch(std::vector<Ticket> batch);
-  /// Shared fulfillment of one batch member against the prototype answer
-  /// `proto` (re-validates the session under its lock; defers to the
-  /// individual ladder when the session took moves since queueing).
-  /// `cross` marks cross-template members for the stats split.
+  /// Fulfillment of one batch member against the prototype answer `proto`
+  /// (re-validates the session under its lock; defers to the individual
+  /// ladder when the session took moves since queueing).
   void fulfill_batch_member(Ticket&& t, const Response& proto, int batch_size,
-                            bool cross, std::vector<Ticket>& deferred);
+                            std::vector<Ticket>& deferred);
   ServeOptions options_;
   TemplateCache templates_;
-  PackCache packs_;
   AdmissionQueue queue_;
   core::TimingGnn model_;  ///< immutable shared weights
 

@@ -1,8 +1,5 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "gen/suite.hpp"
 #include "liberty/library_builder.hpp"
 #include "place/placer.hpp"
@@ -75,80 +72,17 @@ std::shared_ptr<const SessionTemplate> TemplateCache::get_or_build(
   tpl->sta = run_sta(*tpl->graph, tpl->routing);
   tpl->g =
       data::extract_graph(tpl->design, *tpl->graph, tpl->routing, tpl->sta);
+  if (lut_table_ == nullptr) {
+    lut_table_ = tpl->g.lut_table;
+  } else {
+    TG_CHECK_MSG(lut_table_->same_content(*tpl->g.lut_table),
+                 "template " << design << " built a different LUT table");
+    tpl->g.lut_table = lut_table_;
+  }
   tpl->plan = core::build_prop_plan(tpl->g);
 
   cache_.emplace(key, tpl);
   return tpl;
-}
-
-PackCache::PackCache(int capacity) : capacity_(capacity) {
-  TG_CHECK(capacity >= 1);
-}
-
-int PackCache::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(lru_.size());
-}
-
-std::shared_ptr<const PackEntry> PackCache::get_or_pack(
-    const std::vector<std::shared_ptr<const SessionTemplate>>& tpls,
-    const core::TimingGnn& model, bool* hit) {
-  // Canonical key: sorted distinct template keys (batch order and
-  // duplicate sessions on one template must not fragment the cache).
-  std::vector<std::shared_ptr<const SessionTemplate>> distinct(tpls);
-  std::sort(distinct.begin(), distinct.end(),
-            [](const auto& a, const auto& b) { return a->key < b->key; });
-  distinct.erase(std::unique(distinct.begin(), distinct.end(),
-                             [](const auto& a, const auto& b) {
-                               return a->key == b->key;
-                             }),
-                 distinct.end());
-  std::vector<std::uint64_t> keys;
-  keys.reserve(distinct.size());
-  for (const auto& t : distinct) keys.push_back(t->key);
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  // Exact match wins; failing that, the smallest cached *superset* pack is
-  // reused (keys are sorted, so subset-inclusion is one linear merge).
-  // Supersets appear when the tenant mix shrinks — e.g. some clients of a
-  // steady mix drain first — and reusing them trades a few extra forward
-  // rows for skipping a pack + plan + embedding rebuild, which would
-  // otherwise serialize every packed batch behind this lock.
-  auto best = lru_.end();
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if ((*it)->keys == keys) {
-      best = it;
-      break;
-    }
-    if (std::includes((*it)->keys.begin(), (*it)->keys.end(), keys.begin(),
-                      keys.end()) &&
-        (best == lru_.end() ||
-         (*it)->pack.g.num_nodes() < (*best)->pack.g.num_nodes())) {
-      best = it;
-    }
-  }
-  if (best != lru_.end()) {
-    lru_.splice(lru_.begin(), lru_, best);
-    if (hit != nullptr) *hit = true;
-    return lru_.front();
-  }
-
-  // Miss: pack + plan under the cache lock, like TemplateCache — racing
-  // workers on the same mix would otherwise duplicate the build.
-  TG_TRACE_SCOPE("serve/pack_build", obs::kSpanCoarse);
-  auto entry = std::make_shared<PackEntry>();
-  entry->keys = std::move(keys);
-  entry->templates = std::move(distinct);
-  std::vector<const data::DatasetGraph*> parts;
-  parts.reserve(entry->templates.size());
-  for (const auto& t : entry->templates) parts.push_back(&t->g);
-  entry->pack = data::pack_graphs(parts);
-  entry->plan = core::build_prop_plan(entry->pack.g);
-  entry->embedding = model.embed(entry->pack.g);
-  lru_.push_front(std::move(entry));
-  while (static_cast<int>(lru_.size()) > capacity_) lru_.pop_back();
-  if (hit != nullptr) *hit = false;
-  return lru_.front();
 }
 
 std::uint64_t StaleEntry::compute_checksum() const {

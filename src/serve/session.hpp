@@ -28,7 +28,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -36,7 +35,6 @@
 
 #include "core/timing_gnn.hpp"
 #include "data/extract.hpp"
-#include "data/graph_pack.hpp"
 #include "serve/types.hpp"
 #include "sta/incremental.hpp"
 
@@ -62,7 +60,9 @@ struct SessionTemplate {
 };
 
 /// Design-hash-keyed cache of session templates. Building is serialized
-/// per cache; lookups after the first are lock + hash only.
+/// per cache; lookups after the first are lock + hash only. Every template
+/// graph of one cache points at the first template's LutTable: they all
+/// come from one library, so the tables are byte-equal.
 class TemplateCache {
  public:
   /// Returns the cached template for (design, scale, clock_factor),
@@ -76,59 +76,13 @@ class TemplateCache {
   std::mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const SessionTemplate>>
       cache_;
+  std::shared_ptr<const data::LutTable> lut_table_;
 };
 
 /// FNV-1a design hash over (name, scale, clock factor). Stable across
 /// processes.
 [[nodiscard]] std::uint64_t design_hash(const std::string& design,
                                         double scale, double clock_factor);
-
-/// One packed cross-template batch graph: the disjoint union of the
-/// member templates' extracted graphs plus its own PropPlan, immutable
-/// after build. `keys[i]` / `templates[i]` / pack part i correspond;
-/// keys are sorted ascending and unique — the cache key.
-struct PackEntry {
-  std::vector<std::uint64_t> keys;
-  std::vector<std::shared_ptr<const SessionTemplate>> templates;
-  data::GraphPack pack;
-  core::PropPlan plan;
-  /// Net-embedding stage over the packed graph — query-invariant, so one
-  /// build serves every batch that hits this entry (the packed forward
-  /// starts at the propagation stage).
-  nn::Tensor embedding;
-};
-
-/// Small LRU cache of packed template sets: a recurring tenant mix hits
-/// one list scan instead of re-packing K graphs + re-planning. Keyed by
-/// the sorted distinct template-key set, so member order in the batch
-/// does not fragment the cache. Holding the entry keeps its templates
-/// alive even if the TemplateCache ever drops them.
-class PackCache {
- public:
-  explicit PackCache(int capacity = 8);
-
-  /// Returns the entry for `tpls`' distinct template set (order and
-  /// duplicates irrelevant), building + inserting it on miss and
-  /// LRU-evicting past capacity. An exact-key match is preferred, but a
-  /// cached *superset* pack is reused too (smallest first): the packed
-  /// forward then computes a few unused parts, which is far cheaper than
-  /// rebuilding pack + plan + embedding when a steady mix loses a tenant.
-  /// `model` computes the cached packed net embedding on a miss; `hit`
-  /// (optional) reports reuse.
-  std::shared_ptr<const PackEntry> get_or_pack(
-      const std::vector<std::shared_ptr<const SessionTemplate>>& tpls,
-      const core::TimingGnn& model, bool* hit = nullptr);
-
-  [[nodiscard]] int capacity() const { return capacity_; }
-  [[nodiscard]] int size() const;
-
- private:
-  const int capacity_;
-  mutable std::mutex mu_;
-  /// Front = most recently used. A serving mix touches a handful of
-  /// entries, so list scans beat a map + intrusive LRU here.
-  std::list<std::shared_ptr<const PackEntry>> lru_;
-};
 
 /// Checksummed last-good answer for the stale tier. The checksum covers
 /// the payload; serving verifies it so a corrupted entry (TG_FAULT_SERVE=

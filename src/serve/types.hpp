@@ -96,26 +96,10 @@ struct Response {
 struct ServeOptions {
   int workers = 2;
   int queue_capacity = 64;
-  /// Max compatible full-graph prediction requests coalesced into one
+  /// Max same-template full-graph prediction requests coalesced into one
   /// forward pass by the micro-batcher. 0 resolves TG_SERVE_MAX_BATCH at
   /// construction (default 8); must be >= 1 after resolution.
   int max_batch = 0;
-  /// Cross-template coalescing: when on, the micro-batcher also drains
-  /// batchable tickets of *other* templates and answers the mix with one
-  /// packed forward (data/graph_pack.hpp). -1 resolves
-  /// TG_SERVE_CROSS_BATCH at construction (default on); 0 disables.
-  int cross_batch = -1;
-  /// Node budget for one cross-template packed batch: the sum of the
-  /// distinct member templates' node counts may not exceed it, so one
-  /// giant design cannot starve the latency of small tenants (same-
-  /// template extras are free — they share the packed rows). 0 resolves
-  /// TG_SERVE_MAX_BATCH_NODES at construction (default 262144); < 0
-  /// after resolution means unlimited.
-  long long max_batch_nodes = 0;
-  /// LRU capacity of the pack cache (packed super-graph + plan per
-  /// recurring template-key set). 0 resolves TG_SERVE_PACK_CACHE at
-  /// construction (default 8); must be >= 1 after resolution.
-  int pack_cache = 0;
   /// Deadline applied when a request carries none. zero = unlimited.
   std::chrono::nanoseconds default_budget{0};
   /// Queue fill fractions where the entry tier drops to cone / stale.
@@ -159,11 +143,10 @@ struct ServerStats {
   std::uint64_t cancelled = 0;         ///< client-cancelled requests
   std::uint64_t deadline_expired = 0;  ///< requests that tripped a deadline
   std::uint64_t evicted = 0;           ///< sessions LRU-evicted at the cap
-  /// Requests answered via a cross-template packed batch (subset of
-  /// `batched`).
+  /// Always 0: the server no longer packs templates into one forward
+  /// (DESIGN.md §12), so no request is cross-batched and no pack is built
+  /// or reused. Kept because perfbench still reads them.
   std::uint64_t cross_batched = 0;
-  /// Pack-cache hits/misses: a miss packs + plans the template set, a hit
-  /// reuses the cached super-graph.
   std::uint64_t pack_hits = 0;
   std::uint64_t pack_misses = 0;
 };

@@ -21,6 +21,7 @@
 #include "data/graph_io.hpp"
 #include "testing/fixtures.hpp"
 #include "testing/graph_file.hpp"
+#include "util/check.hpp"
 
 namespace tg {
 namespace {

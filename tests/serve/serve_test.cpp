@@ -104,29 +104,8 @@ TEST(ServeTest, MoveRequestsServeTheConeFastPathAsOk) {
   }
 }
 
-/// Answers of one packed cross-template batch: a single worker stalls on
-/// a first request so `ids` queue behind it and drain together.
-std::vector<Response> packed_gnn_answers(SlackServer& server,
-                                         const std::vector<SessionId>& ids) {
-  fault::arm_serve_fault("slow", 1);
-  std::vector<std::future<Response>> futs;
-  for (std::size_t i = 0; i <= ids.size(); ++i) {
-    Request req;
-    req.session = ids[i == 0 ? 0 : i - 1];
-    req.mode = RequestMode::kGnn;
-    futs.push_back(server.submit(std::move(req)));
-  }
-  std::vector<Response> out;
-  for (auto& f : futs) out.push_back(f.get());
-  fault::clear_serve_fault();
-  out.erase(out.begin());  // the stalled blocker
-  return out;
-}
-
 TEST(ServeTest, SessionsAreIsolatedAndTemplateShared) {
-  ServeOptions o = small_options();
-  o.workers = 1;  // deterministic packed batches (packed_gnn_answers)
-  o.cross_batch = 1;
+  const ServeOptions o = small_options();
   SlackServer server(o);
   const SessionId a = server.open_session(kDesign, kScale);
   const SessionId b = server.open_session(kDesign, kScale);
@@ -185,28 +164,15 @@ TEST(ServeTest, SessionsAreIsolatedAndTemplateShared) {
   }
   EXPECT_NE(gnn_read(server, a).endpoint_setup, b_before.endpoint_setup);
 
-  // The pristine sibling, a session opened now, and a pack first built now
-  // (its embedding re-reads the template's node features) all answer as
-  // on a server whose sessions never moved.
+  // The pristine sibling and a session opened now both answer as on a
+  // server whose sessions never moved.
   EXPECT_EQ(gnn_read(server, b).endpoint_setup, b_before.endpoint_setup);
   const SessionId late = server.open_session(kDesign, kScale);
   EXPECT_EQ(gnn_read(server, late).endpoint_setup, b_before.endpoint_setup);
-  const SessionId c = server.open_session("zipdiv", kScale);
-  const std::vector<Response> packed = packed_gnn_answers(server, {b, c});
 
   SlackServer clean(o);
   const SessionId cb = clean.open_session(kDesign, kScale);
-  const SessionId cc = clean.open_session("zipdiv", kScale);
   EXPECT_EQ(gnn_read(clean, cb).endpoint_setup, b_before.endpoint_setup);
-  const std::vector<Response> clean_packed =
-      packed_gnn_answers(clean, {cb, cc});
-  ASSERT_EQ(packed.size(), clean_packed.size());
-  for (std::size_t i = 0; i < packed.size(); ++i) {
-    EXPECT_GT(packed[i].batch_size, 1) << "member " << i << " not batched";
-    EXPECT_EQ(packed[i].endpoint_setup, clean_packed[i].endpoint_setup)
-        << "member " << i;
-    EXPECT_EQ(packed[i].wns_setup, clean_packed[i].wns_setup);
-  }
 }
 
 TEST(ServeTest, UnknownSessionIsShed) {
@@ -317,12 +283,11 @@ TEST(ServeTest, CompatiblePredictionsCoalesceIntoOneBatch) {
   }
 }
 
-TEST(ServeTest, CrossTemplateBatchMatchesPerSessionForceFull) {
+TEST(ServeTest, InterleavedTemplatesBatchOnlyWithinATemplate) {
   ServeOptions o = small_options();
   o.workers = 1;  // deterministic: one worker, the mix forms behind it
   o.queue_capacity = 32;
   o.max_batch = 8;
-  o.cross_batch = 1;  // pin on regardless of the ambient environment
   SlackServer server(o);
   const SessionId sa = server.open_session("spm", kScale);
   const SessionId sb = server.open_session("zipdiv", kScale);
@@ -342,12 +307,13 @@ TEST(ServeTest, CrossTemplateBatchMatchesPerSessionForceFull) {
   ASSERT_EQ(rb.status, ResponseStatus::kOk);
 
   // Stall the worker on the first prediction; interleaved batchable
-  // predictions on both designs pile up behind it and must coalesce into
-  // cross-template packed batches.
+  // predictions on both designs pile up behind it. Each design's tickets
+  // may coalesce with each other, never with the other design's.
+  constexpr int kPerDesign = 3;
   fault::arm_serve_fault("slow", 1);
   std::vector<std::future<Response>> futs;
   std::vector<SessionId> owner;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 2 * kPerDesign; ++i) {
     Request req;
     req.session = (i % 2 == 0) ? sa : sb;
     owner.push_back(req.session);
@@ -357,36 +323,34 @@ TEST(ServeTest, CrossTemplateBatchMatchesPerSessionForceFull) {
   for (auto& fut : futs) rs.push_back(fut.get());
   fault::clear_serve_fault();
 
-  const ServerStats s = server.stats();
-  EXPECT_GE(s.cross_batched, 2u) << "no cross-template coalescing happened";
-  EXPECT_GE(s.pack_misses, 1u) << "packed path never built a pack";
-
-  // Every answer equals its own design's force_full reference — the
-  // packed forward is the same computation, just fused.
+  EXPECT_GE(server.stats().batched, 2u) << "no coalescing happened";
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const Response& r = rs[i];
     const Response& ref = owner[i] == sa ? ra : rb;
     ASSERT_NE(r.status, ResponseStatus::kShed);
-    ASSERT_EQ(r.endpoint_setup.size(), ref.endpoint_setup.size());
-    for (std::size_t e = 0; e < ref.endpoint_setup.size(); ++e) {
-      ASSERT_NEAR(r.endpoint_setup[e], ref.endpoint_setup[e], 1e-6)
-          << "request " << i << " endpoint " << e;
-    }
-    EXPECT_NEAR(r.wns_setup, ref.wns_setup, 1e-6);
-    EXPECT_NEAR(r.tns_setup, ref.tns_setup, 1e-6);
+    EXPECT_LE(r.batch_size, kPerDesign)
+        << "request " << i << " shared a forward with the other design";
+    EXPECT_EQ(r.endpoint_setup, ref.endpoint_setup) << "request " << i;
+    EXPECT_EQ(r.wns_setup, ref.wns_setup);
+    EXPECT_EQ(r.tns_setup, ref.tns_setup);
   }
+}
 
-  // A recurring mix hits the pack cache instead of re-packing.
-  fault::arm_serve_fault("slow", 1);
-  std::vector<std::future<Response>> again;
-  for (int i = 0; i < 4; ++i) {
-    Request req;
-    req.session = (i % 2 == 0) ? sa : sb;
-    again.push_back(server.submit(std::move(req)));
+/// All templates of one server come from one library, so their graphs
+/// share one LutTable.
+TEST(ServeTest, TemplatesOfOneServerShareOneLutTable) {
+  SlackServer server(small_options());
+  const data::LutTable* tables[2] = {nullptr, nullptr};
+  const SessionId ids[2] = {server.open_session("spm", kScale),
+                            server.open_session("zipdiv", kScale, 0.92)};
+  for (int i = 0; i < 2; ++i) {
+    server.inspect(ids[i], [&](const SessionView& v) {
+      tables[i] = v.template_graph.lut_table.get();
+    });
   }
-  for (auto& fut : again) (void)fut.get();
-  fault::clear_serve_fault();
-  EXPECT_GE(server.stats().pack_hits, 1u) << "recurring mix re-packed";
+  ASSERT_NE(tables[0], nullptr);
+  EXPECT_GT(tables[0]->num_rows(), 0);
+  EXPECT_EQ(tables[0], tables[1]);
 }
 
 /// A moved session's GNN graph shares the template graph's topology and
@@ -434,49 +398,6 @@ TEST(ServeTest, MovedSessionGraphOwnsOnlyItsValues) {
   });
 }
 
-TEST(ServeTest, PackCacheReusesSupersetForShrunkenMix) {
-  TemplateCache templates;
-  const auto ta = templates.get_or_build("spm", kScale, 0.0);
-  const auto tb = templates.get_or_build("zipdiv", kScale, 0.0);
-  const auto tc = templates.get_or_build("xtea", kScale, 0.0);
-
-  core::TimingGnnConfig cfg;
-  cfg.net.hidden = 8;
-  cfg.net.mlp_hidden = 8;
-  cfg.prop.hidden = 8;
-  cfg.prop.mlp_hidden = 8;
-  const core::TimingGnn model(cfg);
-
-  PackCache cache(4);
-  bool hit = true;
-  const auto full = cache.get_or_pack({ta, tb, tc}, model, &hit);
-  EXPECT_FALSE(hit);
-  ASSERT_EQ(full->pack.num_graphs, 3);
-
-  // A shrunken mix (one tenant drained) reuses the cached superset pack
-  // instead of rebuilding — same entry, tagged a hit.
-  const auto sub = cache.get_or_pack({tc, ta}, model, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(sub.get(), full.get());
-
-  // Order and duplicates never fragment the cache either.
-  const auto dup = cache.get_or_pack({tb, ta, tb, tc}, model, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(dup.get(), full.get());
-
-  // A mix with a template the cached packs lack is a genuine miss.
-  const auto td = templates.get_or_build("spm", kScale, 0.92);
-  const auto fresh = cache.get_or_pack({ta, td}, model, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(fresh->pack.num_graphs, 2);
-
-  // With both packs cached, the smaller superset wins for {ta}-plus-one
-  // subsets it covers.
-  const auto smallest = cache.get_or_pack({td, ta}, model, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(smallest.get(), fresh.get());
-}
-
 /// Cached embeddings outlive every request, so they must be tape-free
 /// leaves: a recorded tape would pin the whole net-embedding graph for as
 /// long as the cache entry lives.
@@ -491,52 +412,45 @@ TEST(ServeTest, CachedEmbeddingsAreTapeFreeLeaves) {
   EXPECT_FALSE(tpl_emb.requires_grad());
   EXPECT_TRUE(tpl_emb.impl()->parents.empty());
   EXPECT_FALSE(tpl_emb.impl()->backward_fn);
-
-  core::TimingGnnConfig cfg;
-  cfg.net.hidden = 8;
-  cfg.net.mlp_hidden = 8;
-  cfg.prop.hidden = 8;
-  cfg.prop.mlp_hidden = 8;
-  const core::TimingGnn model(cfg);
-  PackCache cache(2);
-  const auto entry = cache.get_or_pack(
-      {templates.get_or_build("spm", kScale, 0.0),
-       templates.get_or_build("zipdiv", kScale, 0.0)},
-      model, nullptr);
-  EXPECT_FALSE(entry->embedding.requires_grad());
-  EXPECT_TRUE(entry->embedding.impl()->parents.empty());
-  EXPECT_FALSE(entry->embedding.impl()->backward_fn);
 }
 
-TEST(ServeTest, CrossBatchDisabledKeepsTemplatesSeparate) {
-  ServeOptions o = small_options();
-  o.workers = 1;
-  o.queue_capacity = 32;
-  o.max_batch = 8;
-  o.cross_batch = 1;  // resolved field sanity below needs a pinned value
-  SlackServer on(o);
-  EXPECT_EQ(on.options().cross_batch, 1);
-
-  o.cross_batch = 0;  // the TG_SERVE_CROSS_BATCH=0 configuration
-  SlackServer server(o);
-  const SessionId sa = server.open_session("spm", kScale);
-  const SessionId sb = server.open_session("zipdiv", kScale);
-
-  fault::arm_serve_fault("slow", 1);
-  std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 6; ++i) {
-    Request req;
-    req.session = (i % 2 == 0) ? sa : sb;
-    futs.push_back(server.submit(std::move(req)));
+/// The micro-batcher's drain takes batchable tickets of the lead's
+/// template only, oldest first, at most `max_extra` of them; everything
+/// else stays queued in its original order.
+TEST(ServeTest, DrainCompatibleTakesOnlyTheSameTemplateInFifoOrder) {
+  AdmissionQueue queue(16);
+  struct Spec {
+    SessionId id;
+    std::uint64_t tpl_key;
+    bool batchable;
+  };
+  const Spec specs[] = {{1, 7, true},  {2, 9, true},  {3, 7, false},
+                        {4, 7, true},  {5, 9, true},  {6, 7, true},
+                        {7, 7, true}};
+  for (const Spec& spec : specs) {
+    Ticket t;
+    t.req.session = spec.id;
+    t.tpl_key = spec.tpl_key;
+    t.batchable = spec.batchable;
+    ASSERT_TRUE(queue.push(std::move(t)));
   }
-  for (auto& fut : futs) {
-    const Response r = fut.get();
-    EXPECT_NE(r.status, ResponseStatus::kShed);
-  }
-  fault::clear_serve_fault();
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.cross_batched, 0u) << "cross batching ran while disabled";
-  EXPECT_EQ(s.pack_misses + s.pack_hits, 0u);
+  const auto ids = [](const std::vector<Ticket>& ts) {
+    std::vector<SessionId> out;
+    for (const Ticket& t : ts) out.push_back(t.req.session);
+    return out;
+  };
+
+  EXPECT_TRUE(queue.drain_compatible(7, 0).empty());
+  EXPECT_EQ(ids(queue.drain_compatible(7, 2)),
+            (std::vector<SessionId>{1, 4}));
+  EXPECT_EQ(ids(queue.drain_compatible(7, 8)),
+            (std::vector<SessionId>{6, 7}));
+  EXPECT_TRUE(queue.drain_compatible(7, 8).empty());
+  EXPECT_EQ(ids(queue.drain_compatible(42, 8)), std::vector<SessionId>{});
+
+  std::vector<SessionId> left;
+  while (queue.size() > 0) left.push_back(queue.pop()->req.session);
+  EXPECT_EQ(left, (std::vector<SessionId>{2, 3, 5}));
 }
 
 TEST(ServeTest, MaxBatchResolvesFromOptionsAndValidates) {

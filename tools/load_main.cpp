@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
                       "spike", "fault", "seed"});
 
   // --design accepts a comma-separated list: tenants round-robin across
-  // the templates, exercising the cross-template packed batcher.
+  // the templates, so workers serve several templates at once.
   std::vector<std::string> designs;
   for (const std::string& d : split(opts.get("design", "spm"), ',')) {
     if (!d.empty()) designs.push_back(d);
@@ -336,8 +336,8 @@ int main(int argc, char** argv) {
   std::printf("  latency (shed):     p50 %.3f ms, p99 %.3f ms over %zu\n",
               percentile_ms(lat_shed, 0.50), percentile_ms(lat_shed, 0.99),
               lat_shed.size());
-  // Per-template skew: a fair cross-template batcher should keep these
-  // rows comparable; one design dominating p99 is a packing-policy smell.
+  // Per-template skew: one design dominating p99 means its forwards or
+  // its batches starve the others.
   for (std::size_t d = 0; d < designs.size(); ++d) {
     std::vector<std::int64_t>& lat = lat_by_design[d];
     std::printf("  template %-16s p50 %8.3f ms, p99 %8.3f ms over %4zu "

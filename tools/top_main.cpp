@@ -269,19 +269,6 @@ void print_serve_summary(const json::Value& root) {
               num("counters", "serve/quarantines"),
               num("counters", "serve/cancelled"),
               num("counters", "serve/deadline_expired"));
-  // Cross-design packed batching (graph packing): only printed when the
-  // run ever reached the packed path.
-  const double cross = num("counters", "serve/cross_batched");
-  const double pack_hits = num("counters", "serve/pack_hits");
-  const double pack_misses = num("counters", "serve/pack_misses");
-  if (cross + pack_hits + pack_misses > 0.0) {
-    std::printf("  %12.0f cross-batched   %6.0f pack hits   %6.0f pack "
-                "misses (%.1f%% hit)\n",
-                cross, pack_hits, pack_misses,
-                pack_hits + pack_misses > 0.0
-                    ? 100.0 * pack_hits / (pack_hits + pack_misses)
-                    : 0.0);
-  }
   if (root.contains("histograms")) {
     const json::Object& hists = root.at("histograms").as_object();
     const auto it = hists.find("serve/latency_ns");
@@ -291,14 +278,6 @@ void print_serve_summary(const json::Value& root) {
                   h.at("p50").as_number() / 1e6,
                   h.at("p90").as_number() / 1e6,
                   h.at("p99").as_number() / 1e6);
-    }
-    const auto ps = hists.find("serve/packed_batch_size");
-    if (ps != hists.end()) {
-      const json::Value& h = ps->second;
-      std::printf("  %12.0f packed batches   %.1f graphs/pack mean   "
-                  "%.0f p50   %.0f p99\n",
-                  h.at("count").as_number(), h.at("mean").as_number(),
-                  h.at("p50").as_number(), h.at("p99").as_number());
     }
   }
 }
