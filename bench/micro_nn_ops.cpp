@@ -5,6 +5,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "micro_common.hpp"
 #include "nn/kernels.hpp"
 #include "nn/module.hpp"
@@ -189,6 +194,50 @@ void BM_MlpInferRowByRow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kInferBlock);
 }
 BENCHMARK(BM_MlpInferRowByRow)->Arg(0)->Arg(1);
+
+/// What one fork costs, on a pool at nproc (at least 2 threads) with one
+/// index per thread. Arg 0 runs an empty body back to back: the caller's
+/// own cost of a fork, since it runs every chunk the sleeping workers do
+/// not reach first. Arg 1 makes every chunk wait until all threads hold
+/// one, after the caller ran 500 µs alone (about the serial stretch
+/// between two large regions of a training step), so the workers have
+/// gone back to sleep: the time until every worker is awake and working.
+/// That is what a fork must save to pay; util/parallel sizes
+/// kMinChunkWork from it. The binary's pool size is restored afterwards.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const bool rendezvous = state.range(0) != 0;
+  const int saved = num_threads();
+  const int threads =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  set_num_threads(threads);
+  const std::int64_t forked = forked_regions();
+  std::atomic<int> arrived{0};
+  for (auto _ : state) {
+    if (rendezvous) {
+      state.PauseTiming();
+      arrived.store(0);
+      const auto idle_until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(500);
+      while (std::chrono::steady_clock::now() < idle_until) {
+      }
+      state.ResumeTiming();
+    }
+    parallel_for(0, threads, Work{kMinChunkWork, 0},
+                 [&](std::int64_t b, std::int64_t e) {
+                   benchmark::DoNotOptimize(b + e);
+                   if (!rendezvous) return;
+                   arrived.fetch_add(1);
+                   while (arrived.load() < threads) {
+                   }
+                 });
+  }
+  state.counters["forked"] = benchmark::Counter(
+      static_cast<double>(forked_regions() - forked),
+      benchmark::Counter::kAvgIterations);
+  state.SetLabel("threads:" + std::to_string(threads));
+  set_num_threads(saved);
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(0)->Arg(1);
 
 /// --sweep: the two training-dominant kernels (matmul, segment_sum)
 /// across thread counts × sizes (see micro_common.hpp).

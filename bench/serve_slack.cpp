@@ -7,7 +7,8 @@
 ///   serve_move/N           sequential single-move ECO requests — the
 ///                          incremental dirty-cone fast path,
 ///   serve_mixed/N          concurrent clients (2x workers) replaying a
-///                          mixed move/predict stream under a deadline —
+///                          mixed move/predict stream (each move bounces
+///                          instance 0 between two cells) under a deadline —
 ///                          the serving p50/p99 the ladder exists to bound,
 ///   serve_mixed_designs/N  one client per template over >= 4 distinct
 ///                          designs x 3 clock corners (pure batchable
@@ -65,6 +66,25 @@ double seconds(std::chrono::nanoseconds ns) {
   return static_cast<double>(ns.count()) / 1e9;
 }
 
+/// Instance 0's cell and another cell of the same function: bouncing the
+/// instance between the two gives every move request real work.
+std::pair<int, int> bounce_cells(serve::SlackServer& server,
+                                 serve::SessionId id) {
+  int cell_a = -1, cell_b = -1;
+  server.inspect(id, [&](const serve::SessionView& v) {
+    cell_a = v.design.instance(0).cell_id;
+    cell_b = cell_a;
+    const Library& lib = v.design.library();
+    for (int c : lib.cells_of_function(lib.cell(cell_a).function)) {
+      if (c != cell_a) {
+        cell_b = c;
+        break;
+      }
+    }
+  });
+  return {cell_a, cell_b};
+}
+
 }  // namespace
 }  // namespace tg
 
@@ -118,15 +138,7 @@ int main(int argc, char** argv) {
   // instance between two same-function cells so every request has work.
   {
     const serve::SessionId eco = server.open_session(design, scale);
-    int cell_a = -1, cell_b = -1;
-    server.inspect(eco, [&](const serve::SessionView& v) {
-      cell_a = v.design.instance(0).cell_id;
-      cell_b = cell_a;
-      const Library& lib = v.design.library();
-      for (int c : lib.cells_of_function(lib.cell(cell_a).function)) {
-        if (c != cell_a) { cell_b = c; break; }
-      }
-    });
+    const auto [cell_a, cell_b] = bounce_cells(server, eco);
     std::vector<double> lat;
     lat.reserve(static_cast<std::size_t>(requests));
     for (int i = 0; i < requests; ++i) {
@@ -157,16 +169,15 @@ int main(int argc, char** argv) {
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
-        int inst_cell = -1;
-        server.inspect(ids[static_cast<std::size_t>(c)],
-                       [&](const serve::SessionView& v) {
-                         inst_cell = v.design.instance(0).cell_id;
-                       });
+        const auto [cell_a, cell_b] =
+            bounce_cells(server, ids[static_cast<std::size_t>(c)]);
         for (int i = 0; i < per_client; ++i) {
           serve::Request req;
           req.session = ids[static_cast<std::size_t>(c)];
           req.budget = std::chrono::milliseconds(500);
-          if (i % 2 == 0) req.moves.push_back({0, inst_cell});
+          // Every other request moves instance 0, to the other cell each
+          // time, as phase 2 does.
+          if (i % 2 == 0) req.moves.push_back({0, i % 4 == 0 ? cell_b : cell_a});
           got[static_cast<std::size_t>(c)].push_back(
               server.call(std::move(req)));
         }

@@ -16,8 +16,9 @@
 #          hit rate on real train steps) plus micro_nn_ops/micro_models/
 #          micro_sta --json medians vs the checked-in bench/BENCH_*.json
 #          baselines, failing on >25% regression (ci/check_bench.py),
-#          a thread-scaling guard: BM_TimingGnnTrainStep at
-#          TG_THREADS=$(nproc) must stay within 2x of the serial run, and
+#          thread-scaling guards: BM_TimingGnnTrainStep and
+#          BM_TimingGnnInfer at TG_THREADS=$(nproc) must each stay within
+#          1.2x of the serial run, and
 #          a multi-row kernel guard: a hidden-8 MLP block must run in at
 #          most 0.6x the time of the same block one row per kernel call,
 #          and an incremental-read guard: an ECO session's cone GNN read
@@ -150,22 +151,29 @@ run_bench() {
   gate eco-read-ratio python3 ci/check_bench.py --threshold=0.25 \
     --ratio=BM_EcoGnnRead/cone:BM_EcoGnnRead/full \
     "$dir/BENCH_eco_read.json"
-  # Thread-scaling guard: the train step at the machine's thread count must
-  # not run more than 2x slower than serially. Both sides run back to back,
-  # on one machine in one job, so no recorded baseline is involved.
+  # Thread-scaling guards: the train step and the fused inference step at
+  # the machine's thread count must not run more than 1.2x slower than
+  # serially (util/parallel forks only regions that pay for the fork).
+  # Both sides run back to back, on one machine in one job, so no recorded
+  # baseline is involved.
   local threads
   threads="$(nproc 2>/dev/null || echo 1)"
   if [ "$threads" -lt 2 ]; then
-    echo "bench: nproc=$threads < 2, skipping the threaded train-step guard"
+    echo "bench: nproc=$threads < 2, skipping the thread-scaling guards"
   else
-    for t in 1 "$threads"; do
-      TG_THREADS="$t" ./build-ci/bench/micro_models \
-        --benchmark_filter='^BM_TimingGnnTrainStep$' \
-        --json="$dir/BENCH_train_step_t$t.json" --benchmark_min_time=0.2 \
-        --benchmark_repetitions=3 > /dev/null
+    local bm
+    for bm in TrainStep Infer; do
+      for t in 1 "$threads"; do
+        TG_THREADS="$t" ./build-ci/bench/micro_models \
+          --benchmark_filter="^BM_TimingGnn$bm\$" \
+          --json="$dir/BENCH_${bm}_t$t.json" --benchmark_min_time=0.2 \
+          --benchmark_repetitions=3 > /dev/null
+      done
     done
-    gate train-step-threads python3 ci/check_bench.py --threshold=2.0 \
-      "$dir/BENCH_train_step_t1.json" "$dir/BENCH_train_step_t$threads.json"
+    gate train-step-threads python3 ci/check_bench.py --threshold=1.2 \
+      "$dir/BENCH_TrainStep_t1.json" "$dir/BENCH_TrainStep_t$threads.json"
+    gate infer-threads python3 ci/check_bench.py --threshold=1.2 \
+      "$dir/BENCH_Infer_t1.json" "$dir/BENCH_Infer_t$threads.json"
   fi
   if [ -n "$failed" ]; then
     for name in $failed; do echo "bench: gate failed: $name" >&2; done

@@ -53,10 +53,6 @@ std::vector<int> row_offsets(const std::vector<int>& dst_row,
   return off;
 }
 
-/// Target flops per parallel_for chunk of the fused inference step (the
-/// nn ops' row grain).
-constexpr std::int64_t kChunkFlops = 1 << 14;
-
 /// Rows the fused step pushes through one MLP pass. Large enough that each
 /// weight matrix is reused from cache across the block, small enough that
 /// the block's activations stay in cache.
@@ -333,9 +329,28 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
        lut_.infer_scratch(kBlock)});
   const std::size_t block_w = n(kBlock * (in_w + kLuts + hid)) + mlp_w;
 
+  // Work of one row of level l for util/parallel's cost model, from the
+  // level's mean fan-in: the row's MLP flops plus the floats it gathers and
+  // writes. A net arc reads its input row; a cell arc its query row, its
+  // cell MLP row and its arc's LUT table row.
   const std::int64_t net_flops = row_flops(net_prop_);
   const std::int64_t cell_flops = row_flops(lut_) + row_flops(cell_prop_);
-  const std::int64_t comb_flops = row_flops(combine_);
+  const std::int64_t net_floats = net_w + hid;
+  const std::int64_t cell_floats =
+      query_w + cell_w + data::kCellEdgeFeatureDim + hid;
+  const auto level_row_work = [&](int l, std::int64_t n_l) {
+    constexpr std::int64_t kF = sizeof(float);
+    if (l == 0) return Work{row_flops(entry_), (emb_w + hid) * kF};
+    const auto lu = static_cast<std::size_t>(l);
+    const std::int64_t net_edges = plan.net_feed[lu].dst_off.back();
+    const std::int64_t cell_edges = plan.cell_feed[lu].dst_off.back();
+    const std::int64_t rows = std::max<std::int64_t>(n_l, 1);
+    return Work{row_flops(combine_) +
+                    (net_edges * net_flops + cell_edges * cell_flops) / rows,
+                (comb_w + hid +
+                 (net_edges * net_floats + cell_edges * cell_floats) / rows) *
+                    kF};
+  };
 
   // Runs `rows` listed rows of level l (level-row indices, ascending).
   // Each maximal run of consecutive rows streams its edges, contiguous in
@@ -491,19 +506,8 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
       count = static_cast<std::int64_t>(dirty_rows.size());
       if (count == 0) continue;
     }
-    // Rows per chunk so one chunk carries ~kChunkFlops, from the level's
-    // mean fan-in and the MLP sizes.
-    std::int64_t row_work = row_flops(entry_);
-    if (l > 0) {
-      const std::int64_t net_edges = plan.net_feed[lu].dst_off.back();
-      const std::int64_t cell_edges = plan.cell_feed[lu].dst_off.back();
-      row_work = comb_flops + (net_edges * net_flops +
-                               cell_edges * cell_flops) /
-                                  std::max<std::int64_t>(n_l, 1);
-    }
-    const std::int64_t grain =
-        std::max<std::int64_t>(1, kChunkFlops / row_work);
-    parallel_for(0, count, grain, [&](std::int64_t b, std::int64_t e) {
+    const Work row_work = level_row_work(l, n_l);
+    parallel_for(0, count, row_work, [&](std::int64_t b, std::int64_t e) {
       if (dirty == nullptr) {
         run_rows(l, RowRange{b}, e - b);
       } else {

@@ -12,19 +12,21 @@ namespace tg::nn {
 
 namespace {
 
-/// Grain sizes for the parallel kernels. Chunks always own disjoint output
-/// rows/columns/elements and keep the serial per-element accumulation
-/// order, so thread count never changes results; the grains only keep
-/// small tensors on the serial fallback (`parallel_for` runs inline when
-/// the range is within one grain).
-constexpr std::int64_t kPointwiseGrain = 1 << 15;  ///< elements per chunk
-constexpr std::int64_t kRowFlops = 1 << 14;  ///< target flops per row chunk
-
-/// Rows per chunk so one chunk carries ~kRowFlops work.
-constexpr std::int64_t row_grain(std::int64_t flops_per_row) {
-  return flops_per_row <= 0 ? kRowFlops
-                            : (kRowFlops + flops_per_row - 1) / flops_per_row;
+/// Work of one index of a parallel kernel, for util/parallel's cost model:
+/// `flops` arithmetic ops over `floats` floats read or written. Chunks
+/// always own disjoint output rows/columns/elements and keep the serial
+/// per-element accumulation order, so the cost model decides only when a
+/// kernel forks, never its result.
+constexpr Work work(std::int64_t flops, std::int64_t floats) {
+  return {flops, floats * static_cast<std::int64_t>(sizeof(float))};
 }
+
+/// One element of a streaming pointwise op: one flop over two inputs and
+/// an output (or an input and a read-modify-write gradient slot).
+constexpr Work kElementWork = work(1, 3);
+
+/// One element of a pointwise op that calls exp/tanh/log1p.
+constexpr Work kTranscendentalWork = work(20, 3);
 
 /// Output tensor with *undefined* contents — for ops that overwrite every
 /// element (pointwise, matmul, gather, concat). The arena-backed Buffer
@@ -98,7 +100,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
   const std::int64_t cols = a.cols();
   if (broadcast) {
     // Row blocks: each output row adds the same [1, D] bias vector.
-    parallel_for(0, a.rows(), row_grain(cols),
+    parallel_for(0, a.rows(), work(cols, 3 * cols),
                  [&](std::int64_t rb, std::int64_t re) {
                    for (std::int64_t r = rb; r < re; ++r) {
                      kern::add(out + r * cols, ad + r * cols, bd,
@@ -107,7 +109,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
                  });
   } else {
     parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
-                 kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                 kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                    kern::add(out + lo, ad + lo, bd + lo,
                              static_cast<std::size_t>(hi - lo));
                  });
@@ -120,7 +122,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
       if (pa->requires_grad) {
         pa->ensure_grad();
         parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                     kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                     kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                        kern::add_acc(pa->grad.data() + lo,
                                      self.grad.data() + lo,
                                      static_cast<std::size_t>(hi - lo));
@@ -133,7 +135,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
           // each slot keeps the serial (row-ascending) accumulation order.
           const std::int64_t rows =
               static_cast<std::int64_t>(self.grad.size()) / cols;
-          parallel_for(0, cols, row_grain(2 * rows),
+          parallel_for(0, cols, work(rows, rows),
                        [&](std::int64_t cb, std::int64_t ce) {
                          for (std::int64_t r = 0; r < rows; ++r) {
                            kern::add_acc(pb->grad.data() + cb,
@@ -143,7 +145,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
                        });
         } else {
           parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                       kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                       kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                          kern::add_acc(pb->grad.data() + lo,
                                        self.grad.data() + lo,
                                        static_cast<std::size_t>(hi - lo));
@@ -164,7 +166,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   const float* bd = b.data().data();
   float* out = impl->data.data();
   parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
-               kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+               kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                  kern::mul(out + lo, ad + lo, bd + lo,
                            static_cast<std::size_t>(hi - lo));
                });
@@ -176,7 +178,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
       if (pa->requires_grad) {
         pa->ensure_grad();
         parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                     kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                     kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                        kern::mul_acc(pa->grad.data() + lo,
                                      self.grad.data() + lo,
                                      pb->data.data() + lo,
@@ -186,7 +188,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
       if (pb->requires_grad) {
         pb->ensure_grad();
         parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                     kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                     kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                        kern::mul_acc(pb->grad.data() + lo,
                                      self.grad.data() + lo,
                                      pa->data.data() + lo,
@@ -203,7 +205,7 @@ Tensor scale(const Tensor& a, float s) {
   const float* ad = a.data().data();
   float* out = impl->data.data();
   parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
-               kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+               kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                  kern::scale(out + lo, ad + lo, s,
                              static_cast<std::size_t>(hi - lo));
                });
@@ -213,7 +215,7 @@ Tensor scale(const Tensor& a, float s) {
     impl->backward_fn = [pa, s](TensorImpl& self) {
       pa->ensure_grad();
       parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                   kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                   kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                      kern::axpy(pa->grad.data() + lo, s,
                                 self.grad.data() + lo,
                                 static_cast<std::size_t>(hi - lo));
@@ -230,7 +232,7 @@ Tensor pointwise(const Tensor& a, Fwd fwd, Bwd dydx_from_xy) {
   auto impl = make_result(a.rows(), a.cols(), {&a});
   const float* ad = a.data().data();
   parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
-               kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+               kTranscendentalWork, [&](std::int64_t lo, std::int64_t hi) {
                  for (auto i = static_cast<std::size_t>(lo);
                       i < static_cast<std::size_t>(hi); ++i) {
                    impl->data[i] = fwd(ad[i]);
@@ -242,7 +244,7 @@ Tensor pointwise(const Tensor& a, Fwd fwd, Bwd dydx_from_xy) {
     impl->backward_fn = [pa, dydx_from_xy](TensorImpl& self) {
       pa->ensure_grad();
       parallel_for(
-          0, static_cast<std::int64_t>(self.grad.size()), kPointwiseGrain,
+          0, static_cast<std::int64_t>(self.grad.size()), kTranscendentalWork,
           [&](std::int64_t lo, std::int64_t hi) {
             for (auto i = static_cast<std::size_t>(lo);
                  i < static_cast<std::size_t>(hi); ++i) {
@@ -262,7 +264,7 @@ Tensor relu(const Tensor& a) {
   const float* ad = a.data().data();
   float* out = impl->data.data();
   parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
-               kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+               kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                  kern::relu(out + lo, ad + lo,
                             static_cast<std::size_t>(hi - lo));
                });
@@ -273,7 +275,7 @@ Tensor relu(const Tensor& a) {
       pa->ensure_grad();
       // y > 0 ⟺ x > 0 for relu, so the forward output doubles as the mask.
       parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                   kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                   kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                      kern::relu_mask_acc(pa->grad.data() + lo,
                                          self.data.data() + lo,
                                          self.grad.data() + lo,
@@ -296,7 +298,7 @@ Tensor add_relu(const Tensor& a, const Tensor& b) {
   float* out = impl->data.data();
   const std::int64_t cols = a.cols();
   if (broadcast) {
-    parallel_for(0, a.rows(), row_grain(2 * cols),
+    parallel_for(0, a.rows(), work(2 * cols, 3 * cols),
                  [&](std::int64_t rb, std::int64_t re) {
                    for (std::int64_t r = rb; r < re; ++r) {
                      kern::add_relu(out + r * cols, ad + r * cols, bd,
@@ -305,7 +307,7 @@ Tensor add_relu(const Tensor& a, const Tensor& b) {
                  });
   } else {
     parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
-                 kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                 kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                    kern::add_relu(out + lo, ad + lo, bd + lo,
                                   static_cast<std::size_t>(hi - lo));
                  });
@@ -320,7 +322,7 @@ Tensor add_relu(const Tensor& a, const Tensor& b) {
       if (pa->requires_grad) {
         pa->ensure_grad();
         parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                     kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                     kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                        kern::relu_mask_acc(pa->grad.data() + lo, y + lo,
                                            g + lo,
                                            static_cast<std::size_t>(hi - lo));
@@ -331,7 +333,7 @@ Tensor add_relu(const Tensor& a, const Tensor& b) {
         if (broadcast) {
           const std::int64_t rows =
               static_cast<std::int64_t>(self.grad.size()) / cols;
-          parallel_for(0, cols, row_grain(2 * rows),
+          parallel_for(0, cols, work(2 * rows, 2 * rows),
                        [&](std::int64_t cb, std::int64_t ce) {
                          for (std::int64_t r = 0; r < rows; ++r) {
                            kern::relu_mask_acc(pb->grad.data() + cb,
@@ -342,7 +344,7 @@ Tensor add_relu(const Tensor& a, const Tensor& b) {
                        });
         } else {
           parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                       kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                       kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                          kern::relu_mask_acc(
                              pb->grad.data() + lo, y + lo, g + lo,
                              static_cast<std::size_t>(hi - lo));
@@ -369,7 +371,7 @@ Tensor mul_sigmoid(const Tensor& a, const Tensor& b) {
   }
   float* sp = sig ? sig->data() : nullptr;
   parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
-               kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+               kTranscendentalWork, [&](std::int64_t lo, std::int64_t hi) {
                  for (auto i = static_cast<std::size_t>(lo);
                       i < static_cast<std::size_t>(hi); ++i) {
                    const float s = 1.0f / (1.0f + std::exp(-bd[i]));
@@ -386,7 +388,7 @@ Tensor mul_sigmoid(const Tensor& a, const Tensor& b) {
       if (pa->requires_grad) {
         pa->ensure_grad();
         parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                     kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                     kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                        kern::mul_acc(pa->grad.data() + lo, g + lo,
                                      sig->data() + lo,
                                      static_cast<std::size_t>(hi - lo));
@@ -395,7 +397,7 @@ Tensor mul_sigmoid(const Tensor& a, const Tensor& b) {
       if (pb->requires_grad) {
         pb->ensure_grad();
         parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                     kPointwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+                     kElementWork, [&](std::int64_t lo, std::int64_t hi) {
                        for (auto i = static_cast<std::size_t>(lo);
                             i < static_cast<std::size_t>(hi); ++i) {
                          const float s = (*sig)[i];
@@ -449,7 +451,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   // multi-row kernel; every output element accumulates its k terms in
   // ascending-kk order in every backend, so results match the serial
   // portable run bit for bit.
-  parallel_for(0, n, row_grain(2 * k * m),
+  parallel_for(0, n, work(2 * k * m, k + m),
                [&](std::int64_t ib, std::int64_t ie) {
                  kern::matmul_rows(out + ib * m, ad + ib * k, bd,
                                    static_cast<std::size_t>(ie - ib),
@@ -470,7 +472,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
         // one blocked-reduction dot (kernels.hpp contract), computed a
         // whole row at a time so B's rows stream through four shared
         // accumulator chains.
-        parallel_for(0, n, row_grain(2 * k * m),
+        parallel_for(0, n, work(2 * k * m, 2 * k + m),
                      [&](std::int64_t ib, std::int64_t ie) {
                        for (std::int64_t i = ib; i < ie; ++i) {
                          kern::matmul_nt_row(pa->grad.data() + i * k,
@@ -488,7 +490,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
         // full-width dB rows, every element in ascending-i (serial) order
         // inside its one owning chunk. Slicing rows rather than columns
         // keeps the kernel's SIMD width at m however small the chunks get.
-        parallel_for(0, k, row_grain(2 * n * m), [&](std::int64_t kb,
+        parallel_for(0, k, work(2 * n * m, n + m), [&](std::int64_t kb,
                                                      std::int64_t ke) {
           kern::atb_acc(pb->grad.data() + kb * m, pa->data.data() + kb, g,
                         static_cast<std::size_t>(n),
@@ -604,7 +606,7 @@ Tensor gather_rows(const Tensor& a, SharedIndex idx_handle) {
   const int* ix = idx->data();
   const float* ad = a.data().data();
   parallel_for(
-      0, static_cast<std::int64_t>(idx->size()), row_grain(cols),
+      0, static_cast<std::int64_t>(idx->size()), work(0, 2 * cols),
       [&](std::int64_t ib, std::int64_t ie) {
         for (std::int64_t i = ib; i < ie; ++i) {
           TG_DCHECK(ix[i] >= 0 && ix[i] < a.rows());
@@ -623,7 +625,7 @@ Tensor gather_rows(const Tensor& a, SharedIndex idx_handle) {
       // ascending-i accumulation order of the serial loop.
       const auto n = static_cast<std::int64_t>(idx->size());
       const int* gix = idx->data();
-      parallel_for(0, cols, row_grain(2 * n), [&](std::int64_t cb,
+      parallel_for(0, cols, work(n, 3 * n), [&](std::int64_t cb,
                                                   std::int64_t ce) {
         for (std::int64_t i = 0; i < n; ++i) {
           kern::add_acc(pa->grad.data() +
@@ -697,7 +699,7 @@ Tensor segment_sum(const Tensor& a, SharedIndex seg_handle, std::int64_t num_seg
   const int* sg = seg->data();
   const float* ad = a.data().data();
   // Scatter by segment: rows collide, columns never do — slice columns.
-  parallel_for(0, cols, row_grain(2 * n), [&](std::int64_t cb,
+  parallel_for(0, cols, work(n, 3 * n), [&](std::int64_t cb,
                                               std::int64_t ce) {
     for (std::int64_t i = 0; i < n; ++i) {
       TG_DCHECK(sg[i] >= 0 && sg[i] < num_segments);
@@ -714,7 +716,7 @@ Tensor segment_sum(const Tensor& a, SharedIndex seg_handle, std::int64_t num_seg
       const int* sgp = seg->data();
       // Gather: each input row is written by exactly one chunk.
       parallel_for(
-          0, static_cast<std::int64_t>(seg->size()), row_grain(cols),
+          0, static_cast<std::int64_t>(seg->size()), work(cols, 3 * cols),
           [&](std::int64_t ib, std::int64_t ie) {
             for (std::int64_t i = ib; i < ie; ++i) {
               kern::add_acc(pa->grad.data() + i * cols,
@@ -756,7 +758,7 @@ Tensor segment_max(const Tensor& a, SharedIndex seg_handle, std::int64_t num_seg
     // segment's first row always wins (empty segments keep the zero
     // fill); later rows win only when strictly greater, so ties keep the
     // first row.
-    parallel_for(0, cols, row_grain(2 * n), [&](std::int64_t cb,
+    parallel_for(0, cols, work(n, 3 * n), [&](std::int64_t cb,
                                                 std::int64_t ce) {
       std::vector<unsigned char> seen(static_cast<std::size_t>(num_segments),
                                       0);
@@ -810,7 +812,7 @@ Tensor spmm(std::vector<int> src, std::vector<int> dst, std::vector<float> w,
     const float* wp = w.data();
     const float* xd = x.data().data();
     // Edge scatter: both endpoints repeat across edges, so slice columns.
-    parallel_for(0, cols, row_grain(2 * ne), [&](std::int64_t cb,
+    parallel_for(0, cols, work(2 * ne, 3 * ne), [&](std::int64_t cb,
                                                  std::int64_t ce) {
       for (std::int64_t k = 0; k < ne; ++k) {
         TG_DCHECK(sp[k] >= 0 && sp[k] < x.rows());
@@ -831,7 +833,7 @@ Tensor spmm(std::vector<int> src, std::vector<int> dst, std::vector<float> w,
     impl->backward_fn = [px, ps, pd, pw, cols](TensorImpl& self) {
       px->ensure_grad();
       const auto ne = static_cast<std::int64_t>(ps->size());
-      parallel_for(0, cols, row_grain(2 * ne), [&](std::int64_t cb,
+      parallel_for(0, cols, work(2 * ne, 3 * ne), [&](std::int64_t cb,
                                                    std::int64_t ce) {
         for (std::int64_t k = 0; k < ne; ++k) {
           const auto ku = static_cast<std::size_t>(k);
@@ -926,7 +928,7 @@ Tensor spmm_csr(const SpmmCsr& plan, const Tensor& x) {
       plan.out_rows > 0
           ? static_cast<std::int64_t>(plan.col->size()) / plan.out_rows + 1
           : 1;
-  parallel_for(0, plan.out_rows, row_grain(2 * avg_deg * cols),
+  parallel_for(0, plan.out_rows, work(2 * avg_deg * cols, (avg_deg + 1) * cols),
                [&](std::int64_t rb, std::int64_t re) {
                  for (std::int64_t r = rb; r < re; ++r) {
                    float* orow = impl->data.data() + r * cols;
@@ -958,7 +960,7 @@ Tensor spmm_csr(const SpmmCsr& plan, const Tensor& x) {
           in_rows > 0
               ? static_cast<std::int64_t>(t_col->size()) / in_rows + 1
               : 1;
-      parallel_for(0, in_rows, row_grain(2 * t_avg_deg * cols),
+      parallel_for(0, in_rows, work(2 * t_avg_deg * cols, (t_avg_deg + 1) * cols),
                    [&](std::int64_t rb, std::int64_t re) {
                      for (std::int64_t r = rb; r < re; ++r) {
                        float* drow = px->grad.data() + r * cols;

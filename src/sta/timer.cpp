@@ -18,10 +18,20 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Pins per parallel_for chunk in the level sweeps. One pin costs a few
-/// NLDM lookups, so small grains amortize fine; the value only bounds
-/// scheduling overhead, never results (chunks own disjoint pins).
-constexpr std::int64_t kLevelGrain = 16;
+/// Work of one pin in the level sweeps, for util/parallel's cost model.
+/// A cell output pin runs two NLDM lookups (a bracket search plus a
+/// bilinear blend) per incoming arc, corner and input transition; a net
+/// sink takes a square root per corner. Averaged over aes256 at 1/16 that
+/// is ~280 ns a pin forward and ~65 ns backward at one thread, stated here
+/// at the ~30 work units per ns the nn kernels run at. Chunks own disjoint
+/// pins, so these decide when a level forks, never its result.
+constexpr Work kForwardPinWork{4096, 4096};
+constexpr Work kRequiredPinWork{1024, 1024};
+
+/// Work of one pin in the per-pin fill and slack loops: a few per-corner
+/// rows of doubles read and written, and an endpoint's required time
+/// (~17 ns a pin on the same design).
+constexpr Work kPinRowWork{256, 3 * sizeof(PerCorner)};
 
 /// Input transitions permitted by an arc's sense for a given output
 /// transition.
@@ -207,7 +217,7 @@ void compute_required(const TimingGraph& graph, const StaOptions& options,
   const Design& d = graph.design();
   const int n = d.num_pins();
 
-  parallel_for(0, n, 256, [&](std::int64_t pb, std::int64_t pe) {
+  parallel_for(0, n, kPinRowWork, [&](std::int64_t pb, std::int64_t pe) {
     for (PinId p = static_cast<PinId>(pb); p < pe; ++p) {
       for (int c = 0; c < kNumCorners; ++c) {
         const bool late = corner_mode(c) == Mode::kLate;
@@ -228,7 +238,7 @@ void compute_required(const TimingGraph& graph, const StaOptions& options,
     const std::span<const PinId> level = graph.level_pins(l);
     TG_TRACE_SCOPE("sta/backward/level", obs::kSpanDetail);
     TG_METRIC_COUNT("sta/pins_relaxed", level.size());
-    parallel_for(0, static_cast<std::int64_t>(level.size()), kLevelGrain,
+    parallel_for(0, static_cast<std::int64_t>(level.size()), kRequiredPinWork,
                  [&](std::int64_t b, std::int64_t e) {
                    for (std::int64_t i = b; i < e; ++i) {
                      relax_required_pin(graph, r,
@@ -239,7 +249,7 @@ void compute_required(const TimingGraph& graph, const StaOptions& options,
 
   // Slack (per-pin, parallel) then the serial endpoint summary so WNS/TNS
   // accumulate in pin order regardless of thread count.
-  parallel_for(0, n, 256, [&](std::int64_t pb, std::int64_t pe) {
+  parallel_for(0, n, kPinRowWork, [&](std::int64_t pb, std::int64_t pe) {
     for (PinId p = static_cast<PinId>(pb); p < pe; ++p) {
       for (int c = 0; c < kNumCorners; ++c) {
         const bool late = corner_mode(c) == Mode::kLate;
@@ -304,7 +314,7 @@ StaResult run_sta(const TimingGraph& graph, const DesignRouting& routing,
       const std::span<const PinId> level = graph.level_pins(l);
       TG_TRACE_SCOPE("sta/forward/level", obs::kSpanDetail);
       TG_METRIC_COUNT("sta/pins_propagated", level.size());
-      parallel_for(0, static_cast<std::int64_t>(level.size()), kLevelGrain,
+      parallel_for(0, static_cast<std::int64_t>(level.size()), kForwardPinWork,
                    [&](std::int64_t b, std::int64_t e) {
                      for (std::int64_t i = b; i < e; ++i) {
                        sta_detail::propagate_pin(

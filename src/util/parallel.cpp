@@ -1,9 +1,9 @@
 #include "util/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -18,9 +18,47 @@ namespace tg {
 
 namespace {
 
+/// One forked region. It lives on the caller's stack: the caller withdraws
+/// the helper slots no worker took and waits only for the helpers that did
+/// join, so no worker can touch it after `ThreadPool::run` returns.
+struct Job {
+  parallel_detail::ChunkCall call = nullptr;
+  void* ctx = nullptr;
+  std::int64_t begin = 0;
+  std::int64_t n = 0;
+  int nchunks = 0;
+  std::atomic<int> next{0};
+
+  int wanted = 0;  ///< helper slots not yet taken (pool mutex)
+  int active = 0;  ///< helpers inside run_chunks (pool mutex)
+  std::condition_variable idle;  ///< signalled when `active` drops to 0
+
+  std::mutex error_mu;
+  std::exception_ptr error;  ///< first failure, guarded by error_mu
+
+  /// Claims and runs chunks until none remain. Chunk c covers
+  /// [n*c/nchunks, n*(c+1)/nchunks), so every chunk holds at least
+  /// floor(n/nchunks) indices.
+  void run_chunks() {
+    int c;
+    while ((c = next.fetch_add(1, std::memory_order_relaxed)) < nchunks) {
+      const std::int64_t b = begin + n * c / nchunks;
+      const std::int64_t e = begin + n * (c + 1) / nchunks;
+      try {
+        call(ctx, b, e);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+      }
+    }
+  }
+};
+
 /// Fixed-size worker pool. The pool owns `size - 1` threads: the thread
 /// that enters a parallel region is always the size-th executor, so nested
-/// parallel regions and a pool of size 1 need no special casing.
+/// parallel regions and a pool of size 1 need no special casing. Open
+/// regions sit in one list; an idle worker joins the newest, which under
+/// nesting is the innermost one.
 class ThreadPool {
  public:
   explicit ThreadPool(int size) : size_(size) {
@@ -37,7 +75,7 @@ class ThreadPool {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
     }
-    cv_.notify_all();
+    work_cv_.notify_all();
     for (std::thread& w : workers_) w.join();
   }
 
@@ -46,34 +84,46 @@ class ThreadPool {
 
   [[nodiscard]] int size() const { return size_; }
 
-  void submit(std::function<void()> task) {
+  /// Offers `helpers` worker slots on `job`, runs chunks on the calling
+  /// thread, then waits for the helpers that joined.
+  void run(Job& job, int helpers) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(task));
+      job.wanted = helpers;
+      open_.push_back(&job);
     }
-    cv_.notify_one();
+    if (helpers + 1 >= size_) {
+      work_cv_.notify_all();
+    } else {
+      for (int h = 0; h < helpers; ++h) work_cv_.notify_one();
+    }
+    job.run_chunks();
+    std::unique_lock<std::mutex> lock(mu_);
+    if (job.wanted > 0) std::erase(open_, &job);
+    job.idle.wait(lock, [&] { return job.active == 0; });
   }
 
  private:
   void worker_loop() {
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stop_ && drained
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      task();
+      work_cv_.wait(lock, [this] { return stop_ || !open_.empty(); });
+      if (open_.empty()) return;  // stop_ and nothing left to join
+      Job* job = open_.back();
+      if (--job->wanted == 0) open_.pop_back();
+      ++job->active;
+      lock.unlock();
+      job->run_chunks();
+      lock.lock();
+      if (--job->active == 0) job->idle.notify_one();
     }
   }
 
   const int size_;
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  std::vector<Job*> open_;  ///< regions with helper slots left (mu_)
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable work_cv_;
   bool stop_ = false;
 };
 
@@ -100,41 +150,7 @@ ThreadPool& global_pool() {
   return *g_pool;
 }
 
-/// Shared state of one parallel_for call. Heap-allocated and owned by
-/// every helper task, so a worker that claims no chunk can still touch it
-/// safely after the caller returned.
-struct ForState {
-  std::int64_t begin = 0;
-  std::int64_t chunk = 1;  ///< indices per chunk (last chunk may be short)
-  std::int64_t end = 0;
-  int nchunks = 0;
-  parallel_detail::ChunkFn fn;
-
-  std::atomic<int> next{0};
-  std::atomic<int> completed{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  std::exception_ptr error;  // first failure, guarded by mu
-
-  /// Claims and runs chunks until none remain.
-  void run_chunks() {
-    int c;
-    while ((c = next.fetch_add(1, std::memory_order_relaxed)) < nchunks) {
-      const std::int64_t b = begin + static_cast<std::int64_t>(c) * chunk;
-      const std::int64_t e = std::min(end, b + chunk);
-      try {
-        fn(b, e);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!error) error = std::current_exception();
-      }
-      if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 == nchunks) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    }
-  }
-};
+std::atomic<std::int64_t> g_forked{0};
 
 }  // namespace
 
@@ -157,6 +173,10 @@ void set_num_threads(int threads) {
   g_pool.reset();  // re-created lazily at the new size
 }
 
+std::int64_t forked_regions() {
+  return g_forked.load(std::memory_order_relaxed);
+}
+
 int configure_threads(const CliOptions& options) {
   if (options.has("threads")) {
     set_num_threads(static_cast<int>(options.get_int("threads", 1)));
@@ -166,59 +186,53 @@ int configure_threads(const CliOptions& options) {
 
 namespace parallel_detail {
 
-void parallel_for_impl(std::int64_t begin, std::int64_t end,
-                       std::int64_t grain, const ChunkFn& fn) {
+void fork(std::int64_t begin, std::int64_t end, std::int64_t grain,
+          ChunkCall call, void* ctx) {
   const std::int64_t n = end - begin;
-  TG_DCHECK(n > grain && grain >= 1);
+  TG_DCHECK(grain >= 1 && n >= 2 * grain);
   ThreadPool& pool = global_pool();
+  g_forked.fetch_add(1, std::memory_order_relaxed);
 
-  auto state = std::make_shared<ForState>();
-  // Oversplit a little (4 chunks per thread) for load balance; chunks
-  // never shrink below the grain.
-  const std::int64_t max_chunks =
-      std::min<std::int64_t>(n / grain, static_cast<std::int64_t>(pool.size()) * 4);
-  state->nchunks = static_cast<int>(std::max<std::int64_t>(1, max_chunks));
-  state->begin = begin;
-  state->end = end;
-  state->chunk = (n + state->nchunks - 1) / state->nchunks;
-  // Integer rounding can make the last chunk(s) empty; trim them.
-  state->nchunks =
-      static_cast<int>((n + state->chunk - 1) / state->chunk);
-  state->fn = fn;
-
-  const int helpers =
-      std::min(pool.size() - 1, state->nchunks - 1);
-  for (int h = 0; h < helpers; ++h) {
-    pool.submit([state] { state->run_chunks(); });
-  }
-  state->run_chunks();
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] {
-    return state->completed.load(std::memory_order_acquire) == state->nchunks;
-  });
-  if (state->error) std::rethrow_exception(state->error);
-}
-
-void parallel_invoke_impl(const std::function<void()>* tasks,
-                          std::size_t count) {
-  if (count == 0) return;
-  parallel_for(0, static_cast<std::int64_t>(count), 1,
-               [tasks](std::int64_t b, std::int64_t e) {
-                 for (std::int64_t i = b; i < e; ++i) {
-                   tasks[static_cast<std::size_t>(i)]();
-                 }
-               });
+  Job job;
+  job.call = call;
+  job.ctx = ctx;
+  job.begin = begin;
+  job.n = n;
+  // Oversplit a little (4 chunks per thread) for load balance; no chunk
+  // falls below the grain.
+  job.nchunks = static_cast<int>(std::min<std::int64_t>(
+      n / grain, static_cast<std::int64_t>(pool.size()) * 4));
+  pool.run(job, std::min(pool.size() - 1, job.nchunks - 1));
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 }  // namespace parallel_detail
 
+namespace {
+
+void invoke_all(const std::function<void()>* tasks, std::size_t count) {
+  const auto n = static_cast<std::int64_t>(count);
+  if (num_threads() <= 1 || n < 2) {
+    for (std::size_t i = 0; i < count; ++i) tasks[i]();
+    return;
+  }
+  parallel_detail::fork(
+      0, n, 1,
+      [](void* ctx, std::int64_t b, std::int64_t e) {
+        const auto* t = static_cast<const std::function<void()>*>(ctx);
+        for (std::int64_t i = b; i < e; ++i) t[i]();
+      },
+      const_cast<std::function<void()>*>(tasks));
+}
+
+}  // namespace
+
 void parallel_invoke(std::initializer_list<std::function<void()>> tasks) {
-  parallel_detail::parallel_invoke_impl(tasks.begin(), tasks.size());
+  invoke_all(tasks.begin(), tasks.size());
 }
 
 void parallel_invoke(const std::vector<std::function<void()>>& tasks) {
-  parallel_detail::parallel_invoke_impl(tasks.data(), tasks.size());
+  invoke_all(tasks.data(), tasks.size());
 }
 
 }  // namespace tg

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "core/test_fixture.hpp"
+#include "gen/suite.hpp"
 #include "util/parallel.hpp"
 
 namespace tg::core {
@@ -147,10 +148,17 @@ void expect_tensor_bits_equal(const nn::Tensor& a, const nn::Tensor& b,
 }
 
 /// The taped level walk (training's forward and backward) must give
-/// bit-identical values AND gradients at 1 and 8 threads.
+/// bit-identical values AND gradients at 1 and 8 threads. aes256 at 1/4
+/// has levels wide enough (thousands of cell arcs) for the per-level ops
+/// to split, which the 1/32 fixture designs do not.
 TEST(DelayProp, TapedWalkBitIdenticalForwardAndBackwardAcrossThreadCounts) {
   const int saved_threads = num_threads();
-  const auto& g = testing::train_graph();
+  data::DatasetOptions options;
+  options.scale = 1.0 / 4;
+  options.truth_routing.mode = RouteMode::kSteiner;  // the maze router is slow
+  const data::DatasetGraph g = data::build_design_graph(
+      suite_entry("aes256", options.scale), testing::tiny_library(),
+      options);
   const PropPlan plan = build_prop_plan(g);
 
   auto run = [&](int threads) {
@@ -177,7 +185,9 @@ TEST(DelayProp, TapedWalkBitIdenticalForwardAndBackwardAcrossThreadCounts) {
   };
 
   const auto serial = run(1);
+  const std::int64_t forked = forked_regions();
   const auto parallel = run(8);
+  EXPECT_GT(forked_regions(), forked) << "the 8-thread walk never forked";
   set_num_threads(saved_threads);
 
   expect_tensor_bits_equal(serial.out.state, parallel.out.state, "state");

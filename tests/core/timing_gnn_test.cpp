@@ -152,9 +152,9 @@ TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
 
 /// The fused inference step (forward_atslew) against the taped op-chain
 /// walk (forward().atslew), bit for bit, across every axis that could
-/// perturb either: plain and packed graphs, 1 and 4 threads, dispatched
-/// and portable kernels, and the 1-hidden-layer test model and the serving
-/// shape. The graphs include levels
+/// perturb either: plain and packed graphs, 1 and 4 threads (the 4-thread
+/// walk must split a level), dispatched and portable kernels, and the
+/// 1-hidden-layer test model and the serving shape. The graphs include levels
 /// whose net feed or cell feed is empty, and levels wide enough to span
 /// several of the fused step's MLP blocks.
 TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
@@ -167,9 +167,20 @@ TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
   const data::GraphPack pack = data::pack_graphs(
       {&testing::train_graph(), &testing::test_graph(), &xtea});
   ASSERT_EQ(pack.num_graphs, 3);
+  // aes256 at 1/16: levels of up to ~1900 rows, wide enough for the
+  // 4-thread fused walk to split them.
+  data::DatasetOptions wide_options = options;
+  wide_options.scale = 1.0 / 16;
+  wide_options.truth_routing.mode = RouteMode::kSteiner;
+  const data::DatasetGraph aes = data::build_design_graph(
+      suite_entry("aes256", wide_options.scale), testing::tiny_library(),
+      wide_options);
 
   const std::pair<const char*, const data::DatasetGraph*> graphs[] = {
-      {"train_graph", &testing::train_graph()}, {"pack3", &pack.g}};
+      {"train_graph", &testing::train_graph()},
+      {"pack3", &pack.g},
+      {"aes256", &aes}};
+  std::int64_t fused_forks = 0;
   for (const auto& [graph_name, gp] : graphs) {
     const data::DatasetGraph& g = *gp;
     const PropPlan plan = build_prop_plan(g);
@@ -195,7 +206,9 @@ TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
         for (const int threads : {1, 4}) {
           set_num_threads(threads);
           const nn::Tensor emb = model.embed(g);
+          const std::int64_t forked = forked_regions();
           const nn::Tensor fused = model.forward_atslew(g, plan, emb);
+          if (threads > 1) fused_forks += forked_regions() - forked;
           const nn::Tensor chain = model.forward(g, plan).atslew;
           EXPECT_EQ(first_bit_mismatch(fused, chain), "")
               << graph_name << (serving ? " serving" : " tiny")
@@ -207,6 +220,7 @@ TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
   }
   nn::kern::set_force_portable(false);
   set_num_threads(saved_threads);
+  EXPECT_GT(fused_forks, 0) << "no 4-thread fused walk split a level";
 }
 
 /// Serve deadlines reach propagation through the level-boundary

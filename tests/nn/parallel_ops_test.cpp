@@ -44,8 +44,9 @@ class ParallelOpsTest : public ::testing::Test {
 };
 
 /// Runs matmul forward + both backward products and returns
-/// {out, dA, dB} flattened. Sizes chosen above row_grain so the 8-thread
-/// run actually splits rows of the output/dA and rows of dB.
+/// {out, dA, dB} flattened. Sized so each of the three products carries
+/// several minimum chunks of work, so the 8-thread run really splits rows
+/// of the output/dA and rows of dB (the test checks it forked).
 struct MatmulRun {
   std::vector<float> out, da, db;
 };
@@ -61,21 +62,23 @@ MatmulRun run_matmul(int threads) {
 
 TEST_F(ParallelOpsTest, MatmulForwardAndGradBitIdentical) {
   const MatmulRun serial = run_matmul(1);
+  const std::int64_t forked = forked_regions();
   const MatmulRun parallel = run_matmul(8);
+  EXPECT_GE(forked_regions() - forked, 3) << "forward, dA and dB each fork";
   expect_bits_equal(serial.out, parallel.out, "matmul forward");
   expect_bits_equal(serial.da, parallel.da, "matmul dA");
   expect_bits_equal(serial.db, parallel.db, "matmul dB");
 }
 
-/// Training-shaped narrow products (the hidden-16 MLP layers): thousands
-/// of rows, k and m far below the row grain, so the dB split runs one
-/// chunk per dB row. A random upstream gradient and runs of six all-zero
+/// Training-shaped narrow products (the hidden-16 MLP layers): ~100k rows,
+/// k and m tiny, so the forward and dA split into row blocks and, for
+/// k >= 16, dB into chunks of two or three dB rows. A random upstream gradient and runs of six all-zero
 /// A rows (dead ReLU units) exercise both the kernel's all-zero 4-row
 /// block skip and zero rows inside live blocks.
 MatmulRun run_narrow_matmul(int threads, std::int64_t k, std::int64_t m) {
   set_num_threads(threads);
   Rng rng(static_cast<std::uint64_t>(k * 100 + m));
-  const std::int64_t n = 4099;
+  const std::int64_t n = 24 * 4096 + 3;
   std::vector<float> av(static_cast<std::size_t>(n * k));
   for (float& x : av) x = static_cast<float>(rng.normal());
   for (std::int64_t i = 0; i < n; ++i) {
@@ -96,7 +99,9 @@ TEST_F(ParallelOpsTest, NarrowMatmulGradBitIdenticalAcrossThreadCounts) {
       const MatmulRun serial = run_narrow_matmul(1, k, m);
       for (int threads : {2, 4, 8}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
+        const std::int64_t forked = forked_regions();
         const MatmulRun parallel = run_narrow_matmul(threads, k, m);
+        EXPECT_GT(forked_regions(), forked) << "the run never forked";
         expect_bits_equal(serial.out, parallel.out, "narrow matmul forward");
         expect_bits_equal(serial.da, parallel.da, "narrow matmul dA");
         expect_bits_equal(serial.db, parallel.db, "narrow matmul dB");
@@ -124,7 +129,9 @@ SegmentRun run_segment_sum(int threads) {
 
 TEST_F(ParallelOpsTest, SegmentSumForwardAndGradBitIdentical) {
   const SegmentRun serial = run_segment_sum(1);
+  const std::int64_t forked = forked_regions();
   const SegmentRun parallel = run_segment_sum(8);
+  EXPECT_GE(forked_regions() - forked, 2) << "forward and dX each fork";
   expect_bits_equal(serial.out, parallel.out, "segment_sum forward");
   expect_bits_equal(serial.dx, parallel.dx, "segment_sum dX");
 }

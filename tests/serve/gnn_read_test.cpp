@@ -165,7 +165,8 @@ void run_stream(const char* design, std::uint64_t seed, int moves,
   EXPECT_GE(reads, 2);
 }
 
-/// Runs `body` at one thread and at the machine's thread count.
+/// Runs `body` at one thread and at the machine's thread count (at least
+/// 2), and checks the wide run really forked.
 template <typename Body>
 void at_thread_counts(Body&& body) {
   const int before = num_threads();
@@ -173,7 +174,11 @@ void at_thread_counts(Body&& body) {
   for (const int t : {1, wide}) {
     set_num_threads(t);
     SCOPED_TRACE(testing::Message() << "threads " << t);
+    const std::int64_t forked = forked_regions();
     body();
+    if (t > 1) {
+      EXPECT_GT(forked_regions(), forked) << "the wide run never forked";
+    }
   }
   set_num_threads(before);
 }
@@ -184,13 +189,16 @@ TEST(GnnReadTest, IncrementalReadsBitEqualFreshReadAcrossResizeStreams) {
       run_stream("spm", seed, 24, 3);
     }
     run_stream("zipdiv", 4, 16, 4);
+    // The only stream whose full reads are wide enough to fork.
+    run_stream("aes256", 5, 8, 4);
   });
 }
 
 TEST(GnnReadTest, ReadWithoutMovesRepropagatesNothing) {
   at_thread_counts([] {
     SlackServer server(read_options());
-    const SessionId id = server.open_session("spm", kScale);
+    // aes256: a suite design whose widest levels carry enough work to fork.
+    const SessionId id = server.open_session("aes256", kScale);
     const std::vector<Choice> choices = resize_choices(server, id);
     ASSERT_GE(choices.size(), 2u);
     const Choice& c = choices[1];

@@ -37,7 +37,9 @@ class AsyncTsanTest : public ::testing::Test {
 
 TEST_F(AsyncTsanTest, ConcurrentSweepsShareOneGraphSafely) {
   const Library lib = build_library();
-  const SuiteEntry entry = suite_entry("picorv32a", 1.0 / 32);
+  // aes256 at 1/16: its widest levels split, so the three sweeps also
+  // share the pool's workers.
+  const SuiteEntry entry = suite_entry("aes256", 1.0 / 16);
   Design design = generate_design(entry.spec, lib);
   place_design(design);
   RoutingOptions ropts;
@@ -52,6 +54,7 @@ TEST_F(AsyncTsanTest, ConcurrentSweepsShareOneGraphSafely) {
   // Three 8-thread sweeps on their own caller threads, each into its own
   // StaResult, all reading the one graph.
   std::vector<StaResult> results(3);
+  const std::int64_t forked = forked_regions();
   std::vector<std::thread> threads;
   threads.reserve(results.size());
   for (StaResult& out : results) {
@@ -60,6 +63,7 @@ TEST_F(AsyncTsanTest, ConcurrentSweepsShareOneGraphSafely) {
     });
   }
   for (std::thread& t : threads) t.join();
+  EXPECT_GE(forked_regions() - forked, 3) << "every sweep splits a level";
 
   for (const StaResult& r : results) {
     expect_bits_equal(r.arrival, ref.arrival, "arrival");

@@ -46,11 +46,15 @@ class ParallelStaTest : public ::testing::Test {
 
 TEST_F(ParallelStaTest, FullTimerBitIdenticalAcrossThreadCounts) {
   const Library lib = build_library();
-  // Mid-size: a few thousand pins, deep enough for multi-pin levels. Plus
-  // all 21 Table-1 designs at 1/64 scale: every block mix and aspect ratio
-  // the generator produces, deep-narrow and shallow-wide members included.
-  std::vector<SuiteEntry> entries{suite_entry("picorv32a", 1.0 / 32)};
+  // Mid-size: a few thousand pins, deep enough for multi-pin levels;
+  // aes256 at 1/16, whose widest levels (~1900 pins) carry enough work to
+  // split. Plus all 21 Table-1 designs at 1/64 scale: every block mix and
+  // aspect ratio the generator produces, deep-narrow and shallow-wide
+  // members included.
+  std::vector<SuiteEntry> entries{suite_entry("picorv32a", 1.0 / 32),
+                                  suite_entry("aes256", 1.0 / 16)};
   for (const SuiteEntry& e : table1_suite(1.0 / 64)) entries.push_back(e);
+  std::int64_t forks = 0;
   for (const SuiteEntry& entry : entries) {
     SCOPED_TRACE(entry.spec.name);
     Design design = generate_design(entry.spec, lib);
@@ -63,7 +67,9 @@ TEST_F(ParallelStaTest, FullTimerBitIdenticalAcrossThreadCounts) {
     set_num_threads(1);
     const StaResult serial = run_sta(graph, routing);
     set_num_threads(8);
+    const std::int64_t forked = forked_regions();
     const StaResult parallel = run_sta(graph, routing);
+    forks += forked_regions() - forked;
 
     expect_bits_equal(serial.arrival, parallel.arrival, "arrival");
     expect_bits_equal(serial.slew, parallel.slew, "slew");
@@ -81,6 +87,9 @@ TEST_F(ParallelStaTest, FullTimerBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(std::memcmp(&serial.tns_hold, &parallel.tns_hold,
                           sizeof(double)), 0);
   }
+  // Levels wider than two minimum chunks (aes256's widest) must really
+  // have split, or the comparison above was serial against serial.
+  EXPECT_GT(forks, 0) << "no 8-thread STA run forked a level";
 }
 
 TEST_F(ParallelStaTest, IncrementalUpdateMatchesParallelFullRun) {

@@ -136,7 +136,9 @@ TEST_F(ObsTest, HistogramSnapshotStats) {
 TEST_F(ObsTest, CounterMergesStripes) {
   set_metrics_enabled(true);
   Counter c;
-  parallel_for(0, 1000, 1, [&](std::int64_t b, std::int64_t e) {
+  // One index per chunk: the 1000 adds spread over every worker.
+  const Work one_chunk_each{kMinChunkWork, 0};
+  parallel_for(0, 1000, one_chunk_each, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) c.add(2);
   });
   EXPECT_EQ(c.value(), 2000u);
@@ -161,7 +163,8 @@ TEST_F(ObsTest, SnapshotMergeIsThreadCountInvariant) {
     reset_metrics();
     Counter& c = counter("test/det_counter");
     Histogram& h = histogram("test/det_hist");
-    parallel_for(0, 512, 1, [&](std::int64_t b, std::int64_t e) {
+    const Work one_chunk_each{kMinChunkWork, 0};
+    parallel_for(0, 512, one_chunk_each, [&](std::int64_t b, std::int64_t e) {
       for (std::int64_t i = b; i < e; ++i) {
         c.add(static_cast<std::uint64_t>(i));
         h.record(static_cast<std::uint64_t>(i % 37));

@@ -44,7 +44,9 @@ TEST_F(ObsTsanTest, ConcurrentSpansCountersAndSnapshots) {
           .string();
 
   for (int round = 0; round < 4; ++round) {
-    parallel_for(0, 4000, 16, [&](std::int64_t b, std::int64_t e) {
+    const Work sixteenth_chunk{kMinChunkWork / 16, 0};  // 16 items a chunk
+    parallel_for(0, 4000, sixteenth_chunk, [&](std::int64_t b,
+                                               std::int64_t e) {
       TG_TRACE_SCOPE("tsan/chunk", kSpanDetail);
       for (std::int64_t i = b; i < e; ++i) {
         TG_TRACE_SCOPE("tsan/item", kSpanVerbose);
