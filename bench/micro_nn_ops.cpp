@@ -127,6 +127,16 @@ void BM_SoftmaxGroups(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxGroups)->Arg(32768);
 
+/// BM_SoftmaxGroups forced onto the portable kernels (scalar std::exp, no
+/// lanes). `ci/run.sh bench` gates the dispatched row against this twin,
+/// measured in the same run.
+void BM_SoftmaxGroupsPortable(benchmark::State& state) {
+  kern::set_force_portable(true);
+  BM_SoftmaxGroups(state);
+  kern::set_force_portable(false);
+}
+BENCHMARK(BM_SoftmaxGroupsPortable)->Arg(32768);
+
 /// The fused inference step's MLPs at the serving config (perfbench's
 /// serve_model_config): arg 0 is a hidden-8 propagation MLP (32→8→8→8),
 /// arg 1 a LUT coefficient MLP (24→32→32→56).

@@ -46,6 +46,19 @@ TimingGnnConfig serving_config() {
   return cfg;
 }
 
+/// aes256 at 1/16 with Steiner truth routing: levels of up to ~1900 rows,
+/// wide enough for a 4-thread walk to split them. Built once per process.
+const data::DatasetGraph& wide_graph() {
+  static const data::DatasetGraph g = [] {
+    data::DatasetOptions options;
+    options.scale = 1.0 / 16;
+    options.truth_routing.mode = RouteMode::kSteiner;
+    return data::build_design_graph(suite_entry("aes256", options.scale),
+                                    testing::tiny_library(), options);
+  }();
+  return g;
+}
+
 /// Empty when `a` and `b` hold the same bits, else the first mismatch.
 std::string first_bit_mismatch(const nn::Tensor& a, const nn::Tensor& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return "shape mismatch";
@@ -100,11 +113,13 @@ TEST(TimingGnn, InferenceFastPathMatchesTrainingForward) {
 /// the full op-chain forward under a NoGradGuard. A threaded run that
 /// recorded the tape would keep every level's intermediates alive until
 /// the forward returns, which shows up as a transient peak far above the
-/// serial walk's.
+/// serial walk's. On aes256 at 1/16 with the serving shape (its 32-wide
+/// LUT-coefficient MLPs carry the work), both entry points fork at 4 and 8
+/// threads; each threaded leg asserts it did.
 TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
   const int saved_threads = num_threads();
-  const TimingGnn model(tiny_config());
-  const auto& g = testing::train_graph();
+  const TimingGnn model(serving_config());
+  const data::DatasetGraph& g = wide_graph();
   const PropPlan plan = build_prop_plan(g);
   const nn::Tensor emb = model.embed(g);
   EXPECT_FALSE(emb.requires_grad());
@@ -121,6 +136,7 @@ TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
     SCOPED_TRACE(threads);
     set_num_threads(threads);
     (void)forward();  // warm any lazy caches
+    const std::int64_t forked = forked_regions();
     std::int64_t peak = 0;
     for (int i = 0; i < reps; ++i) {
       nn::alloc::reset_alloc_stats();
@@ -137,6 +153,9 @@ TEST(TimingGnn, InferenceEntryPointsLeaveOnlyTheOutputLive) {
           peak, static_cast<std::int64_t>(s.bytes_high_water) - before);
     }
     EXPECT_TRUE(nn::grad_enabled());  // the guard is scoped to the call
+    if (threads > 1) {
+      EXPECT_GT(forked_regions(), forked) << "no region forked";
+    }
     return peak;
   };
   for (const int threads : {1, 4, 8}) (void)run(fused, threads, 2);
@@ -167,19 +186,10 @@ TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
   const data::GraphPack pack = data::pack_graphs(
       {&testing::train_graph(), &testing::test_graph(), &xtea});
   ASSERT_EQ(pack.num_graphs, 3);
-  // aes256 at 1/16: levels of up to ~1900 rows, wide enough for the
-  // 4-thread fused walk to split them.
-  data::DatasetOptions wide_options = options;
-  wide_options.scale = 1.0 / 16;
-  wide_options.truth_routing.mode = RouteMode::kSteiner;
-  const data::DatasetGraph aes = data::build_design_graph(
-      suite_entry("aes256", wide_options.scale), testing::tiny_library(),
-      wide_options);
-
   const std::pair<const char*, const data::DatasetGraph*> graphs[] = {
       {"train_graph", &testing::train_graph()},
       {"pack3", &pack.g},
-      {"aes256", &aes}};
+      {"aes256", &wide_graph()}};
   std::int64_t fused_forks = 0;
   for (const auto& [graph_name, gp] : graphs) {
     const data::DatasetGraph& g = *gp;
