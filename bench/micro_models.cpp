@@ -1,6 +1,7 @@
 /// \file micro_models.cpp
 /// Microbenchmarks for learned-model inference and training steps: the
-/// net-embedding stage, the levelized delay propagation, a full TimingGnn
+/// net-embedding stage (taped, and the serving embedding against its
+/// op-chain twin), the levelized delay propagation, a full TimingGnn
 /// forward (the "Our GNN" runtime of Table 5), the tape-free serving
 /// forward from a cached embedding, an ECO session's incremental GNN read
 /// against a full one, one training step, GCNII forward, and random-forest
@@ -40,6 +41,16 @@ core::TimingGnnConfig bench_cfg() {
   return cfg;
 }
 
+/// The serving plane's model shape.
+core::TimingGnnConfig serving_cfg() {
+  core::TimingGnnConfig cfg;
+  cfg.net.hidden = 8;
+  cfg.net.mlp_hidden = 8;
+  cfg.prop.hidden = 8;
+  cfg.prop.mlp_hidden = 8;
+  return cfg;
+}
+
 struct Fixture {
   Library lib = build_library();
   data::SuiteDataset ds;
@@ -70,6 +81,46 @@ void BM_NetEmbedForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.g().num_nodes());
 }
 BENCHMARK(BM_NetEmbedForward);
+
+/// aes256 at 1/16 with Steiner truth routing, as the serving plane builds
+/// its templates: the cold_design workload's largest design.
+const data::DatasetGraph& aes_graph() {
+  static const data::DatasetGraph* g = [] {
+    static const Library lib = build_library();
+    data::DatasetOptions options;
+    options.scale = 1.0 / 16;
+    options.truth_routing.mode = RouteMode::kSteiner;
+    return new data::DatasetGraph(data::build_design_graph(
+        suite_entry("aes256", options.scale), lib, options));
+  }();
+  return *g;
+}
+
+/// The serving embedding (TimingGnn::embed: NetEmbed::embed_nets over
+/// every net) at the serving width, against its op-chain twin below: the
+/// taped NetEmbed::forward run tape-free, what embed ran before it was
+/// fused. ci/run.sh bench gates the pair within one run.
+void BM_NetEmbedInfer(benchmark::State& state) {
+  const data::DatasetGraph& g = aes_graph();
+  const core::TimingGnn model(serving_cfg());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.embed(g).data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+}
+BENCHMARK(BM_NetEmbedInfer);
+
+void BM_NetEmbedInferOpChain(benchmark::State& state) {
+  const data::DatasetGraph& g = aes_graph();
+  const core::TimingGnn model(serving_cfg());
+  const nn::NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        model.net_embed().forward(g).data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * g.num_nodes());
+}
+BENCHMARK(BM_NetEmbedInferOpChain);
 
 void BM_TimingGnnForward(benchmark::State& state) {
   const Fixture& f = fixture();
@@ -194,15 +245,6 @@ struct EcoFixture {
     }
   }
 };
-
-core::TimingGnnConfig serving_cfg() {
-  core::TimingGnnConfig cfg;
-  cfg.net.hidden = 8;
-  cfg.net.mlp_hidden = 8;
-  cfg.prop.hidden = 8;
-  cfg.prop.mlp_hidden = 8;
-  return cfg;
-}
 
 void BM_EcoGnnRead(benchmark::State& state, bool cone) {
   static EcoFixture* f = new EcoFixture();

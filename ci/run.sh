@@ -22,8 +22,10 @@
 #          a multi-row kernel guard: a hidden-8 MLP block must run in at
 #          most 0.6x the time of the same block one row per kernel call,
 #          and an incremental-read guard: an ECO session's cone GNN read
-#          must run in at most 0.25x the time of a full read. Every gate
-#          runs; the job then names each one that failed and exits 1
+#          must run in at most 0.25x the time of a full read, and an
+#          embedding guard: at $(nproc) threads the fused net embedding
+#          must run in at most 0.5x the time of its op-chain twin. Every
+#          gate runs; the job then names each one that failed and exits 1
 #   serve  serving-plane gate: `serve` label suites, the tg_serve_load
 #          acceptance drill (deadlines + overload spike + injected worker
 #          faults; non-zero exit on any hang or untagged response),
@@ -175,7 +177,7 @@ run_bench() {
   local threads
   threads="$(nproc 2>/dev/null || echo 1)"
   if [ "$threads" -lt 2 ]; then
-    echo "bench: nproc=$threads < 2, skipping the thread-scaling guards"
+    echo "bench: nproc=$threads < 2, skipping the thread-scaling and embed guards"
   else
     local bm
     for bm in TrainStep Infer; do
@@ -190,6 +192,23 @@ run_bench() {
       "$dir/BENCH_TrainStep_t1.json" "$dir/BENCH_TrainStep_t$threads.json"
     gate infer-threads python3 ci/check_bench.py --threshold=1.2 \
       "$dir/BENCH_Infer_t1.json" "$dir/BENCH_Infer_t$threads.json"
+    # Fused-embedding guard: the serving embedding (TimingGnn::embed, one
+    # net-local parallel_for over blocks of whole nets) against its op-chain
+    # twin (NetEmbed::forward run tape-free), aes256 at 1/16 at the serving
+    # width, interleaved in one run at the machine's thread count: the
+    # fused body forks as one region where the op chain's per-op regions
+    # mostly stay serial. Ten runs on a shared 4-core AVX2 box read
+    # 0.16-0.22 (serially the two differ only by the gathers, concats and
+    # segment ops fusion saves: 0.55-0.65); a build whose embed runs the op
+    # chain reads ~1.0, so 0.5 sits 2.3x above the first and 2x below the
+    # second.
+    TG_THREADS="$threads" ./build-ci/bench/micro_models \
+      --benchmark_filter='^BM_NetEmbedInfer' --json="$dir/BENCH_embed.json" \
+      --benchmark_min_time=0.1 --benchmark_repetitions=5 \
+      --benchmark_enable_random_interleaving=true > /dev/null
+    gate embed-ratio python3 ci/check_bench.py --threshold=0.5 \
+      --ratio=BM_NetEmbedInfer:BM_NetEmbedInferOpChain \
+      "$dir/BENCH_embed.json"
   fi
   if [ -n "$failed" ]; then
     for name in $failed; do echo "bench: gate failed: $name" >&2; done

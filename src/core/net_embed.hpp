@@ -8,6 +8,8 @@
 /// the delay-propagation stage; free embedding dimensions carry load/slew
 /// statistics for propagation, as in the paper.
 
+#include <span>
+
 #include "data/hetero_graph.hpp"
 #include "nn/module.hpp"
 
@@ -24,17 +26,19 @@ class NetEmbed : public nn::Module {
  public:
   NetEmbed(const NetEmbedConfig& config, Rng& rng);
 
-  /// Per-pin embedding [N, hidden].
+  /// Per-pin embedding [N, hidden]: the taped op chain training runs.
   [[nodiscard]] nn::Tensor forward(const data::DatasetGraph& g) const;
 
-  /// The same layers over an explicit net-edge graph: `node_feat` [n, 10],
-  /// `edge_feat` [En, 2] and the edge list `net_src` → `net_dst` over
-  /// those n rows. forward(g) is this over g's arrays; an incremental read
-  /// runs it on the nets it re-embeds.
-  [[nodiscard]] nn::Tensor forward(const nn::Tensor& node_feat,
-                                   const nn::Tensor& edge_feat,
-                                   const nn::IndexVec& net_src,
-                                   const nn::IndexVec& net_dst) const;
+  /// The inference embedding of the listed nets (ids into
+  /// g.topo->nets()): writes their nodes' rows of forward(g) into `out`
+  /// [N, hidden], bit for bit, and leaves every other row as it was. No
+  /// tensors and no tape. One parallel_for over the listed nets; each
+  /// chunk runs blocks of whole nets through the input projection and
+  /// every layer while the block's rows stay in cache, since no layer
+  /// crosses a net. A template embed lists every net; an incremental read
+  /// lists the nets of its moved pins.
+  void embed_nets(const data::DatasetGraph& g, std::span<const int> nets,
+                  nn::Tensor& out) const;
 
   /// Net-delay head (linear): per net edge, delay is predicted
   /// from the (driver, sink) embedding pair and scattered to the sink row;

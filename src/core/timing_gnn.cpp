@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "util/check.hpp"
 #include "util/obs/trace.hpp"
@@ -32,81 +33,6 @@ EndpointSlack slack_from_rows(const float* rat, const float* atslew) {
   out.setup = std::min(rat_lr - at_lr, rat_lf - at_lf);
   out.hold = std::min(at_er - rat_er, at_ef - rat_ef);
   return out;
-}
-
-/// The nets (net-edge components) holding some pins of a graph, as the
-/// inputs of NetEmbed's layers: their nodes ascending, their edges in
-/// ascending original order, edge endpoints remapped.
-struct NetSubgraph {
-  std::vector<int> nodes;  ///< original node id per local row
-  Tensor node_feat, edge_feat;
-  nn::IndexVec net_src, net_dst;
-};
-
-NetSubgraph net_subgraph(const data::DatasetGraph& g,
-                         const std::vector<int>& pins) {
-  const data::Topology& topo = *g.topo;
-  const data::NodeLists& inc = topo.net_incidence();
-  NetSubgraph sub;
-  std::vector<int>& nodes = sub.nodes;
-  std::vector<int> local(static_cast<std::size_t>(g.num_nodes()), -1);
-  std::vector<int> edges;
-  for (const int p : pins) {
-    if (local[static_cast<std::size_t>(p)] >= 0) continue;
-    local[static_cast<std::size_t>(p)] = 0;
-    nodes.push_back(p);
-  }
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const auto v = static_cast<std::size_t>(nodes[i]);
-    for (int k = inc.off[v]; k < inc.off[v + 1]; ++k) {
-      const int e = inc.ids[static_cast<std::size_t>(k)];
-      const int src = topo.net_src()[static_cast<std::size_t>(e)];
-      const int dst = topo.net_dst()[static_cast<std::size_t>(e)];
-      if (src == nodes[i]) edges.push_back(e);  // each edge once, at its driver
-      const int w = src == nodes[i] ? dst : src;
-      if (local[static_cast<std::size_t>(w)] < 0) {
-        local[static_cast<std::size_t>(w)] = 0;
-        nodes.push_back(w);
-      }
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-  std::sort(edges.begin(), edges.end());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    local[static_cast<std::size_t>(nodes[i])] = static_cast<int>(i);
-  }
-
-  std::vector<float> node_feat;
-  node_feat.reserve(nodes.size() * data::kNodeFeatureDim);
-  const float* nf = g.node_feat.data().data();
-  for (const int v : nodes) {
-    node_feat.insert(node_feat.end(), nf + v * data::kNodeFeatureDim,
-                     nf + (v + 1) * data::kNodeFeatureDim);
-  }
-  std::vector<float> edge_feat;
-  edge_feat.reserve(edges.size() * data::kNetEdgeFeatureDim);
-  std::vector<int> src, dst;
-  src.reserve(edges.size());
-  dst.reserve(edges.size());
-  const float* ef = g.net_edge_feat.data().data();
-  for (const int e : edges) {
-    edge_feat.insert(edge_feat.end(), ef + e * data::kNetEdgeFeatureDim,
-                     ef + (e + 1) * data::kNetEdgeFeatureDim);
-    src.push_back(local[static_cast<std::size_t>(
-        topo.net_src()[static_cast<std::size_t>(e)])]);
-    dst.push_back(local[static_cast<std::size_t>(
-        topo.net_dst()[static_cast<std::size_t>(e)])]);
-  }
-  sub.node_feat =
-      Tensor::from_vector(std::move(node_feat),
-                          static_cast<std::int64_t>(nodes.size()),
-                          data::kNodeFeatureDim);
-  sub.edge_feat = Tensor::from_vector(
-      std::move(edge_feat), static_cast<std::int64_t>(edges.size()),
-      data::kNetEdgeFeatureDim);
-  sub.net_src = std::make_shared<const std::vector<int>>(std::move(src));
-  sub.net_dst = std::make_shared<const std::vector<int>>(std::move(dst));
-  return sub;
 }
 
 }  // namespace
@@ -141,7 +67,11 @@ TimingGnn::Prediction TimingGnn::forward(const data::DatasetGraph& g,
 
 Tensor TimingGnn::embed(const data::DatasetGraph& g) const {
   const nn::NoGradGuard no_grad;
-  return net_embed_.forward(g);
+  std::vector<int> nets(static_cast<std::size_t>(g.topo->nets().size()));
+  std::iota(nets.begin(), nets.end(), 0);
+  Tensor out = Tensor::zeros(g.num_nodes(), config_.net.hidden);
+  net_embed_.embed_nets(g, nets, out);
+  return out;
 }
 
 Tensor TimingGnn::forward_atslew(const data::DatasetGraph& g,
@@ -169,24 +99,37 @@ std::int64_t TimingGnn::read(const data::DatasetGraph& g,
   const auto nodes_n = static_cast<std::size_t>(g.num_nodes());
   const data::NodeLists& fanout = g.topo->fanout();
 
-  // Re-embed the nets holding a patched pin; keep the rows that moved.
+  // Re-embed the nets holding a patched pin in place; keep the rows that
+  // moved.
   std::vector<int> moved;
   if (!delta.pins.empty()) {
-    const NetSubgraph sub = net_subgraph(g, delta.pins);
-    const std::vector<int>& nodes = sub.nodes;
-    const Tensor fresh = net_embed_.forward(sub.node_feat, sub.edge_feat,
-                                            sub.net_src, sub.net_dst);
+    const data::NetLists& all = g.topo->nets();
+    std::vector<int> nets;
+    for (const int p : delta.pins) {
+      nets.push_back(all.net_of[static_cast<std::size_t>(p)]);
+    }
+    std::sort(nets.begin(), nets.end());
+    nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+    std::vector<int> nodes;
+    for (const int net : nets) {
+      const auto i = static_cast<std::size_t>(net);
+      nodes.insert(nodes.end(), all.nodes.begin() + all.node_off[i],
+                   all.nodes.begin() + all.node_off[i + 1]);
+    }
+    const auto row_bytes = static_cast<std::size_t>(emb_w) * sizeof(float);
     float* emb = cache.embedding.data().data();
-    const float* rows = fresh.data().data();
+    std::vector<float> before(nodes.size() * static_cast<std::size_t>(emb_w));
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      float* dst = emb + nodes[i] * emb_w;
-      const float* src = rows + static_cast<std::int64_t>(i) * emb_w;
-      if (std::memcmp(dst, src, static_cast<std::size_t>(emb_w) *
-                                    sizeof(float)) == 0) {
-        continue;
+      std::memcpy(&before[i * static_cast<std::size_t>(emb_w)],
+                  emb + nodes[i] * emb_w, row_bytes);
+    }
+    net_embed_.embed_nets(g, nets, cache.embedding);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (std::memcmp(emb + nodes[i] * emb_w,
+                      &before[i * static_cast<std::size_t>(emb_w)],
+                      row_bytes) != 0) {
+        moved.push_back(nodes[i]);
       }
-      std::copy_n(src, emb_w, dst);
-      moved.push_back(nodes[i]);
     }
   }
 

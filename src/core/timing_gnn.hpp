@@ -62,9 +62,10 @@ class TimingGnn : public nn::Module {
   // read()'s. The serving plane answers through embed() + read(); training
   // goes through forward() + loss(), which record the tape as usual.
 
-  /// Net-embedding stage output [N, embed_dim]. Depends only on the graph
-  /// (not on the query), so serving caches it per template and replays it
-  /// through read().
+  /// Net-embedding stage output [N, embed_dim], bit-identical to the taped
+  /// forward's: NetEmbed::embed_nets over every net. Depends only on the
+  /// graph (not on the query), so serving caches it per template and
+  /// replays it through read().
   [[nodiscard]] nn::Tensor embed(const data::DatasetGraph& g) const;
 
   /// Inference fast path: arrival/slew [N, 8] from a precomputed
@@ -81,10 +82,9 @@ class TimingGnn : public nn::Module {
   /// in `delta` were patched in place in `g` (data::patch_instances), and
   /// leaves the endpoint slacks a fresh embed + forward_atslew of `g` would
   /// give, bit for bit. `cache.embedding` must be the embedding of `g`
-  /// before the patch. The nets holding a patched pin are re-embedded on
-  /// their own (net-embedding layers never cross nets; each net keeps its
-  /// edges in their original order, so the segment reductions match) and
-  /// scattered back. With `full` every propagation row and endpoint is
+  /// before the patch. The nets holding a patched pin are re-embedded in
+  /// place (NetEmbed::embed_nets; net-embedding layers never cross nets).
+  /// With `full` every propagation row and endpoint is
   /// recomputed; otherwise only the rows downstream of a changed
   /// embedding row or patched cell arc, stopping where a recomputed row
   /// comes out bit-identical, and only the endpoints among them or with a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "data/validate.hpp"
 
@@ -58,6 +59,73 @@ std::vector<int> size_lists(
   for (std::size_t v = 0; v < n; ++v) out.off[v + 1] += out.off[v];
   out.ids.resize(static_cast<std::size_t>(out.off.back()));
   return {out.off.begin(), out.off.end() - 1};
+}
+
+/// The components of the net-edge graph: union-find over the edges, nets
+/// numbered in order of their least node, then counting sorts whose
+/// ascending scans keep each net's nodes and edges ascending.
+NetLists build_nets(int num_nodes, const std::vector<int>& src,
+                    const std::vector<int>& dst) {
+  const auto n = static_cast<std::size_t>(num_nodes);
+  std::vector<int> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  const auto find = [&](int v) {
+    while (parent[static_cast<std::size_t>(v)] != v) {
+      int& up = parent[static_cast<std::size_t>(v)];
+      up = parent[static_cast<std::size_t>(up)];
+      v = up;
+    }
+    return v;
+  };
+  for (std::size_t e = 0; e < src.size(); ++e) {
+    const int a = find(src[e]);
+    const int b = find(dst[e]);
+    parent[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+  }
+
+  NetLists nets;
+  nets.net_of.resize(n);
+  nets.row.resize(n);
+  std::vector<int> sizes;
+  for (std::size_t v = 0; v < n; ++v) {
+    // A root is its component's least node, so it is numbered first.
+    const int r = find(static_cast<int>(v));
+    int net = nets.net_of[static_cast<std::size_t>(r)];
+    if (r == static_cast<int>(v)) {
+      net = static_cast<int>(sizes.size());
+      sizes.push_back(0);
+    }
+    nets.net_of[v] = net;
+    nets.row[v] = sizes[static_cast<std::size_t>(net)]++;
+  }
+  const std::size_t num_nets = sizes.size();
+  nets.node_off.assign(num_nets + 1, 0);
+  nets.edge_off.assign(num_nets + 1, 0);
+  for (std::size_t i = 0; i < num_nets; ++i) {
+    nets.node_off[i + 1] = nets.node_off[i] + sizes[i];
+  }
+  nets.nodes.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto net = static_cast<std::size_t>(nets.net_of[v]);
+    nets.nodes[static_cast<std::size_t>(nets.node_off[net] + nets.row[v])] =
+        static_cast<int>(v);
+  }
+  for (const int s : src) {
+    ++nets.edge_off[static_cast<std::size_t>(
+                        nets.net_of[static_cast<std::size_t>(s)]) +
+                    1];
+  }
+  for (std::size_t i = 0; i < num_nets; ++i) {
+    nets.edge_off[i + 1] += nets.edge_off[i];
+  }
+  std::vector<int> fill(nets.edge_off.begin(), nets.edge_off.end() - 1);
+  nets.edges.resize(src.size());
+  for (std::size_t e = 0; e < src.size(); ++e) {
+    const auto net =
+        static_cast<std::size_t>(nets.net_of[static_cast<std::size_t>(src[e])]);
+    nets.edges[static_cast<std::size_t>(fill[net]++)] = static_cast<int>(e);
+  }
+  return nets;
 }
 
 }  // namespace
@@ -121,14 +189,7 @@ Topology::Topology(Arrays arrays, const std::string& name)
   for (std::size_t e = 0; e < a_.cell_src.size(); ++e) {
     push(fanout_, fill, a_.cell_src[e], a_.cell_dst[e]);
   }
-  // Edge e joins the lists of both its ends; the edge-order scan keeps
-  // every list ascending.
-  fill = size_lists(net_incidence_, n, {&a_.net_src, &a_.net_dst});
-  for (std::size_t e = 0; e < a_.net_src.size(); ++e) {
-    for (const int v : {a_.net_src[e], a_.net_dst[e]}) {
-      push(net_incidence_, fill, v, static_cast<int>(e));
-    }
-  }
+  nets_ = build_nets(a_.num_nodes, a_.net_src, a_.net_dst);
 }
 
 const std::shared_ptr<const Topology>& Topology::empty() {

@@ -71,6 +71,24 @@ struct NodeLists {
   std::vector<int> ids;
 };
 
+/// The nets of a pin graph: the components of its net-edge graph (a
+/// driver and its sinks), ordered by their least node. Each lists its
+/// nodes ascending and its net edges in ascending id; a node with no net
+/// edge is a net of its own. No layer of the net embedding crosses a net
+/// (DESIGN.md §12), so a net is the unit it runs on.
+struct NetLists {
+  std::vector<int> node_off;  ///< [nets + 1] offsets into nodes
+  std::vector<int> nodes;     ///< [N] node ids, net by net
+  std::vector<int> edge_off;  ///< [nets + 1] offsets into edges
+  std::vector<int> edges;     ///< [En] net-edge ids, net by net
+  std::vector<int> net_of;    ///< [N] net of each node
+  std::vector<int> row;       ///< [N] position of each node in its net
+
+  [[nodiscard]] int size() const {
+    return static_cast<int>(node_off.size()) - 1;
+  }
+};
+
 /// The topology of one design's pin graph: edge lists, levelization and
 /// every index derived from them, built eagerly and range-checked by the
 /// one constructor, then never changed. Graphs share it through a
@@ -88,7 +106,7 @@ class Topology {
   };
 
   /// Checks `arrays` (validate_topology) and builds the net sinks, the
-  /// level CSR, the fanout and the net incidence. Throws CheckError naming
+  /// level CSR, the fanout and the nets. Throws CheckError naming
   /// the first offending field and entry; `name` labels the error.
   explicit Topology(Arrays arrays, const std::string& name = "");
 
@@ -116,18 +134,16 @@ class Topology {
   /// Out-neighbours over net and cell arcs: the rows a dirty-row walk
   /// marks when a row's state changes.
   [[nodiscard]] const NodeLists& fanout() const { return fanout_; }
-  /// Incident net edges per node (both directions, ascending edge id): the
-  /// net-edge graph whose components are the nets a re-embed recomputes.
-  [[nodiscard]] const NodeLists& net_incidence() const {
-    return net_incidence_;
-  }
+  /// The nets: what a template embed runs over, and what a re-embed of
+  /// some moved pins recomputes (their nets).
+  [[nodiscard]] const NetLists& nets() const { return nets_; }
 
  private:
   Arrays a_;
   std::vector<int> net_sinks_;
   LevelCsr csr_;
   NodeLists fanout_;
-  NodeLists net_incidence_;
+  NetLists nets_;
 };
 
 /// Builds the level-packed CSR from a topology's edge lists and

@@ -63,13 +63,13 @@ std::shared_ptr<const SessionTemplate> TemplateCache::get_or_build(
   tpl->routing = route_design(tpl->design, route_opts);
 
   tpl->graph = std::make_unique<TimingGraph>(tpl->design);
-  {
-    const StaResult warmup = run_sta(*tpl->graph, tpl->routing);
-    const double factor = clock_factor > 0.0 ? clock_factor : entry.clock_factor;
-    tpl->design.set_period(
-        calibrated_period(tpl->design, warmup.arrival, factor));
-  }
   tpl->sta = run_sta(*tpl->graph, tpl->routing);
+  const double factor = clock_factor > 0.0 ? clock_factor : entry.clock_factor;
+  tpl->design.set_period(
+      calibrated_period(tpl->design, tpl->sta.arrival, factor));
+  // The period reaches only the endpoints' required times: the backward
+  // sweep under it leaves what a second run_sta would, bit for bit.
+  sta_detail::compute_required(*tpl->graph, StaOptions{}, tpl->sta);
   tpl->g =
       data::extract_graph(tpl->design, *tpl->graph, tpl->routing, tpl->sta);
   if (lut_table_ == nullptr) {
@@ -103,10 +103,9 @@ void Session::materialize() {
   design = std::make_unique<Design>(tpl->design);
   routing = std::make_unique<DesignRouting>(tpl->routing);
   graph = std::make_unique<TimingGraph>(*design);
-  // The IncrementalTimer constructor runs the baseline full STA — that
-  // *is* this session's reference state, identical to tpl->sta until the
-  // first move lands.
-  timer = std::make_unique<IncrementalTimer>(*graph, routing.get());
+  // The session's baseline is the template's STA: the copied design,
+  // routing and graph time exactly as the template's did.
+  timer = std::make_unique<IncrementalTimer>(*graph, routing.get(), tpl->sta);
   materialized = true;
 }
 

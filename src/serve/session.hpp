@@ -153,7 +153,8 @@ struct Session {
   std::atomic<std::uint64_t> last_used{0};
 
   /// Clones template design/routing and brings up the session-owned
-  /// timing graph + incremental timer (runs the baseline full STA).
+  /// timing graph + incremental timer, seeded with a copy of the
+  /// template's STA (the clones time exactly as the template did).
   /// No-op when already materialized. Caller holds `mu`.
   void materialize();
 

@@ -32,6 +32,19 @@ IncrementalTimer::IncrementalTimer(const TimingGraph& graph,
   run_full();
 }
 
+IncrementalTimer::IncrementalTimer(const TimingGraph& graph,
+                                   DesignRouting* routing, StaResult baseline,
+                                   const StaOptions& options)
+    : graph_(&graph),
+      routing_(routing),
+      options_(options),
+      result_(std::move(baseline)),
+      cone_nodes_(graph.num_nodes()) {
+  TG_CHECK(routing != nullptr);
+  TG_CHECK(result_.arrival.size() ==
+           static_cast<std::size_t>(graph.num_nodes()));
+}
+
 void IncrementalTimer::run_full() {
   result_ = run_sta(*graph_, *routing_, options_);
   dirty_nets_.clear();

@@ -21,6 +21,11 @@ class IncrementalTimer {
   /// must stay alive and is the object to mutate between updates.
   IncrementalTimer(const TimingGraph& graph, DesignRouting* routing,
                    const StaOptions& options = {});
+  /// Takes `baseline` as the baseline instead: it must be what run_full()
+  /// would compute (a run_sta of an identical graph, routing and options),
+  /// as a serving session's copy of its template's STA is.
+  IncrementalTimer(const TimingGraph& graph, DesignRouting* routing,
+                   StaResult baseline, const StaOptions& options = {});
 
   /// Full (re)propagation; resets the baseline.
   void run_full();

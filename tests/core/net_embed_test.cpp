@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "core/test_fixture.hpp"
 #include "nn/optim.hpp"
@@ -17,6 +19,79 @@ NetEmbedConfig tiny_config() {
   cfg.mlp_layers = 1;
   cfg.num_layers = 2;
   return cfg;
+}
+
+/// A hand-made pin graph with net shapes extraction does not emit next to
+/// the ones it does: driver 0 of five sinks whose edges interleave other
+/// nets' edges, a chain 3 → 4 → 6 (pin 4 is a sink and a driver), sink 10
+/// fed by drivers 9 and 11, and pins 12 and 13 with no net edge.
+data::DatasetGraph odd_nets_graph() {
+  data::Topology::Arrays a;
+  a.num_nodes = 14;
+  a.num_levels = 3;
+  a.node_level = {0, 1, 1, 0, 1, 1, 2, 1, 1, 0, 1, 0, 0, 0};
+  a.net_src = {0, 3, 0, 9, 0, 4, 11, 0, 0};
+  a.net_dst = {1, 4, 2, 10, 5, 6, 10, 7, 8};
+  data::DatasetGraph g;
+  g.topo = std::make_shared<const data::Topology>(std::move(a));
+  Rng rng(9);
+  g.node_feat = nn::Tensor::rand_uniform(14, data::kNodeFeatureDim, 1.0f, rng);
+  g.net_edge_feat =
+      nn::Tensor::rand_uniform(9, data::kNetEdgeFeatureDim, 1.0f, rng);
+  return g;
+}
+
+/// Bitwise equality of `out`'s rows `rows` with the same rows of `ref`.
+void expect_rows_bitwise(const nn::Tensor& out, const nn::Tensor& ref,
+                         const std::vector<int>& rows) {
+  ASSERT_EQ(out.cols(), ref.cols());
+  for (const int r : rows) {
+    for (std::int64_t c = 0; c < out.cols(); ++c) {
+      const float a = out.at(r, c), b = ref.at(r, c);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(float)), 0)
+          << "row " << r << " col " << c << ": " << a << " vs " << b;
+    }
+  }
+}
+
+TEST(NetEmbed, NetsAreTheNetEdgeComponents) {
+  const data::DatasetGraph g = odd_nets_graph();
+  const data::NetLists& nets = g.topo->nets();
+  ASSERT_EQ(nets.size(), 5);
+  EXPECT_EQ(nets.node_off, (std::vector<int>{0, 6, 9, 12, 13, 14}));
+  EXPECT_EQ(nets.nodes, (std::vector<int>{0, 1, 2, 5, 7, 8, 3, 4, 6, 9, 10,
+                                          11, 12, 13}));
+  EXPECT_EQ(nets.edge_off, (std::vector<int>{0, 5, 7, 9, 9, 9}));
+  EXPECT_EQ(nets.edges, (std::vector<int>{0, 2, 4, 7, 8, 1, 5, 3, 6}));
+  EXPECT_EQ(nets.net_of,
+            (std::vector<int>{0, 0, 0, 1, 1, 0, 1, 0, 0, 2, 2, 2, 3, 4}));
+  EXPECT_EQ(nets.row,
+            (std::vector<int>{0, 1, 2, 0, 1, 3, 2, 4, 5, 0, 1, 2, 0, 0}));
+}
+
+/// embed_nets against forward on every net and on a subset: the listed
+/// nets' rows match bit for bit, the others keep what `out` held.
+TEST(NetEmbed, EmbedNetsBitIdenticalToForwardOnEveryNetShape) {
+  const data::DatasetGraph g = odd_nets_graph();
+  NetEmbedConfig shapes[] = {tiny_config(), NetEmbedConfig{}};
+  for (const NetEmbedConfig& cfg : shapes) {
+    Rng rng(11);
+    const NetEmbed model(cfg, rng);
+    const nn::Tensor ref = model.forward(g);
+    std::vector<int> all_rows(14);
+    std::iota(all_rows.begin(), all_rows.end(), 0);
+
+    nn::Tensor out = nn::Tensor::zeros(14, cfg.hidden);
+    model.embed_nets(g, std::vector<int>{0, 1, 2, 3, 4}, out);
+    expect_rows_bitwise(out, ref, all_rows);
+
+    nn::Tensor part = nn::Tensor::full(14, cfg.hidden, 7.0f);
+    model.embed_nets(g, std::vector<int>{1, 4}, part);
+    expect_rows_bitwise(part, ref, {3, 4, 6, 13});
+    for (const int r : {0, 1, 2, 5, 7, 8, 9, 10, 11, 12}) {
+      EXPECT_EQ(part.at(r, 0), 7.0f) << "row " << r << " was written";
+    }
+  }
 }
 
 TEST(NetEmbed, ForwardShapes) {

@@ -233,6 +233,43 @@ TEST(TimingGnn, FusedInferenceBitIdenticalToOpChain) {
   EXPECT_GT(fused_forks, 0) << "no 4-thread fused walk split a level";
 }
 
+/// The serving embedding (embed: NetEmbed::embed_nets over every net)
+/// against the taped op chain (NetEmbed::forward), bit for bit: at the
+/// serving shape and the 1-hidden-layer test model, on dispatched and
+/// portable kernels, at 1 and 4 threads. aes256 at 1/16 carries enough
+/// work for the 4-thread embed to fork, which every 4-thread leg asserts.
+TEST(TimingGnn, FusedEmbedBitIdenticalToOpChain) {
+  const int saved_threads = num_threads();
+  const std::pair<const char*, const data::DatasetGraph*> graphs[] = {
+      {"train_graph", &testing::train_graph()}, {"aes256", &wide_graph()}};
+  for (const auto& [graph_name, gp] : graphs) {
+    const data::DatasetGraph& g = *gp;
+    for (const bool serving : {false, true}) {
+      const TimingGnn model(serving ? serving_config() : tiny_config());
+      const nn::NoGradGuard no_grad;
+      for (const bool portable : {false, true}) {
+        nn::kern::set_force_portable(portable);
+        const nn::Tensor chain = model.net_embed().forward(g);
+        for (const int threads : {1, 4}) {
+          set_num_threads(threads);
+          const std::int64_t forked = forked_regions();
+          const nn::Tensor fused = model.embed(g);
+          const std::string where =
+              std::string(graph_name) + (serving ? " serving" : " tiny") +
+              (portable ? " portable" : " dispatched") +
+              " threads=" + std::to_string(threads);
+          if (threads > 1 && g.num_nodes() > 10000) {
+            EXPECT_GT(forked_regions(), forked) << where << ": no fork";
+          }
+          EXPECT_EQ(first_bit_mismatch(fused, chain), "") << where;
+        }
+      }
+    }
+  }
+  nn::kern::set_force_portable(false);
+  set_num_threads(saved_threads);
+}
+
 /// Serve deadlines reach propagation through the level-boundary
 /// checkpoint: under an already-expired budget both walks stop with a
 /// deadline CancelError, and the unwind releases everything they

@@ -101,8 +101,14 @@ TEST_F(GraphIoTest, RoundTripRebuildsTheSameTopology) {
   EXPECT_EQ(cb.cell_perm, ca.cell_perm);
   EXPECT_EQ(b.topo->fanout().off, a.topo->fanout().off);
   EXPECT_EQ(b.topo->fanout().ids, a.topo->fanout().ids);
-  EXPECT_EQ(b.topo->net_incidence().off, a.topo->net_incidence().off);
-  EXPECT_EQ(b.topo->net_incidence().ids, a.topo->net_incidence().ids);
+  const NetLists& na = a.topo->nets();
+  const NetLists& nb = b.topo->nets();
+  EXPECT_EQ(nb.node_off, na.node_off);
+  EXPECT_EQ(nb.nodes, na.nodes);
+  EXPECT_EQ(nb.edge_off, na.edge_off);
+  EXPECT_EQ(nb.edges, na.edges);
+  EXPECT_EQ(nb.net_of, na.net_of);
+  EXPECT_EQ(nb.row, na.row);
 }
 
 TEST_F(GraphIoTest, CorruptFileRejected) {

@@ -1,7 +1,7 @@
 /// \file gnn_read_test.cpp
 /// Incremental GNN reads on moved sessions (DESIGN.md §12): every read
-/// must equal, bit for bit, a fresh extract + plan + embed + forward_atslew
-/// of the session's current design — after seeded resize streams, at one
+/// must equal, bit for bit, a fresh extract + plan + op-chain forward of
+/// the session's current design — after seeded resize streams, at one
 /// thread and at the machine's thread count, after a read that stopped
 /// part way, and without leaking into pristine sibling sessions.
 
@@ -31,7 +31,7 @@ ServeOptions read_options() {
   return o;
 }
 
-/// Endpoint setup slacks and digest of a from-scratch GNN read of the
+/// Endpoint setup slacks and digest of a from-scratch GNN forward of the
 /// session's current design: the answer an incremental read must equal.
 struct Reference {
   std::vector<double> endpoint_setup;
@@ -52,7 +52,10 @@ Reference fresh_reference(SlackServer& server, SessionId id) {
       data::extract_graph(*design, graph, routing, sta);
   const core::PropPlan plan = core::build_prop_plan(g);
   const core::TimingGnn& model = server.model();
-  const nn::Tensor atslew = model.forward_atslew(g, plan, model.embed(g));
+  // The op-chain forward training runs (tape-free here): it shares neither
+  // the read's fused embedding nor its fused propagation step.
+  const nn::NoGradGuard no_grad;
+  const nn::Tensor atslew = model.forward(g, plan).atslew;
   Reference ref;
   ref.num_nodes = g.num_nodes();
   ref.wns_setup = std::numeric_limits<double>::infinity();

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sta/timer.hpp"
+#include "testing/sta_bits.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
 
@@ -412,6 +413,23 @@ TEST(ServeTest, CachedEmbeddingsAreTapeFreeLeaves) {
   EXPECT_FALSE(tpl_emb.requires_grad());
   EXPECT_TRUE(tpl_emb.impl()->parents.empty());
   EXPECT_FALSE(tpl_emb.impl()->backward_fn);
+}
+
+/// A template times its design once, and a session's timer starts from a
+/// copy of that result instead of re-timing: both must hold what a fresh
+/// full STA of the session's own graph gives, bit for bit.
+TEST(ServeTest, SessionTimerSeededFromTemplateEqualsFullRun) {
+  TemplateCache templates;
+  for (const char* design : {"spm", "picorv32a"}) {
+    SCOPED_TRACE(design);
+    Session session;
+    session.tpl = templates.get_or_build(design, kScale, 0.92);
+    const std::lock_guard<std::mutex> lock(session.mu);
+    session.materialize();
+    const StaResult seeded = session.timer->result();
+    session.timer->run_full();
+    EXPECT_EQ(testing::sta_bit_mismatch(seeded, session.timer->result()), "");
+  }
 }
 
 /// The micro-batcher's drain takes batchable tickets of the lead's

@@ -8,6 +8,7 @@
 #include "liberty/library_builder.hpp"
 #include "place/placer.hpp"
 #include "testing/builders.hpp"
+#include "testing/sta_bits.hpp"
 
 namespace tg {
 namespace {
@@ -233,6 +234,27 @@ TEST_F(TimerTest, MazeAndSteinerGiveDifferentButCorrelatedTiming) {
   }
   EXPECT_GT(diff, 0.0);              // routing matters
   EXPECT_LT(diff, 0.5 * total_m);    // but not unrecognizably
+}
+
+/// The clock period reaches only the endpoints' required times, so a
+/// template build times once: run_sta, calibrate the period from its
+/// arrivals, then re-run only the backward sweep. That must leave every
+/// field a second full run_sta under the new period gives, bit for bit.
+TEST_F(TimerTest, RequiredSweepUnderNewPeriodMatchesFreshRun) {
+  for (const char* name : {"spm", "picorv32a", "aes256"}) {
+    SCOPED_TRACE(name);
+    const SuiteEntry entry = suite_entry(name, 1.0 / 16);
+    Design d = generate_design(entry.spec, lib_);
+    place_design(d);
+    const DesignRouting routing = steiner_route(d);
+    const TimingGraph g(d);
+    StaResult swept = run_sta(g, routing);
+    const double before = d.clock_period();
+    d.set_period(calibrated_period(d, swept.arrival, 0.9));
+    ASSERT_NE(d.clock_period(), before);
+    sta_detail::compute_required(g, StaOptions{}, swept);
+    EXPECT_EQ(testing::sta_bit_mismatch(swept, run_sta(g, routing)), "");
+  }
 }
 
 }  // namespace
