@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
 """Perf-regression gate over the micro-bench --json output.
 
-Compares a freshly produced BENCH_*.json against the checked-in baseline
-(bench/BENCH_*.json) entry by entry and fails when any benchmark's median
-regresses beyond the threshold (default 1.25x). Used by `ci/run.sh bench`.
+Compares freshly produced BENCH_*.json runs against the checked-in
+baseline (bench/BENCH_*.json) entry by entry and fails when any benchmark's
+median regresses beyond the threshold (default 1.25x). Used by `ci/run.sh
+bench` and `ci/run.sh serve`.
 
-    ci/check_bench.py <baseline.json> <current.json> [--threshold=1.25]
+    ci/check_bench.py <baseline.json> <current.json> [<current.json> ...] [--threshold=1.25]
     ci/check_bench.py --ratio=FAST:SLOW [--ratio=...] --threshold=T <current.json>
+
+Given several current runs, each entry is gated on the median of its
+per-run medians, so one run that lands in a slow mode of a bimodal box
+does not fail the gate on its own, while a regression that slows every run
+still does.
 
 Baseline entries missing from the current run fail the check (a renamed or
 dropped benchmark must update the baseline on purpose); entries new in the
@@ -30,6 +36,20 @@ def load(path):
         e["name"]: e for e in doc.get("results", [])
         if not e["name"].startswith("SWEEP_")
     }
+
+
+def median_of_runs(paths):
+    """Each entry's median_s across the runs that have it (the middle run,
+    or the mean of the middle two), with how many runs had it."""
+    runs = [load(p) for p in paths]
+    merged = {}
+    for name in sorted(set().union(*runs)):
+        values = sorted(r[name]["median_s"] for r in runs if name in r)
+        mid = len(values) // 2
+        median = (values[mid] if len(values) % 2
+                  else 0.5 * (values[mid - 1] + values[mid]))
+        merged[name] = {"median_s": median, "runs": len(values)}
+    return merged
 
 
 def check_ratios(path, pairs, threshold):
@@ -78,19 +98,21 @@ def main(argv):
             print(__doc__.strip(), file=sys.stderr)
             return 2
         return check_ratios(paths[0], pairs, threshold)
-    if len(paths) != 2:
+    if len(paths) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    baseline, current = load(paths[0]), load(paths[1])
+    baseline, current = load(paths[0]), median_of_runs(paths[1:])
+    runs = len(paths) - 1
 
     failures = []
-    print(f"# bench gate: {paths[1]} vs baseline {paths[0]} "
+    what = paths[1] if runs == 1 else f"median of {runs} runs"
+    print(f"# bench gate: {what} vs baseline {paths[0]} "
           f"(threshold {threshold:.2f}x)")
     print(f"{'ratio':>8} {'baseline ms':>12} {'current ms':>12}  benchmark")
     for name, base in sorted(baseline.items()):
         cur = current.get(name)
-        if cur is None:
-            failures.append(f"{name}: missing from current run")
+        if cur is None or cur["runs"] < runs:
+            failures.append(f"{name}: missing from a current run")
             continue
         if base["median_s"] <= 0:
             continue

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   double period = 0.0;
   server.inspect(session, [&](const serve::SessionView& v) {
     num_pins = v.design.num_pins();
-    period = v.design.clock_period();
+    period = v.clock_period;
   });
 
   // Baseline engine answer (pristine session -> golden STA).

@@ -475,10 +475,13 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
         nn::kern::add_acc(c + hid, m, n(hid));
         // segment_max: a row's first edge wins outright, later edges only
         // when strictly greater; edge-free rows keep the zero fill.
-        const bool first = i0 + k == cf.dst_off[n(r)];
         float* mx = c + 2 * hid;
-        for (std::int64_t j = 0; j < hid; ++j) {
-          if (first || m[j] > mx[j]) mx[j] = m[j];
+        if (i0 + k == cf.dst_off[n(r)]) {
+          std::copy_n(m, hid, mx);
+        } else {
+          for (std::int64_t j = 0; j < hid; ++j) {
+            mx[j] = m[j] > mx[j] ? m[j] : mx[j];
+          }
         }
       }
     });

@@ -68,7 +68,8 @@ DatasetGraph build_design_graph(const SuiteEntry& entry, const Library& library,
     // The period reaches only the endpoints' required times, so the
     // backward sweep under it gives what a second run_sta would, bit for
     // bit; sta_seconds stays the full run's.
-    sta_detail::compute_required(graph, options.sta, sta);
+    sta_detail::compute_required(graph, options.sta, design->clock_period(),
+                                 sta);
   }
   gate(name, "STA finiteness check",
        [&](DiagSink& s) { check_sta_finite(graph, sta, s); });

@@ -124,6 +124,27 @@ std::shared_ptr<const LutTable> build_lut_table(const Library& lib) {
   return table;
 }
 
+void write_clock_rows(DatasetGraph& g, const StaResult& sta, double period) {
+  g.clock_period = period;
+  // RAT is ±inf away from constrained pins; store raw values at
+  // endpoints and 0 elsewhere (the models only read endpoint rows).
+  // Same unit as arrival so predicted slack = RAT − AT works directly.
+  std::vector<float> rat(static_cast<std::size_t>(g.num_nodes()) *
+                             kNumCorners,
+                         0.0f);
+  for (int p : g.endpoints) {
+    write_rat(sta.rat[static_cast<std::size_t>(p)],
+              rat.data() + static_cast<std::size_t>(p) * kNumCorners);
+  }
+  g.rat = nn::Tensor::from_vector(std::move(rat), g.num_nodes(), kNumCorners);
+  g.endpoint_setup_slack.clear();
+  g.endpoint_hold_slack.clear();
+  for (int p : g.endpoints) {
+    g.endpoint_setup_slack.push_back(endpoint_setup_slack(sta, p));
+    g.endpoint_hold_slack.push_back(endpoint_hold_slack(sta, p));
+  }
+}
+
 DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
                            const DesignRouting& truth, const StaResult& sta) {
   TG_TRACE_SCOPE("data/extract", obs::kSpanCoarse);
@@ -132,7 +153,6 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
   Topology::Arrays topo;
   topo.num_nodes = design.num_pins();
   topo.num_levels = graph.num_levels();
-  g.clock_period = design.clock_period();
   g.stats = design.stats();
 
   // ---- node features (Table 2) ----------------------------------------
@@ -196,24 +216,7 @@ DatasetGraph extract_graph(const Design& design, const TimingGraph& graph,
   g.arrival = per_corner_tensor(sta.arrival, kArrivalScale);
   g.slew = per_corner_tensor(sta.slew, kSlewLabelScale);
   g.cell_delay = per_corner_tensor(sta.cell_arc_delay, kCellDelayScale);
-  {
-    // RAT is ±inf away from constrained pins; store raw values at
-    // endpoints and 0 elsewhere (the models only read endpoint rows).
-    // Same unit as arrival so predicted slack = RAT − AT works directly.
-    std::vector<float> rat(static_cast<std::size_t>(g.num_nodes()) *
-                               kNumCorners,
-                           0.0f);
-    for (int p : g.endpoints) {
-      write_rat(sta.rat[static_cast<std::size_t>(p)],
-                rat.data() + static_cast<std::size_t>(p) * kNumCorners);
-    }
-    g.rat =
-        nn::Tensor::from_vector(std::move(rat), g.num_nodes(), kNumCorners);
-  }
-  for (int p : g.endpoints) {
-    g.endpoint_setup_slack.push_back(endpoint_setup_slack(sta, p));
-    g.endpoint_hold_slack.push_back(endpoint_hold_slack(sta, p));
-  }
+  write_clock_rows(g, sta, design.clock_period());
   g.route_seconds = truth.route_seconds;
   g.sta_seconds = sta.sta_seconds;
   return g;
@@ -244,7 +247,9 @@ GraphDelta patch_instances(DatasetGraph& g, const TimingGraph& graph,
       }
       if (design.is_endpoint(p) &&
           rewrite_row(rat + pu * kNumCorners, kNumCorners, [&](float* row) {
-            write_rat(endpoint_required(design, p, sta_defaults), row);
+            write_rat(endpoint_required(design, p, sta_defaults,
+                                        design.clock_period()),
+                      row);
           })) {
         delta.endpoints.push_back(p);
       }

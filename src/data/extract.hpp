@@ -24,6 +24,14 @@ namespace tg::data {
                                          const DesignRouting& truth,
                                          const StaResult& sta);
 
+/// Writes what of `g` depends on the clock, from `sta` (a result over
+/// `g`'s pins, swept under `period`): clock_period, a fresh `rat` tensor
+/// (endpoint rows from sta.rat, 0 elsewhere; storage shared with another
+/// graph is never written) and the endpoint setup and hold slacks.
+/// extract_graph ends with it; a serving template's later clock corners
+/// run only this on a copy of the physical template's graph.
+void write_clock_rows(DatasetGraph& g, const StaResult& sta, double period);
+
 /// The LutTable of `lib`: one row per distinct Table-3 row of its arcs, in
 /// order of first appearance over (cell id, arc index), and the row of
 /// every arc of every cell, so a resize to any cell of `lib` finds its row.

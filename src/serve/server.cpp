@@ -110,9 +110,9 @@ Response slack_payload(const std::vector<core::EndpointSlack>& slacks) {
   return r;
 }
 
-/// GNN answer for a pristine session: a full read of the template graph
-/// from its cached net embedding (query-invariant), with the head run on
-/// the endpoint rows only.
+/// GNN answer for a pristine session: a full read of the corner's graph
+/// from its physical template's cached net embedding (query- and
+/// clock-invariant), with the head run on the endpoint rows only.
 Response pristine_payload(const core::TimingGnn& model,
                           const SessionTemplate& tpl,
                           const nn::Tensor& embedding) {
@@ -120,7 +120,7 @@ Response pristine_payload(const core::TimingGnn& model,
   // A full read with an empty delta never writes cache.embedding, so the
   // cached tensor is shared here, not copied.
   cache.embedding = embedding;
-  model.read(tpl.g, tpl.plan, tpl.g.endpoints, data::GraphDelta{},
+  model.read(tpl.g, tpl.phys->plan, tpl.g.endpoints, data::GraphDelta{},
              /*full=*/true, cache);
   return slack_payload(cache.slack);
 }
@@ -290,6 +290,7 @@ bool SlackServer::inspect(SessionId id,
                          session->current_graph(),
                          session->engine_result(),
                          session->tpl->g.endpoints,
+                         session->tpl->period,
                          session->pristine(),
                          session->tpl->g,
                          session->gnn ? &session->gnn->g : nullptr};
@@ -323,6 +324,7 @@ ServerStats SlackServer::stats() const {
   s.deadline_expired =
       stats_.deadline_expired.load(std::memory_order_relaxed);
   s.evicted = stats_.evicted.load(std::memory_order_relaxed);
+  s.physical_templates = templates_.physical_builds();
   return s;
 }
 
@@ -400,7 +402,7 @@ Response SlackServer::run_full_tier(Session& session, const Ticket& t) {
     // graph has none), so moves wait for the next engine answer.
     if (session.pristine()) {
       r = pristine_payload(model_, *session.tpl,
-                           template_embedding(*session.tpl));
+                           template_embedding(*session.tpl->phys));
     } else {
       r = session_gnn_read(session);
     }
@@ -427,13 +429,14 @@ Response SlackServer::session_gnn_read(Session& session) {
     gnn->g.net_edge_feat = base.net_edge_feat;
     gnn->g.cell_arc_lut = base.cell_arc_lut;
     gnn->g.rat = nn::detach(base.rat);
-    gnn->cache.embedding = nn::detach(template_embedding(*session.tpl));
+    gnn->cache.embedding =
+        nn::detach(template_embedding(*session.tpl->phys));
     session.gnn = std::move(gnn);
     full = true;
   }
   data::DatasetGraph& g = session.gnn->g;
   core::ReadCache& cache = session.gnn->cache;
-  const core::PropPlan& plan = session.tpl->plan;
+  const core::PropPlan& plan = session.tpl->phys->plan;
   const std::vector<int>& endpoints = session.tpl->g.endpoints;
   const bool recover = session.gnn_dirty;
 
@@ -715,17 +718,17 @@ void SlackServer::handle(Ticket ticket) {
   fulfill(ticket, std::move(r));
 }
 
-nn::Tensor SlackServer::template_embedding(const SessionTemplate& tpl) {
+nn::Tensor SlackServer::template_embedding(const PhysicalTemplate& phys) {
   {
     const std::lock_guard<std::mutex> lock(embed_mu_);
-    const auto it = embeds_.find(tpl.key);
+    const auto it = embeds_.find(phys.key);
     if (it != embeds_.end()) return it->second;
   }
   // Compute outside the lock; racing workers on a fresh template produce
   // identical tensors and the first insert wins.
-  nn::Tensor emb = model_.embed(tpl.g);
+  nn::Tensor emb = model_.embed(phys.g);
   const std::lock_guard<std::mutex> lock(embed_mu_);
-  return embeds_.try_emplace(tpl.key, std::move(emb)).first->second;
+  return embeds_.try_emplace(phys.key, std::move(emb)).first->second;
 }
 
 void SlackServer::handle_batch(
@@ -747,7 +750,7 @@ void SlackServer::handle_batch(
                                     : CancelSource();
     const ScopedCancel ambient(source.token());
     maybe_inject_faults();
-    proto = pristine_payload(model_, *tpl, template_embedding(*tpl));
+    proto = pristine_payload(model_, *tpl, template_embedding(*tpl->phys));
     proto->tier = ServeTier::kFull;
   } catch (...) {
     // Batch compute failed (fault or every member past deadline): fall

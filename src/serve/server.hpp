@@ -82,12 +82,12 @@ class SlackServer {
   /// The shared serving model (immutable weights).
   [[nodiscard]] const core::TimingGnn& model() const { return model_; }
 
-  /// Cached net embedding for a pristine template (query-invariant —
-  /// computed once per template key per server, then read by every
-  /// full-tier GNN answer on that template, and copied as the start of a
-  /// moved session's own). A tape-free leaf: TimingGnn::embed records no
-  /// autograd graph.
-  [[nodiscard]] nn::Tensor template_embedding(const SessionTemplate& tpl);
+  /// Cached net embedding of a physical template (query- and
+  /// clock-invariant — computed once per physical key per server, then
+  /// read by every full-tier GNN answer on any of its corners, and copied
+  /// as the start of a moved session's own). A tape-free leaf:
+  /// TimingGnn::embed records no autograd graph.
+  [[nodiscard]] nn::Tensor template_embedding(const PhysicalTemplate& phys);
 
  private:
   struct StatsCells {
@@ -142,8 +142,9 @@ class SlackServer {
   AdmissionQueue queue_;
   core::TimingGnn model_;  ///< immutable shared weights
 
-  /// tpl key -> cached net embedding; grows with the template working
-  /// set (bounded like TemplateCache by the design suite size).
+  /// Physical template key -> cached net embedding; grows with the
+  /// template working set (bounded like TemplateCache by the design suite
+  /// size).
   std::mutex embed_mu_;
   std::unordered_map<std::uint64_t, nn::Tensor> embeds_;
 

@@ -31,58 +31,98 @@ const Library& serve_library() {
 
 }  // namespace
 
-std::uint64_t design_hash(const std::string& design, double scale,
-                          double clock_factor) {
+std::uint64_t physical_hash(const std::string& design, double scale) {
   std::uint64_t h = 14695981039346656037ULL;
   h = fnv1a(design.data(), design.size(), h);
   h = fnv1a(&scale, sizeof(scale), h);
-  h = fnv1a(&clock_factor, sizeof(clock_factor), h);
   return h;
+}
+
+std::uint64_t design_hash(const std::string& design, double scale,
+                          double clock_factor) {
+  return fnv1a(&clock_factor, sizeof(clock_factor),
+               physical_hash(design, scale));
 }
 
 std::shared_ptr<const SessionTemplate> TemplateCache::get_or_build(
     const std::string& design, double scale, double clock_factor) {
   const std::uint64_t key = design_hash(design, scale, clock_factor);
   const std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-
-  TG_TRACE_SCOPE("serve/template_build", obs::kSpanCoarse);
-  auto tpl = std::make_shared<SessionTemplate>(serve_library());
-  tpl->key = key;
-  tpl->design_name = design;
-  tpl->scale = scale;
-  tpl->clock_factor = clock_factor;
+  auto it = corners_.find(key);
+  if (it != corners_.end()) return it->second;
 
   const SuiteEntry entry = suite_entry(design, scale);
-  tpl->design = generate_design(entry.spec, serve_library());
-  place_design(tpl->design);
-
-  RoutingOptions route_opts;
-  route_opts.mode = RouteMode::kSteiner;
-  tpl->routing = route_design(tpl->design, route_opts);
-
-  tpl->graph = std::make_unique<TimingGraph>(tpl->design);
-  tpl->sta = run_sta(*tpl->graph, tpl->routing);
   const double factor = clock_factor > 0.0 ? clock_factor : entry.clock_factor;
-  tpl->design.set_period(
-      calibrated_period(tpl->design, tpl->sta.arrival, factor));
-  // The period reaches only the endpoints' required times: the backward
-  // sweep under it leaves what a second run_sta would, bit for bit.
-  sta_detail::compute_required(*tpl->graph, StaOptions{}, tpl->sta);
-  tpl->g =
-      data::extract_graph(tpl->design, *tpl->graph, tpl->routing, tpl->sta);
-  if (lut_table_ == nullptr) {
-    lut_table_ = tpl->g.lut_table;
-  } else {
-    TG_CHECK_MSG(lut_table_->same_content(*tpl->g.lut_table),
-                 "template " << design << " built a different LUT table");
-    tpl->g.lut_table = lut_table_;
-  }
-  tpl->plan = core::build_prop_plan(tpl->g);
+  auto corner = std::make_shared<SessionTemplate>();
+  corner->key = key;
+  corner->clock_factor = clock_factor;
 
-  cache_.emplace(key, tpl);
-  return tpl;
+  const std::uint64_t phys_key = physical_hash(design, scale);
+  const auto sibling = physical_.find(phys_key);
+  if (sibling != physical_.end()) {
+    // A later corner: the sibling's forward sweep re-swept under this
+    // corner's period, and the physical graph with this corner's rat.
+    TG_TRACE_SCOPE("serve/corner_build", obs::kSpanCoarse);
+    const SessionTemplate& first = *sibling->second;
+    const PhysicalTemplate& phys = *first.phys;
+    corner->phys = first.phys;
+    corner->sta = first.sta;
+    corner->period =
+        calibrated_period(phys.design, corner->sta.arrival, factor);
+    sta_detail::compute_required(*phys.graph, StaOptions{}, corner->period,
+                                 corner->sta);
+    corner->g = phys.g;
+    data::write_clock_rows(corner->g, corner->sta, corner->period);
+  } else {
+    TG_TRACE_SCOPE("serve/template_build", obs::kSpanCoarse);
+    auto phys = std::make_shared<PhysicalTemplate>(serve_library());
+    phys->key = phys_key;
+    phys->design_name = design;
+    phys->scale = scale;
+    phys->design = generate_design(entry.spec, serve_library());
+    place_design(phys->design);
+
+    RoutingOptions route_opts;
+    route_opts.mode = RouteMode::kSteiner;
+    phys->routing = route_design(phys->design, route_opts);
+
+    phys->graph = std::make_unique<TimingGraph>(phys->design);
+    corner->sta = run_sta(*phys->graph, phys->routing);
+    corner->period =
+        calibrated_period(phys->design, corner->sta.arrival, factor);
+    // The period reaches only the endpoints' required times: the backward
+    // sweep under it leaves what a second run_sta would, bit for bit.
+    sta_detail::compute_required(*phys->graph, StaOptions{}, corner->period,
+                                 corner->sta);
+    data::DatasetGraph g = data::extract_graph(phys->design, *phys->graph,
+                                               phys->routing, corner->sta);
+    if (lut_table_ == nullptr) {
+      lut_table_ = g.lut_table;
+    } else {
+      TG_CHECK_MSG(lut_table_->same_content(*g.lut_table),
+                   "template " << design << " built a different LUT table");
+      g.lut_table = lut_table_;
+    }
+    phys->plan = core::build_prop_plan(g);
+    // The corner's graph takes the extracted clock rows; the physical
+    // graph keeps the rest and shares its tensors with the corner's.
+    corner->g = g;
+    corner->g.clock_period = corner->period;
+    phys->g = std::move(g);
+    phys->g.rat = nn::Tensor();
+    phys->g.clock_period = 0.0;
+    phys->g.endpoint_setup_slack.clear();
+    phys->g.endpoint_hold_slack.clear();
+    corner->phys = std::move(phys);
+    physical_.emplace(phys_key, corner);
+  }
+  corners_.emplace(key, corner);
+  return corner;
+}
+
+std::uint64_t TemplateCache::physical_builds() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return physical_.size();
 }
 
 std::uint64_t StaleEntry::compute_checksum() const {
@@ -100,10 +140,13 @@ std::uint64_t StaleEntry::compute_checksum() const {
 void Session::materialize() {
   if (materialized) return;
   TG_TRACE_SCOPE("serve/materialize", obs::kSpanDetail);
-  design = std::make_unique<Design>(tpl->design);
-  routing = std::make_unique<DesignRouting>(tpl->routing);
+  design = std::make_unique<Design>(tpl->phys->design);
+  // The clone is the session's own, so it carries the corner's period:
+  // its incremental timer and GNN patches read it from there.
+  design->set_period(tpl->period);
+  routing = std::make_unique<DesignRouting>(tpl->phys->routing);
   graph = std::make_unique<TimingGraph>(*design);
-  // The session's baseline is the template's STA: the copied design,
+  // The session's baseline is the corner's STA: the copied design,
   // routing and graph time exactly as the template's did.
   timer = std::make_unique<IncrementalTimer>(*graph, routing.get(), tpl->sta);
   materialized = true;
@@ -137,15 +180,15 @@ const StaResult& Session::engine_result() const {
 }
 
 const Design& Session::current_design() const {
-  return materialized ? *design : tpl->design;
+  return materialized ? *design : tpl->phys->design;
 }
 
 const TimingGraph& Session::current_graph() const {
-  return materialized ? *graph : *tpl->graph;
+  return materialized ? *graph : *tpl->phys->graph;
 }
 
 const DesignRouting& Session::current_routing() const {
-  return materialized ? *routing : tpl->routing;
+  return materialized ? *routing : tpl->phys->routing;
 }
 
 }  // namespace tg::serve

@@ -2,22 +2,30 @@
 /// \file session.hpp
 /// Per-tenant state of the serving plane (DESIGN.md §12).
 ///
-/// A `SessionTemplate` is the immutable, shareable baseline of one design:
-/// generated + placed netlist, Steiner routing, timing graph, golden STA,
-/// extracted DatasetGraph and its PropPlan — everything a *pristine*
-/// session needs to answer full-graph prediction requests without owning
-/// any mutable state. Moved sessions share its graph's topology and the
-/// plan, and own copies of the value rows a resize rewrites. Templates
-/// are built once per design hash and cached (`TemplateCache`), so
-/// opening hundreds of sessions on the same design costs a hash lookup
-/// plus a control block.
+/// A template is the immutable, shareable baseline of one design, in two
+/// parts. The `PhysicalTemplate`, keyed by (design, scale), holds what no
+/// clock reaches: the generated + placed netlist, Steiner routing, timing
+/// graph, the extracted DatasetGraph's features, labels and topology, and
+/// its PropPlan. It is built once, however many clock corners open on the
+/// design. A `SessionTemplate` is one clock corner of it, keyed by
+/// (design, scale, clock factor): the calibrated period, an STA result
+/// whose required times and slacks are swept under that period, and a
+/// DatasetGraph that shares the physical graph's tensors and owns only
+/// `rat`, `clock_period` and the endpoint slacks. Everything a *pristine*
+/// session needs to answer full-graph prediction requests lives in the two,
+/// so opening hundreds of sessions on the same design costs a hash lookup
+/// plus a control block, and a second corner of a built design costs one
+/// StaResult copy, one required-time sweep and one `rat` write.
 ///
-/// A `Session` starts as a thin handle on its template. The first resize
+/// A `Session` starts as a thin handle on its corner. The first resize
 /// move *materializes* it (copy-on-write): the design and routing are
-/// cloned, a session-owned TimingGraph + IncrementalTimer come up, and
-/// from then on ECO moves are applied to session state only. The template
-/// is never mutated — a corrupted or quarantined session can be closed and
-/// reopened from the same baseline.
+/// cloned, the clone takes the corner's period, a session-owned
+/// TimingGraph + IncrementalTimer come up, and from then on ECO moves are
+/// applied to session state only. No template is ever mutated after it is
+/// published — pristine requests read it without a lock, and a corrupted
+/// or quarantined session can be closed and reopened from the same
+/// baseline. In particular the physical design's `clock_period()` is the
+/// generator's, no corner's: a corner's period is `SessionTemplate::period`.
 ///
 /// Thread-safety: all mutable session state is guarded by `mu`; the server
 /// holds it for the whole request (compute included), so each session graph
@@ -40,49 +48,81 @@
 
 namespace tg::serve {
 
-/// Immutable per-design baseline. Built by TemplateCache::get_or_build.
-struct SessionTemplate {
-  std::uint64_t key = 0;  ///< design hash (name, scale, clock factor)
+/// The clock-free part of a design's template. Built by
+/// TemplateCache::get_or_build with the first corner opened on it.
+struct PhysicalTemplate {
+  std::uint64_t key = 0;  ///< physical_hash(name, scale)
   std::string design_name;
   double scale = 0.0;
-  double clock_factor = 0.0;  ///< 0 = the suite's default
 
-  Design design;          ///< placed, clock calibrated
+  /// Placed; its clock_period() is the generator's, never calibrated.
+  Design design;
   DesignRouting routing;  ///< Steiner pre-routing estimate
   std::unique_ptr<TimingGraph> graph;  ///< over `design`
-  StaResult sta;          ///< golden baseline STA
-  data::DatasetGraph g;   ///< extracted features + labels
-  core::PropPlan plan;    ///< GNN traversal schedule for `g`
+  /// Extracted features, labels and topology. Clock-free: no `rat`, no
+  /// endpoint slacks and clock_period 0 (a corner's graph has them).
+  data::DatasetGraph g;
+  core::PropPlan plan;  ///< GNN traversal schedule for `g`
 
   /// `lib` must outlive the template (the serving plane uses the
   /// process-wide synthetic library, a function-local static).
-  explicit SessionTemplate(const Library& lib) : design("", &lib) {}
+  explicit PhysicalTemplate(const Library& lib) : design("", &lib) {}
 };
 
-/// Design-hash-keyed cache of session templates. Building is serialized
-/// per cache; lookups after the first are lock + hash only. Every template
-/// graph of one cache points at the first template's LutTable: they all
-/// come from one library, so the tables are byte-equal.
+/// One clock corner of a physical template: the immutable baseline a
+/// session opens on. Built by TemplateCache::get_or_build.
+struct SessionTemplate {
+  std::uint64_t key = 0;  ///< design_hash(name, scale, clock factor)
+  double clock_factor = 0.0;  ///< 0 = the suite's default
+  double period = 0.0;        ///< calibrated from phys's arrivals
+  std::shared_ptr<const PhysicalTemplate> phys;
+  /// Golden baseline STA over phys->graph: the forward sweep every corner
+  /// of phys shares, required times and slacks under `period`.
+  StaResult sta;
+  /// phys->g with this corner's clock rows (data::write_clock_rows): the
+  /// tensors, topology and LUT table are phys->g's, shared; `rat`,
+  /// `clock_period` and the endpoint slacks are this corner's own.
+  data::DatasetGraph g;
+};
+
+/// Cache of session templates: physical templates by (design, scale), and
+/// their clock corners by (design, scale, clock factor). Building is
+/// serialized per cache; lookups after the first are lock + hash only.
+/// Every template graph of one cache points at the first template's
+/// LutTable: they all come from one library, so the tables are byte-equal.
 class TemplateCache {
  public:
-  /// Returns the cached template for (design, scale, clock_factor),
-  /// building it first if absent. `clock_factor` scales the calibrated
-  /// clock period (< 1 = deliberately tight, the ECO-loop setup); 0 uses
-  /// the suite's default. Throws CheckError for unknown design names.
+  /// Returns the cached corner for (design, scale, clock_factor), building
+  /// it first if absent: with its physical template when no corner of
+  /// (design, scale) exists yet, else from a copy of a sibling corner's
+  /// STA re-swept under its own period. `clock_factor` scales the
+  /// calibrated clock period (< 1 = deliberately tight, the ECO-loop
+  /// setup); 0 uses the suite's default. Throws CheckError for unknown
+  /// design names.
   std::shared_ptr<const SessionTemplate> get_or_build(
       const std::string& design, double scale, double clock_factor = 0.0);
 
+  /// Physical templates built so far: one per (design, scale).
+  [[nodiscard]] std::uint64_t physical_builds() const;
+
  private:
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const SessionTemplate>>
-      cache_;
+      corners_;
+  /// Physical key -> the first corner built on it, whose STA result later
+  /// corners copy.
+  std::unordered_map<std::uint64_t, std::shared_ptr<const SessionTemplate>>
+      physical_;
   std::shared_ptr<const data::LutTable> lut_table_;
 };
 
-/// FNV-1a design hash over (name, scale, clock factor). Stable across
+/// FNV-1a hash of a corner: (name, scale, clock factor). Stable across
 /// processes.
 [[nodiscard]] std::uint64_t design_hash(const std::string& design,
                                         double scale, double clock_factor);
+/// FNV-1a hash of a physical template: (name, scale).
+[[nodiscard]] std::uint64_t physical_hash(const std::string& design,
+                                          double scale);
 
 /// Checksummed last-good answer for the stale tier. The checksum covers
 /// the payload; serving verifies it so a corrupted entry (TG_FAULT_SERVE=
@@ -126,8 +166,8 @@ struct Session {
   /// LUT table and net-edge features (shared) and its own copies of
   /// node_feat, cell_arc_lut and rat, patched to the session design; it
   /// has no labels. Resizes never change topology, so reads run on
-  /// tpl->plan and tpl->g.endpoints. Null until the first GNN read after
-  /// materialize.
+  /// tpl->phys->plan and tpl->g.endpoints. Null until the first GNN read
+  /// after materialize.
   struct GnnState {
     data::DatasetGraph g;
     core::ReadCache cache;
@@ -152,9 +192,10 @@ struct Session {
   /// it under `sessions_mu_` alone, without taking `mu`.
   std::atomic<std::uint64_t> last_used{0};
 
-  /// Clones template design/routing and brings up the session-owned
-  /// timing graph + incremental timer, seeded with a copy of the
-  /// template's STA (the clones time exactly as the template did).
+  /// Clones the physical design/routing, sets the clone's period to the
+  /// corner's, and brings up the session-owned timing graph + incremental
+  /// timer, seeded with a copy of the corner's STA (the clones time
+  /// exactly as the template did).
   /// No-op when already materialized. Caller holds `mu`.
   void materialize();
 
@@ -184,7 +225,9 @@ struct Session {
 /// session lock). `endpoints` are node==pin ids, the alignment of
 /// Response::endpoint_setup. `sta` is the engine's last answer: moves that
 /// arrived with GNN reads are timed by the next engine (kSta) request.
-/// `template_graph` is the template's extracted graph; `gnn_graph` the
+/// `clock_period` is the corner's: a pristine view's `design` is the
+/// shared physical one, whose own clock_period() is no corner's.
+/// `template_graph` is the corner's extracted graph; `gnn_graph` the
 /// moved session's GNN graph (Session::GnnState), null before its first
 /// GNN read.
 struct SessionView {
@@ -193,6 +236,7 @@ struct SessionView {
   const TimingGraph& graph;
   const StaResult& sta;
   const std::vector<int>& endpoints;
+  double clock_period = 0.0;
   bool pristine = false;
   const data::DatasetGraph& template_graph;
   const data::DatasetGraph* gnn_graph = nullptr;

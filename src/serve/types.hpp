@@ -143,6 +143,9 @@ struct ServerStats {
   std::uint64_t cancelled = 0;         ///< client-cancelled requests
   std::uint64_t deadline_expired = 0;  ///< requests that tripped a deadline
   std::uint64_t evicted = 0;           ///< sessions LRU-evicted at the cap
+  /// Physical templates built (DESIGN.md §12): one per (design, scale),
+  /// shared by every clock corner opened on it.
+  std::uint64_t physical_templates = 0;
   /// Always 0: the server no longer packs templates into one forward
   /// (DESIGN.md §12), so no request is cross-batched and no pack is built
   /// or reused. Kept because perfbench still reads them.

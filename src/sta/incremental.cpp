@@ -120,7 +120,8 @@ int IncrementalTimer::update() {
   TG_METRIC_COUNT("sta/incremental_pins_visited", cone_nodes_);
   TG_METRIC_COUNT("sta/incremental_pins_changed", changed_pins);
   if (changed_pins > 0) {
-    sta_detail::compute_required(*graph_, options_, result_);
+    sta_detail::compute_required(*graph_, options_,
+                                 graph_->design().clock_period(), result_);
   }
   return changed_pins;
 }

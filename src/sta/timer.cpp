@@ -212,7 +212,7 @@ void relax_required_pin(const TimingGraph& graph, StaResult& r, PinId p) {
 }
 
 void compute_required(const TimingGraph& graph, const StaOptions& options,
-                      StaResult& r) {
+                      double period, StaResult& r) {
   TG_TRACE_SCOPE("sta/backward", obs::kSpanCoarse);
   const Design& d = graph.design();
   const int n = d.num_pins();
@@ -224,7 +224,8 @@ void compute_required(const TimingGraph& graph, const StaOptions& options,
         r.rat[static_cast<std::size_t>(p)][c] = late ? kInf : -kInf;
       }
       if (!d.is_endpoint(p)) continue;
-      r.rat[static_cast<std::size_t>(p)] = endpoint_required(d, p, options);
+      r.rat[static_cast<std::size_t>(p)] =
+          endpoint_required(d, p, options, period);
     }
   });
 
@@ -324,7 +325,7 @@ StaResult run_sta(const TimingGraph& graph, const DesignRouting& routing,
                    });
     }
   }
-  sta_detail::compute_required(graph, options, r);
+  sta_detail::compute_required(graph, options, d.clock_period(), r);
   r.sta_seconds = timer.seconds();
   return r;
 }
@@ -342,7 +343,7 @@ double endpoint_hold_slack(const StaResult& sta, PinId pin) {
 }
 
 PerCorner endpoint_required(const Design& design, PinId pin,
-                            const StaOptions& options) {
+                            const StaOptions& options, double period) {
   PerCorner setup = per_corner_fill(options.po_setup_margin_ns);
   PerCorner hold = per_corner_fill(options.po_hold_margin_ns);
   if (!design.pin(pin).is_port) {
@@ -350,7 +351,6 @@ PerCorner endpoint_required(const Design& design, PinId pin,
     setup = cell.setup;
     hold = cell.hold;
   }
-  const double period = design.clock_period();
   PerCorner rat{};
   for (int c = 0; c < kNumCorners; ++c) {
     const bool late = corner_mode(c) == Mode::kLate;

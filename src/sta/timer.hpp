@@ -56,12 +56,15 @@ struct StaResult {
 /// Hold (early) endpoint slack reduced over rise/fall.
 [[nodiscard]] double endpoint_hold_slack(const StaResult& sta, PinId pin);
 
-/// Required time at endpoint `pin`: period − setup at the late corners,
-/// hold at the early ones, from the endpoint cell's setup/hold (the
-/// options' PO margins at ports). The backward sweep's seed, and the RAT
-/// an incremental GNN read patches after a flop resize.
+/// Required time at endpoint `pin` under clock `period`: period − setup
+/// at the late corners, hold at the early ones, from the endpoint cell's
+/// setup/hold (the options' PO margins at ports). The backward sweep's
+/// seed, and the RAT an incremental GNN read patches after a flop resize.
+/// The period is an argument, not `design.clock_period()`, so clock
+/// corners of one shared design each time it under their own.
 [[nodiscard]] PerCorner endpoint_required(const Design& design, PinId pin,
-                                          const StaOptions& options);
+                                          const StaOptions& options,
+                                          double period);
 
 namespace sta_detail {
 /// Recomputes arrival/slew/net_delay of one pin (and the delays of its
@@ -70,9 +73,13 @@ namespace sta_detail {
 /// and incremental timers.
 double propagate_pin(const TimingGraph& graph, const DesignRouting& routing,
                      const StaOptions& options, StaResult& r, PinId pin);
-/// Backward RAT sweep + slack + WNS/TNS summary.
+/// Backward RAT sweep + slack + WNS/TNS summary under clock `period`.
+/// Rewrites every rat and slack entry and the summary, and reads only the
+/// forward sweep's arrival, net_delay and cell_arc_delay, so a copy of a
+/// result swept under another period re-sweeps to what a fresh run_sta
+/// under `period` gives, bit for bit.
 void compute_required(const TimingGraph& graph, const StaOptions& options,
-                      StaResult& r);
+                      double period, StaResult& r);
 }  // namespace sta_detail
 
 }  // namespace tg

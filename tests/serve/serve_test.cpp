@@ -408,8 +408,8 @@ TEST(ServeTest, CachedEmbeddingsAreTapeFreeLeaves) {
   req.session = server.open_session(kDesign, kScale);
   ASSERT_EQ(server.call(std::move(req)).status, ResponseStatus::kOk);
   TemplateCache templates;  // same key as the server's template
-  const nn::Tensor tpl_emb =
-      server.template_embedding(*templates.get_or_build(kDesign, kScale, 0.0));
+  const nn::Tensor tpl_emb = server.template_embedding(
+      *templates.get_or_build(kDesign, kScale, 0.0)->phys);
   EXPECT_FALSE(tpl_emb.requires_grad());
   EXPECT_TRUE(tpl_emb.impl()->parents.empty());
   EXPECT_FALSE(tpl_emb.impl()->backward_fn);
@@ -417,19 +417,131 @@ TEST(ServeTest, CachedEmbeddingsAreTapeFreeLeaves) {
 
 /// A template times its design once, and a session's timer starts from a
 /// copy of that result instead of re-timing: both must hold what a fresh
-/// full STA of the session's own graph gives, bit for bit.
+/// full STA of the session's own graph gives, bit for bit. The second
+/// corner of a design re-sweeps a copy of the first's result under its own
+/// period, so it is checked the same way.
 TEST(ServeTest, SessionTimerSeededFromTemplateEqualsFullRun) {
   TemplateCache templates;
   for (const char* design : {"spm", "picorv32a"}) {
-    SCOPED_TRACE(design);
-    Session session;
-    session.tpl = templates.get_or_build(design, kScale, 0.92);
-    const std::lock_guard<std::mutex> lock(session.mu);
-    session.materialize();
-    const StaResult seeded = session.timer->result();
-    session.timer->run_full();
-    EXPECT_EQ(testing::sta_bit_mismatch(seeded, session.timer->result()), "");
+    for (const double factor : {0.92, 1.08}) {
+      SCOPED_TRACE(std::string(design) + " @" + std::to_string(factor));
+      Session session;
+      session.tpl = templates.get_or_build(design, kScale, factor);
+      const std::lock_guard<std::mutex> lock(session.mu);
+      session.materialize();
+      const StaResult seeded = session.timer->result();
+      session.timer->run_full();
+      EXPECT_EQ(testing::sta_bit_mismatch(seeded, session.timer->result()),
+                "");
+    }
   }
+  EXPECT_EQ(templates.physical_builds(), 2u);
+}
+
+/// Clock corners of one design share one physical template: the clock
+/// reaches only the endpoints' required times, so a later corner re-sweeps
+/// a copy of a sibling's STA instead of generating, placing, routing,
+/// timing and extracting the design again. Every answer a corner gives
+/// must be the one a server that opened only that corner gives.
+TEST(ServeTest, ClockCornersShareOnePhysicalTemplate) {
+  const char* designs[] = {"spm", "xtea"};
+  const double factors[] = {0.0, 0.92, 1.08};
+  SlackServer server(small_options());
+  std::vector<SessionId> pristine;
+  for (const char* design : designs) {
+    for (const double factor : factors) {
+      pristine.push_back(server.open_session(design, kScale, factor));
+    }
+  }
+  EXPECT_EQ(server.stats().physical_templates, 2u);
+
+  // A corner's graph shares the physical graph's tensors and topology and
+  // owns its rat.
+  const auto storage = [](const nn::Tensor& x) { return x.data().data(); };
+  for (std::size_t d = 0; d < 2; ++d) {
+    const data::DatasetGraph* graphs[3] = {};
+    for (std::size_t c = 0; c < 3; ++c) {
+      server.inspect(pristine[3 * d + c], [&](const SessionView& v) {
+        graphs[c] = &v.template_graph;
+      });
+    }
+    for (std::size_t c = 1; c < 3; ++c) {
+      EXPECT_EQ(graphs[c]->topo.get(), graphs[0]->topo.get());
+      EXPECT_EQ(storage(graphs[c]->node_feat), storage(graphs[0]->node_feat));
+      EXPECT_EQ(storage(graphs[c]->arrival), storage(graphs[0]->arrival));
+      EXPECT_NE(storage(graphs[c]->rat), storage(graphs[0]->rat));
+      const auto values = [](const nn::Tensor& x) {
+        return std::vector<float>(x.data().begin(), x.data().end());
+      };
+      EXPECT_NE(values(graphs[c]->rat), values(graphs[0]->rat));
+    }
+  }
+
+  const auto ask = [](SlackServer& srv, SessionId id, RequestMode mode,
+                      std::vector<ResizeMove> moves = {},
+                      bool force_full = false) {
+    Request req;
+    req.session = id;
+    req.mode = mode;
+    req.moves = std::move(moves);
+    req.force_full = force_full;
+    Response r = srv.call(std::move(req));
+    EXPECT_NE(r.status, ResponseStatus::kShed) << r.error;
+    return r;
+  };
+  const auto expect_same = [](const Response& a, const Response& b) {
+    EXPECT_EQ(a.endpoint_setup, b.endpoint_setup);
+    EXPECT_EQ(a.wns_setup, b.wns_setup);
+    EXPECT_EQ(a.tns_setup, b.tns_setup);
+    EXPECT_EQ(a.wns_hold, b.wns_hold);
+  };
+
+  std::size_t i = 0;
+  std::vector<double> periods;
+  for (const char* design : designs) {
+    for (const double factor : factors) {
+      SCOPED_TRACE(std::string(design) + " @" + std::to_string(factor));
+      const SessionId id = pristine[i++];
+      SlackServer solo(small_options());
+      const SessionId solo_id = solo.open_session(design, kScale, factor);
+      expect_same(ask(server, id, RequestMode::kGnn),
+                  ask(solo, solo_id, RequestMode::kGnn));
+      expect_same(ask(server, id, RequestMode::kSta),
+                  ask(solo, solo_id, RequestMode::kSta));
+
+      double period = 0.0;
+      ASSERT_TRUE(solo.inspect(solo_id, [&](const SessionView& v) {
+        period = v.clock_period;
+        EXPECT_EQ(v.template_graph.clock_period, period);
+      }));
+      periods.push_back(period);
+
+      // A moved session of the shared corner: its cone answer is its own
+      // full re-time, under the corner's period.
+      const SessionId moved = server.open_session(design, kScale, factor);
+      ResizeMove move{-1, -1};
+      server.inspect(moved, [&](const SessionView& v) {
+        EXPECT_EQ(v.clock_period, period);
+        move = {0, alternative_cell(v, 0)};
+      });
+      ASSERT_GE(move.new_cell, 0);
+      const Response cone = ask(server, moved, RequestMode::kSta, {move});
+      EXPECT_EQ(cone.tier, ServeTier::kCone);
+      expect_same(cone, ask(server, moved, RequestMode::kSta, {}, true));
+      server.inspect(moved, [&](const SessionView& v) {
+        EXPECT_FALSE(v.pristine);
+        EXPECT_EQ(v.design.clock_period(), period);
+        EXPECT_EQ(v.clock_period, period);
+      });
+    }
+  }
+  // Three distinct periods per design: the corners did not collapse.
+  for (std::size_t d = 0; d < 2; ++d) {
+    EXPECT_NE(periods[3 * d], periods[3 * d + 1]);
+    EXPECT_NE(periods[3 * d + 1], periods[3 * d + 2]);
+    EXPECT_NE(periods[3 * d], periods[3 * d + 2]);
+  }
+  EXPECT_EQ(server.stats().physical_templates, 2u);
 }
 
 /// The micro-batcher's drain takes batchable tickets of the lead's

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/server.hpp"
@@ -265,6 +266,67 @@ TEST(ServeTsanTest, FirstGnnReadsOfMovedSessionsRaceOnAFreshTemplate) {
     for (const Response& r : reads) {
       ASSERT_EQ(r.status, ResponseStatus::kOk) << r.error;
       EXPECT_EQ(r.endpoint_setup, reads[0].endpoint_setup);
+    }
+  }
+}
+
+TEST(ServeTsanTest, ClockCornersOpenConcurrentlyWhileGnnReadsRun) {
+  // Three clock corners of one design, opened from four threads at once
+  // while GNN reads on the corners already open run on the workers: a
+  // later corner's build copies a sibling's STA and the physical graph,
+  // which those reads walk without a lock. The corners must share one
+  // physical template, and every read of a corner must give one answer.
+  // Each round is a fresh server, so the corners race a fresh build.
+  constexpr int kRounds = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    ServeOptions o;
+    o.workers = 4;
+    o.queue_capacity = 64;  // 24 reads stay below the degrade fill
+    o.max_retries = 0;
+    SlackServer server(o);
+    constexpr int kThreads = 4;
+    constexpr double kFactors[] = {0.0, 0.92, 1.08};
+    constexpr int kCorners = 3;
+    std::vector<std::vector<Response>> answers(kThreads * kCorners);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<std::pair<int, SessionId>> open;
+        std::vector<std::pair<int, std::future<Response>>> futs;
+        for (int k = 0; k < kCorners; ++k) {
+          const int corner = (t + k) % kCorners;
+          open.emplace_back(corner, server.open_session(kDesign, kScale,
+                                                        kFactors[corner]));
+          // A read on every corner this thread has open, so reads of the
+          // physical template overlap the next corner's build.
+          for (const auto& [c, id] : open) {
+            Request req;
+            req.session = id;
+            req.mode = RequestMode::kGnn;
+            futs.emplace_back(c, server.submit(std::move(req)));
+          }
+        }
+        for (auto& [c, fut] : futs) {
+          answers[static_cast<std::size_t>(t * kCorners + c)].push_back(
+              fut.get());
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+
+    EXPECT_EQ(server.stats().physical_templates, 1u);
+    for (int c = 0; c < kCorners; ++c) {
+      const std::vector<double>* first = nullptr;
+      for (int t = 0; t < kThreads; ++t) {
+        for (const Response& r :
+             answers[static_cast<std::size_t>(t * kCorners + c)]) {
+          ASSERT_EQ(r.status, ResponseStatus::kOk) << r.error;
+          if (first == nullptr) first = &r.endpoint_setup;
+          EXPECT_EQ(r.endpoint_setup, *first) << "corner " << c;
+        }
+      }
+      ASSERT_NE(first, nullptr);
     }
   }
 }

@@ -252,8 +252,36 @@ TEST_F(TimerTest, RequiredSweepUnderNewPeriodMatchesFreshRun) {
     const double before = d.clock_period();
     d.set_period(calibrated_period(d, swept.arrival, 0.9));
     ASSERT_NE(d.clock_period(), before);
-    sta_detail::compute_required(g, StaOptions{}, swept);
+    sta_detail::compute_required(g, StaOptions{}, d.clock_period(), swept);
     EXPECT_EQ(testing::sta_bit_mismatch(swept, run_sta(g, routing)), "");
+  }
+}
+
+/// A serving template's later clock corner copies a sibling corner's
+/// result and re-sweeps only its required times under its own period. The
+/// copy's rat, slack and WNS/TNS come from the sibling's period, so the
+/// sweep must overwrite all of them, and it must take the period it is
+/// given, not the design's: the result must be a fresh run_sta under the
+/// new period, bit for bit.
+TEST_F(TimerTest, RequiredSweepFromSiblingPeriodMatchesFreshRun) {
+  for (const char* name : {"spm", "picorv32a", "aes256"}) {
+    SCOPED_TRACE(name);
+    const SuiteEntry entry = suite_entry(name, 1.0 / 16);
+    Design d = generate_design(entry.spec, lib_);
+    place_design(d);
+    const DesignRouting routing = steiner_route(d);
+    const TimingGraph g(d);
+    StaResult sibling = run_sta(g, routing);
+    const double tight = calibrated_period(d, sibling.arrival, 0.92);
+    const double loose = calibrated_period(d, sibling.arrival, 1.08);
+    ASSERT_NE(tight, loose);
+    sta_detail::compute_required(g, StaOptions{}, tight, sibling);
+
+    StaResult corner = sibling;
+    sta_detail::compute_required(g, StaOptions{}, loose, corner);
+    EXPECT_NE(testing::sta_bit_mismatch(corner, sibling), "");
+    d.set_period(loose);
+    EXPECT_EQ(testing::sta_bit_mismatch(corner, run_sta(g, routing)), "");
   }
 }
 
