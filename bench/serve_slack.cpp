@@ -1,17 +1,22 @@
 /// \file serve_slack.cpp
-/// Serving-plane latency/throughput bench (DESIGN.md §12). Four phases:
+/// Serving-plane latency/throughput bench (DESIGN.md §12). Five phases:
 ///
 ///   serve_predict/N        sequential full-graph GNN predictions on a
-///                          pristine session (N = graph nodes) — the
-///                          batcher's unit cost,
-///   serve_move/N           sequential single-move ECO requests — the
-///                          incremental dirty-cone fast path,
+///                          pristine session (N = graph nodes) — one
+///                          request's unit cost,
+///   serve_move/N           sequential single-move ECO requests on a
+///                          single-worker server — the incremental
+///                          dirty-cone fast path,
+///   serve_move_full/N      the same moves on a second session, each
+///                          answered by a forced full re-time (`force_full`,
+///                          engine mode) and interleaved with serve_move's
+///                          — the cone path's within-run reference,
 ///   serve_mixed/N          concurrent clients (2x workers) replaying a
 ///                          mixed move/predict stream (each move bounces
 ///                          instance 0 between two cells) under a deadline —
 ///                          the serving p50/p99 the ladder exists to bound,
 ///   serve_mixed_designs/N  one client per template over >= 4 distinct
-///                          designs x 3 clock corners (pure batchable
+///                          designs x 3 clock corners (pure pristine
 ///                          predictions) on a single-worker server: one
 ///                          compute slot multiplexed across the tenants
 ///                          (N = sum of template nodes).
@@ -19,7 +24,8 @@
 /// Writes BENCH_serve_slack.json (`--json=...`): per-phase median/p90
 /// request latency as the gated entries, plus "serve" and
 /// "serve_mixed_designs" sections with throughput and percentiles. Gated
-/// by ci/check_bench.py like the micro benches.
+/// by ci/check_bench.py like the micro benches; serve_move is gated as a
+/// ratio of serve_move_full from the same run.
 ///
 ///   ./serve_slack [--design=spm] [--scale=0.03125] [--requests=32]
 ///                 [--workers=2] [--mixed-designs=spm,zipdiv,...]
@@ -134,23 +140,41 @@ int main(int argc, char** argv) {
     entries.push_back(make_entry("serve_predict", nodes, 1, lat));
   }
 
-  // Phase 2: single-move ECO requests (incremental cone path). Bounce one
-  // instance between two same-function cells so every request has work.
+  // Phase 2: single-move ECO requests, each kind on a fresh session.
+  // Bounce one instance between two same-function cells so every request
+  // has work. serve_move takes the incremental cone path; serve_move_full
+  // answers the same moves by a forced full re-time. The two kinds
+  // alternate request by request on a single-worker server, so both
+  // sample the same stretch of a shared box on the same worker thread:
+  // with two workers, which worker drew which kind moved the ratio of two
+  // identical paths between 0.57 and 1.5 run to run.
   {
-    const serve::SessionId eco = server.open_session(design, scale);
-    const auto [cell_a, cell_b] = bounce_cells(server, eco);
-    std::vector<double> lat;
-    lat.reserve(static_cast<std::size_t>(requests));
+    serve::ServeOptions mo;
+    mo.workers = 1;
+    serve::SlackServer s(mo);
+    const serve::SessionId eco = s.open_session(design, scale);
+    const serve::SessionId ref = s.open_session(design, scale);
+    const auto [cell_a, cell_b] = bounce_cells(s, eco);
+    std::vector<double> lat_cone, lat_full;
+    lat_cone.reserve(static_cast<std::size_t>(requests));
+    lat_full.reserve(static_cast<std::size_t>(requests));
     for (int i = 0; i < requests; ++i) {
-      serve::Request req;
-      req.session = eco;
-      req.moves.push_back({0, i % 2 == 0 ? cell_b : cell_a});
-      const serve::Response r = server.call(std::move(req));
-      if (r.status != serve::ResponseStatus::kShed) {
-        lat.push_back(seconds(r.latency));
+      for (const bool full : {false, true}) {
+        serve::Request req;
+        req.session = full ? ref : eco;
+        req.moves.push_back({0, i % 2 == 0 ? cell_b : cell_a});
+        if (full) {
+          req.mode = serve::RequestMode::kSta;
+          req.force_full = true;
+        }
+        const serve::Response r = s.call(std::move(req));
+        if (r.status != serve::ResponseStatus::kShed) {
+          (full ? lat_full : lat_cone).push_back(seconds(r.latency));
+        }
       }
     }
-    entries.push_back(make_entry("serve_move", nodes, 1, lat));
+    entries.push_back(make_entry("serve_move", nodes, 1, lat_cone));
+    entries.push_back(make_entry("serve_move_full", nodes, 1, lat_full));
   }
 
   // Phase 3: mixed concurrent stream under a generous deadline.
@@ -210,7 +234,7 @@ int main(int argc, char** argv) {
   server.shutdown();
 
   // Phase 4: the multi-tenant mix. One client per template (no same-
-  // template sharing to hide behind) drives pure batchable predictions
+  // template sharing to hide behind) drives pure pristine predictions
   // through a fresh server pinned to a single worker, i.e. one compute
   // slot multiplexed across K tenants, one solo forward per request.
   double md_throughput = 0.0, md_p50_ms = 0.0, md_p99_ms = 0.0;
@@ -219,12 +243,11 @@ int main(int argc, char** argv) {
     serve::ServeOptions mo;
     mo.workers = 1;
     mo.queue_capacity = 64;
-    mo.max_batch = std::max(8, md_clients);
     serve::SlackServer s(mo);
     // Three tenants per design: the suite's calibrated clock, a tight ECO
-    // corner and a relaxed what-if corner. Distinct clock factors are
-    // distinct templates (design-hash keyed), so this is a 3x-wider honest
-    // mix — every tenant is a separate graph and a separate forward.
+    // corner and a relaxed what-if corner. The corners of a design share
+    // one physical template (graph, plan, cached embedding) and differ in
+    // their endpoint `rat`; every request still runs its own full read.
     static constexpr double kCorners[] = {0.0, 0.92, 1.08};
     const int per_client = std::max(8, requests);
     std::vector<serve::SessionId> ids;

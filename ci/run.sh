@@ -29,9 +29,11 @@
 #   serve  serving-plane gate: `serve` label suites, the tg_serve_load
 #          acceptance drill (deadlines + overload spike + injected worker
 #          faults; non-zero exit on any hang or untagged response),
-#          and serve_slack's request-latency medians (each row's median
+#          serve_slack's request-latency medians (each row's median
 #          over five runs) vs the checked-in bench/BENCH_serve_slack.json
-#          baseline
+#          baseline, and a cone guard: in each run, an ECO move answered
+#          by the incremental cone must take at most 0.6x the time of the
+#          same move answered by a full re-time
 # Usage: ci/run.sh [tier1|asan|ubsan|tsan|obs|bench|serve|all]   (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -226,7 +228,7 @@ run_serve() {
   # Acceptance drill: a multi-template tenant mix with per-request
   # deadlines, an overload spike past queue capacity and a persistent
   # worker-fault window, all at once. The tool exits non-zero if any
-  # future hangs, any response (batched included) is untagged, or the
+  # future hangs, any answered response is untagged, or the
   # completed/submitted accounting drifts.
   ./build-ci/tools/tg_serve_load --design=spm,zipdiv,xtea --scale=0.03125 \
     --sessions=9 --requests=24 --workers=2 --queue=16 --deadline-ms=50 \
@@ -234,10 +236,10 @@ run_serve() {
   local dir
   dir="$(mktemp -d)"
   trap 'rm -rf "$dir"' RETURN
-  # Five runs, each row gated on its median across them: on a shared box a
-  # row such as serve_move/816 lands in a fast (~0.047 ms) or a slow
-  # (0.065-0.084 ms) mode run to run, so one run fails a 1.25x gate
-  # whenever it draws the slow mode, while a real regression slows every run.
+  # Five runs, each baseline row gated on its median across them: on a
+  # shared box a row can land in a fast or a slow mode run to run, so one
+  # run fails a 1.25x gate whenever it draws the slow mode, while a real
+  # regression slows every run.
   local runs=()
   for i in 1 2 3 4 5; do
     TG_THREADS=1 ./build-ci/bench/serve_slack --design=spm --scale=0.03125 \
@@ -245,7 +247,23 @@ run_serve() {
       > /dev/null
     runs+=("$dir/BENCH_serve_slack_$i.json")
   done
-  python3 ci/check_bench.py bench/BENCH_serve_slack.json "${runs[@]}"
+  local failed=0
+  python3 ci/check_bench.py bench/BENCH_serve_slack.json "${runs[@]}" \
+    || failed=1
+  # Cone guard: serve_move (the incremental dirty-cone answer) against
+  # serve_move_full (the same bounce moves on a second session, each
+  # answered by a forced full re-time, interleaved request by request on
+  # one worker), gated within each run, so no recorded baseline is
+  # involved. Ten runs on a shared 4-core AVX2 box read 0.373-0.416; ten
+  # runs of a build whose IncrementalTimer::update re-times the whole
+  # graph read 0.984-1.014, so 0.6 sits 1.4x above the first and 1.6x
+  # below the second.
+  local run
+  for run in "${runs[@]}"; do
+    python3 ci/check_bench.py --threshold=0.6 \
+      --ratio=serve_move/816:serve_move_full/816 "$run" || failed=1
+  done
+  return "$failed"
 }
 
 case "$job" in

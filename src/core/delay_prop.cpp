@@ -188,18 +188,10 @@ DelayProp::DelayProp(int embed_dim, const DelayPropConfig& config, Rng& rng)
 
 DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
                                      const PropPlan& plan,
-                                     const Tensor& embedding,
-                                     bool want_aux) const {
+                                     const Tensor& embedding) const {
   TG_CHECK(embedding.rows() == g.num_nodes());
   TG_CHECK(embedding.cols() == embed_dim_);
   TG_CHECK(plan.num_levels == g.num_levels());
-  if (!nn::grad_enabled() && !want_aux) {
-    Output out;
-    out.state = Tensor::zeros(g.num_nodes(), config_.hidden);
-    (void)propagate(g, plan, embedding, out.state);
-    out.cell_delay = Tensor::zeros(0, kNumCorners);
-    return out;
-  }
 
   std::vector<Tensor> level_states;
   level_states.reserve(static_cast<std::size_t>(plan.num_levels));
@@ -260,11 +252,9 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
       cell_max = nn::segment_max(msg, cf.dst_row, n_l);
 
       // Cell-delay auxiliary prediction for these arcs (plan order).
-      if (want_aux) {
-        const Tensor cd_in[] = {interp, state_u};
-        cell_delay_parts.push_back(
-            cell_delay_head_.forward(nn::concat_cols(cd_in)));
-      }
+      const Tensor cd_in[] = {interp, state_u};
+      cell_delay_parts.push_back(
+          cell_delay_head_.forward(nn::concat_cols(cd_in)));
     }
 
     const Tensor comb_in[] = {net_in, cell_sum, cell_max, emb_level};

@@ -73,28 +73,23 @@ class DelayProp : public nn::Module {
   };
 
   /// `embedding` is the net-embedding stage output [N, embed_dim].
-  /// `want_aux = false` skips the cell-delay auxiliary head (its output
-  /// feeds only the training loss); `state` is unchanged and `cell_delay`
-  /// comes back empty.
   ///
-  /// Two walks produce bit-identical `state`, both level by level with a
-  /// cancellation checkpoint at every level boundary:
-  ///  - Under an nn::NoGradGuard with `want_aux = false` (the inference
-  ///    path, TimingGnn::forward_atslew) the fused inference step runs:
-  ///    per level, the incoming edges stream through gather → MLP → LUT
-  ///    interp → sum/max reduce on arena scratch, with no per-op tensors
-  ///    (DESIGN.md §10).
-  ///  - Otherwise the taped op-chain walk runs, one op sequence per
-  ///    level; each op splits its rows across the pool, so values and
-  ///    gradients do not depend on the thread count.
+  /// The taped op-chain walk (training): level by level, one op sequence
+  /// per level with a cancellation checkpoint at every level boundary;
+  /// each op splits its rows across the pool, so values and gradients do
+  /// not depend on the thread count. Inference takes propagate(), whose
+  /// `state` is bit-identical to this walk's.
   [[nodiscard]] Output forward(const data::DatasetGraph& g,
                                const PropPlan& plan,
-                               const nn::Tensor& embedding,
-                               bool want_aux = true) const;
+                               const nn::Tensor& embedding) const;
 
-  /// The fused tape-free walk, in place on the node-ordered `state`
-  /// [N, hidden]. With `dirty` null it computes every row (forward's
-  /// inference path, from a zero `state`). Otherwise it computes only the
+  /// The fused tape-free walk (inference: TimingGnn::forward_atslew and
+  /// TimingGnn::read), in place on the node-ordered `state` [N, hidden]:
+  /// per level, the incoming edges stream through gather → MLP → LUT
+  /// interp → sum/max reduce on arena scratch, with no per-op tensors
+  /// (DESIGN.md §10). It skips the cell-delay auxiliary head, whose output
+  /// feeds only the training loss. With `dirty` null it computes every row
+  /// (from a zero `state`). Otherwise it computes only the
   /// rows whose node `dirty` marks, level by level, through the same
   /// per-row step; a recomputed row whose state bytes changed marks its
   /// fanout (g.topo->fanout()) in `dirty`, so on return

@@ -79,9 +79,9 @@ Tensor TimingGnn::forward_atslew(const data::DatasetGraph& g,
                                  const Tensor& embedding) const {
   TG_TRACE_SCOPE("core/gnn_forward_atslew", obs::kSpanCoarse);
   const nn::NoGradGuard no_grad;
-  const DelayProp::Output prop_out =
-      prop_.forward(g, plan, embedding, /*want_aux=*/false);
-  const Tensor head_in[] = {prop_out.state, embedding};
+  Tensor state = Tensor::zeros(g.num_nodes(), config_.prop.hidden);
+  (void)prop_.propagate(g, plan, embedding, state);
+  const Tensor head_in[] = {state, embedding};
   return atslew_head_.forward(nn::concat_cols(head_in));
 }
 

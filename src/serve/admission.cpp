@@ -31,23 +31,6 @@ std::optional<Ticket> AdmissionQueue::pop() {
   return t;
 }
 
-std::vector<Ticket> AdmissionQueue::drain_compatible(std::uint64_t tpl_key,
-                                                     int max_extra) {
-  std::vector<Ticket> out;
-  if (max_extra <= 0) return out;
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = queue_.begin();
-       it != queue_.end() && static_cast<int>(out.size()) < max_extra;) {
-    if (!it->batchable || it->tpl_key != tpl_key) {
-      ++it;
-      continue;
-    }
-    out.push_back(std::move(*it));
-    it = queue_.erase(it);
-  }
-  return out;
-}
-
 std::vector<Ticket> AdmissionQueue::stop() {
   std::vector<Ticket> leftover;
   {

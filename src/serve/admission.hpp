@@ -4,10 +4,7 @@
 /// that don't fit are *shed at the door* — the submitter gets an immediate
 /// kShed response with a retry-after hint instead of unbounded queueing —
 /// which is what keeps p99 bounded under an overload spike. Workers pop
-/// tickets FIFO; the micro-batcher additionally drains queued tickets that
-/// are *compatible* with the one just popped (same template, pristine
-/// session, pure full-graph prediction), so one GNN forward answers all of
-/// them.
+/// tickets FIFO, and each ticket takes the server's ladder on its own.
 
 #include <condition_variable>
 #include <deque>
@@ -28,10 +25,6 @@ struct Ticket {
   /// Absolute deadline (from the submit-time budget), or time_point::max().
   std::chrono::steady_clock::time_point deadline{
       std::chrono::steady_clock::time_point::max()};
-  /// Template key of the target session (micro-batch compatibility).
-  std::uint64_t tpl_key = 0;
-  /// True when this is a pure full-graph prediction on a pristine session.
-  bool batchable = false;
 };
 
 class AdmissionQueue {
@@ -44,10 +37,6 @@ class AdmissionQueue {
 
   /// Blocks until a ticket or stop. nullopt = stopped and drained.
   std::optional<Ticket> pop();
-
-  /// Removes up to `max_extra` queued batchable tickets of template
-  /// `tpl_key`, in FIFO order; every other ticket stays queued in place.
-  std::vector<Ticket> drain_compatible(std::uint64_t tpl_key, int max_extra);
 
   /// Stops the queue and returns every still-queued ticket so the caller
   /// can shed them (no ticket is ever silently dropped).

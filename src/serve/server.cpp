@@ -53,13 +53,6 @@ long long env_number(const char* name, long long fallback) {
 /// explicit non-zero fields always win, so tests and benches can pin
 /// behaviour regardless of the ambient environment.
 ServeOptions resolved_options(ServeOptions options) {
-  if (options.max_batch == 0) {
-    options.max_batch =
-        static_cast<int>(env_number("TG_SERVE_MAX_BATCH", 8));
-  }
-  TG_CHECK_MSG(options.max_batch >= 1,
-               "TG_SERVE_MAX_BATCH / ServeOptions::max_batch must be >= 1, got "
-                   << options.max_batch);
   if (options.max_sessions == 0) {
     options.max_sessions =
         static_cast<int>(env_number("TG_SERVE_MAX_SESSIONS", 0));
@@ -260,9 +253,6 @@ std::future<Response> SlackServer::submit(Request req) {
   const std::chrono::nanoseconds budget =
       t.req.budget.count() > 0 ? t.req.budget : options_.default_budget;
   if (budget.count() > 0) t.deadline = t.enqueued + budget;
-  t.tpl_key = session->tpl->key;
-  t.batchable = t.req.moves.empty() && !t.req.force_full &&
-                t.req.mode != RequestMode::kSta && session->pristine();
 
   // push() only consumes the ticket when it admits it, so the shed path
   // below still owns a valid promise.
@@ -316,7 +306,6 @@ ServerStats SlackServer::stats() const {
   s.ok = stats_.ok.load(std::memory_order_relaxed);
   s.degraded = stats_.degraded.load(std::memory_order_relaxed);
   s.shed = stats_.shed.load(std::memory_order_relaxed);
-  s.batched = stats_.batched.load(std::memory_order_relaxed);
   s.retries = stats_.retries.load(std::memory_order_relaxed);
   s.faults = stats_.faults.load(std::memory_order_relaxed);
   s.quarantines = stats_.quarantines.load(std::memory_order_relaxed);
@@ -535,24 +524,6 @@ void SlackServer::handle(Ticket ticket) {
     return;
   }
 
-  // Micro-batcher: coalesce queued full-graph predictions on the same
-  // template into this pass. Other templates' tickets stay queued for the
-  // other workers, so their forwards run side by side. Compatibility
-  // re-checks under each session lock at fulfill time — the submit-time
-  // flag is only a hint.
-  if (ticket.batchable && session->pristine()) {
-    std::vector<Ticket> extras =
-        queue_.drain_compatible(ticket.tpl_key, options_.max_batch - 1);
-    if (!extras.empty()) {
-      std::vector<Ticket> batch;
-      batch.reserve(extras.size() + 1);
-      batch.push_back(std::move(ticket));
-      for (Ticket& e : extras) batch.push_back(std::move(e));
-      handle_batch(session->tpl, std::move(batch));
-      return;
-    }
-  }
-
   TG_TRACE_SCOPE("serve/request", obs::kSpanCoarse);
   const std::lock_guard<std::mutex> lock(session->mu);
   const auto now = std::chrono::steady_clock::now();
@@ -729,86 +700,6 @@ nn::Tensor SlackServer::template_embedding(const PhysicalTemplate& phys) {
   nn::Tensor emb = model_.embed(phys.g);
   const std::lock_guard<std::mutex> lock(embed_mu_);
   return embeds_.try_emplace(phys.key, std::move(emb)).first->second;
-}
-
-void SlackServer::handle_batch(
-    const std::shared_ptr<const SessionTemplate>& tpl,
-    std::vector<Ticket> batch) {
-  TG_TRACE_SCOPE("serve/batch", obs::kSpanCoarse);
-  TG_METRIC_COUNT("serve/batches", 1);
-
-  // One forward answers the whole batch. Compute under the *latest* member
-  // deadline so one tight-budget member cannot starve the rest; members
-  // whose own deadline passed are tagged degraded at fulfill time.
-  auto latest = std::chrono::steady_clock::time_point::min();
-  for (const Ticket& t : batch) latest = std::max(latest, t.deadline);
-
-  std::optional<Response> proto;
-  try {
-    const CancelSource source = latest != kNoDeadline
-                                    ? CancelSource::with_deadline(latest)
-                                    : CancelSource();
-    const ScopedCancel ambient(source.token());
-    maybe_inject_faults();
-    proto = pristine_payload(model_, *tpl, template_embedding(*tpl->phys));
-    proto->tier = ServeTier::kFull;
-  } catch (...) {
-    // Batch compute failed (fault or every member past deadline): fall
-    // back to the individual ladder, which owns retry/degradation.
-    for (Ticket& t : batch) {
-      t.batchable = false;  // no re-batching recursion
-      handle(std::move(t));
-    }
-    return;
-  }
-
-  const int n = static_cast<int>(batch.size());
-  std::vector<Ticket> deferred;
-  for (Ticket& t : batch) {
-    fulfill_batch_member(std::move(t), *proto, n, deferred);
-  }
-  for (Ticket& t : deferred) handle(std::move(t));
-}
-
-void SlackServer::fulfill_batch_member(Ticket&& t, const Response& proto,
-                                       int batch_size,
-                                       std::vector<Ticket>& deferred) {
-  const std::shared_ptr<Session> session = find_session(t.req.session);
-  if (!session) {
-    fulfill(t, shed_response(CancelReason::kNone, "unknown session"));
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(session->mu);
-  if (!session->pristine()) {
-    // Session took moves since this ticket queued: the template answer no
-    // longer applies. Serve it individually, outside the session lock
-    // (handle() re-locks).
-    t.batchable = false;
-    deferred.push_back(std::move(t));
-    return;
-  }
-  if (t.req.cancel.valid() && t.req.cancel.cancelled()) {
-    stats_.cancelled.fetch_add(1, std::memory_order_relaxed);
-    TG_METRIC_COUNT("serve/cancelled", 1);
-    fulfill(t, shed_response(CancelReason::kCancelled, "client cancelled"));
-    return;
-  }
-  Response r = proto;
-  r.batch_size = batch_size;
-  if (t.deadline != kNoDeadline &&
-      std::chrono::steady_clock::now() > t.deadline) {
-    r.status = ResponseStatus::kDegraded;
-    r.stop_reason = CancelReason::kDeadline;
-    stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
-    TG_METRIC_COUNT("serve/deadline_expired", 1);
-  } else {
-    r.status = ResponseStatus::kOk;
-  }
-  store_stale(*session, r);
-  session->consecutive_failures = 0;
-  stats_.batched.fetch_add(1, std::memory_order_relaxed);
-  TG_METRIC_COUNT("serve/batched", 1);
-  fulfill(t, std::move(r));
 }
 
 }  // namespace tg::serve

@@ -10,9 +10,6 @@
 ///    as the worker's ambient token, so the STA sweeps, the incremental
 ///    cone walk and the GNN forward all stop within one level of the trip
 ///    (util/cancel.hpp).
-///  * **Micro-batching**: compatible full-graph prediction requests
-///    (pristine sessions of the same design template) are coalesced into
-///    one GNN forward.
 ///  * **Graceful degradation**: a three-tier ladder keeps p99 bounded —
 ///    full compute → incremental dirty-cone fast path → checksummed
 ///    stale-cached answer flagged `degraded` — and only sheds when even
@@ -92,7 +89,7 @@ class SlackServer {
  private:
   struct StatsCells {
     std::atomic<std::uint64_t> submitted{0}, completed{0}, ok{0},
-        degraded{0}, shed{0}, batched{0}, retries{0}, faults{0},
+        degraded{0}, shed{0}, retries{0}, faults{0},
         quarantines{0}, cancelled{0}, deadline_expired{0}, evicted{0};
   };
 
@@ -128,15 +125,6 @@ class SlackServer {
   /// `cache` fault point: corrupt-on-write, detected by the read-side
   /// checksum).
   void store_stale(Session& session, const Response& r);
-
-  /// Batched pristine-template predict: one forward answers all tickets.
-  void handle_batch(const std::shared_ptr<const SessionTemplate>& tpl,
-                    std::vector<Ticket> batch);
-  /// Fulfillment of one batch member against the prototype answer `proto`
-  /// (re-validates the session under its lock; defers to the individual
-  /// ladder when the session took moves since queueing).
-  void fulfill_batch_member(Ticket&& t, const Response& proto, int batch_size,
-                            std::vector<Ticket>& deferred);
   ServeOptions options_;
   TemplateCache templates_;
   AdmissionQueue queue_;

@@ -54,7 +54,6 @@ std::shared_ptr<const SessionTemplate> TemplateCache::get_or_build(
   const SuiteEntry entry = suite_entry(design, scale);
   const double factor = clock_factor > 0.0 ? clock_factor : entry.clock_factor;
   auto corner = std::make_shared<SessionTemplate>();
-  corner->key = key;
   corner->clock_factor = clock_factor;
 
   const std::uint64_t phys_key = physical_hash(design, scale);

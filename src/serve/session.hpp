@@ -72,7 +72,6 @@ struct PhysicalTemplate {
 /// One clock corner of a physical template: the immutable baseline a
 /// session opens on. Built by TemplateCache::get_or_build.
 struct SessionTemplate {
-  std::uint64_t key = 0;  ///< design_hash(name, scale, clock factor)
   double clock_factor = 0.0;  ///< 0 = the suite's default
   double period = 0.0;        ///< calibrated from phys's arrivals
   std::shared_ptr<const PhysicalTemplate> phys;
@@ -148,10 +147,7 @@ struct Session {
   std::mutex mu;  ///< guards everything below
 
   // ---- materialized ECO state (null while pristine) --------------------
-  /// Atomic because submit() reads it lock-free as a batching *hint*; the
-  /// authoritative check re-runs under `mu` before serving from the
-  /// template. Mutated only under `mu`.
-  std::atomic<bool> materialized{false};
+  bool materialized = false;
   /// Set when a cone update was aborted mid-walk (deadline, cancel or
   /// injected fault): the incremental pruning invariant no longer holds,
   /// so the next engine answer must come from a full re-time.
@@ -215,10 +211,8 @@ struct Session {
   [[nodiscard]] const DesignRouting& current_routing() const;
 
   /// True while the session can be served from the shared template
-  /// (no moves applied) — the micro-batcher's compatibility test.
-  [[nodiscard]] bool pristine() const {
-    return !materialized.load(std::memory_order_relaxed);
-  }
+  /// (no moves applied). Caller holds `mu`.
+  [[nodiscard]] bool pristine() const { return !materialized; }
 };
 
 /// Read-only view handed to SlackServer::inspect callbacks (under the

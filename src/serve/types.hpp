@@ -59,7 +59,7 @@ enum class ResponseStatus {
 /// Ladder tier that produced the payload.
 enum class ServeTier {
   kNone,   ///< no payload (shed)
-  kFull,   ///< full-graph compute (GNN batch forward or full re-time)
+  kFull,   ///< full-graph compute (GNN forward or full re-time)
   kCone,   ///< incremental dirty-cone fast path
   kStale,  ///< checksummed cached answer from an earlier request
 };
@@ -85,7 +85,9 @@ struct Response {
   std::chrono::nanoseconds latency{0};
   /// When shed for overload/quarantine: suggested client backoff.
   std::chrono::nanoseconds retry_after{0};
-  int batch_size = 1;   ///< requests answered by the same full-graph pass
+  /// Always 1: the server answers every request on its own (DESIGN.md
+  /// §12). Kept because perfbench still reads it.
+  int batch_size = 1;
   int retries = 0;      ///< worker-fault retries this request survived
   /// Propagation rows a moved session's GNN read recomputed: every row on
   /// a full read, the dirty cone otherwise (0 for other answers).
@@ -96,10 +98,6 @@ struct Response {
 struct ServeOptions {
   int workers = 2;
   int queue_capacity = 64;
-  /// Max same-template full-graph prediction requests coalesced into one
-  /// forward pass by the micro-batcher. 0 resolves TG_SERVE_MAX_BATCH at
-  /// construction (default 8); must be >= 1 after resolution.
-  int max_batch = 0;
   /// Deadline applied when a request carries none. zero = unlimited.
   std::chrono::nanoseconds default_budget{0};
   /// Queue fill fractions where the entry tier drops to cone / stale.
@@ -136,7 +134,6 @@ struct ServerStats {
   std::uint64_t ok = 0;
   std::uint64_t degraded = 0;
   std::uint64_t shed = 0;
-  std::uint64_t batched = 0;  ///< requests answered via a coalesced batch
   std::uint64_t retries = 0;
   std::uint64_t faults = 0;  ///< worker faults observed (pre-retry)
   std::uint64_t quarantines = 0;

@@ -2,8 +2,8 @@
 /// Functional contract of the slack-prediction serving plane
 /// (DESIGN.md §12): session lifecycle and template sharing, the
 /// ok|degraded|shed response taxonomy, the degradation ladder's tier
-/// choices, micro-batching, admission-queue shedding, deadline handling
-/// and shutdown draining.
+/// choices, queued predictions, admission-queue shedding, deadline
+/// handling and shutdown draining.
 
 #include "serve/server.hpp"
 
@@ -251,50 +251,16 @@ TEST(ServeTest, OverloadShedsAtTheDoorWithRetryAfter) {
   EXPECT_EQ(server.stats().completed, 24u);
 }
 
-TEST(ServeTest, CompatiblePredictionsCoalesceIntoOneBatch) {
-  ServeOptions o = small_options();
-  o.workers = 1;  // deterministic: one worker, batch forms behind it
-  o.queue_capacity = 32;
-  o.max_batch = 8;
-  SlackServer server(o);
-  const SessionId id = server.open_session(kDesign, kScale);
-
-  // First request stalls the worker; the next four queue up batchable.
-  fault::arm_serve_fault("slow", 1);
-  std::vector<std::future<Response>> futs;
-  for (int i = 0; i < 5; ++i) {
-    Request req;
-    req.session = id;
-    futs.push_back(server.submit(std::move(req)));
-  }
-  std::vector<Response> rs;
-  for (auto& fut : futs) rs.push_back(fut.get());
-  fault::clear_serve_fault();
-
-  EXPECT_GE(server.stats().batched, 2u) << "no coalescing happened";
-  int max_batch = 0;
-  for (const Response& r : rs) {
-    EXPECT_NE(r.status, ResponseStatus::kShed);
-    max_batch = std::max(max_batch, r.batch_size);
-  }
-  EXPECT_GE(max_batch, 2);
-  // All batch members got the same template answer.
-  for (std::size_t i = 1; i < rs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(rs[i].wns_setup, rs[0].wns_setup);
-  }
-}
-
-TEST(ServeTest, InterleavedTemplatesBatchOnlyWithinATemplate) {
+TEST(ServeTest, QueuedPredictionsEqualTheirForceFullAnswer) {
   ServeOptions o = small_options();
   o.workers = 1;  // deterministic: one worker, the mix forms behind it
   o.queue_capacity = 32;
-  o.max_batch = 8;
   SlackServer server(o);
   const SessionId sa = server.open_session("spm", kScale);
   const SessionId sb = server.open_session("zipdiv", kScale);
 
-  // Reference answers: the full-tier GNN per session, forced so they are
-  // never batched (force_full is batching-incompatible).
+  // Reference answers: the full-tier GNN per session, forced so they
+  // never degrade.
   auto reference = [&](SessionId id) {
     Request req;
     req.session = id;
@@ -307,9 +273,9 @@ TEST(ServeTest, InterleavedTemplatesBatchOnlyWithinATemplate) {
   ASSERT_EQ(ra.status, ResponseStatus::kOk);
   ASSERT_EQ(rb.status, ResponseStatus::kOk);
 
-  // Stall the worker on the first prediction; interleaved batchable
-  // predictions on both designs pile up behind it. Each design's tickets
-  // may coalesce with each other, never with the other design's.
+  // Stall the worker on the first prediction; interleaved pristine
+  // predictions on both designs pile up behind it. Each one, served from
+  // the queue, must equal its own session's reference bit for bit.
   constexpr int kPerDesign = 3;
   fault::arm_serve_fault("slow", 1);
   std::vector<std::future<Response>> futs;
@@ -324,13 +290,10 @@ TEST(ServeTest, InterleavedTemplatesBatchOnlyWithinATemplate) {
   for (auto& fut : futs) rs.push_back(fut.get());
   fault::clear_serve_fault();
 
-  EXPECT_GE(server.stats().batched, 2u) << "no coalescing happened";
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const Response& r = rs[i];
     const Response& ref = owner[i] == sa ? ra : rb;
     ASSERT_NE(r.status, ResponseStatus::kShed);
-    EXPECT_LE(r.batch_size, kPerDesign)
-        << "request " << i << " shared a forward with the other design";
     EXPECT_EQ(r.endpoint_setup, ref.endpoint_setup) << "request " << i;
     EXPECT_EQ(r.wns_setup, ref.wns_setup);
     EXPECT_EQ(r.tns_setup, ref.tns_setup);
@@ -544,59 +507,6 @@ TEST(ServeTest, ClockCornersShareOnePhysicalTemplate) {
   EXPECT_EQ(server.stats().physical_templates, 2u);
 }
 
-/// The micro-batcher's drain takes batchable tickets of the lead's
-/// template only, oldest first, at most `max_extra` of them; everything
-/// else stays queued in its original order.
-TEST(ServeTest, DrainCompatibleTakesOnlyTheSameTemplateInFifoOrder) {
-  AdmissionQueue queue(16);
-  struct Spec {
-    SessionId id;
-    std::uint64_t tpl_key;
-    bool batchable;
-  };
-  const Spec specs[] = {{1, 7, true},  {2, 9, true},  {3, 7, false},
-                        {4, 7, true},  {5, 9, true},  {6, 7, true},
-                        {7, 7, true}};
-  for (const Spec& spec : specs) {
-    Ticket t;
-    t.req.session = spec.id;
-    t.tpl_key = spec.tpl_key;
-    t.batchable = spec.batchable;
-    ASSERT_TRUE(queue.push(std::move(t)));
-  }
-  const auto ids = [](const std::vector<Ticket>& ts) {
-    std::vector<SessionId> out;
-    for (const Ticket& t : ts) out.push_back(t.req.session);
-    return out;
-  };
-
-  EXPECT_TRUE(queue.drain_compatible(7, 0).empty());
-  EXPECT_EQ(ids(queue.drain_compatible(7, 2)),
-            (std::vector<SessionId>{1, 4}));
-  EXPECT_EQ(ids(queue.drain_compatible(7, 8)),
-            (std::vector<SessionId>{6, 7}));
-  EXPECT_TRUE(queue.drain_compatible(7, 8).empty());
-  EXPECT_EQ(ids(queue.drain_compatible(42, 8)), std::vector<SessionId>{});
-
-  std::vector<SessionId> left;
-  while (queue.size() > 0) left.push_back(queue.pop()->req.session);
-  EXPECT_EQ(left, (std::vector<SessionId>{2, 3, 5}));
-}
-
-TEST(ServeTest, MaxBatchResolvesFromOptionsAndValidates) {
-  ServeOptions o = small_options();
-  o.max_batch = 3;
-  SlackServer server(o);
-  EXPECT_EQ(server.options().max_batch, 3);
-  // Default-constructed options resolve the env default (8 unless the
-  // ambient TG_SERVE_MAX_BATCH overrides it) — never the raw 0.
-  SlackServer dflt{ServeOptions{}};
-  EXPECT_GE(dflt.options().max_batch, 1);
-  ServeOptions bad = small_options();
-  bad.max_batch = -2;
-  EXPECT_THROW(SlackServer{bad}, CheckError);
-}
-
 TEST(ServeTest, ShutdownShedsQueuedWorkAndRejectsNewWork) {
   ServeOptions o = small_options();
   o.workers = 1;
@@ -608,7 +518,7 @@ TEST(ServeTest, ShutdownShedsQueuedWorkAndRejectsNewWork) {
     Request req;
     req.session = id;
     req.mode = RequestMode::kSta;
-    req.force_full = true;  // not batchable: stays queued
+    req.force_full = true;  // a full re-time each: the queue backs up
     futs.push_back(server.submit(std::move(req)));
   }
   server.shutdown();

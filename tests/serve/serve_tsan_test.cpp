@@ -72,7 +72,7 @@ TEST(ServeTsanTest, ConcurrentMixedLoadNeverHangsAndTagsEveryResponse) {
         req.session = id;
         CancelSource cancel;
         switch (i % 6) {
-          case 0:  // plain prediction (batchable)
+          case 0:  // plain prediction on a pristine session
             break;
           case 1:  // engine view
             req.mode = RequestMode::kSta;
@@ -143,15 +143,14 @@ TEST(ServeTsanTest, ConcurrentMixedLoadNeverHangsAndTagsEveryResponse) {
 
 TEST(ServeTsanTest, MixedDesignConcurrentSubmitsServeCleanly) {
   // Several templates under concurrency: clients on three different
-  // designs hammer predictions (all batchable), so workers run different
-  // templates' forwards and same-template batches side by side, with
-  // occasional moves and tight deadlines thrown in to race the batch path
-  // against materialization and degradation. Invariants: zero hangs,
-  // every response tagged, and per-session totals conserved.
+  // designs hammer pristine predictions, so workers run different and
+  // same templates' forwards side by side, with occasional moves and
+  // tight deadlines thrown in to race the pristine read path against
+  // materialization and degradation. Invariants: zero hangs, every
+  // response tagged, and per-session totals conserved.
   ServeOptions o;
   o.workers = 4;
   o.queue_capacity = 32;
-  o.max_batch = 8;
   SlackServer server(o);
 
   const char* designs[] = {"spm", "zipdiv", "xtea"};
@@ -179,14 +178,14 @@ TEST(ServeTsanTest, MixedDesignConcurrentSubmitsServeCleanly) {
         Request req;
         req.session = id;
         switch (i % 8) {
-          case 6:  // one client materializes mid-run: its tickets must
-                   // drop out of batches via the pristine recheck
+          case 6:  // one client materializes mid-run: its later tickets
+                   // take the moved session's read, not the template's
             if (c == 0 && move.new_cell >= 0) req.moves.push_back(move);
             break;
-          case 7:  // tight deadline inside a batch: degraded tag
+          case 7:  // tight deadline on a prediction: degraded tag
             req.budget = std::chrono::microseconds(50);
             break;
-          default:  // plain batchable prediction — the batcher's fuel
+          default:  // plain pristine prediction
             break;
         }
         std::future<Response> fut = server.submit(std::move(req));

@@ -13,8 +13,9 @@
 ///
 /// The driver then *verifies the robustness contract*: every submitted
 /// future resolves (zero hangs), every response carries a valid
-/// ok|degraded|shed tag, batch-answered responses carry a concrete tier
-/// tag, and the server's own counters agree with the client-side tally.
+/// ok|degraded|shed tag, every answered (not shed) response carries a
+/// concrete tier tag, and the server's own counters agree with the
+/// client-side tally.
 /// Exit 0 = contract held; the digest prints throughput, p50/p99 latency
 /// per status and a per-template latency breakdown (`--design` accepts a
 /// comma-separated list; tenants round-robin across it).
@@ -59,7 +60,6 @@ struct Outcome {
   std::int64_t latency_ns;
   bool was_cancelled_by_client;
   int design_idx;   ///< index into the --design list (template identity)
-  int batch_size;   ///< requests answered by the same forward pass
 };
 
 struct Tally {
@@ -70,7 +70,7 @@ struct Tally {
   void add(const Response& r, bool client_cancelled, int design_idx) {
     const std::lock_guard<std::mutex> lock(mu);
     outcomes.push_back({r.status, r.tier, r.latency.count(),
-                        client_cancelled, design_idx, r.batch_size});
+                        client_cancelled, design_idx});
   }
 };
 
@@ -284,21 +284,19 @@ int main(int argc, char** argv) {
   const serve::ServerStats stats = server.stats();
   long long by_status[3] = {0, 0, 0};
   long long by_tier[4] = {0, 0, 0, 0};
-  long long untagged_batched = 0;
+  long long untagged = 0;
   std::vector<std::int64_t> lat_answered, lat_shed;
   std::vector<std::vector<std::int64_t>> lat_by_design(designs.size());
-  std::vector<long long> batched_by_design(designs.size(), 0);
   {
     const std::lock_guard<std::mutex> lock(tally.mu);
     for (const Outcome& o : tally.outcomes) {
       ++by_status[static_cast<int>(o.status)];
       ++by_tier[static_cast<int>(o.tier)];
-      // A batch-answered response must carry a concrete tier tag: the
-      // batcher only serves the full tier, so batch_size > 1 with
-      // tier == kNone means a member slipped through untagged.
-      if (o.batch_size > 1 && (o.tier == ServeTier::kNone ||
-                               o.status == ResponseStatus::kShed)) {
-        ++untagged_batched;
+      // An answered response must name the tier that produced it: only a
+      // shed carries no payload, so tier == kNone on any other status
+      // means an answer slipped through untagged.
+      if (o.status != ResponseStatus::kShed && o.tier == ServeTier::kNone) {
+        ++untagged;
       }
       if (o.status == ResponseStatus::kShed) {
         lat_shed.push_back(o.latency_ns);
@@ -306,9 +304,6 @@ int main(int argc, char** argv) {
         lat_answered.push_back(o.latency_ns);
         lat_by_design[static_cast<std::size_t>(o.design_idx)].push_back(
             o.latency_ns);
-        if (o.batch_size > 1) {
-          ++batched_by_design[static_cast<std::size_t>(o.design_idx)];
-        }
       }
     }
   }
@@ -322,9 +317,8 @@ int main(int argc, char** argv) {
               by_status[1], by_status[2]);
   std::printf("  tier:   %lld full, %lld cone, %lld stale, %lld none\n",
               by_tier[1], by_tier[2], by_tier[3], by_tier[0]);
-  std::printf("  server: %llu batched, %llu retries, %llu faults, "
+  std::printf("  server: %llu retries, %llu faults, "
               "%llu quarantines, %llu cancelled, %llu deadline-expired\n",
-              static_cast<unsigned long long>(stats.batched),
               static_cast<unsigned long long>(stats.retries),
               static_cast<unsigned long long>(stats.faults),
               static_cast<unsigned long long>(stats.quarantines),
@@ -336,21 +330,21 @@ int main(int argc, char** argv) {
   std::printf("  latency (shed):     p50 %.3f ms, p99 %.3f ms over %zu\n",
               percentile_ms(lat_shed, 0.50), percentile_ms(lat_shed, 0.99),
               lat_shed.size());
-  // Per-template skew: one design dominating p99 means its forwards or
-  // its batches starve the others.
+  // Per-template skew: one design dominating p99 means its forwards
+  // starve the others.
   for (std::size_t d = 0; d < designs.size(); ++d) {
     std::vector<std::int64_t>& lat = lat_by_design[d];
     std::printf("  template %-16s p50 %8.3f ms, p99 %8.3f ms over %4zu "
-                "answered (%lld batched)\n",
+                "answered\n",
                 designs[d].c_str(), percentile_ms(lat, 0.50),
-                percentile_ms(lat, 0.99), lat.size(), batched_by_design[d]);
+                percentile_ms(lat, 0.99), lat.size());
   }
 
   int rc = 0;
-  if (untagged_batched > 0) {
-    std::printf("FAIL: %lld batched responses untagged (batch_size > 1 "
-                "with no tier or a shed status)\n",
-                untagged_batched);
+  if (untagged > 0) {
+    std::printf("FAIL: %lld answered responses untagged (no tier on an "
+                "ok or degraded status)\n",
+                untagged);
     rc = 1;
   }
   if (tally.hangs > 0) {

@@ -240,12 +240,10 @@ void print_serve_summary(const json::Value& root) {
               num("counters", "serve/degraded") * pct,
               num("counters", "serve/shed"),
               num("counters", "serve/shed") * pct);
-  std::printf("  %12.0f full tier   %8.0f cone tier   %8.0f stale tier   "
-              "%6.0f batched\n",
+  std::printf("  %12.0f full tier   %8.0f cone tier   %8.0f stale tier\n",
               num("counters", "serve/tier_full"),
               num("counters", "serve/tier_cone"),
-              num("counters", "serve/tier_stale"),
-              num("counters", "serve/batched"));
+              num("counters", "serve/tier_stale"));
   // Moved sessions' incremental GNN reads: rows re-propagated per read
   // over graph rows read (1.0 = every read walked the whole graph).
   const double read_nodes = num("counters", "serve/gnn_read_nodes");
