@@ -252,11 +252,9 @@ void BM_EcoGnnRead(benchmark::State& state, bool cone) {
   f->toggle(0);
   data::DatasetGraph g =
       data::extract_graph(f->design, *f->graph, f->routing, f->sta);
-  const core::PropPlan plan = core::build_prop_plan(g);
   core::ReadCache cache;
   cache.embedding = model.embed(g);
-  (void)model.read(g, plan, g.endpoints, data::GraphDelta{}, /*full=*/true,
-                   cache);
+  (void)model.read(g, g.endpoints, data::GraphDelta{}, /*full=*/true, cache);
   int side = 0;
   std::int64_t rows = 0;
   for (auto _ : state) {
@@ -265,7 +263,7 @@ void BM_EcoGnnRead(benchmark::State& state, bool cone) {
     if (cone) {
       const data::GraphDelta delta =
           data::patch_instances(g, *f->graph, f->insts);
-      rows += model.read(g, plan, g.endpoints, delta, /*full=*/false, cache);
+      rows += model.read(g, g.endpoints, delta, /*full=*/false, cache);
       benchmark::DoNotOptimize(cache.slack.data());
     } else {
       const data::DatasetGraph fresh =

@@ -40,19 +40,6 @@ std::vector<Tensor> dep_states(const std::vector<Tensor>& level_states,
   return s;
 }
 
-/// CSR row pointers of a level's destination rows (PropPlan feed
-/// dst_off). The fused step takes a chunk's edge range and each row's
-/// first edge from them; a row range's edges are contiguous only because
-/// CSR order sorts edges by destination, which is checked here.
-std::vector<int> row_offsets(const std::vector<int>& dst_row,
-                             std::size_t rows) {
-  TG_CHECK(std::is_sorted(dst_row.begin(), dst_row.end()));
-  std::vector<int> off(rows + 1, 0);
-  for (const int r : dst_row) ++off[static_cast<std::size_t>(r) + 1];
-  for (std::size_t r = 0; r < rows; ++r) off[r + 1] += off[r];
-  return off;
-}
-
 /// Rows the fused step pushes through one MLP pass. Large enough that each
 /// weight matrix is reused from cache across the block, small enough that
 /// the block's activations stay in cache.
@@ -105,7 +92,6 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
     plan.level_rows[l] =
         share({csr.node_perm.begin() + static_cast<long>(nb),
                csr.node_perm.begin() + static_cast<long>(ne)});
-    const std::size_t n_l = ne - nb;
 
     // Net edges of this level, in CSR (destination-sorted) order.
     {
@@ -124,11 +110,10 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
         emb_v_rows.push_back(v);
       }
       std::vector<int> dep = remap_to_dep_levels(src_t);
-      std::vector<int> dst_off = row_offsets(dst_row, n_l);
       plan.net_feed[l] = PropPlan::NetFeed{
           std::move(dep), share(std::move(src_t)), share(std::move(src_r)),
           share(std::move(dst_row)), share(std::move(feat_rows)),
-          share(std::move(emb_v_rows)), std::move(dst_off)};
+          share(std::move(emb_v_rows))};
     }
 
     // Cell edges, same treatment plus the source-embedding gather.
@@ -150,12 +135,10 @@ PropPlan build_prop_plan(const data::DatasetGraph& g) {
         emb_v_rows.push_back(v);
       }
       std::vector<int> dep = remap_to_dep_levels(src_t);
-      std::vector<int> dst_off = row_offsets(dst_row, n_l);
       plan.cell_feed[l] = PropPlan::CellFeed{
           std::move(dep), share(std::move(src_t)), share(std::move(src_r)),
           share(std::move(dst_row)), share(std::move(feat_rows)),
-          share(std::move(emb_u_rows)), share(std::move(emb_v_rows)),
-          std::move(dst_off)};
+          share(std::move(emb_u_rows)), share(std::move(emb_v_rows))};
     }
   }
   return plan;
@@ -276,16 +259,20 @@ DelayProp::Output DelayProp::forward(const data::DatasetGraph& g,
 }
 
 std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
-                                 const PropPlan& plan,
                                  const Tensor& embedding, Tensor& state,
                                  std::vector<unsigned char>* dirty) const {
   TG_TRACE_SCOPE("gnn/delay_prop/fused", obs::kSpanDetail);
   TG_CHECK(state.rows() == g.num_nodes() && state.cols() == config_.hidden);
-  TG_CHECK(plan.num_levels == g.num_levels());
   TG_CHECK(dirty == nullptr ||
            dirty->size() == static_cast<std::size_t>(g.num_nodes()));
-  const std::vector<int>& net_src = g.topo->net_src();
-  const data::NodeLists& fanout = g.topo->fanout();
+  const data::Topology& topo = *g.topo;
+  const data::LevelCsr& csr = topo.csr();
+  const std::vector<int>& node_row = csr.node_row;
+  const std::vector<int>& net_src = topo.net_src();
+  const std::vector<int>& net_dst = topo.net_dst();
+  const std::vector<int>& cell_src = topo.cell_src();
+  const std::vector<int>& cell_dst = topo.cell_dst();
+  const data::NodeLists& fanout = topo.fanout();
   const std::int64_t hid = config_.hidden;
   const std::int64_t emb_w = embed_dim_;
   constexpr std::int64_t kNetW = data::kNetEdgeFeatureDim;
@@ -332,8 +319,8 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
     constexpr std::int64_t kF = sizeof(float);
     if (l == 0) return Work{row_flops(entry_), (emb_w + hid) * kF};
     const auto lu = static_cast<std::size_t>(l);
-    const std::int64_t net_edges = plan.net_feed[lu].dst_off.back();
-    const std::int64_t cell_edges = plan.cell_feed[lu].dst_off.back();
+    const std::int64_t net_edges = csr.net_off[lu + 1] - csr.net_off[lu];
+    const std::int64_t cell_edges = csr.cell_off[lu + 1] - csr.cell_off[lu];
     const std::int64_t rows = std::max<std::int64_t>(n_l, 1);
     return Work{row_flops(combine_) +
                     (net_edges * net_flops + cell_edges * cell_flops) / rows,
@@ -343,16 +330,19 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
   };
 
   // Runs `rows` listed rows of level l (level-row indices, ascending).
-  // Each maximal run of consecutive rows streams its edges, contiguous in
-  // CSR order, through each MLP in blocks of up to kBlock; every message
-  // is reduced into its destination's accumulators in that order — the
-  // ascending-edge order of segment_sum / segment_max — so every row
-  // matches the op chain bit for bit, whichever rows share its list.
+  // Each maximal run of consecutive rows streams its in-edges, contiguous
+  // in the CSR's perm order, through each MLP in blocks of up to kBlock;
+  // every message is reduced into its destination's accumulators in that
+  // order — the ascending-edge order of segment_sum / segment_max — so
+  // every row matches the op chain bit for bit, whichever rows share its
+  // list.
   // `row_at` is a RowRange in the full walk, so each chunk is one run.
   const auto run_rows = [&](int l, const auto row_at, std::int64_t rows) {
-    const auto lu = static_cast<std::size_t>(l);
-    const std::vector<int>& nodes = *plan.level_rows[lu];
-    const auto node_of = [&](std::int64_t p) { return nodes[n(row_at[p])]; };
+    // Level row r is packed node k0 + r: node nodes[r], whose in-edges are
+    // the row_off slices at k0 + r.
+    const int k0 = csr.node_off[static_cast<std::size_t>(l)];
+    const int* nodes = csr.node_perm.data() + k0;
+    const auto node_of = [&](std::int64_t p) { return nodes[row_at[p]]; };
     nn::alloc::Buffer scratch;
     scratch.resize_discard(n(rows * comb_w) + block_w);
     // node_in row p is listed row p's MLP input: the embedding at the
@@ -398,59 +388,61 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
     }
 
     // Calls flush(i0, nb, base) for each block of up to kBlock edges of a
-    // run of consecutive listed rows: feed indices [i0, i0 + nb), whose
+    // run of consecutive listed rows: perm entries [i0, i0 + nb), whose
     // destination level row r sits at list position r + base.
-    const auto for_edge_blocks = [&](const std::vector<int>& dst_off,
+    const auto for_edge_blocks = [&](const std::vector<int>& row_off,
                                      const auto& flush) {
+      const int* off = row_off.data() + k0;
       for (std::int64_t p0 = 0; p0 < rows;) {
         std::int64_t p1 = p0 + 1;
         while (p1 < rows && row_at[p1] == row_at[p1 - 1] + 1) ++p1;
-        const int end = dst_off[n(row_at[p1 - 1]) + 1];
+        const int end = off[row_at[p1 - 1] + 1];
         const std::int64_t base = p0 - row_at[p0];
-        for (int i0 = dst_off[n(row_at[p0])]; i0 < end; i0 += kBlock) {
+        for (int i0 = off[row_at[p0]]; i0 < end; i0 += kBlock) {
           flush(i0, std::min<std::int64_t>(kBlock, end - i0), base);
         }
         p0 = p1;
       }
     };
 
-    const PropPlan::NetFeed& nf = plan.net_feed[lu];
-    const int* net_rows = nf.dst_row->data();
-    for_edge_blocks(nf.dst_off, [&](int i0, std::int64_t nb,
-                                    std::int64_t base) {
+    const int* net_perm = csr.net_perm.data();
+    for_edge_blocks(csr.net_row_off, [&](int i0, std::int64_t nb,
+                                         std::int64_t base) {
+      const auto dst = [&](std::int64_t k) {
+        return net_dst[n(net_perm[i0 + k])];
+      };
       for (std::int64_t k = 0; k < nb; ++k) {
-        const int e = (*nf.feat_rows)[n(i0 + k)];
+        const int e = net_perm[i0 + k];
         float* x = in + k * net_w;
         std::copy_n(st + net_src[n(e)] * hid, hid, x);
         std::copy_n(net_feat + e * kNetW, kNetW, x + hid);
-        std::copy_n(emb + nodes[n(net_rows[i0 + k])] * emb_w, emb_w,
-                    x + hid + kNetW);
+        std::copy_n(emb + dst(k) * emb_w, emb_w, x + hid + kNetW);
       }
       net_prop_.infer_rows(in, nb, msg, mlp);
       for (std::int64_t k = 0; k < nb; ++k) {
-        nn::kern::add_acc(comb + (net_rows[i0 + k] + base) * comb_w,
+        nn::kern::add_acc(comb + (node_row[n(dst(k))] + base) * comb_w,
                           msg + k * hid, n(hid));
       }
     });
 
-    const PropPlan::CellFeed& cf = plan.cell_feed[lu];
-    const int* cell_rows = cf.dst_row->data();
-    for_edge_blocks(cf.dst_off, [&](int i0, std::int64_t nb,
-                                    std::int64_t base) {
+    const int* cell_perm = csr.cell_perm.data();
+    const int* cell_first = csr.cell_row_off.data() + k0;
+    for_edge_blocks(csr.cell_row_off, [&](int i0, std::int64_t nb,
+                                          std::int64_t base) {
       const auto src = [&](std::int64_t k) {
-        return (*cf.emb_u_rows)[n(i0 + k)];
+        return cell_src[n(cell_perm[i0 + k])];
       };
-      const auto emb_v = [&](std::int64_t k) {
-        return emb + nodes[n(cell_rows[i0 + k])] * emb_w;
+      const auto dst = [&](std::int64_t k) {
+        return cell_dst[n(cell_perm[i0 + k])];
       };
+      const auto emb_v = [&](std::int64_t k) { return emb + dst(k) * emb_w; };
       for (std::int64_t k = 0; k < nb; ++k) {
         float* x = in + k * query_w;
         std::copy_n(st + src(k) * hid, hid, x);
         std::copy_n(emb + src(k) * emb_w, emb_w, x + hid);
         std::copy_n(emb_v(k), emb_w, x + hid + emb_w);
       }
-      lut_.infer_rows(in, nb, table_rows, cell_lut, cf.feat_rows->data() + i0,
-                      lut, mlp);
+      lut_.infer_rows(in, nb, table_rows, cell_lut, cell_perm + i0, lut, mlp);
       for (std::int64_t k = 0; k < nb; ++k) {
         float* x = in + k * cell_w;
         std::copy_n(st + src(k) * hid, hid, x);
@@ -459,14 +451,14 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
       }
       cell_prop_.infer_rows(in, nb, msg, mlp);
       for (std::int64_t k = 0; k < nb; ++k) {
-        const int r = cell_rows[i0 + k];
+        const int r = node_row[n(dst(k))];
         float* c = comb + (r + base) * comb_w;
         const float* m = msg + k * hid;
         nn::kern::add_acc(c + hid, m, n(hid));
         // segment_max: a row's first edge wins outright, later edges only
         // when strictly greater; edge-free rows keep the zero fill.
         float* mx = c + 2 * hid;
-        if (i0 + k == cf.dst_off[n(r)]) {
+        if (i0 + k == cell_first[r]) {
           std::copy_n(m, hid, mx);
         } else {
           for (std::int64_t j = 0; j < hid; ++j) {
@@ -482,12 +474,12 @@ std::int64_t DelayProp::propagate(const data::DatasetGraph& g,
   const CancelToken cancel = current_cancel_token();
   std::int64_t rows_run = 0;
   std::vector<int> dirty_rows;  // the cone walk's rows of one level
-  for (int l = 0; l < plan.num_levels; ++l) {
+  for (int l = 0; l < g.num_levels(); ++l) {
     // Level boundary = cancellation checkpoint, as in the taped walk.
     if (l > 0) cancel.throw_if_cancelled();
     const auto lu = static_cast<std::size_t>(l);
-    const std::vector<int>& nodes = *plan.level_rows[lu];
-    const auto n_l = static_cast<std::int64_t>(nodes.size());
+    const int* nodes = csr.node_perm.data() + csr.node_off[lu];
+    const std::int64_t n_l = csr.node_off[lu + 1] - csr.node_off[lu];
     std::int64_t count = n_l;
     if (dirty != nullptr) {
       dirty_rows.clear();

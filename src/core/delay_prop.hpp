@@ -15,13 +15,14 @@
 
 namespace tg::core {
 
-/// Precomputed traversal schedule for one graph (build once, reuse every
-/// epoch): the per-level gather/scatter feeds of the taped walk, derived
+/// The taped walk's feed for one graph (build once, reuse every epoch):
+/// the per-level gather/scatter indexes of DelayProp::forward, derived
 /// from the topology's level-packed CSR (data::LevelCsr) and held as
 /// shared handles, so a training step performs zero index marshalling —
 /// it just passes the handles to the shared-index ops. Node-indexed
 /// arrays (levels, level rows, the cell-edge order) are read from the
-/// graph's topology, never copied here.
+/// graph's topology, never copied here. Inference needs none of it: the
+/// fused walk (DelayProp::propagate) reads the CSR itself.
 struct PropPlan {
   int num_levels = 0;
 
@@ -38,16 +39,12 @@ struct PropPlan {
     nn::IndexVec dst_row;    ///< destination row within this level
     nn::IndexVec feat_rows;  ///< edge id per edge (feature gather)
     nn::IndexVec emb_v_rows; ///< destination node id per edge
-    /// [level size + 1] CSR row pointers: the edges into row r are
-    /// [dst_off[r], dst_off[r+1]) (dst_row is non-decreasing).
-    std::vector<int> dst_off;
   };
   struct CellFeed {
     std::vector<int> dep_levels;  ///< distinct source levels, ascending
     nn::IndexVec src_t, src_r, dst_row, feat_rows;
     nn::IndexVec emb_u_rows;  ///< source node id per edge
     nn::IndexVec emb_v_rows;  ///< destination node id per edge
-    std::vector<int> dst_off;  ///< as NetFeed::dst_off
   };
   std::vector<nn::IndexVec> level_rows;  ///< node ids per level (shared)
   std::vector<NetFeed> net_feed;         ///< [num_levels]
@@ -87,9 +84,11 @@ class DelayProp : public nn::Module {
   /// TimingGnn::read), in place on the node-ordered `state` [N, hidden]:
   /// per level, the incoming edges stream through gather → MLP → LUT
   /// interp → sum/max reduce on arena scratch, with no per-op tensors
-  /// (DESIGN.md §10). It skips the cell-delay auxiliary head, whose output
-  /// feeds only the training loss. With `dirty` null it computes every row
-  /// (from a zero `state`). Otherwise it computes only the
+  /// (DESIGN.md §10). Its schedule is the topology's level CSR
+  /// (g.topo->csr()): level rows from node_perm, each row's in-edges from
+  /// net_row_off / cell_row_off. It skips the cell-delay auxiliary head,
+  /// whose output feeds only the training loss. With `dirty` null it
+  /// computes every row (from a zero `state`). Otherwise it computes only the
   /// rows whose node `dirty` marks, level by level, through the same
   /// per-row step; a recomputed row whose state bytes changed marks its
   /// fanout (g.topo->fanout()) in `dirty`, so on return
@@ -98,7 +97,7 @@ class DelayProp : public nn::Module {
   /// (the state rows it reads, the embedding and feature rows) are.
   /// Returns the number of rows recomputed. Polls the ambient cancel
   /// token at every level boundary.
-  std::int64_t propagate(const data::DatasetGraph& g, const PropPlan& plan,
+  std::int64_t propagate(const data::DatasetGraph& g,
                          const nn::Tensor& embedding, nn::Tensor& state,
                          std::vector<unsigned char>* dirty = nullptr) const;
 

@@ -78,15 +78,15 @@ Tensor TimingGnn::forward_atslew(const data::DatasetGraph& g,
                                  const PropPlan& plan,
                                  const Tensor& embedding) const {
   TG_TRACE_SCOPE("core/gnn_forward_atslew", obs::kSpanCoarse);
+  TG_CHECK(plan.num_levels == g.num_levels());
   const nn::NoGradGuard no_grad;
   Tensor state = Tensor::zeros(g.num_nodes(), config_.prop.hidden);
-  (void)prop_.propagate(g, plan, embedding, state);
+  (void)prop_.propagate(g, embedding, state);
   const Tensor head_in[] = {state, embedding};
   return atslew_head_.forward(nn::concat_cols(head_in));
 }
 
 std::int64_t TimingGnn::read(const data::DatasetGraph& g,
-                             const PropPlan& plan,
                              std::span<const int> endpoints,
                              const data::GraphDelta& delta, bool full,
                              ReadCache& cache) const {
@@ -142,7 +142,7 @@ std::int64_t TimingGnn::read(const data::DatasetGraph& g,
     if (!cache.state.defined()) {
       cache.state = Tensor::zeros(g.num_nodes(), hid);
     }
-    rows_run = prop_.propagate(g, plan, cache.embedding, cache.state);
+    rows_run = prop_.propagate(g, cache.embedding, cache.state);
   } else {
     dirty.assign(nodes_n, 0);
     for (const int v : moved) {
@@ -157,7 +157,7 @@ std::int64_t TimingGnn::read(const data::DatasetGraph& g,
       dirty[static_cast<std::size_t>(
           g.topo->cell_dst()[static_cast<std::size_t>(e)])] = 1;
     }
-    rows_run = prop_.propagate(g, plan, cache.embedding, cache.state, &dirty);
+    rows_run = prop_.propagate(g, cache.embedding, cache.state, &dirty);
   }
 
   // Head + slack on the endpoints whose inputs moved.

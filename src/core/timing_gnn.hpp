@@ -73,7 +73,8 @@ class TimingGnn : public nn::Module {
   /// auxiliary heads whose outputs only feed the training loss.
   /// Propagation is DelayProp::propagate over every row from a zero state,
   /// as read(full) does; it runs the same per-row kernels as the op chain,
-  /// so the result matches forward(g, plan).atslew bit for bit.
+  /// so the result matches forward(g, plan).atslew bit for bit. The walk
+  /// reads the topology's level CSR: `plan` is only checked against `g`.
   [[nodiscard]] nn::Tensor forward_atslew(const data::DatasetGraph& g,
                                           const PropPlan& plan,
                                           const nn::Tensor& embedding) const;
@@ -91,10 +92,10 @@ class TimingGnn : public nn::Module {
   /// patched RAT. A stop mid-walk (ambient cancel token) leaves `cache`
   /// inconsistent: the caller must re-embed `g` and read with `full`.
   /// Returns the number of propagation rows recomputed.
-  /// `plan` is that of `g`'s topology; `endpoints` (ascending node ids)
-  /// are the rows whose slack `cache.slack` holds. `g` needs only its
-  /// topology and value tensors (no labels): a moved session's graph.
-  std::int64_t read(const data::DatasetGraph& g, const PropPlan& plan,
+  /// `endpoints` (ascending node ids) are the rows whose slack
+  /// `cache.slack` holds. `g` needs only its topology and value tensors
+  /// (no labels): a moved session's graph.
+  std::int64_t read(const data::DatasetGraph& g,
                     std::span<const int> endpoints,
                     const data::GraphDelta& delta, bool full,
                     ReadCache& cache) const;

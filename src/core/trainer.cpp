@@ -392,11 +392,11 @@ TimingGnnTrainer::TimingGnnTrainer(std::unique_ptr<TimingGnn> model,
     : TrainLoop("timing-gnn", *model, options), model_(std::move(model)) {}
 
 const PropPlan& TimingGnnTrainer::plan_for(const data::DatasetGraph& g) {
-  // Keyed by address, not name: the same benchmark can exist at several
+  // Keyed by topology, not name: the same benchmark can exist at several
   // scales within one process.
-  auto it = plans_.find(&g);
+  auto it = plans_.find(g.topo);
   if (it == plans_.end()) {
-    it = plans_.emplace(&g, build_prop_plan(g)).first;
+    it = plans_.emplace(g.topo, build_prop_plan(g)).first;
   }
   return it->second;
 }
@@ -488,9 +488,9 @@ GcniiTrainer::GcniiTrainer(std::unique_ptr<Gcnii> model,
     : TrainLoop("gcnii", *model, options), model_(std::move(model)) {}
 
 const GcniiAdjacency& GcniiTrainer::adjacency_for(const data::DatasetGraph& g) {
-  auto it = adjacencies_.find(&g);
+  auto it = adjacencies_.find(g.topo);
   if (it == adjacencies_.end()) {
-    it = adjacencies_.emplace(&g, build_gcnii_adjacency(g)).first;
+    it = adjacencies_.emplace(g.topo, build_gcnii_adjacency(g)).first;
   }
   return it->second;
 }

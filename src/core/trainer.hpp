@@ -137,7 +137,9 @@ class TimingGnnTrainer : public TrainLoop {
                    const TrainOptions& options);
 
   std::unique_ptr<TimingGnn> model_;
-  std::map<const data::DatasetGraph*, PropPlan> plans_;
+  /// Keyed by topology, of which the plan is a pure function. The key
+  /// holds the topology alive, so a later graph cannot reuse its address.
+  std::map<std::shared_ptr<const data::Topology>, PropPlan> plans_;
 };
 
 class NetEmbedTrainer : public TrainLoop {
@@ -171,7 +173,9 @@ class GcniiTrainer : public TrainLoop {
   GcniiTrainer(std::unique_ptr<Gcnii> model, const TrainOptions& options);
 
   std::unique_ptr<Gcnii> model_;
-  std::map<const data::DatasetGraph*, GcniiAdjacency> adjacencies_;
+  /// Keyed by topology, as TimingGnnTrainer::plans_.
+  std::map<std::shared_ptr<const data::Topology>, GcniiAdjacency>
+      adjacencies_;
   const GcniiAdjacency& adjacency_for(const data::DatasetGraph& g);
 };
 

@@ -15,35 +15,33 @@ static_assert(kNodeFeatureDim + 4 + 4 + 4 + 1 + 4 == 27,
 
 namespace {
 
-/// Packs `dst`-indexed edge ids into per-level slices, sorted by
-/// (level(dst), dst, edge id). Counting sort over levels keeps the build
-/// linear; the within-level order comes from a stable sort by dst (edge
-/// ids stay ascending within equal destinations).
+/// Packs `dst`-indexed edge ids sorted by (level(dst), dst, edge id): a
+/// counting sort over each edge's destination position in `csr.node_perm`
+/// (ascending (level, id)), whose ascending edge scan keeps the ids of one
+/// destination ascending. Fills `row_off` [N+1] (each packed node's edge
+/// slice) and `off` [L+1] (each level's) from the same counts.
 void pack_edges(const std::vector<int>& dst, const std::vector<int>& node_level,
-                int num_levels, std::vector<int>& off, std::vector<int>& perm) {
-  const auto ne = static_cast<int>(dst.size());
-  off.assign(static_cast<std::size_t>(num_levels) + 1, 0);
-  for (int e = 0; e < ne; ++e) {
-    const int lvl =
-        node_level[static_cast<std::size_t>(dst[static_cast<std::size_t>(e)])];
-    ++off[static_cast<std::size_t>(lvl) + 1];
+                const LevelCsr& csr, std::vector<int>& off,
+                std::vector<int>& row_off, std::vector<int>& perm) {
+  const auto pos = [&](std::size_t e) {
+    const auto v = static_cast<std::size_t>(dst[e]);
+    return static_cast<std::size_t>(
+        csr.node_off[static_cast<std::size_t>(node_level[v])] +
+        csr.node_row[v]);
+  };
+  row_off.assign(csr.node_perm.size() + 1, 0);
+  for (std::size_t e = 0; e < dst.size(); ++e) ++row_off[pos(e) + 1];
+  for (std::size_t k = 1; k < row_off.size(); ++k) {
+    row_off[k] += row_off[k - 1];
   }
-  for (int l = 0; l < num_levels; ++l) {
-    off[static_cast<std::size_t>(l) + 1] += off[static_cast<std::size_t>(l)];
+  perm.resize(dst.size());
+  std::vector<int> cursor(row_off.begin(), row_off.end() - 1);
+  for (std::size_t e = 0; e < dst.size(); ++e) {
+    perm[static_cast<std::size_t>(cursor[pos(e)]++)] = static_cast<int>(e);
   }
-  perm.resize(static_cast<std::size_t>(ne));
-  std::vector<int> cursor(off.begin(), off.end() - 1);
-  for (int e = 0; e < ne; ++e) {
-    const int lvl =
-        node_level[static_cast<std::size_t>(dst[static_cast<std::size_t>(e)])];
-    perm[static_cast<std::size_t>(cursor[static_cast<std::size_t>(lvl)]++)] = e;
-  }
-  for (int l = 0; l < num_levels; ++l) {
-    const auto begin = perm.begin() + off[static_cast<std::size_t>(l)];
-    const auto end = perm.begin() + off[static_cast<std::size_t>(l) + 1];
-    std::stable_sort(begin, end, [&](int a, int b) {
-      return dst[static_cast<std::size_t>(a)] < dst[static_cast<std::size_t>(b)];
-    });
+  off.resize(csr.node_off.size());
+  for (std::size_t l = 0; l < off.size(); ++l) {
+    off[l] = row_off[static_cast<std::size_t>(csr.node_off[l])];
   }
 }
 
@@ -159,10 +157,10 @@ LevelCsr build_level_csr(const Topology& topo) {
         slot - csr.node_off[static_cast<std::size_t>(lvl)];
   }
 
-  pack_edges(topo.net_dst(), node_level, num_levels, csr.net_off,
+  pack_edges(topo.net_dst(), node_level, csr, csr.net_off, csr.net_row_off,
              csr.net_perm);
-  pack_edges(topo.cell_dst(), node_level, num_levels, csr.cell_off,
-             csr.cell_perm);
+  pack_edges(topo.cell_dst(), node_level, csr, csr.cell_off,
+             csr.cell_row_off, csr.cell_perm);
   return csr;
 }
 

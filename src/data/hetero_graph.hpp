@@ -51,16 +51,21 @@ inline constexpr int kCellEdgeFeatureDim =
 
 /// Level-packed CSR adjacency, built by the Topology constructor and
 /// reused by every consumer that walks the DAG level by level: the
-/// timing-GNN propagation plan and its fused walk. Nodes and edges are
-/// packed into flat arrays sorted by (destination level, destination id),
-/// with one offset array per kind — level l's slice is [off[l], off[l+1]).
+/// timing-GNN's taped walk (through its PropPlan) and its fused walk.
+/// Nodes and edges are packed into flat arrays sorted by (destination
+/// level, destination id), with one offset array per kind — level l's
+/// slice is [off[l], off[l+1]) — and, per edge kind, one per packed node:
+/// the edges into node node_perm[k] are perm[row_off[k]], ...,
+/// perm[row_off[k+1] - 1], ascending ids.
 struct LevelCsr {
   std::vector<int> node_off;   ///< [L+1] offsets into node_perm
   std::vector<int> node_perm;  ///< [N] node ids sorted by (level, id)
   std::vector<int> node_row;   ///< [N] row of node v within its level block
   std::vector<int> net_off;    ///< [L+1] offsets into net_perm
+  std::vector<int> net_row_off;  ///< [N+1] offsets into net_perm
   std::vector<int> net_perm;   ///< [En] net-edge ids by (dst level, dst, id)
   std::vector<int> cell_off;   ///< [L+1] offsets into cell_perm
+  std::vector<int> cell_row_off;  ///< [N+1] offsets into cell_perm
   std::vector<int> cell_perm;  ///< [Ec] cell-edge ids by (dst level, dst, id)
 };
 

@@ -104,17 +104,16 @@ Response slack_payload(const std::vector<core::EndpointSlack>& slacks) {
 }
 
 /// GNN answer for a pristine session: a full read of the corner's graph
-/// from its physical template's cached net embedding (query- and
+/// from its physical template's net embedding (query- and
 /// clock-invariant), with the head run on the endpoint rows only.
 Response pristine_payload(const core::TimingGnn& model,
-                          const SessionTemplate& tpl,
-                          const nn::Tensor& embedding) {
+                          const SessionTemplate& tpl) {
   core::ReadCache cache;
   // A full read with an empty delta never writes cache.embedding, so the
-  // cached tensor is shared here, not copied.
-  cache.embedding = embedding;
-  model.read(tpl.g, tpl.phys->plan, tpl.g.endpoints, data::GraphDelta{},
-             /*full=*/true, cache);
+  // template's tensor is shared here, not copied.
+  cache.embedding = tpl.phys->embedding;
+  model.read(tpl.g, tpl.g.endpoints, data::GraphDelta{}, /*full=*/true,
+             cache);
   return slack_payload(cache.slack);
 }
 
@@ -160,8 +159,9 @@ const char* serve_tier_name(ServeTier tier) {
 
 SlackServer::SlackServer(const ServeOptions& options)
     : options_(resolved_options(options)),
-      queue_(options_.queue_capacity),
-      model_(model_config(options_)) {
+      model_(model_config(options_)),
+      templates_(model_),
+      queue_(options_.queue_capacity) {
   TG_CHECK(options_.workers >= 1);
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
@@ -282,7 +282,7 @@ bool SlackServer::inspect(SessionId id,
                          session->tpl->g.endpoints,
                          session->tpl->period,
                          session->pristine(),
-                         session->tpl->g,
+                         *session->tpl,
                          session->gnn ? &session->gnn->g : nullptr};
   fn(view);
   return true;
@@ -390,8 +390,7 @@ Response SlackServer::run_full_tier(Session& session, const Ticket& t) {
     // No engine flush: a GNN read needs no STA labels (a moved session's
     // graph has none), so moves wait for the next engine answer.
     if (session.pristine()) {
-      r = pristine_payload(model_, *session.tpl,
-                           template_embedding(*session.tpl->phys));
+      r = pristine_payload(model_, *session.tpl);
     } else {
       r = session_gnn_read(session);
     }
@@ -408,7 +407,7 @@ Response SlackServer::session_gnn_read(Session& session) {
   if (!session.gnn) {
     // First read after materialize: the template's topology, LUT table
     // and net-edge features with private copies of the rows a patch
-    // rewrites, and its cached embedding.
+    // rewrites, and its physical template's embedding.
     const data::DatasetGraph& base = session.tpl->g;
     auto gnn = std::make_unique<Session::GnnState>();
     gnn->g.name = base.name;
@@ -418,14 +417,12 @@ Response SlackServer::session_gnn_read(Session& session) {
     gnn->g.net_edge_feat = base.net_edge_feat;
     gnn->g.cell_arc_lut = base.cell_arc_lut;
     gnn->g.rat = nn::detach(base.rat);
-    gnn->cache.embedding =
-        nn::detach(template_embedding(*session.tpl->phys));
+    gnn->cache.embedding = nn::detach(session.tpl->phys->embedding);
     session.gnn = std::move(gnn);
     full = true;
   }
   data::DatasetGraph& g = session.gnn->g;
   core::ReadCache& cache = session.gnn->cache;
-  const core::PropPlan& plan = session.tpl->phys->plan;
   const std::vector<int>& endpoints = session.tpl->g.endpoints;
   const bool recover = session.gnn_dirty;
 
@@ -447,12 +444,12 @@ Response SlackServer::session_gnn_read(Session& session) {
     // The previous read stopped part way: its patch may have landed
     // without its re-embed, so re-embed everything.
     cache.embedding = model_.embed(g);
-    rows = model_.read(g, plan, endpoints, data::GraphDelta{}, true, cache);
+    rows = model_.read(g, endpoints, data::GraphDelta{}, true, cache);
   } else if (full) {
-    rows = model_.read(g, plan, endpoints, delta, true, cache);
+    rows = model_.read(g, endpoints, delta, true, cache);
   } else {
     TG_TRACE_SCOPE("serve/gnn_cone", obs::kSpanDetail);
-    rows = model_.read(g, plan, endpoints, delta, false, cache);
+    rows = model_.read(g, endpoints, delta, false, cache);
   }
   session.gnn_dirty = false;
 
@@ -687,19 +684,6 @@ void SlackServer::handle(Ticket ticket) {
   r.retries = retries_used;
   r.retry_after = retry_after_hint();
   fulfill(ticket, std::move(r));
-}
-
-nn::Tensor SlackServer::template_embedding(const PhysicalTemplate& phys) {
-  {
-    const std::lock_guard<std::mutex> lock(embed_mu_);
-    const auto it = embeds_.find(phys.key);
-    if (it != embeds_.end()) return it->second;
-  }
-  // Compute outside the lock; racing workers on a fresh template produce
-  // identical tensors and the first insert wins.
-  nn::Tensor emb = model_.embed(phys.g);
-  const std::lock_guard<std::mutex> lock(embed_mu_);
-  return embeds_.try_emplace(phys.key, std::move(emb)).first->second;
 }
 
 }  // namespace tg::serve

@@ -24,7 +24,9 @@
 ///
 /// The model weights are built once, immutable, and shared by every
 /// worker; concurrent forwards are safe because autograd state lives in
-/// the result tensors, never in the modules.
+/// the result tensors, never in the modules. The template cache is bound
+/// to them: it embeds each physical template once, as it builds it, so a
+/// GNN answer reads only the template and the weights.
 
 #include <atomic>
 #include <functional>
@@ -76,15 +78,10 @@ class SlackServer {
   [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] const ServeOptions& options() const { return options_; }
   [[nodiscard]] int queue_depth() const { return queue_.size(); }
-  /// The shared serving model (immutable weights).
+  /// The shared serving model (immutable weights). The template cache
+  /// embeds every physical template with it
+  /// (PhysicalTemplate::embedding).
   [[nodiscard]] const core::TimingGnn& model() const { return model_; }
-
-  /// Cached net embedding of a physical template (query- and
-  /// clock-invariant — computed once per physical key per server, then
-  /// read by every full-tier GNN answer on any of its corners, and copied
-  /// as the start of a moved session's own). A tape-free leaf:
-  /// TimingGnn::embed records no autograd graph.
-  [[nodiscard]] nn::Tensor template_embedding(const PhysicalTemplate& phys);
 
  private:
   struct StatsCells {
@@ -126,15 +123,9 @@ class SlackServer {
   /// checksum).
   void store_stale(Session& session, const Response& r);
   ServeOptions options_;
-  TemplateCache templates_;
-  AdmissionQueue queue_;
   core::TimingGnn model_;  ///< immutable shared weights
-
-  /// Physical template key -> cached net embedding; grows with the
-  /// template working set (bounded like TemplateCache by the design suite
-  /// size).
-  std::mutex embed_mu_;
-  std::unordered_map<std::uint64_t, nn::Tensor> embeds_;
+  TemplateCache templates_;  ///< bound to model_
+  AdmissionQueue queue_;
 
   mutable std::mutex sessions_mu_;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;

@@ -102,7 +102,7 @@ std::shared_ptr<const SessionTemplate> TemplateCache::get_or_build(
                    "template " << design << " built a different LUT table");
       g.lut_table = lut_table_;
     }
-    phys->plan = core::build_prop_plan(g);
+    phys->embedding = model_.embed(g);
     // The corner's graph takes the extracted clock rows; the physical
     // graph keeps the rest and shares its tensors with the corner's.
     corner->g = g;

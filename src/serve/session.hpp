@@ -6,16 +6,17 @@
 /// parts. The `PhysicalTemplate`, keyed by (design, scale), holds what no
 /// clock reaches: the generated + placed netlist, Steiner routing, timing
 /// graph, the extracted DatasetGraph's features, labels and topology, and
-/// its PropPlan. It is built once, however many clock corners open on the
-/// design. A `SessionTemplate` is one clock corner of it, keyed by
-/// (design, scale, clock factor): the calibrated period, an STA result
-/// whose required times and slacks are swept under that period, and a
-/// DatasetGraph that shares the physical graph's tensors and owns only
-/// `rat`, `clock_period` and the endpoint slacks. Everything a *pristine*
-/// session needs to answer full-graph prediction requests lives in the two,
-/// so opening hundreds of sessions on the same design costs a hash lookup
-/// plus a control block, and a second corner of a built design costs one
-/// StaResult copy, one required-time sweep and one `rat` write.
+/// the serving model's net embedding of that graph. It is built once,
+/// however many clock corners open on the design. A `SessionTemplate` is
+/// one clock corner of it, keyed by (design, scale, clock factor): the
+/// calibrated period, an STA result whose required times and slacks are
+/// swept under that period, and a DatasetGraph that shares the physical
+/// graph's tensors and owns only `rat`, `clock_period` and the endpoint
+/// slacks. Everything a *pristine* session needs to answer full-graph
+/// prediction requests lives in the two, so opening hundreds of sessions
+/// on the same design costs a hash lookup plus a control block, and a
+/// second corner of a built design costs one StaResult copy, one
+/// required-time sweep and one `rat` write.
 ///
 /// A `Session` starts as a thin handle on its corner. The first resize
 /// move *materializes* it (copy-on-write): the design and routing are
@@ -62,7 +63,11 @@ struct PhysicalTemplate {
   /// Extracted features, labels and topology. Clock-free: no `rat`, no
   /// endpoint slacks and clock_period 0 (a corner's graph has them).
   data::DatasetGraph g;
-  core::PropPlan plan;  ///< GNN traversal schedule for `g`
+  /// [N, embed] the cache's model's net embedding of `g` (TimingGnn::embed,
+  /// a tape-free leaf). Query- and clock-invariant: every full-tier GNN
+  /// answer on any corner reads it, and a moved session starts its own
+  /// from a copy. Never written after the build.
+  nn::Tensor embedding;
 
   /// `lib` must outlive the template (the serving plane uses the
   /// process-wide synthetic library, a function-local static).
@@ -91,6 +96,10 @@ struct SessionTemplate {
 /// LutTable: they all come from one library, so the tables are byte-equal.
 class TemplateCache {
  public:
+  /// `model` embeds every physical template built; it must outlive the
+  /// cache.
+  explicit TemplateCache(const core::TimingGnn& model) : model_(model) {}
+
   /// Returns the cached corner for (design, scale, clock_factor), building
   /// it first if absent: with its physical template when no corner of
   /// (design, scale) exists yet, else from a copy of a sibling corner's
@@ -105,6 +114,7 @@ class TemplateCache {
   [[nodiscard]] std::uint64_t physical_builds() const;
 
  private:
+  const core::TimingGnn& model_;
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<const SessionTemplate>>
       corners_;
@@ -162,8 +172,7 @@ struct Session {
   /// LUT table and net-edge features (shared) and its own copies of
   /// node_feat, cell_arc_lut and rat, patched to the session design; it
   /// has no labels. Resizes never change topology, so reads run on
-  /// tpl->phys->plan and tpl->g.endpoints. Null until the first GNN read
-  /// after materialize.
+  /// tpl->g.endpoints. Null until the first GNN read after materialize.
   struct GnnState {
     data::DatasetGraph g;
     core::ReadCache cache;
@@ -221,8 +230,8 @@ struct Session {
 /// arrived with GNN reads are timed by the next engine (kSta) request.
 /// `clock_period` is the corner's: a pristine view's `design` is the
 /// shared physical one, whose own clock_period() is no corner's.
-/// `template_graph` is the corner's extracted graph; `gnn_graph` the
-/// moved session's GNN graph (Session::GnnState), null before its first
+/// `tpl` is the corner's template (tpl.g its extracted graph); `gnn_graph`
+/// the moved session's GNN graph (Session::GnnState), null before its first
 /// GNN read.
 struct SessionView {
   const Design& design;
@@ -232,7 +241,7 @@ struct SessionView {
   const std::vector<int>& endpoints;
   double clock_period = 0.0;
   bool pristine = false;
-  const data::DatasetGraph& template_graph;
+  const SessionTemplate& tpl;
   const data::DatasetGraph* gnn_graph = nullptr;
 };
 

@@ -1,8 +1,11 @@
 /// Regression test: trainer caches (PropPlan, GCNII adjacency) must key on
-/// graph identity, not design name — the same benchmark can exist at
-/// several scales in one process (this segfaulted once).
+/// the graph's topology, not its design name — the same benchmark can exist
+/// at several scales in one process (this segfaulted once) — nor its
+/// address, which a later graph can reuse.
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "core/test_fixture.hpp"
 #include "core/trainer.hpp"
@@ -46,6 +49,20 @@ TEST(PlanCache, SameNameDifferentGraphsGetDistinctPlans) {
   EXPECT_EQ(plan_nodes(pb), b.num_nodes());
   EXPECT_NO_THROW(trainer.evaluate(a));
   EXPECT_NO_THROW(trainer.evaluate(b));
+
+  // A loop-local graph re-emplaced in one slot lives at one address: each
+  // graph it holds must still get its own plan and adjacency.
+  GcniiConfig gcnii_cfg;
+  gcnii_cfg.num_layers = 2;
+  gcnii_cfg.hidden = 8;
+  GcniiTrainer gcnii(gcnii_cfg, opt);
+  std::optional<data::DatasetGraph> slot;
+  for (const data::DatasetGraph* g : {&a, &b}) {
+    slot.emplace(*g);
+    ASSERT_EQ(plan_nodes(trainer.plan_for(*slot)), g->num_nodes());
+    EXPECT_NO_THROW(trainer.evaluate(*slot));
+    EXPECT_NO_THROW(gcnii.evaluate(*slot));
+  }
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 /// counts, the LUT table's row count) of a saved graph, re-seal the CRC so
 /// the checksum cannot catch it, and check the load_graph contract — the
 /// mutant is either rejected with a CheckError, or it loads as a graph
-/// that plans, embeds and propagates without undefined behavior (the
-/// sanitizer jobs run this driver under ASan/UBSan).
+/// that the served path (embed, then a full read over the level CSR)
+/// answers without undefined behavior (the sanitizer jobs run this driver
+/// under ASan/UBSan).
 
 #include <gtest/gtest.h>
 
@@ -175,10 +176,15 @@ TEST(FuzzGraphFile, CorruptedIndicesAreCaughtOrStaySafe) {
       ++caught;
       continue;
     }
-    // The loader accepted this mutant, so inference on it must run clean.
-    const core::PropPlan plan = core::build_prop_plan(g);
-    const nn::Tensor atslew = model.forward_atslew(g, plan, model.embed(g));
-    EXPECT_EQ(atslew.rows(), g.num_nodes()) << "iteration " << i;
+    // The loader accepted this mutant, so a served read of it must run
+    // clean: every row propagated, every endpoint answered.
+    core::ReadCache cache;
+    cache.embedding = model.embed(g);
+    EXPECT_EQ(model.read(g, g.endpoints, data::GraphDelta{}, /*full=*/true,
+                         cache),
+              g.num_nodes())
+        << "iteration " << i;
+    EXPECT_EQ(cache.slack.size(), g.endpoints.size()) << "iteration " << i;
   }
   std::remove(path.c_str());
   // Out-of-range values make up most draws; in-range ones that keep every

@@ -309,7 +309,7 @@ TEST(ServeTest, TemplatesOfOneServerShareOneLutTable) {
                             server.open_session("zipdiv", kScale, 0.92)};
   for (int i = 0; i < 2; ++i) {
     server.inspect(ids[i], [&](const SessionView& v) {
-      tables[i] = v.template_graph.lut_table.get();
+      tables[i] = v.tpl.g.lut_table.get();
     });
   }
   ASSERT_NE(tables[0], nullptr);
@@ -340,7 +340,7 @@ TEST(ServeTest, MovedSessionGraphOwnsOnlyItsValues) {
   server.inspect(id, [&](const SessionView& v) {
     ASSERT_NE(v.gnn_graph, nullptr);
     const data::DatasetGraph& s = *v.gnn_graph;
-    const data::DatasetGraph& t = v.template_graph;
+    const data::DatasetGraph& t = v.tpl.g;
     EXPECT_EQ(s.topo.get(), t.topo.get());
     EXPECT_EQ(s.lut_table.get(), t.lut_table.get());
     const auto storage = [](const nn::Tensor& x) {
@@ -362,20 +362,20 @@ TEST(ServeTest, MovedSessionGraphOwnsOnlyItsValues) {
   });
 }
 
-/// Cached embeddings outlive every request, so they must be tape-free
-/// leaves: a recorded tape would pin the whole net-embedding graph for as
-/// long as the cache entry lives.
+/// A physical template's embedding outlives every request, so it must be
+/// a tape-free leaf: a recorded tape would pin the whole net-embedding
+/// graph for as long as the template lives.
 TEST(ServeTest, CachedEmbeddingsAreTapeFreeLeaves) {
   SlackServer server(small_options());
-  Request req;
-  req.session = server.open_session(kDesign, kScale);
-  ASSERT_EQ(server.call(std::move(req)).status, ResponseStatus::kOk);
-  TemplateCache templates;  // same key as the server's template
-  const nn::Tensor tpl_emb = server.template_embedding(
-      *templates.get_or_build(kDesign, kScale, 0.0)->phys);
-  EXPECT_FALSE(tpl_emb.requires_grad());
-  EXPECT_TRUE(tpl_emb.impl()->parents.empty());
-  EXPECT_FALSE(tpl_emb.impl()->backward_fn);
+  const SessionId id = server.open_session(kDesign, kScale);
+  ASSERT_TRUE(server.inspect(id, [](const SessionView& v) {
+    const nn::Tensor& emb = v.tpl.phys->embedding;
+    ASSERT_TRUE(emb.defined());
+    EXPECT_EQ(emb.rows(), v.tpl.g.num_nodes());
+    EXPECT_FALSE(emb.requires_grad());
+    EXPECT_TRUE(emb.impl()->parents.empty());
+    EXPECT_FALSE(emb.impl()->backward_fn);
+  }));
 }
 
 /// A template times its design once, and a session's timer starts from a
@@ -384,7 +384,8 @@ TEST(ServeTest, CachedEmbeddingsAreTapeFreeLeaves) {
 /// corner of a design re-sweeps a copy of the first's result under its own
 /// period, so it is checked the same way.
 TEST(ServeTest, SessionTimerSeededFromTemplateEqualsFullRun) {
-  TemplateCache templates;
+  const core::TimingGnn model{core::TimingGnnConfig{}};
+  TemplateCache templates(model);
   for (const char* design : {"spm", "picorv32a"}) {
     for (const double factor : {0.92, 1.08}) {
       SCOPED_TRACE(std::string(design) + " @" + std::to_string(factor));
@@ -419,16 +420,21 @@ TEST(ServeTest, ClockCornersShareOnePhysicalTemplate) {
   EXPECT_EQ(server.stats().physical_templates, 2u);
 
   // A corner's graph shares the physical graph's tensors and topology and
-  // owns its rat.
+  // owns its rat; every corner reads the physical template's one
+  // embedding.
   const auto storage = [](const nn::Tensor& x) { return x.data().data(); };
   for (std::size_t d = 0; d < 2; ++d) {
     const data::DatasetGraph* graphs[3] = {};
+    const float* embeddings[3] = {};
     for (std::size_t c = 0; c < 3; ++c) {
       server.inspect(pristine[3 * d + c], [&](const SessionView& v) {
-        graphs[c] = &v.template_graph;
+        graphs[c] = &v.tpl.g;
+        embeddings[c] = storage(v.tpl.phys->embedding);
       });
     }
+    ASSERT_NE(embeddings[0], nullptr);
     for (std::size_t c = 1; c < 3; ++c) {
+      EXPECT_EQ(embeddings[c], embeddings[0]);
       EXPECT_EQ(graphs[c]->topo.get(), graphs[0]->topo.get());
       EXPECT_EQ(storage(graphs[c]->node_feat), storage(graphs[0]->node_feat));
       EXPECT_EQ(storage(graphs[c]->arrival), storage(graphs[0]->arrival));
@@ -475,7 +481,7 @@ TEST(ServeTest, ClockCornersShareOnePhysicalTemplate) {
       double period = 0.0;
       ASSERT_TRUE(solo.inspect(solo_id, [&](const SessionView& v) {
         period = v.clock_period;
-        EXPECT_EQ(v.template_graph.clock_period, period);
+        EXPECT_EQ(v.tpl.g.clock_period, period);
       }));
       periods.push_back(period);
 

@@ -287,6 +287,7 @@ TEST(ServeTsanTest, ClockCornersOpenConcurrentlyWhileGnnReadsRun) {
     constexpr double kFactors[] = {0.0, 0.92, 1.08};
     constexpr int kCorners = 3;
     std::vector<std::vector<Response>> answers(kThreads * kCorners);
+    std::vector<SessionId> ids(kThreads * kCorners);
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
@@ -297,6 +298,8 @@ TEST(ServeTsanTest, ClockCornersOpenConcurrentlyWhileGnnReadsRun) {
           const int corner = (t + k) % kCorners;
           open.emplace_back(corner, server.open_session(kDesign, kScale,
                                                         kFactors[corner]));
+          ids[static_cast<std::size_t>(t * kCorners + corner)] =
+              open.back().second;
           // A read on every corner this thread has open, so reads of the
           // physical template overlap the next corner's build.
           for (const auto& [c, id] : open) {
@@ -315,6 +318,15 @@ TEST(ServeTsanTest, ClockCornersOpenConcurrentlyWhileGnnReadsRun) {
     for (std::thread& th : threads) th.join();
 
     EXPECT_EQ(server.stats().physical_templates, 1u);
+    // ... and so one embedding, built once with it.
+    const float* embedding = nullptr;
+    for (const SessionId id : ids) {
+      ASSERT_TRUE(server.inspect(id, [&](const SessionView& v) {
+        const float* e = v.tpl.phys->embedding.data().data();
+        if (embedding == nullptr) embedding = e;
+        EXPECT_EQ(e, embedding);
+      }));
+    }
     for (int c = 0; c < kCorners; ++c) {
       const std::vector<double>* first = nullptr;
       for (int t = 0; t < kThreads; ++t) {
