@@ -98,8 +98,10 @@ void BM_Spmm(benchmark::State& state) {
     src[k] = static_cast<int>(rng.uniform_int(0, n - 1));
     dst[k] = static_cast<int>(rng.uniform_int(0, n - 1));
   }
+  // Built once outside the timed loop, as Gcnii builds its adjacency.
+  const SpmmCsr csr = build_spmm_csr(src, dst, w, n, n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(spmm(src, dst, w, x, n).data().data());
+    benchmark::DoNotOptimize(spmm_csr(csr, x).data().data());
   }
   state.SetItemsProcessed(state.iterations() * e * 64);
 }

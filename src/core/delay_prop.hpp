@@ -111,7 +111,7 @@ class DelayProp : public nn::Module {
   nn::Mlp cell_prop_;  ///< [state_u, interp, emb_v] → cell message
   nn::Mlp combine_;    ///< [net_in, Σcell, max cell, emb_v] → state_v
   LutInterp lut_;      ///< query: [state_u, emb_u, emb_v]
-  nn::Mlp cell_delay_head_;  ///< [interp, state_u] → 4 (softplus)
+  nn::Mlp cell_delay_head_;  ///< [interp, state_u] → 4 (linear output)
 };
 
 }  // namespace tg::core

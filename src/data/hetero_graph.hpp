@@ -31,10 +31,11 @@ inline constexpr float kSlewAxisScale = 1.0f / 0.6f;   ///< axis → [0,1]-ish
 inline constexpr float kLoadAxisScale = 1.0f / 0.25f;  ///< axis → [0,1]-ish
 
 // Per-task label scales. Targets of very different magnitudes (net delays
-// are a few ps, arrivals tens of ns) would otherwise leave the positive
-// softplus heads in their vanishing-gradient region. R² is invariant to
-// scaling truth and prediction together, so the reported metrics are
-// unaffected; divide by these to recover ns.
+// are a few ps, arrivals tens of ns) would otherwise give the summed
+// multi-task MSE terms of very different sizes, so the small-target heads
+// would barely train. R² is invariant to scaling truth and prediction
+// together, so the reported metrics are unaffected; divide by these to
+// recover ns.
 inline constexpr float kArrivalScale = 1.0f;     ///< ns
 inline constexpr float kSlewLabelScale = 10.0f;  ///< 100 ps units
 inline constexpr float kNetDelayScale = 1000.0f;  ///< ps units

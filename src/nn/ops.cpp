@@ -25,9 +25,6 @@ constexpr Work work(std::int64_t flops, std::int64_t floats) {
 /// an output (or an input and a read-modify-write gradient slot).
 constexpr Work kElementWork = work(1, 3);
 
-/// One element of a pointwise op that calls exp/tanh/log1p.
-constexpr Work kTranscendentalWork = work(20, 3);
-
 /// Output tensor with *undefined* contents — for ops that overwrite every
 /// element (pointwise, matmul, gather, concat). The arena-backed Buffer
 /// skips the zero fill entirely, which is most of what made per-op
@@ -65,7 +62,7 @@ TensorImplPtr make_result_parts(std::int64_t rows, std::int64_t cols,
   return impl;
 }
 
-/// Zero-filled output — for scatter-accumulate ops (segment_sum, spmm,
+/// Zero-filled output — for scatter-accumulate ops (segment_sum,
 /// segment_max's empty segments) whose loops add into the buffer.
 TensorImplPtr make_result_zero(std::int64_t rows, std::int64_t cols,
                                std::initializer_list<const Tensor*> inputs) {
@@ -225,39 +222,6 @@ Tensor scale(const Tensor& a, float s) {
   return Tensor(impl);
 }
 
-namespace {
-
-template <typename Fwd, typename Bwd>
-Tensor pointwise(const Tensor& a, Fwd fwd, Bwd dydx_from_xy) {
-  auto impl = make_result(a.rows(), a.cols(), {&a});
-  const float* ad = a.data().data();
-  parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
-               kTranscendentalWork, [&](std::int64_t lo, std::int64_t hi) {
-                 for (auto i = static_cast<std::size_t>(lo);
-                      i < static_cast<std::size_t>(hi); ++i) {
-                   impl->data[i] = fwd(ad[i]);
-                 }
-               });
-  if (impl->requires_grad) {
-    auto pa = a.ptr();
-    impl->op = "pointwise";
-    impl->backward_fn = [pa, dydx_from_xy](TensorImpl& self) {
-      pa->ensure_grad();
-      parallel_for(
-          0, static_cast<std::int64_t>(self.grad.size()), kTranscendentalWork,
-          [&](std::int64_t lo, std::int64_t hi) {
-            for (auto i = static_cast<std::size_t>(lo);
-                 i < static_cast<std::size_t>(hi); ++i) {
-              pa->grad[i] +=
-                  self.grad[i] * dydx_from_xy(pa->data[i], self.data[i]);
-            }
-          });
-    };
-  }
-  return Tensor(impl);
-}
-
-}  // namespace
 
 Tensor relu(const Tensor& a) {
   auto impl = make_result(a.rows(), a.cols(), {&a});
@@ -354,87 +318,6 @@ Tensor add_relu(const Tensor& a, const Tensor& b) {
     };
   }
   return Tensor(impl);
-}
-
-Tensor mul_sigmoid(const Tensor& a, const Tensor& b) {
-  TG_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  auto impl = make_result(a.rows(), a.cols(), {&a, &b});
-  const float* ad = a.data().data();
-  const float* bd = b.data().data();
-  float* out = impl->data.data();
-  // σ(b) is needed again in backward for both inputs; a taped result
-  // caches it rather than re-running exp (or dividing y by a, which loses
-  // precision near a = 0).
-  std::shared_ptr<std::vector<float>> sig;
-  if (impl->requires_grad) {
-    sig = std::make_shared<std::vector<float>>(impl->data.size());
-  }
-  float* sp = sig ? sig->data() : nullptr;
-  parallel_for(0, static_cast<std::int64_t>(impl->data.size()),
-               kTranscendentalWork, [&](std::int64_t lo, std::int64_t hi) {
-                 for (auto i = static_cast<std::size_t>(lo);
-                      i < static_cast<std::size_t>(hi); ++i) {
-                   const float s = 1.0f / (1.0f + std::exp(-bd[i]));
-                   if (sp != nullptr) sp[i] = s;
-                   out[i] = ad[i] * s;
-                 }
-               });
-  if (impl->requires_grad) {
-    auto pa = a.ptr();
-    auto pb = b.ptr();
-    impl->op = "mul_sigmoid";
-    impl->backward_fn = [pa, pb, sig](TensorImpl& self) {
-      const float* g = self.grad.data();
-      if (pa->requires_grad) {
-        pa->ensure_grad();
-        parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                     kElementWork, [&](std::int64_t lo, std::int64_t hi) {
-                       kern::mul_acc(pa->grad.data() + lo, g + lo,
-                                     sig->data() + lo,
-                                     static_cast<std::size_t>(hi - lo));
-                     });
-      }
-      if (pb->requires_grad) {
-        pb->ensure_grad();
-        parallel_for(0, static_cast<std::int64_t>(self.grad.size()),
-                     kElementWork, [&](std::int64_t lo, std::int64_t hi) {
-                       for (auto i = static_cast<std::size_t>(lo);
-                            i < static_cast<std::size_t>(hi); ++i) {
-                         const float s = (*sig)[i];
-                         pb->grad[i] += g[i] * pa->data[i] * s * (1.0f - s);
-                       }
-                     });
-      }
-    };
-  }
-  return Tensor(impl);
-}
-
-Tensor leaky_relu(const Tensor& a, float slope) {
-  return pointwise(
-      a, [slope](float x) { return x > 0.0f ? x : slope * x; },
-      [slope](float x, float) { return x > 0.0f ? 1.0f : slope; });
-}
-
-Tensor sigmoid(const Tensor& a) {
-  return pointwise(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); });
-}
-
-Tensor tanh_op(const Tensor& a) {
-  return pointwise(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
-}
-
-Tensor softplus(const Tensor& a) {
-  return pointwise(
-      a,
-      [](float x) {
-        return x > 20.0f ? x : std::log1p(std::exp(std::min(x, 20.0f)));
-      },
-      [](float x, float) { return 1.0f / (1.0f + std::exp(-x)); });
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
@@ -797,57 +680,6 @@ Tensor segment_max(const Tensor& a, SharedIndex seg_handle, std::int64_t num_seg
 Tensor segment_max(const Tensor& a, std::vector<int> seg,
                    std::int64_t num_segments) {
   return segment_max(a, share_index(std::move(seg)), num_segments);
-}
-
-Tensor spmm(std::vector<int> src, std::vector<int> dst, std::vector<float> w,
-            const Tensor& x, std::int64_t out_rows) {
-  TG_TRACE_SCOPE("nn/spmm", obs::kSpanDetail);
-  TG_CHECK(src.size() == dst.size() && src.size() == w.size());
-  const std::int64_t cols = x.cols();
-  auto impl = make_result_zero(out_rows, cols, {&x});
-  {
-    const auto ne = static_cast<std::int64_t>(src.size());
-    const int* sp = src.data();
-    const int* dp = dst.data();
-    const float* wp = w.data();
-    const float* xd = x.data().data();
-    // Edge scatter: both endpoints repeat across edges, so slice columns.
-    parallel_for(0, cols, work(2 * ne, 3 * ne), [&](std::int64_t cb,
-                                                 std::int64_t ce) {
-      for (std::int64_t k = 0; k < ne; ++k) {
-        TG_DCHECK(sp[k] >= 0 && sp[k] < x.rows());
-        TG_DCHECK(dp[k] >= 0 && dp[k] < out_rows);
-        kern::axpy(impl->data.data() +
-                       static_cast<std::int64_t>(dp[k]) * cols + cb,
-                   wp[k], xd + static_cast<std::int64_t>(sp[k]) * cols + cb,
-                   static_cast<std::size_t>(ce - cb));
-      }
-    });
-  }
-  if (impl->requires_grad) {
-    auto px = x.ptr();
-    auto ps = std::make_shared<std::vector<int>>(std::move(src));
-    auto pd = std::make_shared<std::vector<int>>(std::move(dst));
-    auto pw = std::make_shared<std::vector<float>>(std::move(w));
-    impl->op = "spmm";
-    impl->backward_fn = [px, ps, pd, pw, cols](TensorImpl& self) {
-      px->ensure_grad();
-      const auto ne = static_cast<std::int64_t>(ps->size());
-      parallel_for(0, cols, work(2 * ne, 3 * ne), [&](std::int64_t cb,
-                                                   std::int64_t ce) {
-        for (std::int64_t k = 0; k < ne; ++k) {
-          const auto ku = static_cast<std::size_t>(k);
-          kern::axpy(px->grad.data() +
-                         static_cast<std::int64_t>((*ps)[ku]) * cols + cb,
-                     (*pw)[ku],
-                     self.grad.data() +
-                         static_cast<std::int64_t>((*pd)[ku]) * cols + cb,
-                     static_cast<std::size_t>(ce - cb));
-        }
-      });
-    };
-  }
-  return Tensor(impl);
 }
 
 SpmmCsr build_spmm_csr(const std::vector<int>& src, const std::vector<int>& dst,

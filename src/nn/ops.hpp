@@ -51,15 +51,6 @@ class SharedIndex {
 /// broadcast rule as add; the tape records a single node whose backward
 /// masks by the (shared) output.
 [[nodiscard]] Tensor add_relu(const Tensor& a, const Tensor& b);
-/// Fused a · sigmoid(b) (same shape) — the gating chain emitted as one
-/// node; σ(b) is cached for backward.
-[[nodiscard]] Tensor mul_sigmoid(const Tensor& a, const Tensor& b);
-[[nodiscard]] Tensor leaky_relu(const Tensor& a, float slope = 0.01f);
-[[nodiscard]] Tensor sigmoid(const Tensor& a);
-[[nodiscard]] Tensor tanh_op(const Tensor& a);
-/// Numerically stable softplus — used where outputs must stay positive
-/// (delays, slews).
-[[nodiscard]] Tensor softplus(const Tensor& a);
 
 // ---- linear algebra ----------------------------------------------------
 /// [N, K] × [K, M] → [N, M].
@@ -101,12 +92,6 @@ class SharedIndex {
                                  std::int64_t num_segments);
 
 // ---- sparse -------------------------------------------------------------
-/// COO sparse-dense matmul: out[dst[k]] += w[k] * x[src[k]] with
-/// `out_rows` output rows. The normalized-adjacency product of GCNII.
-[[nodiscard]] Tensor spmm(std::vector<int> src, std::vector<int> dst,
-                          std::vector<float> w, const Tensor& x,
-                          std::int64_t out_rows);
-
 /// Destination-sorted CSR form of a fixed sparse matrix, built once and
 /// reused across spmm_csr calls (GCNII runs one per layer per step).
 /// Holds both the forward CSR (bucketed by output row) and its transpose

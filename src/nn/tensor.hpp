@@ -7,9 +7,9 @@
 /// reverse topological order.
 ///
 /// The op set (see ops.hpp) is exactly what the paper's models need:
-/// dense linear algebra, pointwise nonlinearities, row gather/scatter and
-/// segment reductions for message passing, and a COO sparse matmul for the
-/// GCNII baseline.
+/// dense linear algebra, ReLU, row gather/scatter and segment reductions
+/// for message passing, the grouped softmax of the LUT interpolation, and a
+/// CSR sparse matmul for the GCNII baseline.
 
 #include <cstdint>
 #include <functional>
@@ -113,12 +113,11 @@ inline thread_local bool t_grad_enabled = true;
 /// Scoped inference mode for the current thread. While one is alive,
 /// every op in ops.hpp builds a plain result — requires_grad false, no
 /// parents, no backward closure, no op label, and none of the tape-only
-/// side buffers (segment_max's argmax, mul_sigmoid's σ cache, layer_norm's
-/// normalized rows) — with data bit-identical to the taped op. Leaf
-/// constructors (Tensor::zeros(..., true), parameters) are unaffected.
-/// Guards nest: each restores the mode it found. The flag is
-/// thread-local, so code that fans ops out to pool workers must re-install
-/// it there.
+/// side buffers (segment_max's argmax, layer_norm's normalized rows) —
+/// with data bit-identical to the taped op. Leaf constructors
+/// (Tensor::zeros(..., true), parameters) are unaffected. Guards nest:
+/// each restores the mode it found. The flag is thread-local, so code that
+/// fans ops out to pool workers must re-install it there.
 class NoGradGuard {
  public:
   NoGradGuard() : prev_(detail::t_grad_enabled) {

@@ -16,6 +16,14 @@ namespace {
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
+/// Queue fill fractions where the entry tier drops to cone / stale.
+constexpr double kDegradeQueueFrac = 0.5;
+constexpr double kStaleQueueFrac = 0.875;
+
+/// Width of every layer of the serving model, which is built once and
+/// shared, immutable, across all sessions and workers.
+constexpr int kGnnHidden = 8;
+
 /// Serving fault points (util/fault.hpp serve domain). `slow` stalls in
 /// 1 ms slices so a deadline still preempts the stall at the next slice;
 /// `worker` throws the way a real worker bug would.
@@ -60,12 +68,12 @@ ServeOptions resolved_options(ServeOptions options) {
   return options;
 }
 
-core::TimingGnnConfig model_config(const ServeOptions& options) {
+core::TimingGnnConfig model_config() {
   core::TimingGnnConfig config;
-  config.net.hidden = options.gnn_hidden;
-  config.net.mlp_hidden = options.gnn_hidden;
-  config.prop.hidden = options.gnn_hidden;
-  config.prop.mlp_hidden = options.gnn_hidden;
+  config.net.hidden = kGnnHidden;
+  config.net.mlp_hidden = kGnnHidden;
+  config.prop.hidden = kGnnHidden;
+  config.prop.mlp_hidden = kGnnHidden;
   return config;
 }
 
@@ -159,7 +167,7 @@ const char* serve_tier_name(ServeTier tier) {
 
 SlackServer::SlackServer(const ServeOptions& options)
     : options_(resolved_options(options)),
-      model_(model_config(options_)),
+      model_(model_config()),
       templates_(model_),
       queue_(options_.queue_capacity) {
   TG_CHECK(options_.workers >= 1);
@@ -250,9 +258,7 @@ std::future<Response> SlackServer::submit(Request req) {
     return fut;
   }
 
-  const std::chrono::nanoseconds budget =
-      t.req.budget.count() > 0 ? t.req.budget : options_.default_budget;
-  if (budget.count() > 0) t.deadline = t.enqueued + budget;
+  if (t.req.budget.count() > 0) t.deadline = t.enqueued + t.req.budget;
 
   // push() only consumes the ticket when it admits it, so the shed path
   // below still owns a valid promise.
@@ -465,10 +471,9 @@ Response SlackServer::session_gnn_read(Session& session) {
   return r;
 }
 
-Response SlackServer::run_cone_tier(Session& session, const Ticket& t) {
+Response SlackServer::run_cone_tier(Session& session) {
   TG_TRACE_SCOPE("serve/cone", obs::kSpanDetail);
   maybe_inject_faults();
-  (void)t;
   ensure_engine_current(session, /*force_full=*/false);
   Response r = engine_payload(session);
   r.tier = ServeTier::kCone;
@@ -482,7 +487,7 @@ std::optional<Response> SlackServer::run_stale_tier(Session& session) {
     // Corrupted entry: never serve it. Dropping it turns the next stale
     // request into a shed instead of a lie.
     session.stale.valid = false;
-    TG_METRIC_COUNT("serve/stale_corrupt", 1);
+    TG_METRIC_COUNT("serve/stale_bad_checksum", 1);
     return std::nullopt;
   }
   Response r;
@@ -580,10 +585,9 @@ void SlackServer::handle(Ticket ticket) {
   ServeTier tier = best;
   if (!ticket.req.force_full) {
     const double fill = queue_.fill();
-    if (fill >= options_.stale_queue_frac) {
+    if (fill >= kStaleQueueFrac) {
       tier = ServeTier::kStale;
-    } else if (fill >= options_.degrade_queue_frac &&
-               tier == ServeTier::kFull) {
+    } else if (fill >= kDegradeQueueFrac && tier == ServeTier::kFull) {
       tier = ServeTier::kCone;
     }
     const std::uint64_t ema = ema_latency_ns_.load(std::memory_order_relaxed);
@@ -602,7 +606,7 @@ void SlackServer::handle(Ticket ticket) {
   while (!answer && tier != ServeTier::kStale) {
     try {
       answer = tier == ServeTier::kFull ? run_full_tier(*session, ticket)
-                                        : run_cone_tier(*session, ticket);
+                                        : run_cone_tier(*session);
     } catch (const CancelError& e) {
       stop = e.reason();
       if (e.reason() == CancelReason::kCancelled) {
@@ -659,12 +663,9 @@ void SlackServer::handle(Ticket ticket) {
   }
 
   // Stale tier (and the quarantine bookkeeping for fault-driven descents).
-  const bool force_full_refused = ticket.req.force_full;
   std::optional<Response> stale =
-      force_full_refused ? std::nullopt : run_stale_tier(*session);
-  const bool stale_corrupt = !stale && !force_full_refused && fault_failed &&
-                             fault::matched_serve_ops() > 0;
-  if (fault_failed || stale_corrupt) {
+      ticket.req.force_full ? std::nullopt : run_stale_tier(*session);
+  if (fault_failed) {
     if (++session->consecutive_failures >= options_.quarantine_after) {
       session->quarantined_until =
           std::chrono::steady_clock::now() + options_.quarantine_period;

@@ -115,7 +115,7 @@ class SlackServer {
   /// brings its read cache up to date — the dirty cone only, or every
   /// row on the first read and after a stopped one (gnn_dirty).
   Response session_gnn_read(Session& session);
-  Response run_cone_tier(Session& session, const Ticket& t);
+  Response run_cone_tier(Session& session);
   /// Serves the checksummed stale cache; nullopt when absent/corrupt.
   std::optional<Response> run_stale_tier(Session& session);
   /// Stores a good answer in the session's stale cache (applies the

@@ -152,11 +152,30 @@ void Session::materialize() {
 }
 
 void Session::apply_moves(const std::vector<ResizeMove>& moves) {
+  // Every move is checked before any is applied, so a refused request
+  // leaves the session as it found it. A swap keeps the instance's pins
+  // and the timing graph's arcs, so the target must be a drive variant
+  // of the current cell: same function, same pin count.
+  const Design& before = current_design();
+  const Library& lib = before.library();
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    const ResizeMove& move = moves[i];
+    TG_CHECK_MSG(move.inst >= 0 && move.inst < before.num_instances(),
+                 "resize move " << i << " targets unknown instance "
+                                << move.inst);
+    TG_CHECK_MSG(move.new_cell >= 0 && move.new_cell < lib.num_cells(),
+                 "resize move " << i << " targets unknown cell "
+                                << move.new_cell);
+    const CellType& from = lib.cell(before.instance(move.inst).cell_id);
+    const CellType& to = lib.cell(move.new_cell);
+    TG_CHECK_MSG(to.function == from.function &&
+                     to.pins.size() == from.pins.size(),
+                 "resize move " << i << " swaps instance " << move.inst
+                                << " from " << from.name << " to " << to.name
+                                << ", which is not a drive variant of it");
+  }
   materialize();
   for (const ResizeMove& move : moves) {
-    TG_CHECK_MSG(move.inst >= 0 && move.inst < design->num_instances(),
-                 "resize move targets unknown instance " << move.inst);
-    TG_CHECK_MSG(move.new_cell >= 0, "resize move has no target cell");
     design->instance(move.inst).cell_id = move.new_cell;
     for (PinId pid : design->instance(move.inst).pins) {
       const Pin& pin = design->pin(pid);

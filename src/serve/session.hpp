@@ -204,12 +204,14 @@ struct Session {
   /// No-op when already materialized. Caller holds `mu`.
   void materialize();
 
-  /// Applies resize moves to materialized state: swaps cell ids,
-  /// re-extracts parasitics of the nets whose loads changed, invalidates
-  /// the affected nets on the incremental timer. Does NOT re-time — the
-  /// ladder tier decides between timer->update() (cone) and a full
-  /// re-time. Records the moved instances in gnn_touched for the next GNN
-  /// read. Caller holds `mu`.
+  /// Checks every move first (instance and cell in range, target of the
+  /// current cell's function and pin count) and throws CheckError naming
+  /// the first bad move before changing anything. Then materializes and
+  /// applies the moves: swaps cell ids, re-extracts parasitics of the nets
+  /// whose loads changed, invalidates the affected nets on the
+  /// incremental timer. Does NOT re-time — the ladder tier decides
+  /// between timer->update() (cone) and a full re-time. Records the moved
+  /// instances in gnn_touched for the next GNN read. Caller holds `mu`.
   void apply_moves(const std::vector<ResizeMove>& moves);
 
   /// Current engine view: session timer result when materialized, else

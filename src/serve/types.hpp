@@ -19,8 +19,9 @@ namespace tg::serve {
 using SessionId = std::uint64_t;
 
 /// One ECO gate-sizing move: swap instance `inst` to library cell
-/// `new_cell` (same function, different drive — the caller guarantees pin
-/// compatibility, as in examples/eco_resize).
+/// `new_cell`, a drive variant of its current cell (same function, same
+/// pin count). Every move of a request is checked before any is applied;
+/// one out-of-range or incompatible move sheds the whole request.
 struct ResizeMove {
   int inst = -1;
   int new_cell = -1;
@@ -98,11 +99,6 @@ struct Response {
 struct ServeOptions {
   int workers = 2;
   int queue_capacity = 64;
-  /// Deadline applied when a request carries none. zero = unlimited.
-  std::chrono::nanoseconds default_budget{0};
-  /// Queue fill fractions where the entry tier drops to cone / stale.
-  double degrade_queue_frac = 0.5;
-  double stale_queue_frac = 0.875;
   /// Worker-fault retry policy: capped exponential backoff.
   int max_retries = 2;
   std::chrono::nanoseconds backoff_base{std::chrono::milliseconds(1)};
@@ -122,9 +118,6 @@ struct ServeOptions {
   /// the template cache keeps the baseline, the session re-materializes
   /// on its first move.
   int max_sessions = 0;
-  /// GNN model width (the serving model is built once and shared,
-  /// immutable, across all sessions and workers).
-  int gnn_hidden = 8;
 };
 
 /// Monotonic whole-server counters (see also the serve/* metrics).

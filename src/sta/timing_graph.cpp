@@ -1,6 +1,6 @@
 #include "sta/timing_graph.hpp"
 
-#include <queue>
+#include <algorithm>
 
 #include "util/check.hpp"
 
@@ -99,48 +99,36 @@ void TimingGraph::levelize() {
   for (const NetArc& a : net_arcs_) ++indeg[static_cast<std::size_t>(a.to)];
   for (const CellArc& a : cell_arcs_) ++indeg[static_cast<std::size_t>(a.to)];
 
+  // Kahn's algorithm with `level_pins_` as its FIFO. A FIFO pops pins in
+  // non-decreasing level: each pin is pushed when its deepest fan-in pin
+  // pops, one level below it. So the pop order is already packed by
+  // level, each level in topological order, and a level starts where the
+  // first pin of it pops.
   level_.assign(static_cast<std::size_t>(n), 0);
-  topo_order_.clear();
-  topo_order_.reserve(static_cast<std::size_t>(n));
-  std::queue<PinId> ready;
+  level_pins_.clear();
+  level_pins_.reserve(static_cast<std::size_t>(n));
+  level_offsets_.clear();
   for (PinId p = 0; p < n; ++p) {
-    if (indeg[static_cast<std::size_t>(p)] == 0) ready.push(p);
+    if (indeg[static_cast<std::size_t>(p)] == 0) level_pins_.push_back(p);
   }
-  while (!ready.empty()) {
-    const PinId p = ready.front();
-    ready.pop();
-    topo_order_.push_back(p);
-    const int next_level = level_[static_cast<std::size_t>(p)] + 1;
+  for (std::size_t head = 0; head < level_pins_.size(); ++head) {
+    const PinId p = level_pins_[head];
+    const int l = level_[static_cast<std::size_t>(p)];
+    if (l == static_cast<int>(level_offsets_.size())) {
+      level_offsets_.push_back(static_cast<int>(head));
+    }
     auto relax = [&](PinId q) {
       level_[static_cast<std::size_t>(q)] =
-          std::max(level_[static_cast<std::size_t>(q)], next_level);
-      if (--indeg[static_cast<std::size_t>(q)] == 0) ready.push(q);
+          std::max(level_[static_cast<std::size_t>(q)], l + 1);
+      if (--indeg[static_cast<std::size_t>(q)] == 0) level_pins_.push_back(q);
     };
     for (int a : out_net_arcs(p)) relax(net_arcs_[static_cast<std::size_t>(a)].to);
     for (int a : out_cell_arcs(p)) relax(cell_arcs_[static_cast<std::size_t>(a)].to);
   }
-  TG_CHECK_MSG(static_cast<int>(topo_order_.size()) == n,
+  TG_CHECK_MSG(static_cast<int>(level_pins_.size()) == n,
                "timing graph has a cycle");
-
-  num_levels_ = 0;
-  for (int l : level_) num_levels_ = std::max(num_levels_, l + 1);
-  by_level_.assign(static_cast<std::size_t>(num_levels_), {});
-  for (PinId p : topo_order_) {
-    by_level_[static_cast<std::size_t>(level_[static_cast<std::size_t>(p)])].push_back(p);
-  }
-
-  // Flat level packing (same per-level order): the sweeps walk one
-  // contiguous array via level_pins() instead of chasing ragged vectors.
-  level_offsets_.assign(static_cast<std::size_t>(num_levels_) + 1, 0);
-  level_pins_.clear();
-  level_pins_.reserve(static_cast<std::size_t>(n));
-  for (int l = 0; l < num_levels_; ++l) {
-    for (PinId p : by_level_[static_cast<std::size_t>(l)]) {
-      level_pins_.push_back(p);
-    }
-    level_offsets_[static_cast<std::size_t>(l) + 1] =
-        static_cast<int>(level_pins_.size());
-  }
+  num_levels_ = static_cast<int>(level_offsets_.size());
+  level_offsets_.push_back(n);
 }
 
 }  // namespace tg

@@ -50,13 +50,8 @@ class TimingGraph {
   /// both advance one level.
   [[nodiscard]] int level(PinId pin) const { return level_[static_cast<std::size_t>(pin)]; }
   [[nodiscard]] int num_levels() const { return num_levels_; }
-  /// Pins in topological order (stable across runs).
-  [[nodiscard]] const std::vector<PinId>& topo_order() const { return topo_order_; }
-  /// Pins grouped per level, ascending.
-  [[nodiscard]] const std::vector<std::vector<PinId>>& levels() const { return by_level_; }
-  /// Pins of one level as a slice of the flat level-packed array — the
-  /// sweep-facing view: one contiguous buffer for all levels instead of a
-  /// ragged vector-of-vectors, so level iteration is pure pointer
+  /// Pins of one level, in topological order (stable across runs), as a
+  /// slice of the flat level-packed array: level iteration is pure pointer
   /// arithmetic with sequential memory traffic.
   [[nodiscard]] std::span<const PinId> level_pins(int level) const {
     const auto b = static_cast<std::size_t>(level_offsets_[static_cast<std::size_t>(level)]);
@@ -83,10 +78,8 @@ class TimingGraph {
 
   std::vector<int> level_;
   int num_levels_ = 0;
-  std::vector<PinId> topo_order_;
-  std::vector<std::vector<PinId>> by_level_;
   // Flat level packing: level l owns level_pins_[level_offsets_[l],
-  // level_offsets_[l+1]). Same order as by_level_.
+  // level_offsets_[l+1]).
   std::vector<int> level_offsets_;
   std::vector<PinId> level_pins_;
 };

@@ -73,54 +73,39 @@ void check_arcs(const TimingGraph& g, DiagSink& sink) {
 }
 
 void check_levels(const TimingGraph& g, DiagSink& sink) {
+  // The level packing must hold every pin exactly once, under its own
+  // level. With every arc raising the level (check_arcs), this is also
+  // the acyclicity check.
   const int n = g.num_nodes();
-  // Acyclicity: the topological order must cover every node exactly once.
-  if (static_cast<int>(g.topo_order().size()) != n) {
-    TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
-            "topological order covers " << g.topo_order().size() << " of "
-                << n << " nodes — graph is cyclic or disconnected ids exist");
-  }
   std::vector<char> seen(static_cast<std::size_t>(n), 0);
-  for (PinId p : g.topo_order()) {
-    if (p < 0 || p >= n) {
-      TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
-              "topological order holds invalid pin id " << p);
-      return;
-    }
-    if (seen[static_cast<std::size_t>(p)]++) {
-      TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{},
-              g.design().pin_name(p), "pin appears twice in topological order");
-      return;
-    }
-  }
-  // Per-level grouping consistent with level().
   int counted = 0;
-  for (std::size_t l = 0; l < g.levels().size(); ++l) {
-    for (PinId p : g.levels()[l]) {
+  for (int l = 0; l < g.num_levels(); ++l) {
+    for (PinId p : g.level_pins(l)) {
       ++counted;
       if (p < 0 || p >= n) {
         TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
                 "level " << l << " holds invalid pin id " << p);
         return;
       }
-      if (g.level(p) != static_cast<int>(l)) {
+      if (seen[static_cast<std::size_t>(p)]++) {
+        TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{},
+                g.design().pin_name(p), "pin appears twice in the levels");
+        return;
+      }
+      if (g.level(p) != l) {
         TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{},
                 g.design().pin_name(p),
-                "pin grouped under level " << l << " but level() says "
-                                           << g.level(p));
+                "pin packed under level " << l << " but level() says "
+                                          << g.level(p));
         return;
       }
     }
   }
   if (counted != n) {
     TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
-            "per-level grouping covers " << counted << " of " << n
-                                         << " nodes");
-  }
-  if (g.num_levels() != static_cast<int>(g.levels().size())) {
-    TG_DIAG(sink, Severity::kError, Stage::kSta, SrcLoc{}, "",
-            "num_levels() = " << g.num_levels() << " disagrees with levels() "
-                              << "size " << g.levels().size());
+            "levels cover " << counted << " of " << n
+                            << " nodes — graph is cyclic or disconnected "
+                               "ids exist");
   }
 }
 

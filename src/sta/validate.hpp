@@ -2,8 +2,9 @@
 /// \file validate.hpp
 /// TimingGraph invariant checker plus STA numerical tripwires
 /// (DESIGN.md §8). Fast level covers arc-endpoint bounds, levelization
-/// consistency (every arc strictly increases the level) and acyclicity
-/// (the topological order covers every node); full adds the CSR/adjacency
+/// consistency (every arc strictly increases the level) and the level
+/// packing (it holds every node once, under its own level, which with the
+/// former rules out cycles); full adds the CSR/adjacency
 /// cross-checks. check_sta_finite sweeps an StaResult for NaN/Inf and
 /// reports the first-offender pin by name, level and corner.
 

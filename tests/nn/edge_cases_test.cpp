@@ -61,9 +61,9 @@ TEST(EdgeCases, MatmulWithZeroRows) {
   EXPECT_EQ(c.cols(), 2);
 }
 
-TEST(EdgeCases, SpmmNoEdgesIsZero) {
+TEST(EdgeCases, SpmmCsrNoEdgesIsZero) {
   Tensor x = Tensor::from_vector({1, 2}, 1, 2);
-  Tensor y = spmm({}, {}, {}, x, 3);
+  Tensor y = spmm_csr(build_spmm_csr({}, {}, {}, 3, 1), x);
   EXPECT_EQ(y.rows(), 3);
   for (float v : y.data()) EXPECT_EQ(v, 0.0f);
 }

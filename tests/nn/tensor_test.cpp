@@ -164,11 +164,6 @@ std::vector<std::pair<const char*, std::function<Tensor()>>> all_ops() {
       {"relu", [=] { return relu(a); }},
       {"add_relu", [=] { return add_relu(a, b); }},
       {"add_relu_broadcast", [=] { return add_relu(a, bias); }},
-      {"mul_sigmoid", [=] { return mul_sigmoid(a, b); }},
-      {"leaky_relu", [=] { return leaky_relu(a, 0.1f); }},
-      {"sigmoid", [=] { return sigmoid(a); }},
-      {"tanh_op", [=] { return tanh_op(a); }},
-      {"softplus", [=] { return softplus(scale(a, 30.0f)); }},
       {"matmul", [=] { return matmul(a, w); }},
       {"concat_cols", [=] { return concat_cols(parts2); }},
       {"slice_cols", [=] { return slice_cols(a, 1, 3); }},
@@ -180,11 +175,6 @@ std::vector<std::pair<const char*, std::function<Tensor()>>> all_ops() {
        [=] { return segment_sum(a, {0, 2, 2, 0, 3, 2}, 5); }},
       {"segment_max",
        [=] { return segment_max(tied, {0, 2, 2, 0, 3, 2}, 5); }},
-      {"spmm",
-       [=] {
-         return spmm({0, 1, 2, 5, 5}, {0, 0, 3, 1, 3},
-                     {0.5f, -1.0f, 2.0f, 0.25f, 1.5f}, a, 4);
-       }},
       {"spmm_csr", [=] { return spmm_csr(csr, a); }},
       {"sum_all", [=] { return sum_all(a); }},
       {"mean_all", [=] { return mean_all(a); }},

@@ -2,8 +2,8 @@
 /// Functional contract of the slack-prediction serving plane
 /// (DESIGN.md §12): session lifecycle and template sharing, the
 /// ok|degraded|shed response taxonomy, the degradation ladder's tier
-/// choices, queued predictions, admission-queue shedding, deadline
-/// handling and shutdown draining.
+/// choices, resize-move validation, queued predictions, admission-queue
+/// shedding, deadline handling and shutdown draining.
 
 #include "serve/server.hpp"
 
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -249,6 +250,137 @@ TEST(ServeTest, OverloadShedsAtTheDoorWithRetryAfter) {
   fault::clear_serve_fault();
   EXPECT_GT(shed_at_door, 0) << "queue of 2 absorbed 24 requests?";
   EXPECT_EQ(server.stats().completed, 24u);
+}
+
+/// The entry tier follows the admission queue's fill as each request
+/// leaves it: a prediction is served stale at 7/8, from the cone tier from
+/// 6/8 down to 4/8, and at full fidelity below half.
+TEST(ServeTest, EntryTierFollowsQueueFill) {
+  ServeOptions o = small_options();
+  o.workers = 1;
+  o.queue_capacity = 8;
+  SlackServer server(o);
+  const SessionId id = server.open_session(kDesign, kScale);
+
+  // The first prediction stalls the worker and then leaves its answer in
+  // the stale cache. Once it has left the queue, eight more fill it.
+  fault::arm_serve_fault("slow", 1);
+  Request first;
+  first.session = id;
+  std::future<Response> stalled = server.submit(std::move(first));
+  while (fault::matched_serve_ops() < 1) std::this_thread::yield();
+  constexpr int kQueued = 8;
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < kQueued; ++i) {
+    Request req;
+    req.session = id;
+    futs.push_back(server.submit(std::move(req)));
+  }
+  EXPECT_EQ(stalled.get().status, ResponseStatus::kOk);
+  fault::clear_serve_fault();
+
+  for (int i = 0; i < kQueued; ++i) {
+    const Response r = futs[static_cast<std::size_t>(i)].get();
+    const int fill = kQueued - 1 - i;  // eighths still queued behind it
+    SCOPED_TRACE("handled at fill " + std::to_string(fill) + "/8");
+    if (fill == 7) {
+      EXPECT_EQ(r.status, ResponseStatus::kDegraded);
+      EXPECT_EQ(r.tier, ServeTier::kStale);
+    } else if (fill >= 4) {
+      EXPECT_EQ(r.status, ResponseStatus::kDegraded);
+      EXPECT_EQ(r.tier, ServeTier::kCone);
+    } else {
+      EXPECT_EQ(r.status, ResponseStatus::kOk);
+      EXPECT_EQ(r.tier, ServeTier::kFull);
+    }
+  }
+}
+
+/// Every move of a request is checked before any is applied: a request
+/// holding a bad move is shed whole, with an error naming that move, and
+/// the session times exactly as it did before the request.
+TEST(ServeTest, BadResizeMoveShedsTheRequestAndChangesNothing) {
+  SlackServer server(small_options());
+  // An instance with a drive variant (a good move) and a cell of another
+  // function with the same pin count (a bad move that indexes cleanly).
+  int inst = -1;
+  int original = -1;
+  int variant = -1;
+  int foreign = -1;
+  int num_cells = 0;
+  int num_instances = 0;
+  const SessionId probe = server.open_session(kDesign, kScale);
+  server.inspect(probe, [&](const SessionView& v) {
+    const Library& lib = v.design.library();
+    num_cells = lib.num_cells();
+    num_instances = v.design.num_instances();
+    for (int i = 0; i < num_instances && foreign < 0; ++i) {
+      const CellType& cell = lib.cell(v.design.instance(i).cell_id);
+      const int alt = alternative_cell(v, i);
+      if (cell.is_sequential || alt < 0) continue;
+      for (int c = 0; c < num_cells; ++c) {
+        const CellType& other = lib.cell(c);
+        if (!other.is_sequential && other.function != cell.function &&
+            other.pins.size() == cell.pins.size()) {
+          inst = i;
+          original = v.design.instance(i).cell_id;
+          variant = alt;
+          foreign = c;
+          break;
+        }
+      }
+    }
+  });
+  server.close_session(probe);
+  ASSERT_GE(foreign, 0) << "no instance has a same-pin-count foreign cell";
+
+  auto full_sta = [&](SessionId id) {
+    Request req;
+    req.session = id;
+    req.mode = RequestMode::kSta;
+    req.force_full = true;
+    const Response r = server.call(std::move(req));
+    EXPECT_EQ(r.status, ResponseStatus::kOk) << r.error;
+    return r;
+  };
+  struct BadRequest {
+    const char* name;
+    std::vector<ResizeMove> moves;
+    int bad_move;
+  };
+  const BadRequest bad_requests[] = {
+      {"cell out of range", {{inst, num_cells}}, 0},
+      {"cell of another function", {{inst, foreign}}, 0},
+      {"bad move after a good one",
+       {{inst, original}, {num_instances, variant}},
+       1},
+  };
+  for (const BadRequest& bad : bad_requests) {
+    SCOPED_TRACE(bad.name);
+    const SessionId id = server.open_session(kDesign, kScale);
+    Request good;
+    good.session = id;
+    good.mode = RequestMode::kSta;
+    good.moves.push_back({inst, variant});
+    ASSERT_EQ(server.call(std::move(good)).status, ResponseStatus::kOk);
+    const Response before = full_sta(id);
+
+    Request req;
+    req.session = id;
+    req.mode = RequestMode::kSta;
+    req.moves = bad.moves;
+    const Response r = server.call(std::move(req));
+    EXPECT_EQ(r.status, ResponseStatus::kShed);
+    EXPECT_NE(r.error.find("resize move " + std::to_string(bad.bad_move)),
+              std::string::npos)
+        << r.error;
+
+    const Response after = full_sta(id);
+    EXPECT_EQ(after.endpoint_setup, before.endpoint_setup);
+    EXPECT_EQ(after.wns_setup, before.wns_setup);
+    EXPECT_EQ(after.wns_hold, before.wns_hold);
+    server.close_session(id);
+  }
 }
 
 TEST(ServeTest, QueuedPredictionsEqualTheirForceFullAnswer) {

@@ -64,14 +64,20 @@ TEST_F(TimingGraphTest, EveryArcAdvancesLevel) {
   }
 }
 
-TEST_F(TimingGraphTest, TopoOrderIsComplete) {
+TEST_F(TimingGraphTest, LevelPinsCoverEveryPinOnce) {
   Design d = generate_design(suite_entry("usb", 1.0 / 32).spec, lib_);
   const TimingGraph g(d);
-  EXPECT_EQ(static_cast<int>(g.topo_order().size()), d.num_pins());
-  // Levels partition the nodes.
-  std::size_t total = 0;
-  for (const auto& level : g.levels()) total += level.size();
-  EXPECT_EQ(static_cast<int>(total), d.num_pins());
+  // The levels partition the nodes, each pin under its own level.
+  std::vector<int> seen(static_cast<std::size_t>(d.num_pins()), 0);
+  for (int l = 0; l < g.num_levels(); ++l) {
+    for (PinId p : g.level_pins(l)) {
+      ASSERT_GE(p, 0);
+      ASSERT_LT(p, d.num_pins());
+      EXPECT_EQ(g.level(p), l);
+      ++seen[static_cast<std::size_t>(p)];
+    }
+  }
+  for (int count : seen) EXPECT_EQ(count, 1);
 }
 
 TEST_F(TimingGraphTest, InOutAdjacencyConsistent) {
